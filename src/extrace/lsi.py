@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LinalgError, as_matrix, classify, matrix_from_literal, matrix_to_literal
-from .trace import TraceConfig, ex, two_block
+from .linalg import LinalgError, as_matrix, matrix_from_literal, matrix_to_literal, stack_norms
+from .trace import TraceConfig, _trace_core
 
 __all__ = [
     "FirKernel",
@@ -198,9 +198,10 @@ def lsi_classify(r: FrequencyResponse, tol: float = 1e-9) -> str:
     one; necessity is only conjectured, hence 'not_certified' rather than
     a negative verdict.
     """
-    for sample in r.samples:
-        if classify(sample, tol) == "expansion":
-            return "not_certified"
+    if tol <= 0:
+        raise LinalgError("tol must be positive")
+    if np.any(stack_norms(r.samples) > 1.0 + tol):
+        return "not_certified"
     return "lsi_contraction"
 
 
@@ -213,15 +214,13 @@ def lsi_ex(
         raise LinalgError(f"cannot loop {loop_ports} ports on shape {(n_out, n_in)}")
     if r.out_ports[-loop_ports:] != r.in_ports[-loop_ports:]:
         raise LinalgError("trailing loop ports differ between input and output")
-    traced = []
-    for omega, sample in zip(r.grid, r.samples):
-        try:
-            traced.append(ex(two_block(sample, loop_ports), "U", cfg).value)
-        except ArithmeticError as e:
-            raise ArithmeticError(f"loop trace failed at omega={omega:.6f}: {e}") from e
+    try:
+        values = _trace_core(r.samples, loop_ports, cfg)[0]
+    except ArithmeticError as e:
+        raise ArithmeticError(f"loop trace failed at omega={r.grid[e.index]:.6f}: {e}") from e
     return FrequencyResponse(
         r.grid,
-        np.stack(traced),
+        values,
         r.out_ports[:-loop_ports],
         r.in_ports[:-loop_ports],
     )

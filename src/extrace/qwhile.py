@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import LinalgError, classify, matrix_from_literal
 from .lsi import DEFAULT_GRID, FrequencyResponse, _uniform_grid
-from .trace import TraceConfig, ex, two_block
+from .trace import TraceConfig, _trace_core
 
 __all__ = [
     "Delay",
@@ -383,14 +383,10 @@ def _eval(node: Node, grid: np.ndarray, cfg: TraceConfig) -> np.ndarray:
         out[:, left.shape[1] :, left.shape[2] :] = right
         return out
     if isinstance(node, DoWhile):
-        body = _eval(node.body, grid, cfg)
-        traced = []
-        for omega, sample in zip(grid, body):
-            try:
-                traced.append(ex(two_block(sample, node.feedback), "U", cfg).value)
-            except ArithmeticError as e:  # pragma: no cover - closure guarantees
-                raise QWhileError(
-                    f"internal error: loop sample diverged at omega={omega:.6f}: {e}"
-                ) from e
-        return np.stack(traced)
+        try:
+            return _trace_core(_eval(node.body, grid, cfg), node.feedback, cfg)[0]
+        except ArithmeticError as e:  # pragma: no cover - closure guarantees
+            raise QWhileError(
+                f"internal error: loop sample diverged at omega={grid[e.index]:.6f}: {e}"
+            ) from e
     raise QWhileError(f"cannot evaluate node {type(node).__name__}")

@@ -16,15 +16,13 @@ import numpy as np
 
 from .linalg import (
     LinalgError,
-    Partition,
     PartitionedMap,
     adjoint,
     classify,
     direct_sum,
     operator_norm,
     random_contraction,
-    random_isometry,
-    random_unitary,
+    stack_norms,
     swap_matrix,
     two_block,
 )
@@ -91,77 +89,164 @@ class CnuDecomposition:
     f1: np.ndarray
 
 
-def _loop_blocks(f: PartitionedMap, loop_label: str):
-    u_rows = f.row_partition.size(loop_label)
-    u_cols = f.col_partition.size(loop_label)
-    if u_rows != u_cols:
-        raise LinalgError(
-            f"loop block {loop_label!r} is {u_rows}x{u_cols}; it must be square"
-        )
-    r0, r1 = f.row_partition.span(loop_label)
-    c0, c1 = f.col_partition.span(loop_label)
-    keep_rows = np.r_[0:r0, r1 : f.matrix.shape[0]]
-    keep_cols = np.r_[0:c0, c1 : f.matrix.shape[1]]
-    f_ba = f.matrix[np.ix_(keep_rows, keep_cols)]
-    f_bu = f.matrix[np.ix_(keep_rows, np.arange(c0, c1))]
-    f_ua = f.matrix[np.ix_(np.arange(r0, r1), keep_cols)]
-    f_uu = f.matrix[r0:r1, c0:c1]
-    return f_ba, f_bu, f_ua, f_uu
-
-
-def _tail_ratio(f_uu: np.ndarray) -> float:
+def _tail_ratio(f_uu: np.ndarray) -> np.ndarray:
     """Per-term decay estimate: the smallest m-th root of ||f_uu^m|| over
     probe powers m = dim and 2*dim.  Contractions decay geometrically only
     after the completely-nonunitary mixing length, so a one-step estimate
     would be too pessimistic."""
-    dim = f_uu.shape[0]
-    if dim == 0:
-        return 0.0
+    dim = f_uu.shape[-1]
     probe = np.linalg.matrix_power(f_uu, dim)
-    r = operator_norm(probe) ** (1.0 / dim)
-    probe2 = probe @ probe
-    r2 = operator_norm(probe2) ** (1.0 / (2 * dim))
-    return min(r, r2)
+    r = stack_norms(probe) ** (1.0 / dim)
+    return np.minimum(r, stack_norms(probe @ probe) ** (1.0 / (2 * dim)))
+
+
+def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig):
+    """Partial sums of f_BA + sum_n f_BU f_UU^n f_UA for every stack entry
+    at once.  An entry retires on its own stopping rule (a term below
+    series_tol with a geometric tail certificate), on blow-up or on a
+    non-finite term; the rest run on, up to max_terms."""
+    n = f_ba.shape[0]
+    total, terms = f_ba.copy(), np.zeros(n, dtype=np.int64)
+    term_norm, converged = np.full(n, math.inf), np.zeros(n, dtype=bool)
+    live, ratio, left, errors = np.arange(n), _tail_ratio(f_uu), f_bu, {}
+    # ||x|| <= |x|_F <= sqrt(rank) ||x||, so an SVD is taken only where the
+    # Frobenius norm cannot settle a test, and on the last term.
+    near = cfg.series_tol * math.sqrt(min(f_ba.shape[1:])) * (1 + 1e-9)
+    for t in range(cfg.max_terms):
+        if live.size == 0:
+            break
+        term = left @ f_ua  # left = f_BU f_UU^t
+        bad = ~np.isfinite(term).all(axis=(-2, -1))
+        term[bad] = 0.0
+        total[live] += term
+        acc = total[live]
+        terms[live] = t + 1
+        exact = (t == cfg.max_terms - 1) | (np.linalg.norm(term, axis=(-2, -1)) <= near)
+        tn = np.full(live.size, math.inf)
+        tn[exact] = stack_norms(term[exact])
+        term_norm[live] = tn
+        blown = ~bad & (np.linalg.norm(acc, axis=(-2, -1)) > cfg.blowup * (1 - 1e-9))
+        blown[blown] = stack_norms(acc[blown]) > cfg.blowup
+        msg = f"non-finite entries at series term {t}"
+        errors.update(dict.fromkeys(live[bad].tolist(), SeriesDivergence(msg)))
+        msg = f"partial sum exceeded {cfg.blowup:g} at term {t}; "
+        msg += "the series does not converge in norm"
+        errors.update(dict.fromkeys(live[blown].tolist(), SeriesDivergence(msg)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tail = np.where(ratio < 1.0, tn * ratio / (1.0 - ratio), math.inf)
+        tail[tn == 0.0] = 0.0
+        done = ~bad & ~blown & (tn <= cfg.series_tol) & (tail <= cfg.series_tol)
+        converged[live[done]] = True
+        stay = ~(bad | blown | done)
+        if not stay.all():
+            live, ratio, left, f_ua, f_uu = (x[stay] for x in (live, ratio, left, f_ua, f_uu))
+        left = left @ f_uu
+    return total, terms, term_norm, converged, errors
+
+
+def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig):
+    """Closed-form trace via witnesses i, k with f_UA = (id - f_UU) i and
+    f_BU = k (id - f_UU), for every stack entry at once.  Singular values
+    of id - f_UU below 1e-10 * sigma_max count as exact zeros, which keeps
+    unitary loop blocks (where id - f_UU is singular) traceable."""
+    h = np.eye(f_uu.shape[-1]) - f_uu
+    h_pinv = np.linalg.pinv(h, rcond=1e-10)
+    i_wit, k_wit = h_pinv @ f_ua, f_bu @ h_pinv
+    res_in = stack_norms(h @ i_wit - f_ua) / scale
+    res_out = stack_norms(k_wit @ h - f_bu) / scale
+    residual = np.maximum(res_in, res_out)
+    value = f_ba + k_wit @ f_ua
+    agree = stack_norms(value - (f_ba + f_bu @ i_wit))
+    errors = {}
+    for i in np.flatnonzero((residual > cfg.ki_residual_tol) | (agree > cfg.compare_tol * scale)):
+        msg = (
+            "not ki-traceable: witness residuals "
+            f"{res_in[i]:.3e} (input) / {res_out[i]:.3e} (output) exceed "
+            f"{cfg.ki_residual_tol:g}"
+            if residual[i] > cfg.ki_residual_tol
+            else f"witness forms disagree by {agree[i]:.3e}"
+        )
+        errors[int(i)] = KiTraceError(msg, float(res_in[i]), float(res_out[i]))
+    return value, residual, errors
+
+
+def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, route: str = "ex"):
+    """Trace out the loop block, the trailing k rows and columns, of every
+    matrix in the stack ``m`` (N, rows, cols).  Route "series" or
+    "kernel_image" takes that route alone.  Route "ex" is the total trace:
+    contractions take the closed form as the canonical value and the
+    series as the cross-check, the rest the closed form or, failing that,
+    the series.  Returns the values (N, b, a) and, per entry, the method,
+    series terms, residual and convergence flag.  Raises the error of the
+    first failing entry, with its stack position as ``index``."""
+    m = np.asarray(m, dtype=np.complex128)
+    if not np.all(np.isfinite(m)):
+        raise LinalgError("matrix contains non-finite entries")
+    n, b, a = m.shape[0], m.shape[1] - k, m.shape[2] - k
+    f_ba, f_bu, f_ua, f_uu = m[:, :b, :a], m[:, :b, a:], m[:, b:, :a], m[:, b:, a:]
+    values, terms, residual = f_ba.copy(), np.zeros(n, dtype=np.int64), np.zeros(n)
+    method = np.full(n, "both_agree" if route == "ex" else route, dtype=object)
+    converged = np.ones(n, dtype=bool)
+    if k == 0:
+        return values, method, terms, residual, converged
+
+    norm = stack_norms(m)
+    contraction = (norm <= 1.0 + cfg.classify_tol) & (route == "ex")
+    errors, series = {}, np.full(n, route == "series")
+    if route != "series":
+        # Failed entries keep a placeholder: they raise or take the series.
+        values, residual, errors = _kernel_image(
+            f_ba, f_bu, f_ua, f_uu, np.maximum(norm, 1.0), cfg
+        )
+        if route == "ex":
+            series = np.isin(np.arange(n), list(errors)) != contraction
+            errors = {i: e for i, e in errors.items() if contraction[i]}
+            method[~contraction] = "kernel_image"
+
+    idx = np.flatnonzero(series)
+    s_value, terms[idx], s_norm, s_converged, s_errors = _series(
+        f_ba[idx], f_bu[idx], f_ua[idx], f_uu[idx], cfg
+    )
+    errors.update((int(idx[j]), e) for j, e in s_errors.items())
+    both, alone = contraction[idx], idx[~contraction[idx]]
+    method[alone] = "series"
+    values[alone], residual[alone] = s_value[~both], s_norm[~both]
+    converged[alone] = s_converged[~both]
+    gap = stack_norms(values[idx] - s_value)  # zero on the series-only entries
+    residual[idx[both]] = gap[both]
+    for j in np.flatnonzero(both & ~s_converged):
+        errors.setdefault(int(idx[j]), SeriesDivergence(
+            "series failed to converge on a contraction input "
+            f"(last increment {s_norm[j]:.3e})"
+        ))
+    for j in np.flatnonzero(s_converged & (gap > cfg.compare_tol)):
+        errors[int(idx[j])] = ArithmeticError(
+            "internal consistency failure: series and kernel-image "
+            f"values differ by {gap[j]:.3e}"
+        )
+    if errors:
+        failed = min(errors)
+        errors[failed].index = failed
+        raise errors[failed]
+    return values, method, terms, residual, converged
+
+
+def _scalar(f: PartitionedMap, loop_label: str, cfg: TraceConfig, route: str) -> TraceResult:
+    (r0, r1), (c0, c1) = f.row_partition.span(loop_label), f.col_partition.span(loop_label)
+    if r1 - r0 != c1 - c0:
+        raise LinalgError(f"loop block {loop_label!r} is {r1 - r0}x{c1 - c0}; it must be square")
+    rows = np.r_[0:r0, r1 : f.matrix.shape[0], r0:r1]  # loop block last
+    cols = np.r_[0:c0, c1 : f.matrix.shape[1], c0:c1]
+    values, method, terms, residual, converged = _trace_core(
+        f.matrix[np.ix_(rows, cols)][None], r1 - r0, cfg, route
+    )
+    return TraceResult(values[0], method[0], int(terms[0]), float(residual[0]), bool(converged[0]))
 
 
 def ex_series(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     """Partial sums of f_BA + sum_n f_BU f_UU^n f_UA with a geometric
     tail certificate as the stopping rule."""
-    f_ba, f_bu, f_ua, f_uu = _loop_blocks(f, loop_label)
-    if f_uu.shape[0] == 0:
-        return TraceResult(f_ba.copy(), "series", 0, 0.0, True)
-
-    ratio = _tail_ratio(f_uu)
-    total = f_ba.astype(np.complex128).copy()
-    left = f_bu.copy()  # f_BU @ f_UU^n
-    terms = 0
-    term_norm = math.inf
-    for n in range(cfg.max_terms):
-        term = left @ f_ua
-        if not np.all(np.isfinite(term)):
-            raise SeriesDivergence(f"non-finite entries at series term {n}")
-        total += term
-        terms = n + 1
-        term_norm = operator_norm(term)
-        if operator_norm(total) > cfg.blowup:
-            raise SeriesDivergence(
-                f"partial sum exceeded {cfg.blowup:g} at term {n}; "
-                "the series does not converge in norm"
-            )
-        if term_norm <= cfg.series_tol:
-            tail = 0.0 if term_norm == 0.0 else (
-                term_norm * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-            )
-            if tail <= cfg.series_tol:
-                return TraceResult(total, "series", terms, term_norm, True)
-        left = left @ f_uu
-    return TraceResult(total, "series", terms, term_norm, False)
-
-
-def _pinv(m: np.ndarray, rcond: float = 1e-10) -> np.ndarray:
-    # Singular values below rcond * sigma_max count as exact zeros, which
-    # keeps unitary loop blocks (where id - f_UU is singular) traceable.
-    return np.linalg.pinv(m, rcond=rcond)
+    return _scalar(f, loop_label, cfg, "series")
 
 
 def ex_kernel_image(
@@ -169,34 +254,7 @@ def ex_kernel_image(
 ) -> TraceResult:
     """Closed-form trace via witnesses i, k with
     f_UA = (id - f_UU) i  and  f_BU = k (id - f_UU)."""
-    f_ba, f_bu, f_ua, f_uu = _loop_blocks(f, loop_label)
-    if f_uu.shape[0] == 0:
-        return TraceResult(f_ba.copy(), "kernel_image", 0, 0.0, True)
-
-    h = np.eye(f_uu.shape[0]) - f_uu
-    h_pinv = _pinv(h)
-    i_wit = h_pinv @ f_ua
-    k_wit = f_bu @ h_pinv
-    scale = max(operator_norm(f.matrix), 1.0)
-    res_in = operator_norm(h @ i_wit - f_ua) / scale
-    res_out = operator_norm(k_wit @ h - f_bu) / scale
-    residual = max(res_in, res_out)
-    if residual > cfg.ki_residual_tol:
-        raise KiTraceError(
-            "not ki-traceable: witness residuals "
-            f"{res_in:.3e} (input) / {res_out:.3e} (output) exceed "
-            f"{cfg.ki_residual_tol:g}",
-            res_in,
-            res_out,
-        )
-    value = f_ba + k_wit @ f_ua
-    alt = f_ba + f_bu @ i_wit
-    agree = operator_norm(value - alt)
-    if agree > cfg.compare_tol * scale:
-        raise KiTraceError(
-            f"witness forms disagree by {agree:.3e}", res_in, res_out
-        )
-    return TraceResult(value, "kernel_image", 0, residual, True)
+    return _scalar(f, loop_label, cfg, "kernel_image")
 
 
 def ex(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig()) -> TraceResult:
@@ -205,31 +263,7 @@ def ex(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig()) -> 
     succeeds."""
     if f.row_partition.size(loop_label) != f.col_partition.size(loop_label):
         raise LinalgError(f"loop block {loop_label!r} differs between partitions")
-    if f.row_partition.size(loop_label) == 0:
-        f_ba, _, _, _ = _loop_blocks(f, loop_label)
-        return TraceResult(f_ba.copy(), "both_agree", 0, 0.0, True)
-
-    contraction = classify(f.matrix, cfg.classify_tol) != "expansion"
-    if contraction:
-        ki = ex_kernel_image(f, loop_label, cfg)
-        series = ex_series(f, loop_label, cfg)
-        if not series.converged:
-            raise SeriesDivergence(
-                "series failed to converge on a contraction input "
-                f"(last increment {series.residual:.3e})"
-            )
-        gap = operator_norm(ki.value - series.value)
-        if gap > cfg.compare_tol:
-            raise ArithmeticError(
-                f"internal consistency failure: series and kernel-image "
-                f"values differ by {gap:.3e}"
-            )
-        return TraceResult(ki.value, "both_agree", series.terms_used, gap, True)
-
-    try:
-        return ex_kernel_image(f, loop_label, cfg)
-    except KiTraceError:
-        return ex_series(f, loop_label, cfg)
+    return _scalar(f, loop_label, cfg, "ex")
 
 
 # ---------------------------------------------------------------------------
@@ -251,11 +285,7 @@ def halmos_dilation(f: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     f = np.asarray(f, dtype=np.complex128)
     if operator_norm(f) > 1.0 + tol:
         raise LinalgError("halmos_dilation requires a contraction")
-    d_f = _defect(f)
-    d_fh = _defect(adjoint(f))
-    top = np.hstack([-adjoint(f), d_f])
-    bot = np.hstack([d_fh, f])
-    return np.vstack([top, bot])
+    return np.block([[-adjoint(f), _defect(f)], [_defect(adjoint(f)), f]])
 
 
 def _kernel_basis(m: np.ndarray, tol: float) -> np.ndarray:
@@ -307,18 +337,14 @@ def cnu_decompose(f: np.ndarray, tol: float = 1e-8) -> CnuDecomposition:
             break
 
     k = basis.shape[1]
-    if k == 0:
-        basis_change = np.eye(n, dtype=np.complex128)
-    else:
-        # Full SVD: leading k left vectors span the unitary subspace, the
-        # rest its orthogonal complement, and the stack is exactly unitary.
-        u_full, _, _ = np.linalg.svd(basis, full_matrices=True)
-        basis_change = u_full
-
+    # Full SVD: leading k left vectors span the unitary subspace, the rest
+    # its orthogonal complement, and the stack is exactly unitary (the
+    # identity when k = 0).
+    basis_change = np.linalg.svd(basis, full_matrices=True)[0]
     conj = adjoint(basis_change) @ f @ basis_change
     f0 = conj[:k, :k]
     f1 = conj[k:, k:]
-    off = max(operator_norm(conj[:k, k:]), operator_norm(conj[k:, :k])) if 0 < k < n else 0.0
+    off = max(operator_norm(conj[:k, k:]), operator_norm(conj[k:, :k]))
     if off > max(tol, 1e-7):
         raise LinalgError(
             f"block off-diagonal mass {off:.3e} after basis change; "

@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 from extrace.kappa import theta
 from extrace.linalg import (
     adjoint,
+    classify,
     matrix_from_literal,
     matrix_to_literal,
     operator_norm,
     random_contraction,
+    random_isometry,
     two_block,
 )
 from extrace.lsi import Signal, parseval_norm
@@ -43,12 +45,57 @@ def test_literal_round_trip_is_exact(m):
 @settings(deadline=None)
 def test_halmos_dilation_always_unitary_after_scaling(m):
     # scale strictly inside the unit ball: exactly on the boundary the
-    # defect square roots amplify machine epsilon to ~1e-8
+    # defect square roots amplify machine epsilon to ~1e-8.  Subnormal
+    # inputs are first lifted by an exact power of two: their norm is
+    # inexact and dividing by it can overflow to nan.
+    m = m * 2.0**600 if 0 < np.abs(m).max() < 1e-300 else m
     norm = operator_norm(m)
     f = m / (norm * (1.0 + 1e-6)) if norm > 0 else m
     g = halmos_dilation(f)
     n = sum(f.shape)
     assert operator_norm(adjoint(g) @ g - np.eye(n)) < 1e-9
+
+
+def classify_by_three_norms(m, tol):
+    """The classification from ||m^H m - id||, ||m m^H - id|| and ||m||."""
+    rows, cols = m.shape
+    ident = np.eye(cols)
+    if np.linalg.norm(adjoint(m) @ m - ident, 2) <= tol:
+        if rows == cols and np.linalg.norm(m @ adjoint(m) - ident, 2) <= tol:
+            return "unitary"
+        return "isometry"
+    norm = np.linalg.norm(m, 2)
+    if norm <= 1.0 + tol:
+        return "strict_contraction" if norm < 1.0 - tol else "contraction_boundary"
+    return "expansion"
+
+
+@st.composite
+def classify_cases(draw):
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["isometry", "strict", "up", "down", "expansion"]))
+    # Scaling an isometry by 1 +- tol/2 moves |s^2 - 1| off tol by tol^2/4,
+    # which must stay far above rounding; hence no tol below 1e-6 there.
+    tols = [1e-6, 1e-4, 1e-2] if kind in ("up", "down") else [1e-9, 1e-6, 1e-3]
+    tol = draw(st.sampled_from(tols))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # A unitary when square, else an isometry (tall) or its adjoint (wide).
+    base = random_isometry(max(rows, cols), min(rows, cols), rng)
+    base = base if rows >= cols else adjoint(base)
+    if kind == "isometry":
+        return base, tol
+    if kind in ("up", "down"):
+        return base * (1.0 + tol / 2 if kind == "up" else 1.0 - tol / 2), tol
+    z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    target = rng.uniform(0.0, 0.9) if kind == "strict" else rng.uniform(1.1, 10.0)
+    return z * (target / np.linalg.norm(z, 2)), tol
+
+
+@given(classify_cases())
+@settings(deadline=None)
+def test_classify_matches_three_norm_definition(case):
+    m, tol = case
+    assert classify(m, tol) == classify_by_three_norms(m, tol)
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(2, 6))

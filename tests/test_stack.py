@@ -1,0 +1,189 @@
+"""The frequency-stack trace must give every sample exactly what the
+scalar trace gives it, and must do so in a number of linear-algebra
+calls that does not grow with the grid."""
+
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from extrace.linalg import direct_sum, random_contraction, two_block
+from extrace.lsi import FirKernel, FrequencyResponse, dtft, lsi_ex
+from extrace.qwhile import (
+    Delay,
+    DoWhile,
+    Par,
+    QWhileError,
+    Seq,
+    Unitary,
+    parse_source,
+    semantics,
+)
+from extrace.trace import SeriesDivergence, TraceConfig, ex, ex_series
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+
+
+def scalar_semantics(node, omega):
+    """Reference evaluator: one frequency at a time, loops by scalar ex."""
+    if isinstance(node, Unitary):
+        return node.matrix
+    if isinstance(node, Delay):
+        return np.exp(-1j * np.array([[omega]]) * node.t)
+    if isinstance(node, Seq):
+        return scalar_semantics(node.second, omega) @ scalar_semantics(node.first, omega)
+    if isinstance(node, Par):
+        return direct_sum(scalar_semantics(node.left, omega), scalar_semantics(node.right, omega))
+    body = scalar_semantics(node.body, omega)
+    return ex(two_block(body, node.feedback), "U").value
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.qw")), ids=lambda p: p.stem)
+def test_semantics_matches_scalar_trace_at_every_frequency(path):
+    program = parse_source(path.read_text()).program
+    r = semantics(program, 64)
+    for omega, sample in zip(r.grid, r.samples):
+        assert np.max(np.abs(sample - scalar_semantics(program, omega))) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lsi_ex_matches_scalar_trace_at_every_frequency(seed):
+    rng = np.random.default_rng(seed)
+    ports = int(rng.integers(2, 17))
+    loop = int(rng.integers(1, ports))
+    names = tuple(f"p{i}" for i in range(ports))
+    taps = {t: random_contraction(ports, ports, rng) / 3 for t in range(3)}
+    r = dtft(FirKernel(names, names, taps), 32)
+    traced = lsi_ex(r, loop)
+    assert traced.samples.shape == (32, ports - loop, ports - loop)
+    for sample, got in zip(r.samples, traced.samples):
+        want = ex(two_block(sample, loop), "U").value
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def reference_series(m, k, cfg):
+    """The per-term series, one matrix at a time, with an SVD norm of every
+    term and partial sum: (value, terms, last term norm, converged)."""
+    b = m.shape[0] - k
+    f_ba, f_bu, f_ua, f_uu = m[:b, :b], m[:b, b:], m[b:, :b], m[b:, b:]
+    probe = np.linalg.matrix_power(f_uu, k)
+    ratio = min(
+        np.linalg.norm(probe, 2) ** (1.0 / k), np.linalg.norm(probe @ probe, 2) ** (1.0 / (2 * k))
+    )
+    total, left, term_norm = f_ba.copy(), f_bu.copy(), math.inf
+    for n in range(cfg.max_terms):
+        term = left @ f_ua
+        if not np.all(np.isfinite(term)):
+            raise SeriesDivergence(f"non-finite entries at series term {n}")
+        total += term
+        term_norm = np.linalg.norm(term, 2)
+        if np.linalg.norm(total, 2) > cfg.blowup:
+            raise SeriesDivergence(
+                f"partial sum exceeded {cfg.blowup:g} at term {n}; "
+                "the series does not converge in norm"
+            )
+        if term_norm <= cfg.series_tol:
+            tail = 0.0 if term_norm == 0.0 else (
+                term_norm * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+            )
+            if tail <= cfg.series_tol:
+                return total, n + 1, term_norm, True
+        left = left @ f_uu
+    return total, cfg.max_terms, term_norm, False
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.0, 1.3, 3.0])
+def test_series_matches_per_term_reference(scale):
+    # Same arithmetic in the same order, so the results must be equal,
+    # not close: values, term counts, last increments and flags.
+    cfg = TraceConfig(max_terms=300)
+    for seed in range(30):
+        rng = np.random.default_rng(seed)
+        dim, k = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        m = random_contraction(dim + k, dim + k, rng) * scale
+        try:
+            want = reference_series(m, k, cfg)
+        except SeriesDivergence as e:
+            with pytest.raises(SeriesDivergence, match=re.escape(str(e))):
+                ex_series(two_block(m, k), "U", cfg)
+            continue
+        got = ex_series(two_block(m, k), "U", cfg)
+        assert np.array_equal(got.value, want[0])
+        assert (got.terms_used, got.residual, got.converged) == want[1:]
+
+
+def response(samples):
+    samples = np.asarray(samples, dtype=np.complex128)
+    n, ports = samples.shape[0], samples.shape[1]
+    names = tuple(f"p{i}" for i in range(ports))
+    return FrequencyResponse(2.0 * np.pi * np.arange(n) / n, samples, names, names)
+
+
+# One sample per route of the total trace, each a 2x2 map with a 1-dim loop.
+CONTRACTION = 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+KI_EXPANSION = np.array([[2.0, 0.5], [0.5, 0.25]])  # id - f_UU invertible
+SERIES_EXPANSION = np.array([[2.0, 1.0], [0.0, 1.0]])  # no witness, zero terms
+UNCONVERGED_EXPANSION = np.array([[2.0, 1.0], [1e-12, 1.0]])  # no witness, flat terms
+
+
+def test_mixed_stack_gives_each_sample_its_scalar_route():
+    cfg = TraceConfig(max_terms=200)
+    kinds = [CONTRACTION, KI_EXPANSION, SERIES_EXPANSION, UNCONVERGED_EXPANSION]
+    order = [3, 0, 2, 1, 1, 0, 3, 2]
+    samples = [kinds[i] for i in order]
+    scalar = [ex(two_block(m, 1), "U", cfg) for m in samples]
+    assert {s.method for s in scalar} == {"both_agree", "kernel_image", "series"}
+    assert not all(s.converged for s in scalar)
+    traced = lsi_ex(response(samples), 1, cfg)
+    for got, want in zip(traced.samples, scalar):
+        assert np.array_equal(got, want.value)
+
+
+# f_UU = diag(1, 2): id - f_UU is singular with f_UA outside its range, so
+# there is no witness, and the series grows like 2^n.
+DIVERGENT = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 2.0]])
+
+
+def test_failing_stack_names_first_bad_frequency_lsi():
+    with pytest.raises(SeriesDivergence):
+        ex(two_block(DIVERGENT, 2), "U")
+    samples = np.stack([0.5 * np.eye(3)] * 8)
+    samples[5] = samples[7] = DIVERGENT
+    r = response(samples)
+    with pytest.raises(ArithmeticError, match=f"omega={r.grid[5]:.6f}: partial sum exceeded"):
+        lsi_ex(r, 2)
+
+
+def test_failing_stack_names_bad_frequency_semantics():
+    # The body G (1 (+) e^{-iw} (+) 1) has f_UU = diag(-e^{-iw}, 2), which
+    # takes the eigenvalue 1 only at w = pi; there the loop has no witness
+    # and its series diverges, while every other frequency has a witness.
+    g = Unitary("G", np.array([[0.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 0.0, 2.0]]))
+    body = Seq(Par(Delay(0), Par(Delay(1), Delay(0))), g)
+    with pytest.raises(QWhileError, match=f"omega={math.pi:.6f}: partial sum exceeded"):
+        semantics(DoWhile(body, 2), 16)
+
+
+def count_decompositions(monkeypatch, fn):
+    counts = {"svd": 0, "pinv": 0}
+    for name in counts:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    fn()
+    monkeypatch.undo()
+    return counts
+
+
+def test_decomposition_count_does_not_grow_with_grid(monkeypatch):
+    program = parse_source((CORPUS / "hadamard_delay_loop.qw").read_text()).program
+    small = count_decompositions(monkeypatch, lambda: semantics(program, 64))
+    large = count_decompositions(monkeypatch, lambda: semantics(program, 1024))
+    assert small["pinv"] >= 1 and small["svd"] >= 1
+    assert small == large
