@@ -26,8 +26,6 @@ __all__ = [
     "random_contraction",
     "random_isometry",
     "random_unitary",
-    "singular_values",
-    "stack_norms",
     "swap_matrix",
 ]
 
@@ -59,15 +57,9 @@ def operator_norm(m: np.ndarray) -> float:
     return float(stack_norms(m))
 
 
-def singular_values(m: np.ndarray) -> np.ndarray:
-    """Singular values, descending along the last axis, of a matrix or of
-    a stack of matrices (leading axes)."""
-    return np.linalg.svd(m, compute_uv=False)
-
-
 def stack_norms(m: np.ndarray) -> np.ndarray:
     """Operator norm of each matrix in a stack; zero for empty matrices."""
-    return np.max(singular_values(m), axis=-1, initial=0.0)
+    return np.max(np.linalg.svd(m, compute_uv=False), axis=-1, initial=0.0)
 
 
 def classify(m: np.ndarray, tol: float = DEFAULT_TOL) -> str:
@@ -80,7 +72,7 @@ def classify(m: np.ndarray, tol: float = DEFAULT_TOL) -> str:
     if tol <= 0:
         raise LinalgError("tol must be positive")
     rows, cols = np.shape(m)
-    s = singular_values(m)
+    s = np.linalg.svd(m, compute_uv=False)
     if np.max(np.abs(np.pad(s, (0, cols - s.size)) ** 2 - 1.0), initial=0.0) <= tol:
         return "unitary" if rows == cols else "isometry"
     norm = np.max(s, initial=0.0)
@@ -89,6 +81,10 @@ def classify(m: np.ndarray, tol: float = DEFAULT_TOL) -> str:
             return "strict_contraction"
         return "contraction_boundary"
     return "expansion"
+
+
+def is_contraction(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
+    return classify(m, tol) != "expansion"
 
 
 def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -89,6 +89,34 @@ class CnuDecomposition:
     f1: np.ndarray
 
 
+def _loop_last(f: PartitionedMap, loop_label: str):
+    """The matrix of f as a one-entry stack (1, rows, cols) with the loop
+    block moved to the trailing rows and columns, and the loop size."""
+    (r0, r1), (c0, c1) = f.row_partition.span(loop_label), f.col_partition.span(loop_label)
+    if r1 - r0 != c1 - c0:
+        raise LinalgError(f"loop block {loop_label!r} is {r1 - r0}x{c1 - c0}; it must be square")
+    rows = np.r_[0:r0, r1 : f.matrix.shape[0], r0:r1]
+    cols = np.r_[0:c0, c1 : f.matrix.shape[1], c0:c1]
+    return f.matrix[np.ix_(rows, cols)][None], r1 - r0
+
+
+def _blocks(m: np.ndarray, k: int):
+    """f_BA, f_BU, f_UA, f_UU of every matrix in the stack m, the loop
+    block being the trailing k rows and columns."""
+    b = m.shape[1] - k
+    a = m.shape[2] - k
+    return m[:, :b, :a], m[:, :b, a:], m[:, b:, :a], m[:, b:, a:]
+
+
+def _raise_first(errors: dict):
+    """Raise the error of the first failing stack entry, with its stack
+    position as ``index``."""
+    if errors:
+        first = min(errors)
+        errors[first].index = first
+        raise errors[first]
+
+
 def _tail_ratio(f_uu: np.ndarray) -> np.ndarray:
     """Per-term decay estimate: the smallest m-th root of ||f_uu^m|| over
     probe powers m = dim and 2*dim.  Contractions decay geometrically only
@@ -97,41 +125,50 @@ def _tail_ratio(f_uu: np.ndarray) -> np.ndarray:
     dim = f_uu.shape[-1]
     probe = np.linalg.matrix_power(f_uu, dim)
     r = stack_norms(probe) ** (1.0 / dim)
-    return np.minimum(r, stack_norms(probe @ probe) ** (1.0 / (2 * dim)))
+    r2 = stack_norms(probe @ probe) ** (1.0 / (2 * dim))
+    return np.minimum(r, r2)
 
 
 def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig):
     """Partial sums of f_BA + sum_n f_BU f_UU^n f_UA for every stack entry
     at once.  An entry retires on its own stopping rule (a term below
     series_tol with a geometric tail certificate), on blow-up or on a
-    non-finite term; the rest run on, up to max_terms."""
+    non-finite term; the rest run on, up to max_terms.  Returns the sums,
+    terms, last term norms, convergence flags and errors by entry."""
     n = f_ba.shape[0]
-    total, terms = f_ba.copy(), np.zeros(n, dtype=np.int64)
-    term_norm, converged = np.full(n, math.inf), np.zeros(n, dtype=bool)
-    live, ratio, left, errors = np.arange(n), _tail_ratio(f_uu), f_bu, {}
-    # ||x|| <= |x|_F <= sqrt(rank) ||x||, so an SVD is taken only where the
+    total = f_ba.copy()
+    terms = np.zeros(n, dtype=np.int64)
+    term_norm = np.full(n, math.inf)
+    converged = np.zeros(n, dtype=bool)
+    errors = {}
+    live = np.arange(n)  # entries still summing
+    ratio = _tail_ratio(f_uu)
+    left = f_bu  # f_BU f_UU^t on the live entries
+    # ||x|| <= ||x||_F <= sqrt(rank) ||x||, so an SVD is taken only where the
     # Frobenius norm cannot settle a test, and on the last term.
     near = cfg.series_tol * math.sqrt(min(f_ba.shape[1:])) * (1 + 1e-9)
     for t in range(cfg.max_terms):
         if live.size == 0:
             break
-        term = left @ f_ua  # left = f_BU f_UU^t
+        term = left @ f_ua
         bad = ~np.isfinite(term).all(axis=(-2, -1))
         term[bad] = 0.0
         total[live] += term
-        acc = total[live]
         terms[live] = t + 1
-        exact = (t == cfg.max_terms - 1) | (np.linalg.norm(term, axis=(-2, -1)) <= near)
+        exact = (np.linalg.norm(term, axis=(-2, -1)) <= near) | (t == cfg.max_terms - 1)
         tn = np.full(live.size, math.inf)
         tn[exact] = stack_norms(term[exact])
         term_norm[live] = tn
+        acc = total[live]
         blown = ~bad & (np.linalg.norm(acc, axis=(-2, -1)) > cfg.blowup * (1 - 1e-9))
         blown[blown] = stack_norms(acc[blown]) > cfg.blowup
-        msg = f"non-finite entries at series term {t}"
-        errors.update(dict.fromkeys(live[bad].tolist(), SeriesDivergence(msg)))
-        msg = f"partial sum exceeded {cfg.blowup:g} at term {t}; "
-        msg += "the series does not converge in norm"
-        errors.update(dict.fromkeys(live[blown].tolist(), SeriesDivergence(msg)))
+        for i in live[bad]:
+            errors[int(i)] = SeriesDivergence(f"non-finite entries at series term {t}")
+        for i in live[blown]:
+            errors[int(i)] = SeriesDivergence(
+                f"partial sum exceeded {cfg.blowup:g} at term {t}; "
+                "the series does not converge in norm"
+            )
         with np.errstate(divide="ignore", invalid="ignore"):
             tail = np.where(ratio < 1.0, tn * ratio / (1.0 - ratio), math.inf)
         tail[tn == 0.0] = 0.0
@@ -139,7 +176,11 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig):
         converged[live[done]] = True
         stay = ~(bad | blown | done)
         if not stay.all():
-            live, ratio, left, f_ua, f_uu = (x[stay] for x in (live, ratio, left, f_ua, f_uu))
+            live = live[stay]
+            ratio = ratio[stay]
+            left = left[stay]
+            f_ua = f_ua[stay]
+            f_uu = f_uu[stay]
         left = left @ f_uu
     return total, terms, term_norm, converged, errors
 
@@ -148,10 +189,12 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig):
     """Closed-form trace via witnesses i, k with f_UA = (id - f_UU) i and
     f_BU = k (id - f_UU), for every stack entry at once.  Singular values
     of id - f_UU below 1e-10 * sigma_max count as exact zeros, which keeps
-    unitary loop blocks (where id - f_UU is singular) traceable."""
+    unitary loop blocks (where id - f_UU is singular) traceable.  Returns
+    the values, witness residuals and errors by entry."""
     h = np.eye(f_uu.shape[-1]) - f_uu
     h_pinv = np.linalg.pinv(h, rcond=1e-10)
-    i_wit, k_wit = h_pinv @ f_ua, f_bu @ h_pinv
+    i_wit = h_pinv @ f_ua
+    k_wit = f_bu @ h_pinv
     res_in = stack_norms(h @ i_wit - f_ua) / scale
     res_out = stack_norms(k_wit @ h - f_bu) / scale
     residual = np.maximum(res_in, res_out)
@@ -159,94 +202,84 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig):
     agree = stack_norms(value - (f_ba + f_bu @ i_wit))
     errors = {}
     for i in np.flatnonzero((residual > cfg.ki_residual_tol) | (agree > cfg.compare_tol * scale)):
-        msg = (
-            "not ki-traceable: witness residuals "
-            f"{res_in[i]:.3e} (input) / {res_out[i]:.3e} (output) exceed "
-            f"{cfg.ki_residual_tol:g}"
-            if residual[i] > cfg.ki_residual_tol
-            else f"witness forms disagree by {agree[i]:.3e}"
-        )
+        if residual[i] > cfg.ki_residual_tol:
+            msg = (
+                "not ki-traceable: witness residuals "
+                f"{res_in[i]:.3e} (input) / {res_out[i]:.3e} (output) exceed "
+                f"{cfg.ki_residual_tol:g}"
+            )
+        else:
+            msg = f"witness forms disagree by {agree[i]:.3e}"
         errors[int(i)] = KiTraceError(msg, float(res_in[i]), float(res_out[i]))
     return value, residual, errors
 
 
-def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, route: str = "ex"):
-    """Trace out the loop block, the trailing k rows and columns, of every
-    matrix in the stack ``m`` (N, rows, cols).  Route "series" or
-    "kernel_image" takes that route alone.  Route "ex" is the total trace:
-    contractions take the closed form as the canonical value and the
-    series as the cross-check, the rest the closed form or, failing that,
-    the series.  Returns the values (N, b, a) and, per entry, the method,
-    series terms, residual and convergence flag.  Raises the error of the
-    first failing entry, with its stack position as ``index``."""
+def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig):
+    """Total trace of the loop block, the trailing k rows and columns, of
+    every matrix in the stack ``m`` (N, rows, cols).  Contractions take the
+    closed form as the canonical value and the series as the cross-check;
+    the rest take the closed form or, failing that, the series.  Returns
+    the values (N, b, a) and, per entry, the method, series terms, residual
+    and convergence flag.  Raises the error of the first failing entry."""
     m = np.asarray(m, dtype=np.complex128)
     if not np.all(np.isfinite(m)):
         raise LinalgError("matrix contains non-finite entries")
-    n, b, a = m.shape[0], m.shape[1] - k, m.shape[2] - k
-    f_ba, f_bu, f_ua, f_uu = m[:, :b, :a], m[:, :b, a:], m[:, b:, :a], m[:, b:, a:]
-    values, terms, residual = f_ba.copy(), np.zeros(n, dtype=np.int64), np.zeros(n)
-    method = np.full(n, "both_agree" if route == "ex" else route, dtype=object)
+    n = m.shape[0]
+    f_ba, f_bu, f_ua, f_uu = _blocks(m, k)
+    method = np.full(n, "both_agree", dtype=object)
+    terms = np.zeros(n, dtype=np.int64)
     converged = np.ones(n, dtype=bool)
     if k == 0:
-        return values, method, terms, residual, converged
+        return f_ba.copy(), method, terms, np.zeros(n), converged
 
     norm = stack_norms(m)
-    contraction = (norm <= 1.0 + cfg.classify_tol) & (route == "ex")
-    errors, series = {}, np.full(n, route == "series")
-    if route != "series":
-        # Failed entries keep a placeholder: they raise or take the series.
-        values, residual, errors = _kernel_image(
-            f_ba, f_bu, f_ua, f_uu, np.maximum(norm, 1.0), cfg
-        )
-        if route == "ex":
-            series = np.isin(np.arange(n), list(errors)) != contraction
-            errors = {i: e for i, e in errors.items() if contraction[i]}
-            method[~contraction] = "kernel_image"
-
-    idx = np.flatnonzero(series)
-    s_value, terms[idx], s_norm, s_converged, s_errors = _series(
+    contraction = norm <= 1.0 + cfg.classify_tol
+    values, residual, ki_errors = _kernel_image(f_ba, f_bu, f_ua, f_uu, np.maximum(norm, 1.0), cfg)
+    # A contraction must pass both routes; any other entry whose closed
+    # form fails takes the series value instead.
+    errors = {i: e for i, e in ki_errors.items() if contraction[i]}
+    fallback = np.isin(np.arange(n), list(ki_errors)) & ~contraction
+    method[~contraction] = "kernel_image"
+    method[fallback] = "series"
+    idx = np.flatnonzero(contraction | fallback)
+    s_value, s_terms, s_norm, s_converged, s_errors = _series(
         f_ba[idx], f_bu[idx], f_ua[idx], f_uu[idx], cfg
     )
-    errors.update((int(idx[j]), e) for j, e in s_errors.items())
-    both, alone = contraction[idx], idx[~contraction[idx]]
-    method[alone] = "series"
-    values[alone], residual[alone] = s_value[~both], s_norm[~both]
-    converged[alone] = s_converged[~both]
-    gap = stack_norms(values[idx] - s_value)  # zero on the series-only entries
-    residual[idx[both]] = gap[both]
-    for j in np.flatnonzero(both & ~s_converged):
-        errors.setdefault(int(idx[j]), SeriesDivergence(
-            "series failed to converge on a contraction input "
-            f"(last increment {s_norm[j]:.3e})"
-        ))
-    for j in np.flatnonzero(s_converged & (gap > cfg.compare_tol)):
-        errors[int(idx[j])] = ArithmeticError(
-            "internal consistency failure: series and kernel-image "
-            f"values differ by {gap[j]:.3e}"
-        )
-    if errors:
-        failed = min(errors)
-        errors[failed].index = failed
-        raise errors[failed]
+    for j, e in s_errors.items():
+        errors.setdefault(int(idx[j]), e)
+    terms[idx] = s_terms
+    alone = ~contraction[idx]
+    values[idx[alone]] = s_value[alone]
+    residual[idx[alone]] = s_norm[alone]
+    converged[idx[alone]] = s_converged[alone]
+    both = np.flatnonzero(~alone)
+    gap = stack_norms(values[idx[both]] - s_value[both])
+    residual[idx[both]] = gap
+    for j, g in zip(both, gap):
+        if not s_converged[j]:
+            errors.setdefault(int(idx[j]), SeriesDivergence(
+                "series failed to converge on a contraction input "
+                f"(last increment {s_norm[j]:.3e})"
+            ))
+        elif g > cfg.compare_tol:
+            errors.setdefault(int(idx[j]), ArithmeticError(
+                "internal consistency failure: series and kernel-image "
+                f"values differ by {g:.3e}"
+            ))
+    _raise_first(errors)
     return values, method, terms, residual, converged
-
-
-def _scalar(f: PartitionedMap, loop_label: str, cfg: TraceConfig, route: str) -> TraceResult:
-    (r0, r1), (c0, c1) = f.row_partition.span(loop_label), f.col_partition.span(loop_label)
-    if r1 - r0 != c1 - c0:
-        raise LinalgError(f"loop block {loop_label!r} is {r1 - r0}x{c1 - c0}; it must be square")
-    rows = np.r_[0:r0, r1 : f.matrix.shape[0], r0:r1]  # loop block last
-    cols = np.r_[0:c0, c1 : f.matrix.shape[1], c0:c1]
-    values, method, terms, residual, converged = _trace_core(
-        f.matrix[np.ix_(rows, cols)][None], r1 - r0, cfg, route
-    )
-    return TraceResult(values[0], method[0], int(terms[0]), float(residual[0]), bool(converged[0]))
 
 
 def ex_series(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     """Partial sums of f_BA + sum_n f_BU f_UU^n f_UA with a geometric
     tail certificate as the stopping rule."""
-    return _scalar(f, loop_label, cfg, "series")
+    m, k = _loop_last(f, loop_label)
+    f_ba, f_bu, f_ua, f_uu = _blocks(m, k)
+    if k == 0:
+        return TraceResult(f_ba[0].copy(), "series", 0, 0.0, True)
+    total, terms, term_norm, converged, errors = _series(f_ba, f_bu, f_ua, f_uu, cfg)
+    _raise_first(errors)
+    return TraceResult(total[0], "series", int(terms[0]), float(term_norm[0]), bool(converged[0]))
 
 
 def ex_kernel_image(
@@ -254,7 +287,14 @@ def ex_kernel_image(
 ) -> TraceResult:
     """Closed-form trace via witnesses i, k with
     f_UA = (id - f_UU) i  and  f_BU = k (id - f_UU)."""
-    return _scalar(f, loop_label, cfg, "kernel_image")
+    m, k = _loop_last(f, loop_label)
+    f_ba, f_bu, f_ua, f_uu = _blocks(m, k)
+    if k == 0:
+        return TraceResult(f_ba[0].copy(), "kernel_image", 0, 0.0, True)
+    scale = max(operator_norm(f.matrix), 1.0)
+    value, residual, errors = _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg)
+    _raise_first(errors)
+    return TraceResult(value[0], "kernel_image", 0, float(residual[0]), True)
 
 
 def ex(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig()) -> TraceResult:
@@ -263,7 +303,8 @@ def ex(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig()) -> 
     succeeds."""
     if f.row_partition.size(loop_label) != f.col_partition.size(loop_label):
         raise LinalgError(f"loop block {loop_label!r} differs between partitions")
-    return _scalar(f, loop_label, cfg, "ex")
+    values, method, terms, residual, converged = _trace_core(*_loop_last(f, loop_label), cfg)
+    return TraceResult(values[0], method[0], int(terms[0]), float(residual[0]), bool(converged[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +326,11 @@ def halmos_dilation(f: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     f = np.asarray(f, dtype=np.complex128)
     if operator_norm(f) > 1.0 + tol:
         raise LinalgError("halmos_dilation requires a contraction")
-    return np.block([[-adjoint(f), _defect(f)], [_defect(adjoint(f)), f]])
+    d_f = _defect(f)
+    d_fh = _defect(adjoint(f))
+    top = np.hstack([-adjoint(f), d_f])
+    bot = np.hstack([d_fh, f])
+    return np.vstack([top, bot])
 
 
 def _kernel_basis(m: np.ndarray, tol: float) -> np.ndarray:
@@ -337,14 +382,18 @@ def cnu_decompose(f: np.ndarray, tol: float = 1e-8) -> CnuDecomposition:
             break
 
     k = basis.shape[1]
-    # Full SVD: leading k left vectors span the unitary subspace, the rest
-    # its orthogonal complement, and the stack is exactly unitary (the
-    # identity when k = 0).
-    basis_change = np.linalg.svd(basis, full_matrices=True)[0]
+    if k == 0:
+        basis_change = np.eye(n, dtype=np.complex128)
+    else:
+        # Full SVD: leading k left vectors span the unitary subspace, the
+        # rest its orthogonal complement, and the stack is exactly unitary.
+        u_full, _, _ = np.linalg.svd(basis, full_matrices=True)
+        basis_change = u_full
+
     conj = adjoint(basis_change) @ f @ basis_change
     f0 = conj[:k, :k]
     f1 = conj[k:, k:]
-    off = max(operator_norm(conj[:k, k:]), operator_norm(conj[k:, :k]))
+    off = max(operator_norm(conj[:k, k:]), operator_norm(conj[k:, :k])) if 0 < k < n else 0.0
     if off > max(tol, 1e-7):
         raise LinalgError(
             f"block off-diagonal mass {off:.3e} after basis change; "
