@@ -13,6 +13,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .kappa import (
     GroverParams,
@@ -34,6 +36,7 @@ from .trace import (
 )
 
 OK, CHECK_FAILED, BAD_INPUT = 0, 1, 2
+CSV_CHUNK_ROWS = 1 << 16  # rows formatted per write, bounding the text held in memory
 
 
 def _emit(obj) -> None:
@@ -172,20 +175,26 @@ def _cmd_grover(args) -> int:
             }
         )
         return OK
-    trials, summary = grover_montecarlo(params, args.trials)
+    samples, summary = grover_montecarlo(params, args.trials)
     if args.out:
+        # The bytes csv.writer would produce (CRLF rows, int flags, .17g
+        # angles).  The angle is a function of the halting iteration, so
+        # each distinct (iterations, censored) row tail is formatted once.
+        key = samples.iterations * 2 + samples.censored
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        tails = [
+            f"{n},{int(c)},{a:.17g}\r\n"
+            for n, c, a in zip(
+                samples.iterations[first].tolist(),
+                samples.censored[first].tolist(),
+                samples.angle[first].tolist(),
+            )
+        ]
         with open(args.out, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "iterations", "censored", "angle_at_halt"])
-            for t in trials:
-                writer.writerow(
-                    [
-                        t.trial_index,
-                        t.iterations_to_success,
-                        int(t.censored),
-                        format(t.angle_at_halt, ".17g"),
-                    ]
-                )
+            fh.write("trial,iterations,censored,angle_at_halt\r\n")
+            for start in range(0, inverse.size, CSV_CHUNK_ROWS):
+                chunk = inverse[start : start + CSV_CHUNK_ROWS].tolist()
+                fh.write("".join([f"{i},{tails[k]}" for i, k in enumerate(chunk, start)]))
     _emit(summary.to_json())
     return OK
 
@@ -212,12 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
             f"(grid={DEFAULT_GRID}, series_tol={TraceConfig().series_tol:g}, "
             f"ki_residual_tol={TraceConfig().ki_residual_tol:g})"
         ),
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=0,
-        help="cap worker parallelism (0 = library default)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

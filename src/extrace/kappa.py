@@ -20,7 +20,7 @@ from .linalg import LinalgError, adjoint, operator_norm
 
 __all__ = [
     "GroverParams",
-    "GroverTrial",
+    "GroverSamples",
     "KappaMeasurement",
     "MeasurementOutcome",
     "MonteCarloSummary",
@@ -137,6 +137,8 @@ class GroverParams:
     def __post_init__(self):
         if self.B_size < 2:
             raise LinalgError("B_size must be >= 2")
+        if self.seed < 0:
+            raise LinalgError("seed must be >= 0")
         kappa = self.kappa if self.kappa is not None else self.B_size ** -0.5
         if not 0.0 < kappa <= 1.0:
             raise LinalgError("kappa must lie in (0, 1]")
@@ -151,23 +153,20 @@ class GroverParams:
         return math.asin(self.B_size ** -0.5)
 
 
-def _recurrence_step(a: float, alpha: float, kappa: float) -> float:
-    # One loop iteration: the amplification step advances by 2*alpha,
-    # then the keep-looping collapse acts on the advanced angle.
-    advanced = a + 2.0 * alpha
-    return advanced - theta(advanced, kappa)
-
-
 def grover_recurrence(p: GroverParams, n_steps: int | None = None) -> np.ndarray:
     """Deterministic all-keep-looping angle trajectory b_0..b_N
-    (b_0 = alpha is the initial state, b_n the angle after iteration n)."""
+    (b_0 = alpha is the initial state, b_n the angle after iteration n).
+
+    One loop iteration: the amplification step advances by 2*alpha,
+    then the keep-looping collapse acts on the advanced angle."""
     n = p.max_iterations if n_steps is None else n_steps
     alpha = p.alpha
     out = np.empty(n + 1)
     out[0] = alpha
     a = alpha
     for i in range(1, n + 1):
-        a = _recurrence_step(a, alpha, p.kappa)
+        advanced = a + 2.0 * alpha
+        a = advanced - theta(advanced, p.kappa)
         out[i] = a
     return out
 
@@ -236,11 +235,12 @@ def grover_statevector(p: GroverParams, *, force_keep_looping: bool = False) -> 
 
 
 @dataclass(frozen=True)
-class GroverTrial:
-    iterations_to_success: int
-    censored: bool
-    angle_at_halt: float
-    trial_index: int
+class GroverSamples:
+    """Per-trial outcomes as columns; row i is trial i."""
+
+    iterations: np.ndarray  # int64: halting iteration, max_iterations if censored
+    censored: np.ndarray  # bool: no certification within max_iterations
+    angle: np.ndarray  # float64: pre-measurement angle at iteration `iterations`
 
 
 @dataclass
@@ -251,6 +251,9 @@ class MonteCarloSummary:
     censored: int
     histogram: list  # [[bucket_lo, count], ...]
     bucket_width: int
+    exact_median: int | None  # smallest t with F(t) >= 1/2, None past the horizon
+    exact_mean: float  # E[T | T <= max_iterations], as the sample mean is taken
+    censored_mass: float  # 1 - F(max_iterations)
 
     def to_json(self) -> dict:
         return {
@@ -260,56 +263,65 @@ class MonteCarloSummary:
             "censored": self.censored,
             "bucket_width": self.bucket_width,
             "histogram": self.histogram,
+            "exact_median": self.exact_median,
+            "exact_mean": self.exact_mean,
+            "censored_mass": self.censored_mass,
         }
 
 
 def grover_montecarlo(
     p: GroverParams, n_trials: int, bucket_width: int | None = None
-) -> tuple[list, MonteCarloSummary]:
+) -> tuple[GroverSamples, MonteCarloSummary]:
     """Sample halting times of the weakly-measured loop.
 
     The conditional angle trajectory is shared by all trials, so each
-    trial reduces to one inverse-CDF draw against the per-iteration
-    certify probabilities; trial i owns the stream spawned from
-    (seed, i), keeping runs reproducible under any parallel schedule.
+    trial reduces to one inverse-CDF draw against the halting-time CDF
+    F.  Trial i takes the i-th double of the PCG64 stream seeded by
+    SeedSequence(seed), a pure function of (seed, i) that
+    PCG64.advance(i) reaches directly: runs are reproducible and a
+    shorter run is a prefix of a longer one.
     """
     if n_trials < 1:
         raise LinalgError("n_trials must be >= 1")
-    probs = halting_probabilities(p)
     angles = premeasurement_angles(p)
+    probs = p.kappa * np.sin(angles) ** 2
     with np.errstate(divide="ignore"):
         log_survival = np.cumsum(np.log1p(-np.minimum(probs, 1.0)))
-    cdf = 1.0 - np.exp(log_survival)
+    survival = np.exp(log_survival)
+    cdf = 1.0 - survival  # cdf[t - 1] = F(t)
 
-    trials = []
-    for i in range(n_trials):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=p.seed, spawn_key=(i,)))
-        u = rng.random()
-        idx = int(np.searchsorted(cdf, u, side="right"))
-        if idx >= p.max_iterations:
-            trials.append(GroverTrial(p.max_iterations, True, float(angles[-1]), i))
-        else:
-            trials.append(GroverTrial(idx + 1, False, float(angles[idx]), i))
+    u = np.random.default_rng(np.random.SeedSequence(p.seed)).random(n_trials)
+    idx = np.searchsorted(cdf, u, side="right")
+    censored = idx >= p.max_iterations
+    last = np.minimum(idx, p.max_iterations - 1)
+    samples = GroverSamples(np.where(censored, p.max_iterations, idx + 1), censored, angles[last])
 
-    uncensored = [t.iterations_to_success for t in trials if not t.censored]
-    n_censored = n_trials - len(uncensored)
-    median = float(np.median(uncensored)) if uncensored else math.nan
-    mean = float(np.mean(uncensored)) if uncensored else math.nan
+    done = samples.iterations[~censored]
+    median = float(np.median(done)) if done.size else math.nan
+    mean = float(np.mean(done)) if done.size else math.nan
 
     if bucket_width is None:
         # A few dozen buckets per oscillation period of the halting
         # probability, so the periodic peaks stay visible.
         period = math.pi / (2.0 * p.alpha)
         bucket_width = max(1, int(round(period / 24.0)))
-    counts: dict = {}
-    for t in trials:
-        if t.censored:
-            continue
-        lo = ((t.iterations_to_success - 1) // bucket_width) * bucket_width + 1
-        counts[lo] = counts.get(lo, 0) + 1
-    histogram = [[lo, counts[lo]] for lo in sorted(counts)]
-    summary = MonteCarloSummary(median, mean, n_trials, n_censored, histogram, bucket_width)
-    return trials, summary
+    lo, counts = np.unique((done - 1) // bucket_width * bucket_width + 1, return_counts=True)
+    histogram = np.column_stack([lo, counts]).tolist()
+
+    half = int(np.searchsorted(cdf, 0.5))
+    pmf = np.diff(cdf, prepend=0.0)
+    summary = MonteCarloSummary(
+        median,
+        mean,
+        n_trials,
+        int(censored.sum()),
+        histogram,
+        bucket_width,
+        exact_median=half + 1 if half < cdf.size else None,
+        exact_mean=float(np.dot(np.arange(1, cdf.size + 1), pmf) / cdf[-1]),
+        censored_mass=float(survival[-1]),
+    )
+    return samples, summary
 
 
 # ---------------------------------------------------------------------------

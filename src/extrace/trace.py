@@ -476,6 +476,8 @@ def check_trace_axioms(
     """Sample random contraction instances per axiom and assert the
     Kleene-equality form at cfg.compare_tol.  Failures are collected in
     the report, not raised."""
+    if seed < 0:
+        raise LinalgError("seed must be >= 0")
     checks = {name: AxiomCheck(name) for name in _AXIOMS}
     tol = cfg.compare_tol
     root = np.random.SeedSequence(seed)

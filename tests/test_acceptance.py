@@ -366,7 +366,7 @@ def test_criterion_8_sampling_statistics():
     t0 = time.perf_counter()
 
     p = GroverParams(10**6, kappa=1e-3, seed=1)
-    trials, summary = grover_montecarlo(p, n_trials)
+    samples, summary = grover_montecarlo(p, n_trials)
 
     check(
         failures,
@@ -395,7 +395,7 @@ def test_criterion_8_sampling_statistics():
 
     # Negative control: the same sample scaled to the quoted median of
     # ~1000 must fail the same check.
-    times = np.array([t.iterations_to_success for t in trials], dtype=float)
+    times = samples.iterations.astype(float)
     control = float(np.median(times * (1000.0 / summary.median)))
     check(
         failures,
@@ -437,6 +437,33 @@ def test_criterion_8_sampling_statistics():
     elapsed = time.perf_counter() - t0
     check(failures, elapsed < 60.0, f"runtime {elapsed:.1f}s >= 60s")
     verdict(8, "sampling statistics at |B|=1e6", failures)
+
+
+def test_criterion_8_summary_reports_exact_law():
+    # The Monte-Carlo summary carries the exact law next to the sample;
+    # at the criterion-8 configuration it must be the test's own law.
+    failures = []
+    _, cdf = grover_halting_law(10**6, 1e-3, math.ceil(50 / 1e-3))
+    t = np.arange(cdf.size)
+    law_mean = float(t @ np.diff(cdf, prepend=0.0) / cdf[-1])
+    _, summary = grover_montecarlo(GroverParams(10**6, kappa=1e-3, seed=1), 100)
+    check(failures, summary.exact_median == 1158, f"exact median {summary.exact_median}")
+    check(
+        failures,
+        summary.exact_median == int(np.searchsorted(cdf, 0.5)),
+        f"exact median {summary.exact_median} differs from the law's",
+    )
+    check(
+        failures,
+        abs(summary.exact_mean - 2061) < 1 and abs(summary.exact_mean - law_mean) < 1e-6,
+        f"exact mean {summary.exact_mean:.3f}, law {law_mean:.3f}",
+    )
+    check(
+        failures,
+        abs(summary.censored_mass - (1.0 - cdf[-1])) < 1e-12,
+        f"censored mass {summary.censored_mass:.3e}, law {1.0 - cdf[-1]:.3e}",
+    )
+    verdict(8, "summary carries the exact halting-time law", failures)
 
 
 def test_criterion_9_bounds():

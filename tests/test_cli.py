@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from extrace import cli
 from extrace.cli import main
+from extrace.kappa import GroverParams, grover_montecarlo
 from extrace.linalg import matrix_to_literal, two_block
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -122,6 +124,51 @@ def test_grover_recurrence_mode(tmp_path, capsys):
     header, *rows = out_csv.read_text().strip().splitlines()
     assert header == "trial,iterations,censored,angle_at_halt"
     assert len(rows) == 200
+
+
+def test_grover_csv_format(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)  # rows cross chunk boundaries
+    out_csv = tmp_path / "trials.csv"
+    argv = ["grover", "--B", "10000", "--kappa", "0.01", "--max-iter", "60"]
+    code, out = run(capsys, *argv, "--trials", "300", "--seed", "4", "--out", str(out_csv))
+    assert code == 0
+    samples, _ = grover_montecarlo(GroverParams(10**4, 0.01, 4, 60), 300)
+    data = out_csv.read_bytes()
+    assert data.startswith(b"trial,iterations,censored,angle_at_halt\r\n")
+    assert data.endswith(b"\r\n") and b"\n" not in data.replace(b"\r\n", b"")
+    header, *rows = data.decode().split("\r\n")[:-1]
+    assert len(rows) == 300
+    table = [row.split(",") for row in rows]
+    assert [int(r[0]) for r in table] == list(range(300))
+    assert [int(r[1]) for r in table] == samples.iterations.tolist()
+    assert [int(r[2]) for r in table] == samples.censored.astype(int).tolist()
+    assert 0 < out["censored"] < 300
+    assert [float(r[3]) for r in table] == samples.angle.tolist()
+
+
+def test_grover_exact_law_keys(capsys):
+    code, out = run(capsys, "grover", "--B", "10000", "--trials", "100", "--seed", "1")
+    assert code == 0
+    assert isinstance(out["exact_median"], int)
+    assert out["exact_mean"] > 0
+    assert 0.0 <= out["censored_mass"] < 1e-6
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grover", "--B", "64", "--seed", "-1"],
+        ["grover", "--B", "64", "--seed", "-1", "--mode", "statevector"],
+        ["axioms", "--cases", "2", "--seed", "-1"],
+    ],
+    ids=["grover_recurrence", "grover_statevector", "axioms"],
+)
+def test_negative_seed_is_usage_error(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "seed" in captured.err
 
 
 def test_grover_statevector_mode(capsys):

@@ -13,6 +13,7 @@ from extrace.kappa import (
     grover_runtime_bound,
     grover_statevector,
     guarantee_f,
+    halting_probabilities,
     kappa_measure,
     premeasurement_angles,
     probe_rotation,
@@ -189,6 +190,15 @@ class TestRecurrence:
         traj = grover_recurrence(p, 1000)
         assert np.all(np.diff(traj) > 0)
 
+    @pytest.mark.parametrize("b, kappa", [(10**6, 1e-3), (10**4, None)])
+    def test_equals_per_step_theta_reference(self, b, kappa):
+        p = GroverParams(b, kappa)
+        ref = [p.alpha]
+        for _ in range(p.max_iterations):
+            a = ref[-1] + 2.0 * p.alpha
+            ref.append(a - theta(a, p.kappa))
+        assert np.array_equal(grover_recurrence(p), np.array(ref))
+
 
 class TestStatevector:
     def test_conditional_matches_recurrence(self):
@@ -223,12 +233,17 @@ class TestStatevector:
             grover_statevector(GroverParams(8192))
 
 
+def halting_cdf(p):
+    """F(t) for t = 1..max_iterations from the program's certify probabilities."""
+    return 1.0 - np.cumprod(1.0 - halting_probabilities(p))
+
+
 class TestMonteCarlo:
     def test_reproducible(self):
         p = GroverParams(10**4, seed=11)
         t1, s1 = grover_montecarlo(p, 200)
         t2, s2 = grover_montecarlo(p, 200)
-        assert [t.iterations_to_success for t in t1] == [t.iterations_to_success for t in t2]
+        assert np.array_equal(t1.iterations, t2.iterations)
         assert s1.median == s2.median
 
     def test_trial_streams_independent_of_count(self):
@@ -236,35 +251,62 @@ class TestMonteCarlo:
         p = GroverParams(10**4, seed=11)
         t_small, _ = grover_montecarlo(p, 10)
         t_big, _ = grover_montecarlo(p, 50)
-        assert [t.iterations_to_success for t in t_small] == [
-            t.iterations_to_success for t in t_big[:10]
-        ]
+        assert np.array_equal(t_small.iterations, t_big.iterations[:10])
+
+    @pytest.mark.parametrize("seed", [0, 11, 2**40])
+    def test_trial_i_takes_ith_draw_of_seed_stream(self, seed):
+        # Trial i is a pure function of (seed, i): the i-th double of the
+        # PCG64 stream seeded by SeedSequence(seed), reached by advance(i).
+        p = GroverParams(10**4, seed=seed)
+        samples, _ = grover_montecarlo(p, 3000)
+        cdf = halting_cdf(p)
+        for i in (0, 1, 7, 1234, 2999):
+            bits = np.random.PCG64(np.random.SeedSequence(seed)).advance(i)
+            u = np.random.Generator(bits).random()
+            t = int(samples.iterations[i])
+            assert not samples.censored[i]
+            assert (cdf[t - 2] if t > 1 else 0.0) <= u < cdf[t - 1]
 
     def test_halting_angle_recorded(self):
         p = GroverParams(100, seed=2)
-        trials, _ = grover_montecarlo(p, 20)
+        samples, _ = grover_montecarlo(p, 20)
         angles = premeasurement_angles(p)
-        for t in trials:
-            if not t.censored:
-                assert t.angle_at_halt == pytest.approx(float(angles[t.iterations_to_success - 1]))
+        done = ~samples.censored
+        assert np.array_equal(samples.angle[done], angles[samples.iterations[done] - 1])
 
     def test_censoring(self):
         p = GroverParams(10**4, kappa=1e-4, max_iterations=30, seed=0)
-        trials, summary = grover_montecarlo(p, 100)
-        assert summary.censored > 0
-        censored = [t for t in trials if t.censored]
-        assert all(t.iterations_to_success == 30 for t in censored)
+        samples, summary = grover_montecarlo(p, 100)
+        assert summary.censored == int(samples.censored.sum()) > 0
+        assert np.all(samples.iterations[samples.censored] == 30)
         # censored trials excluded from the mean
-        uncensored = [t.iterations_to_success for t in trials if not t.censored]
-        if uncensored:
+        uncensored = samples.iterations[~samples.censored]
+        if uncensored.size:
             assert summary.mean == pytest.approx(float(np.mean(uncensored)))
 
     def test_histogram_counts_total(self):
         p = GroverParams(10**4, seed=5)
-        trials, summary = grover_montecarlo(p, 500)
+        samples, summary = grover_montecarlo(p, 500)
         assert sum(c for _, c in summary.histogram) == 500 - summary.censored
         los = [lo for lo, _ in summary.histogram]
         assert los == sorted(los)
+
+    def test_exact_law_in_summary(self):
+        p = GroverParams(10**4, kappa=1e-3, max_iterations=2000, seed=0)
+        _, summary = grover_montecarlo(p, 10)
+        cdf = halting_cdf(p)
+        pmf = np.diff(cdf, prepend=0.0)
+        t = np.arange(1, cdf.size + 1)
+        assert summary.exact_median == int(t[cdf >= 0.5][0])
+        assert summary.exact_mean == pytest.approx(float(t @ pmf / cdf[-1]), rel=1e-12)
+        assert summary.censored_mass == pytest.approx(1.0 - cdf[-1], rel=1e-9)
+        assert 0.01 < summary.censored_mass < 0.5
+
+    def test_exact_median_absent_past_horizon(self):
+        p = GroverParams(10**4, kappa=1e-4, max_iterations=30, seed=0)
+        _, summary = grover_montecarlo(p, 10)
+        assert summary.exact_median is None
+        assert summary.censored_mass > 0.5
 
 
 class TestBounds:
