@@ -83,10 +83,6 @@ def classify(m: np.ndarray, tol: float = DEFAULT_TOL) -> str:
     return "expansion"
 
 
-def is_contraction(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    return classify(m, tol) != "expansion"
-
-
 def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)

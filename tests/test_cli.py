@@ -171,6 +171,14 @@ def test_negative_seed_is_usage_error(capsys, argv):
     assert "seed" in captured.err
 
 
+def test_negative_cases_is_usage_error(capsys):
+    code = main(["axioms", "--cases", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ")
+    assert "n_cases must be >= 0" in captured.err
+
+
 def test_grover_statevector_mode(capsys):
     code, out = run(
         capsys, "grover", "--B", "64", "--kappa", "0.3", "--seed", "1",

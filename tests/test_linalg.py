@@ -11,7 +11,6 @@ from extrace.linalg import (
     as_matrix,
     classify,
     direct_sum,
-    is_contraction,
     matrix_from_literal,
     matrix_to_literal,
     operator_norm,
@@ -51,7 +50,6 @@ def test_classify_known_matrices():
     assert classify(0.5 * h) == "strict_contraction"
     assert classify(np.array([[0.0, 1.0]])) == "contraction_boundary"
     assert classify(1.5 * h) == "expansion"
-    assert not is_contraction(1.5 * h)
 
 
 def test_classify_precedence_unitary_over_boundary():

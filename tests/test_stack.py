@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from extrace import trace
 from extrace.linalg import direct_sum, random_contraction, two_block
 from extrace.lsi import FirKernel, FrequencyResponse, dtft, lsi_ex
 from extrace.qwhile import (
@@ -114,6 +115,27 @@ def test_series_matches_per_term_reference(scale):
         assert (got.terms_used, got.residual, got.converged) == want[1:]
 
 
+def test_series_stack_gives_each_entry_what_it_gets_alone():
+    # Entries retire on their own rule, so in a stack each entry must get
+    # exactly what a one-entry stack gives it: sum, terms, last increment,
+    # flag and error.  The stack mixes contractions, expansions that
+    # converge, and ones that blow up or run out of terms; entry 0's
+    # partial sums have Frobenius norm above the blow-up bound and
+    # operator norm below it.
+    cfg = TraceConfig(max_terms=300, blowup=50)
+    rng = np.random.default_rng(7)
+    m = np.stack([random_contraction(6, 6, rng) * s for s in rng.uniform(0.3, 3.0, 40)])
+    m[0, :4, :4] = 30 * np.eye(4)
+    blocks = trace._blocks(m, 2)
+    got = trace._series(*blocks, cfg)
+    assert got[4] and not all(got[3]) and any(got[3])
+    for i in range(len(m)):
+        want = trace._series(*(b[i : i + 1] for b in blocks), cfg)
+        assert np.array_equal(got[0][i], want[0][0])
+        assert (got[1][i], got[2][i], got[3][i]) == (want[1][0], want[2][0], want[3][0])
+        assert str(got[4].get(i)) == str(want[4].get(0))
+
+
 def response(samples):
     samples = np.asarray(samples, dtype=np.complex128)
     n, ports = samples.shape[0], samples.shape[1]
@@ -187,3 +209,25 @@ def test_decomposition_count_does_not_grow_with_grid(monkeypatch):
     large = count_decompositions(monkeypatch, lambda: semantics(program, 1024))
     assert small["pinv"] >= 1 and small["svd"] >= 1
     assert small == large
+
+
+def svd_sizes(monkeypatch, fn):
+    sizes = []
+    original = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        sizes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    fn()
+    monkeypatch.undo()
+    return sizes
+
+
+def test_series_takes_no_svd_of_an_empty_stack(monkeypatch):
+    program = parse_source((CORPUS / "hadamard_delay_loop.qw").read_text()).program
+    f = two_block(random_contraction(32, 32, np.random.default_rng(32)), 8)
+    for fn in (lambda: ex(f, "U"), lambda: semantics(program, 64)):
+        sizes = svd_sizes(monkeypatch, fn)
+        assert sizes and all(math.prod(shape) > 0 for shape in sizes), sizes

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from extrace import trace
 from extrace.linalg import (
     adjoint,
     classify,
@@ -14,6 +15,9 @@ from extrace.linalg import (
     two_block,
 )
 from extrace.trace import (
+    _AXIOMS,
+    AxiomCheck,
+    AxiomReport,
     KiTraceError,
     SeriesDivergence,
     TraceConfig,
@@ -257,3 +261,96 @@ def test_axiom_report_json_shape():
     report = check_trace_axioms(seed=1, n_cases=3)
     blob = report.to_json()
     assert all({"cases", "failures", "worst_deviation", "passed"} <= set(v) for v in blob.values())
+
+
+def reference_axioms(seed, n_cases, cfg=TraceConfig(), max_dim=4):
+    """The axiom checker one case and one scalar ex call at a time, as it
+    was before the traces were batched by shape."""
+    checks = {name: AxiomCheck(name) for name in _AXIOMS}
+
+    def record(name, deviation, ctx):
+        check = checks[name]
+        check.cases += 1
+        check.worst_deviation = max(check.worst_deviation, deviation)
+        if deviation > cfg.compare_tol:
+            check.failures += 1
+            check.notes.append(f"{ctx}: deviation {deviation:.3e}")
+
+    for case, ss in enumerate(np.random.SeedSequence(seed).spawn(n_cases)):
+        rng = np.random.default_rng(ss)
+        a, b, u = (int(rng.integers(1, max_dim + 1)) for _ in range(3))
+        ctx = f"case {case} (a={a}, b={b}, u={u})"
+        f = two_block(random_contraction(b + u, a + u, rng), u)
+        g = random_contraction(a, a, rng)
+        h = random_contraction(b, b, rng)
+        lhs = h @ ex(f, "U", cfg).value @ g
+        wrapped = two_block(direct_sum(h, np.eye(u)) @ f.matrix @ direct_sum(g, np.eye(u)), u)
+        record("naturality_input", operator_norm(lhs - ex(wrapped, "U", cfg).value), ctx)
+        a2, b2 = (int(rng.integers(1, max_dim + 1)) for _ in range(2))
+        g2 = random_contraction(a, a2, rng)
+        h2 = random_contraction(b2, b, rng)
+        lhs = h2 @ ex(f, "U", cfg).value @ g2
+        wrapped = two_block(direct_sum(h2, np.eye(u)) @ f.matrix @ direct_sum(g2, np.eye(u)), u)
+        record("naturality_output", operator_norm(lhs - ex(wrapped, "U", cfg).value), ctx)
+        u2 = int(rng.integers(1, max_dim + 1))
+        fd = random_contraction(b + u2, a + u, rng)
+        gd = random_contraction(u, u2, rng)
+        left = two_block(direct_sum(np.eye(b), gd) @ fd, u)
+        right = two_block(fd @ direct_sum(np.eye(a), gd), u2)
+        dev = operator_norm(ex(left, "U", cfg).value - ex(right, "U", cfg).value)
+        record("dinaturality", dev, ctx)
+        c, d = (int(rng.integers(1, max_dim + 1)) for _ in range(2))
+        gs = random_contraction(d, c, rng)
+        lhs = direct_sum(gs, ex(f, "U", cfg).value)
+        rhs = ex(two_block(direct_sum(gs, f.matrix), u), "U", cfg).value
+        record("superposing", operator_norm(lhs - rhs), ctx)
+        fv = random_contraction(b, a, rng)
+        record("vanishing_i", operator_norm(ex(two_block(fv, 0), "U", cfg).value - fv), ctx)
+        v = int(rng.integers(1, max_dim + 1))
+        fw = random_contraction(b + u + v, a + u + v, rng)
+        inner = ex(two_block(fw, v), "U", cfg).value
+        nested = ex(two_block(inner, u), "U", cfg).value
+        flat = ex(two_block(fw, u + v), "U", cfg).value
+        record("vanishing_ii", operator_norm(nested - flat), ctx)
+        swap = two_block(swap_matrix(u, u), u)
+        record("yanking", operator_norm(ex(swap, "U", cfg).value - np.eye(u)), ctx)
+    return AxiomReport(checks)
+
+
+def traced_shapes(monkeypatch, fn):
+    """Run fn and return the (stack size, matrix shape, loop size) of every
+    _trace_core call it makes."""
+    calls = []
+    original = trace._trace_core
+
+    def counted(m, k, cfg):
+        calls.append((m.shape[0], m.shape[1:], k))
+        return original(m, k, cfg)
+
+    monkeypatch.setattr(trace, "_trace_core", counted)
+    fn()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("seed,n_cases", [(5, 16), (3, 40), (123, 40)])
+def test_batched_axioms_equal_per_case_reference(monkeypatch, seed, n_cases):
+    reports = []
+    want = traced_shapes(monkeypatch, lambda: reports.append(reference_axioms(seed, n_cases)))
+    assert len(want) == 13 * n_cases
+    # The reference's 11th ex call of each case is vanishing II's nested one.
+    per_case = [want[13 * i : 13 * i + 13] for i in range(n_cases)]
+    first = {call[1:] for calls in per_case for j, call in enumerate(calls) if j != 10}
+    nested = {calls[10][1:] for calls in per_case}
+    got = traced_shapes(monkeypatch, lambda: reports.append(check_trace_axioms(seed, n_cases)))
+    assert reports[1].to_json() == reports[0].to_json()
+    # One call per distinct (shape, loop) group, then one per group of the
+    # nested pass; ex(f), which three laws use, is traced once per case.
+    assert sorted(call[1:] for call in got[: len(first)]) == sorted(first)
+    assert sorted(call[1:] for call in got[len(first) :]) == sorted(nested)
+    assert sum(n for n, _, _ in got) == 11 * n_cases
+
+
+def test_failing_axiom_trace_names_case_and_law():
+    with pytest.raises(SeriesDivergence, match=r"^case 0 \(a=\d, b=\d, u=\d\), naturality_input"):
+        check_trace_axioms(0, 2, TraceConfig(max_terms=1))
