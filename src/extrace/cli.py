@@ -8,7 +8,7 @@ a trace is undefined (with a machine-readable JSON report on stdout),
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import math
 import sys
@@ -23,7 +23,8 @@ from .kappa import (
     grover_statevector,
 )
 from .linalg import LinalgError, PartitionedMap, matrix_to_literal
-from .lsi import DEFAULT_GRID, FirKernel, dtft, lsi_classify, lsi_ex, response_to_csv
+from .lsi import (DEFAULT_GRID, FirKernel, dtft, lsi_classify, lsi_ex,
+                  response_to_csv, write_csv)
 from .qwhile import QWhileError, check, parse_source, semantics
 from .trace import (
     KiTraceError,
@@ -36,7 +37,6 @@ from .trace import (
 )
 
 OK, CHECK_FAILED, BAD_INPUT = 0, 1, 2
-CSV_CHUNK_ROWS = 1 << 16  # rows formatted per write, bounding the text held in memory
 
 
 def _emit(obj) -> None:
@@ -55,6 +55,20 @@ def _load_json(path):
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise SystemExit(f"cannot read {path}: {e}")
+
+
+def _report_response(response, out) -> int:
+    if out:
+        response_to_csv(response, out)
+    _emit(
+        {
+            "in_ports": list(response.in_ports),
+            "out_ports": list(response.out_ports),
+            "grid_size": response.grid_size,
+            "classification": lsi_classify(response),
+        }
+    )
+    return OK
 
 
 def _cmd_trace(args) -> int:
@@ -93,7 +107,10 @@ def _cmd_trace(args) -> int:
 
 def _cmd_axioms(args) -> int:
     cfg = TraceConfig(compare_tol=args.tol)
-    report = check_trace_axioms(args.seed, args.cases, cfg)
+    try:
+        report = check_trace_axioms(args.seed, args.cases, cfg)
+    except ArithmeticError as e:
+        return _fail("trace_failed", str(e))
     _emit({"passed": report.passed, "checks": report.to_json()})
     return OK if report.passed else CHECK_FAILED
 
@@ -106,17 +123,7 @@ def _cmd_lsi(args) -> int:
             response = lsi_ex(response, args.loop)
         except (ArithmeticError, LinalgError) as e:
             return _fail("loop_trace_failed", str(e))
-    if args.out:
-        response_to_csv(response, args.out)
-    _emit(
-        {
-            "in_ports": list(response.in_ports),
-            "out_ports": list(response.out_ports),
-            "grid_size": response.grid_size,
-            "classification": lsi_classify(response),
-        }
-    )
-    return OK
+    return _report_response(response, args.out)
 
 
 def _cmd_qwhile(args) -> int:
@@ -140,17 +147,7 @@ def _cmd_qwhile(args) -> int:
         response = semantics(source.program, args.grid)
     except QWhileError as e:
         return _fail("evaluation_failed", str(e))
-    if args.out:
-        response_to_csv(response, args.out)
-    _emit(
-        {
-            "in_ports": list(response.in_ports),
-            "out_ports": list(response.out_ports),
-            "grid_size": response.grid_size,
-            "classification": lsi_classify(response),
-        }
-    )
-    return OK
+    return _report_response(response, args.out)
 
 
 def _cmd_grover(args) -> int:
@@ -161,11 +158,9 @@ def _cmd_grover(args) -> int:
     if args.mode == "statevector":
         run = grover_statevector(params)
         if args.out:
-            with open(args.out, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["iteration", "angle"])
-                for i, a in enumerate(run.angles, start=1):
-                    writer.writerow([i, format(a, ".17g")])
+            angles = np.array(run.angles)
+            write_csv(args.out, "iteration,angle", "%d,%.17g",
+                      [np.arange(1, angles.size + 1), angles])
         _emit(
             {
                 "mode": "statevector",
@@ -177,24 +172,14 @@ def _cmd_grover(args) -> int:
         return OK
     samples, summary = grover_montecarlo(params, args.trials)
     if args.out:
-        # The bytes csv.writer would produce (CRLF rows, int flags, .17g
-        # angles).  The angle is a function of the halting iteration, so
-        # each distinct (iterations, censored) row tail is formatted once.
+        # The angle is a function of the halting iteration, so each distinct
+        # (iterations, censored) row tail is formatted once.
         key = samples.iterations * 2 + samples.censored
         _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        tails = [
-            f"{n},{int(c)},{a:.17g}\r\n"
-            for n, c, a in zip(
-                samples.iterations[first].tolist(),
-                samples.censored[first].tolist(),
-                samples.angle[first].tolist(),
-            )
-        ]
-        with open(args.out, "w", newline="") as fh:
-            fh.write("trial,iterations,censored,angle_at_halt\r\n")
-            for start in range(0, inverse.size, CSV_CHUNK_ROWS):
-                chunk = inverse[start : start + CSV_CHUNK_ROWS].tolist()
-                fh.write("".join([f"{i},{tails[k]}" for i, k in enumerate(chunk, start)]))
+        firsts = [c[first].tolist() for c in (samples.iterations, samples.censored, samples.angle)]
+        tails = np.array(["%d,%d,%.17g" % row for row in zip(*firsts)], dtype=object)
+        write_csv(args.out, "trial,iterations,censored,angle_at_halt", "%d,%s",
+                  [np.arange(inverse.size), tails[inverse]])
     _emit(summary.to_json())
     return OK
 
@@ -272,8 +257,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # parse_args leaves the parser unchanged
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SystemExit as e:

@@ -9,9 +9,9 @@ responses.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 256
+CSV_CHUNK_ROWS = 1 << 12  # rows per write: at most about 0.3 MiB of CSV text at once
 
 
 @dataclass(frozen=True)
@@ -278,20 +279,26 @@ def kernel_from_response(
     return FirKernel(r.out_ports, r.in_ports, taps)
 
 
-def response_to_csv(r: FrequencyResponse, path) -> None:
-    """CSV dump: omega, block-row, block-col, re, im."""
+def write_csv(path, header: str, row_format: str, columns) -> None:
+    """Write a CSV file as the standard library's default dialect does
+    (comma-separated, CRLF line ends; the cells are numbers, so nothing is
+    quoted).  Row i is ``row_format`` (%-style) applied to entry i of each
+    array in ``columns``; rows are formatted and written CSV_CHUNK_ROWS at
+    a time, with one format per chunk."""
+    n_rows = len(columns[0])
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["omega", "row", "col", "re", "im"])
-        for omega, sample in zip(r.grid, r.samples):
-            for i in range(sample.shape[0]):
-                for j in range(sample.shape[1]):
-                    writer.writerow(
-                        [
-                            format(omega, ".17g"),
-                            i,
-                            j,
-                            format(sample[i, j].real, ".17g"),
-                            format(sample[i, j].imag, ".17g"),
-                        ]
-                    )
+        fh.write(header + "\r\n")
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            cells = zip(*[c[start : start + CSV_CHUNK_ROWS].tolist() for c in columns])
+            lines = (row_format + "\r\n") * min(CSV_CHUNK_ROWS, n_rows - start)
+            fh.write(lines % tuple(chain.from_iterable(cells)))
+
+
+def response_to_csv(r: FrequencyResponse, path) -> None:
+    """CSV dump: omega, block-row, block-col, re, im; floats as .17g."""
+    n, n_rows, n_cols = r.samples.shape
+    omega = np.array([f"{w:.17g}" for w in r.grid.tolist()], dtype=object)
+    pairs = np.array([f",{i},{j}," for i in range(n_rows) for j in range(n_cols)], dtype=object)
+    flat = r.samples.reshape(-1)
+    columns = [np.repeat(omega, pairs.size), np.tile(pairs, n), flat.real, flat.imag]
+    write_csv(path, "omega,row,col,re,im", "%s%s%.17g,%.17g", columns)

@@ -245,6 +245,8 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig):
     method[~contraction] = "kernel_image"
     method[fallback] = "series"
     idx = np.flatnonzero(contraction | fallback)
+    if idx.size == 0:  # every entry took the closed form alone
+        return values, method, terms, residual, converged
     s_value, s_terms, s_norm, s_converged, s_errors = _series(
         f_ba[idx], f_bu[idx], f_ua[idx], f_uu[idx], cfg
     )
@@ -256,7 +258,7 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig):
     residual[idx[alone]] = s_norm[alone]
     converged[idx[alone]] = s_converged[alone]
     both = np.flatnonzero(~alone)
-    gap = stack_norms(values[idx[both]] - s_value[both])
+    gap = stack_norms(values[idx[both]] - s_value[both]) if both.size else np.zeros(0)
     residual[idx[both]] = gap
     for j, g in zip(both, gap):
         if not s_converged[j]:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from pathlib import Path
@@ -5,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extrace import cli
+from extrace import cli, lsi
 from extrace.cli import main
-from extrace.kappa import GroverParams, grover_montecarlo
+from extrace.kappa import GroverParams, grover_montecarlo, grover_statevector
 from extrace.linalg import matrix_to_literal, two_block
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -50,6 +51,22 @@ def test_trace_bad_file_is_usage_error(tmp_path, capsys):
     path.write_text("{not json")
     code = main(["trace", str(path)])
     assert code == 2
+
+
+def write_rows_with_csv_module(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def test_axioms_trace_failure_is_a_report(capsys):
+    # A compare tolerance below roundoff fails the witness agreement check.
+    code, out = run(capsys, "axioms", "--cases", "2", "--tol", "1e-30")
+    assert code == 1
+    assert out["error"] == "trace_failed"
+    assert out["message"].startswith("case 0 (a=")
+    assert "), naturality_input (f): " in out["message"]
 
 
 def test_axioms_subcommand(capsys):
@@ -127,7 +144,7 @@ def test_grover_recurrence_mode(tmp_path, capsys):
 
 
 def test_grover_csv_format(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", 7)  # rows cross chunk boundaries
+    monkeypatch.setattr(lsi, "CSV_CHUNK_ROWS", 7)  # rows cross chunk boundaries
     out_csv = tmp_path / "trials.csv"
     argv = ["grover", "--B", "10000", "--kappa", "0.01", "--max-iter", "60"]
     code, out = run(capsys, *argv, "--trials", "300", "--seed", "4", "--out", str(out_csv))
@@ -144,6 +161,11 @@ def test_grover_csv_format(tmp_path, capsys, monkeypatch):
     assert [int(r[2]) for r in table] == samples.censored.astype(int).tolist()
     assert 0 < out["censored"] < 300
     assert [float(r[3]) for r in table] == samples.angle.tolist()
+    want = tmp_path / "want.csv"
+    rows = zip(range(300), samples.iterations.tolist(), samples.censored.astype(int).tolist(),
+               [format(a, ".17g") for a in samples.angle.tolist()])
+    write_rows_with_csv_module(want, ["trial", "iterations", "censored", "angle_at_halt"], rows)
+    assert data == want.read_bytes()
 
 
 def test_grover_exact_law_keys(capsys):
@@ -186,6 +208,41 @@ def test_grover_statevector_mode(capsys):
     )
     assert code == 0
     assert out["halted_at"] is not None
+
+
+def test_grover_statevector_csv_bytes_equal_csv_module(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(lsi, "CSV_CHUNK_ROWS", 7)
+    out_csv = tmp_path / "angles.csv"
+    code, out = run(
+        capsys, "grover", "--B", "64", "--kappa", "0.3", "--seed", "1",
+        "--mode", "statevector", "--out", str(out_csv),
+    )
+    assert code == 0
+    angles = grover_statevector(GroverParams(64, 0.3, 1)).angles
+    assert len(angles) == out["iterations"] > 7
+    want = tmp_path / "want.csv"
+    rows = [[i, format(a, ".17g")] for i, a in enumerate(angles, start=1)]
+    write_rows_with_csv_module(want, ["iteration", "angle"], rows)
+    assert out_csv.read_bytes() == want.read_bytes()
+
+
+def test_parser_built_once_carries_no_state_between_calls(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    program = str(CORPUS / "hadamard_delay_loop.qw")
+    out_csv = tmp_path / "resp.csv"
+    assert run(capsys, "qwhile", "run", program, "--grid", "8", "--out", str(out_csv))[0] == 0
+    out_csv.unlink()
+    assert run(capsys, "qwhile", "run", program, "--grid", "8")[0] == 0
+    assert not out_csv.exists()
+    kernel = {"in_ports": ["i", "x"], "out_ports": ["o", "x"],
+              "taps": {"0": matrix_to_literal(HADAMARD)}}
+    kpath = tmp_path / "kernel.json"
+    kpath.write_text(json.dumps(kernel))
+    assert run(capsys, "lsi", str(kpath), "--grid", "8", "--loop", "1")[1]["out_ports"] == ["o"]
+    assert run(capsys, "lsi", str(kpath), "--grid", "8")[1]["out_ports"] == ["o", "x"]
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
 
 
 def test_bound_subcommand(capsys):

@@ -1,9 +1,12 @@
+import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from extrace import lsi
 from extrace.linalg import LinalgError, random_contraction, random_unitary
 from extrace.lsi import (
     FirKernel,
@@ -20,8 +23,10 @@ from extrace.lsi import (
     parseval_norm,
     response_to_csv,
 )
+from extrace.qwhile import parse_source, semantics
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def random_kernel(out_n, in_n, n_taps, rng, spread=4):
@@ -197,6 +202,76 @@ def test_response_to_csv_format(tmp_path):
     assert float(omega) == pytest.approx(math.pi / 2)
     assert (int(row), int(col)) == (0, 0)
     assert complex(float(re), float(im)) == pytest.approx(np.exp(-1j * math.pi / 2))
+
+
+def csv_module_reference(r, path):
+    """The per-entry csv.writer loop that response_to_csv replaced."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["omega", "row", "col", "re", "im"])
+        for omega, sample in zip(r.grid, r.samples):
+            for i in range(sample.shape[0]):
+                for j in range(sample.shape[1]):
+                    writer.writerow(
+                        [
+                            format(omega, ".17g"),
+                            i,
+                            j,
+                            format(sample[i, j].real, ".17g"),
+                            format(sample[i, j].imag, ".17g"),
+                        ]
+                    )
+
+
+def assert_csv_matches_reference(r, tmp_path):
+    got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+    response_to_csv(r, got)
+    csv_module_reference(r, want)
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "program, grid",
+    [(p.stem, 256) for p in sorted(CORPUS.glob("*.qw"))]
+    + [("phase_chain", 4096), ("nested_loop", 4096)],
+)
+def test_corpus_csv_bytes_equal_csv_module(program, grid, tmp_path):
+    source = parse_source((CORPUS / f"{program}.qw").read_text())
+    assert_csv_matches_reference(semantics(source.program, grid), tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fir_csv_bytes_equal_csv_module(seed, tmp_path):
+    rng = np.random.default_rng(seed)
+    ports = int(rng.integers(2, 17))
+    loop = int(rng.integers(1, ports))
+    names = tuple(f"p{i}" for i in range(ports))
+    taps = {t: random_contraction(ports, ports, rng) / 3 for t in range(3)}
+    r = dtft(FirKernel(names, names, taps), 32)
+    assert_csv_matches_reference(r, tmp_path)
+    assert_csv_matches_reference(lsi_ex(r, loop), tmp_path)
+
+
+SPECIAL = [-0.0, 5e-324, 1e-320, math.nan, math.inf, -math.inf, 1 / 3, 1e300, -1e300]
+
+
+def test_special_values_csv_bytes_equal_csv_module(tmp_path):
+    values = np.array(SPECIAL)
+    n = values.size
+    samples = np.empty((n, 2, 3), dtype=np.complex128)
+    samples.real = np.stack([np.roll(values, k) for k in range(6)], axis=1).reshape(n, 2, 3)
+    samples.imag = np.stack([np.roll(values, -k) for k in range(6)], axis=1).reshape(n, 2, 3)
+    r = FrequencyResponse(values, samples, ("o0", "o1"), ("i0", "i1", "i2"))
+    assert_csv_matches_reference(r, tmp_path)
+    empty = FrequencyResponse(values, np.zeros((n, 0, 0)), (), ())
+    assert_csv_matches_reference(empty, tmp_path)
+
+
+def test_csv_chunks_split_one_frequency(tmp_path, monkeypatch):
+    # 5-row chunks: fewer than one frequency's 6 entries, and 78 rows in all
+    monkeypatch.setattr(lsi, "CSV_CHUNK_ROWS", 5)
+    k = random_kernel(2, 3, 3, np.random.default_rng(5))
+    assert_csv_matches_reference(dtft(k, 13), tmp_path)
 
 
 def test_frequency_response_validation():

@@ -225,9 +225,32 @@ def svd_sizes(monkeypatch, fn):
     return sizes
 
 
+def expansion_with_small_loop(n, rng):
+    """Operator norm 2 with a loop block, the trailing n // 2 rows and
+    columns, of norm 0.5: every entry takes the closed form alone."""
+    k = n - n // 2
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    uu = z[k:, k:] * (0.5 / np.linalg.norm(z[k:, k:], 2))
+    z[k:, k:] = 0
+    z *= 2.0 / np.linalg.norm(z, 2)
+    z[k:, k:] = uu
+    return two_block(z, n // 2)
+
+
 def test_series_takes_no_svd_of_an_empty_stack(monkeypatch):
     program = parse_source((CORPUS / "hadamard_delay_loop.qw").read_text()).program
     f = two_block(random_contraction(32, 32, np.random.default_rng(32)), 8)
-    for fn in (lambda: ex(f, "U"), lambda: semantics(program, 64)):
+    small = two_block(np.array([[2, 0.5], [0.5, 0.25]], dtype=complex), 1)
+    big = expansion_with_small_loop(16, np.random.default_rng(16))
+    # f_UU = 1 has no witness, so this expansion takes the series alone
+    series_alone = two_block(np.array([[0, 1], [1, 1]], dtype=complex), 1)
+    short = TraceConfig(max_terms=5)
+    for fn in (lambda: ex(f, "U"), lambda: semantics(program, 64),
+               lambda: ex(small, "U"), lambda: ex(big, "U"),
+               lambda: ex(series_alone, "U", short)):
         sizes = svd_sizes(monkeypatch, fn)
         assert sizes and all(math.prod(shape) > 0 for shape in sizes), sizes
+    for g in (small, big):
+        result = ex(g, "U")
+        assert result.method == "kernel_image" and result.terms_used == 0
+    assert ex(series_alone, "U", short).method == "series"
