@@ -59,7 +59,9 @@ def operator_norm(m: np.ndarray) -> float:
 
 def stack_norms(m: np.ndarray) -> np.ndarray:
     """Operator norm of each matrix in a stack; zero for empty matrices."""
-    return np.max(np.linalg.svd(m, compute_uv=False), axis=-1, initial=0.0)
+    if m.size == 0:
+        return np.zeros(m.shape[:-2])
+    return np.max(np.linalg.svd(m, compute_uv=False), axis=-1)
 
 
 def classify(m: np.ndarray, tol: float = DEFAULT_TOL) -> str:

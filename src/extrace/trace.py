@@ -258,7 +258,7 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig):
     residual[idx[alone]] = s_norm[alone]
     converged[idx[alone]] = s_converged[alone]
     both = np.flatnonzero(~alone)
-    gap = stack_norms(values[idx[both]] - s_value[both]) if both.size else np.zeros(0)
+    gap = stack_norms(values[idx[both]] - s_value[both])
     residual[idx[both]] = gap
     for j, g in zip(both, gap):
         if not s_converged[j]:

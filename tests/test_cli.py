@@ -96,6 +96,23 @@ def test_lsi_subcommand(tmp_path, capsys):
     assert all(float(l.split(",")[3]) == pytest.approx(1.0) for l in lines[1:])
 
 
+def test_lsi_every_port_looped(tmp_path, capsys):
+    kernel = {
+        "in_ports": ["a", "b"],
+        "out_ports": ["a", "b"],
+        "taps": {"0": matrix_to_literal(HADAMARD / 2), "1": matrix_to_literal(HADAMARD / 3)},
+    }
+    kpath = tmp_path / "kernel.json"
+    kpath.write_text(json.dumps(kernel))
+    out_csv = tmp_path / "resp.csv"
+    code, out = run(
+        capsys, "lsi", str(kpath), "--grid", "16", "--loop", "2", "--out", str(out_csv)
+    )
+    assert code == 0
+    assert out["in_ports"] == out["out_ports"] == []
+    assert out_csv.read_text().splitlines() == ["omega,row,col,re,im"]
+
+
 def test_qwhile_run_corpus(tmp_path, capsys):
     out_csv = tmp_path / "resp.csv"
     code, out = run(

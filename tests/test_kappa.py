@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -7,6 +8,7 @@ from extrace.kappa import (
     GroverParams,
     KappaMeasurement,
     RuntimeBound,
+    _trajectory,
     build_E,
     grover_montecarlo,
     grover_recurrence,
@@ -200,12 +202,99 @@ class TestRecurrence:
         assert np.array_equal(grover_recurrence(p), np.array(ref))
 
 
+def step_matrix(p, dps):
+    """The keep-looping step M = diag(1, xi) R(2 alpha) and v_0 in mpmath."""
+    with mpmath.workdps(dps):
+        a = mpmath.mpf(p.alpha)
+        xi = mpmath.sqrt(1 - mpmath.mpf(p.kappa))
+        c, s = mpmath.cos(2 * a), mpmath.sin(2 * a)
+        m = mpmath.matrix([[c, -s], [xi * s, xi * c]])
+        return m, mpmath.matrix([mpmath.cos(a), mpmath.sin(a)])
+
+
+def mp_trajectory(p, n_steps, dps=40):
+    """Per-step reference b_0..b_N in mpmath, unwrapped by accumulating the
+    signed angle between consecutive amplitude vectors."""
+    m, v = step_matrix(p, dps)
+    with mpmath.workdps(dps):
+        angle = mpmath.mpf(p.alpha)
+        out = [angle]
+        for _ in range(n_steps):
+            w = m * v
+            w /= mpmath.norm(w)
+            angle += mpmath.atan2(v[0] * w[1] - v[1] * w[0], v[0] * w[0] + v[1] * w[1])
+            out.append(angle)
+            v = w
+        return np.array([float(b) for b in out])
+
+
+ACCURACY_CASES = [(10**2, None), (10**4, None), (10**6, None), (10**8, None),
+                  (10**4, 1e-3), (10**6, 1e-3)]
+
+
+class TestTrajectoryAccuracy:
+    # The vectorized trajectory must be at least as accurate as the
+    # per-step loop against a 40-digit reference, and within 1e-10 of it.
+
+    @pytest.mark.parametrize("b, kappa", ACCURACY_CASES)
+    def test_first_steps_against_per_step_reference(self, b, kappa):
+        p = GroverParams(b, kappa)
+        ref = mp_trajectory(p, 2000)
+        vec_err = np.max(np.abs(_trajectory(p, 2000) - ref))
+        loop_err = np.max(np.abs(grover_recurrence(p, 2000) - ref))
+        assert vec_err <= 1e-10
+        assert vec_err <= loop_err + 1e-12
+
+    @pytest.mark.parametrize("b, kappa", ACCURACY_CASES)
+    def test_spot_steps_against_matrix_power(self, b, kappa):
+        p = GroverParams(b, kappa)
+        n = p.max_iterations
+        vec, loop = _trajectory(p), grover_recurrence(p)
+        m, v0 = step_matrix(p, 40)
+        for t in (n // 4, n // 2, n):
+            with mpmath.workdps(40):
+                w = m**t * v0
+                ref_angle = mpmath.atan2(w[1], w[0])
+                ref_prob = float(p.kappa * w[1] ** 2 / (w[0] ** 2 + w[1] ** 2))
+                # angle difference wrapped into [-pi, pi)
+                angles = [
+                    abs(float((mpmath.mpf(x) - ref_angle + mpmath.pi) % (2 * mpmath.pi) - mpmath.pi))
+                    for x in (vec[t], loop[t])
+                ]
+            probs = [abs(p.kappa * math.sin(x) ** 2 - ref_prob) for x in (vec[t], loop[t])]
+            for vec_err, loop_err in (angles, probs):
+                assert vec_err <= 1e-10, (t, angles, probs)
+                assert vec_err <= loop_err + 1e-12, (t, angles, probs)
+
+    @pytest.mark.parametrize("b", [2, 3, 4])
+    def test_kappa_one_corners(self, b):
+        # At kappa = 1 the keep-looping state sits on the off-target axis,
+        # where the angle is defined only mod pi: compare sin^2.
+        p = GroverParams(b, kappa=1.0)
+        vec = premeasurement_angles(p)
+        loop = grover_recurrence(p)[:-1] + 2.0 * p.alpha
+        assert not np.isnan(vec).any()
+        assert np.max(np.abs(np.sin(vec) ** 2 - np.sin(loop) ** 2)) <= 1e-12
+        samples, _ = grover_montecarlo(p, 100)
+        assert not np.isnan(samples.angle).any()
+
+
 class TestStatevector:
     def test_conditional_matches_recurrence(self):
         p = GroverParams(16, max_iterations=200)
         run = grover_statevector(p, force_keep_looping=True)
         rec = grover_recurrence(p, 200)[1:]
         folded = np.arcsin(np.abs(np.sin(rec)))
+        assert np.max(np.abs(np.array(run.angles) - folded)) < 1e-9
+
+    @pytest.mark.parametrize("b", [16, 64, 256, 4096])
+    def test_conditional_matches_premeasurement_angles(self, b):
+        # Iteration t + 1 measures at b_t + 2 alpha, so b_1..b_N are the
+        # pre-measurement angles shifted back by 2 alpha.
+        p = GroverParams(b, max_iterations=200)
+        run = grover_statevector(p, force_keep_looping=True)
+        traj = premeasurement_angles(p, 201)[1:] - 2.0 * p.alpha
+        folded = np.arcsin(np.abs(np.sin(traj)))
         assert np.max(np.abs(np.array(run.angles) - folded)) < 1e-9
 
     def test_stays_in_plane(self):

@@ -2,10 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from extrace.kappa import theta
+from extrace.kappa import GroverParams, halting_probabilities, theta
 from extrace.linalg import (
     adjoint,
     classify,
@@ -123,6 +124,41 @@ def test_theta_is_two_pi_periodic(a, kappa):
     assert math.isclose(
         theta(a, kappa), theta(a + 2 * math.pi, kappa), abs_tol=1e-9
     )
+
+
+def mp_halting_probabilities(p, n_steps):
+    """Per-step certify probabilities kappa * target^2 / |amp|^2 before
+    each measurement, with the amplitudes carried at 30 digits."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(p.alpha)
+        kappa = mpmath.mpf(p.kappa)
+        xi = mpmath.sqrt(1 - kappa)
+        c, s = mpmath.cos(2 * a), mpmath.sin(2 * a)
+        x, y = mpmath.cos(a), mpmath.sin(a)
+        out = []
+        for _ in range(n_steps):
+            x, y = c * x - s * y, s * x + c * y
+            r2 = x * x + y * y
+            out.append(float(kappa * y * y / r2))
+            x, y = x / mpmath.sqrt(r2), xi * y / mpmath.sqrt(r2)
+        return np.array(out)
+
+
+@given(
+    st.integers(2, 10**7),
+    st.floats(min_value=1e-6, max_value=1.0, allow_nan=False),
+    st.integers(0, 1500),
+)
+@example(2, 1.0, 0)
+@example(2, 1.0, 1)
+@example(3, 1.0, 1500)
+@settings(deadline=None, max_examples=40)
+def test_halting_probabilities_match_high_precision_steps(b, kappa, n):
+    p = GroverParams(b, kappa)
+    got = halting_probabilities(p, n)
+    assert got.shape == (n,)
+    assert not np.isnan(got).any()
+    assert np.max(np.abs(got - mp_halting_probabilities(p, n)), initial=0.0) <= 1e-10
 
 
 @given(

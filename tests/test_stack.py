@@ -245,9 +245,13 @@ def test_series_takes_no_svd_of_an_empty_stack(monkeypatch):
     # f_UU = 1 has no witness, so this expansion takes the series alone
     series_alone = two_block(np.array([[0, 1], [1, 1]], dtype=complex), 1)
     short = TraceConfig(max_terms=5)
+    # every port looped leaves (N, 2, 0), (N, 0, 2) and (N, 0, 0) witness stacks
+    rng = np.random.default_rng(2)
+    taps = {t: random_contraction(2, 2, rng) / 3 for t in range(3)}
+    fir = dtft(FirKernel(("a", "b"), ("a", "b"), taps), 16)
     for fn in (lambda: ex(f, "U"), lambda: semantics(program, 64),
                lambda: ex(small, "U"), lambda: ex(big, "U"),
-               lambda: ex(series_alone, "U", short)):
+               lambda: ex(series_alone, "U", short), lambda: lsi_ex(fir, 2)):
         sizes = svd_sizes(monkeypatch, fn)
         assert sizes and all(math.prod(shape) > 0 for shape in sizes), sizes
     for g in (small, big):
