@@ -37,6 +37,8 @@ from .trace import (
 )
 
 OK, CHECK_FAILED, BAD_INPUT = 0, 1, 2
+# What from_json raises on JSON of the wrong shape (LinalgError is a ValueError).
+_MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
 
 
 def _emit(obj) -> None:
@@ -76,7 +78,7 @@ def _cmd_trace(args) -> int:
     try:
         pm = PartitionedMap.from_json(obj)
         loop = obj.get("loop", "U")
-    except (KeyError, LinalgError) as e:
+    except _MALFORMED as e:
         raise SystemExit(f"bad trace input: {e}")
     cfg = TraceConfig(series_tol=args.tol, max_terms=args.max_terms)
     route = {"series": ex_series, "ki": ex_kernel_image, "both": ex}[args.method]
@@ -91,7 +93,7 @@ def _cmd_trace(args) -> int:
             residual_in=e.residual_in,
             residual_out=e.residual_out,
         )
-    except (ArithmeticError, LinalgError) as e:
+    except ArithmeticError as e:
         return _fail("trace_failed", str(e))
     _emit(
         {
@@ -116,12 +118,16 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_lsi(args) -> int:
-    kernel = FirKernel.from_json(_load_json(args.file))
+    obj = _load_json(args.file)
+    try:
+        kernel = FirKernel.from_json(obj)
+    except _MALFORMED as e:
+        raise SystemExit(f"bad kernel input: {e}")
     response = dtft(kernel, args.grid)
     if args.loop:
         try:
             response = lsi_ex(response, args.loop)
-        except (ArithmeticError, LinalgError) as e:
+        except ArithmeticError as e:
             return _fail("loop_trace_failed", str(e))
     return _report_response(response, args.out)
 
@@ -133,7 +139,7 @@ def _cmd_qwhile(args) -> int:
     except OSError as e:
         raise SystemExit(f"cannot read {args.file}: {e}")
     try:
-        source = parse_source(text, allow_contraction=args.allow_contraction)
+        source = parse_source(text)
     except QWhileError as e:
         raise SystemExit(f"{args.file}: {e}")
     report = check(source.program)
@@ -185,9 +191,10 @@ def _cmd_grover(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    if args.B < 1:
+        raise SystemExit("B must be >= 1")
     kappa = args.kappa if args.kappa is not None else args.B ** -0.5
-    alpha = math.asin(args.B ** -0.5)
-    epsilon = args.epsilon if args.epsilon is not None else math.sin(3.0 * alpha)
+    epsilon = math.sin(3.0 * math.asin(args.B ** -0.5))  # the epsilon T_c is built with
     try:
         t_c = grover_runtime_bound(args.B, kappa, args.c)
     except LinalgError as e:
@@ -234,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p.add_argument("--out", help="write the response as CSV")
-    p.add_argument("--allow-contraction", action="store_true")
     p.set_defaults(func=_cmd_qwhile)
 
     p = sub.add_parser("grover", help="simulate the weakly-measured search loop")
@@ -250,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="print the halting-time bound T_c")
     p.add_argument("--B", type=int, required=True)
     p.add_argument("--kappa", type=float, default=None)
-    p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--c", type=int, default=1)
     p.set_defaults(func=_cmd_bound)
 

@@ -40,9 +40,6 @@ __all__ = [
 
 STATEVECTOR_CAP = 4096
 
-R_PERP = 0  # probe basis index for the "keep looping" outcome
-R_TOP = 1
-
 
 @dataclass(frozen=True)
 class KappaMeasurement:

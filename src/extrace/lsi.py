@@ -240,16 +240,14 @@ def parseval_norm(s: Signal, grid_size: int) -> float:
             f"grid size {grid_size} too small for support width {width}"
         )
     grid = _uniform_grid(grid_size)
-    total = 0.0
     spectrum = np.zeros((grid_size, len(s.ports)), dtype=np.complex128)
     for t, v in s.samples.items():
         spectrum += np.exp(-1j * grid * t)[:, None] * v[None, :]
-    total = float(np.sum(np.abs(spectrum) ** 2) / grid_size)
-    return total
+    return float(np.sum(np.abs(spectrum) ** 2) / grid_size)
 
 
 def kernel_from_response(
-    r: FrequencyResponse, ports_hint=None, alias_tol: float = 1e-9
+    r: FrequencyResponse, alias_tol: float = 1e-9
 ) -> FirKernel:
     """Truncated reconstruction: inverse DFT of the grid samples, taps on
     t in [-N/2, N/2).  Warns when boundary taps carry mass, the telltale

@@ -154,11 +154,10 @@ def _tokenize(text: str, line0: int = 1) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token], gates: dict, allow_contraction: bool):
+    def __init__(self, tokens: list[_Token], gates: dict):
         self.tokens = tokens
         self.pos = 0
         self.gates = gates
-        self.allow_contraction = allow_contraction
 
     def _peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -195,10 +194,7 @@ class _Parser:
                 raise ParseError(
                     f"gate {name.text!r} matrix is not square", name.line, name.col
                 )
-            kind = classify(matrix, UNITARY_TOL)
-            if kind != "unitary" and not (
-                self.allow_contraction and kind != "expansion"
-            ):
+            if classify(matrix, UNITARY_TOL) != "unitary":
                 raise ParseError(
                     f"gate {name.text!r} matrix is not unitary at tolerance "
                     f"{UNITARY_TOL:g}",
@@ -260,16 +256,16 @@ class SourceFile:
     program: Node
 
 
-def parse(text: str, gates: dict | None = None, *, allow_contraction: bool = False) -> Node:
+def parse(text: str, gates: dict | None = None) -> Node:
     """Parse a bare program s-expression against a gate table."""
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty program", 1, 1)
     table = {name: np.asarray(m, dtype=np.complex128) for name, m in (gates or {}).items()}
-    return _Parser(tokens, table, allow_contraction).parse_program()
+    return _Parser(tokens, table).parse_program()
 
 
-def parse_source(text: str, *, allow_contraction: bool = False) -> SourceFile:
+def parse_source(text: str) -> SourceFile:
     """Parse a full source file: gate declarations then one program."""
     gates: dict = {}
     program_lines = []
@@ -293,7 +289,7 @@ def parse_source(text: str, *, allow_contraction: bool = False) -> SourceFile:
     if not program_lines:
         raise ParseError("source file has no program expression", 1, 1)
     tokens = _tokenize("\n".join(program_lines), line0=program_start)
-    program = _Parser(tokens, gates, allow_contraction).parse_program()
+    program = _Parser(tokens, gates).parse_program()
     return SourceFile(gates, program)
 
 

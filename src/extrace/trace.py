@@ -66,9 +66,9 @@ class TraceConfig:
 
     def __post_init__(self):
         if min(self.series_tol, self.ki_residual_tol, self.compare_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+            raise LinalgError("tolerances must be positive")
         if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+            raise LinalgError("max_terms must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -306,8 +306,6 @@ def ex(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig()) -> 
     """Total trace on contractions: closed form as the canonical value,
     series as the cross-check.  Non-contractions get whichever route
     succeeds."""
-    if f.row_partition.size(loop_label) != f.col_partition.size(loop_label):
-        raise LinalgError(f"loop block {loop_label!r} differs between partitions")
     values, method, terms, residual, converged = _trace_core(*_loop_last(f, loop_label), cfg)
     return TraceResult(values[0], method[0], int(terms[0]), float(residual[0]), bool(converged[0]))
 
@@ -316,58 +314,41 @@ def ex(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig()) -> 
 # Structure theorems
 
 
-def _defect(m: np.ndarray) -> np.ndarray:
-    """sqrt(id - m^H m) via Hermitian eigendecomposition, eigenvalues
-    clamped at zero."""
-    gram = np.eye(m.shape[1]) - adjoint(m) @ m
-    vals, vecs = np.linalg.eigh(gram)
-    vals = np.clip(vals.real, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ adjoint(vecs)
-
-
 def halmos_dilation(f: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Embed a contraction f: A -> B into the unitary
-    [[-f^H, D_f], [D_{f^H}, f]] on B (+) A."""
+    [[-f^H, D_f], [D_{f^H}, f]] on B (+) A.
+
+    Both defects come from one full SVD f = U S V^H:
+    D_f = sqrt(id - f^H f) = V sqrt(1 - S^2) V^H and
+    D_{f^H} = U sqrt(1 - S^2) U^H, with S zero-padded to the column and row
+    count, so f D_f = D_{f^H} f holds by construction."""
     f = np.asarray(f, dtype=np.complex128)
-    if operator_norm(f) > 1.0 + tol:
+    u, s, vh = np.linalg.svd(f)
+    if (s[0] if s.size else 0.0) > 1.0 + tol:
         raise LinalgError("halmos_dilation requires a contraction")
-    d_f = _defect(f)
-    d_fh = _defect(adjoint(f))
-    top = np.hstack([-adjoint(f), d_f])
-    bot = np.hstack([d_fh, f])
+
+    def defect(w: np.ndarray) -> np.ndarray:
+        d = np.sqrt(np.clip(1.0 - np.pad(s, (0, w.shape[1] - s.size)) ** 2, 0.0, None))
+        return (w * d) @ adjoint(w)
+
+    top = np.hstack([-adjoint(f), defect(adjoint(vh))])
+    bot = np.hstack([defect(u), f])
     return np.vstack([top, bot])
-
-
-def _kernel_basis(m: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis (columns) of ker(m) for Hermitian PSD m."""
-    vals, vecs = np.linalg.eigh(m)
-    return vecs[:, np.abs(vals) <= tol]
-
-
-def _intersect(basis_a: np.ndarray, basis_b: np.ndarray, tol: float) -> np.ndarray:
-    """Orthonormal basis of the intersection of two column spans."""
-    if basis_a.shape[1] == 0 or basis_b.shape[1] == 0:
-        return np.zeros((basis_a.shape[0], 0), dtype=np.complex128)
-    # v = basis_a c lies in span(basis_b) iff (id - P_b) basis_a c = 0.
-    p_b = basis_b @ adjoint(basis_b)
-    m = basis_a - p_b @ basis_a
-    _, svals, vh = np.linalg.svd(m, full_matrices=True)
-    svals = np.concatenate([svals, np.zeros(basis_a.shape[1] - len(svals))])
-    null = adjoint(vh)[:, svals <= tol]
-    out = basis_a @ null
-    if out.shape[1] == 0:
-        return out
-    q, _ = np.linalg.qr(out)
-    return q
 
 
 def cnu_decompose(f: np.ndarray, tol: float = 1e-8) -> CnuDecomposition:
     """Split a square contraction into its unitary part and its
     completely nonunitary part.
 
-    The unitary subspace is the intersection, over powers up to the
-    dimension, of the norm-preserving subspaces of f^n and (f^H)^n; the
-    finite descending chain makes dim(f) powers sufficient.
+    The unitary subspace is H_u = ker(id - (f^n)^H f^n) with n = dim f.
+    H_u and its complement H_c reduce f, so ||f^n x||^2 = ||x_u||^2 +
+    ||f^n x_c||^2.  On H_c the norm-preserving subspaces
+    K_m = {y : ||f^m y|| = ||y||} shrink as m grows, and strictly until
+    they reach 0: if K_{m+1} = K_m, then f maps K_m isometrically into
+    itself, which makes it a unitary piece that reduces f, and H_c has
+    none.  So n powers suffice.  One full SVD of f^n gives H_u as the
+    right singular vectors with 1 - s^2 <= tol; the singular values come
+    in descending order, so H_u leads and H_c spans the rest.
     """
     f = np.asarray(f, dtype=np.complex128)
     n = f.shape[0]
@@ -376,24 +357,10 @@ def cnu_decompose(f: np.ndarray, tol: float = 1e-8) -> CnuDecomposition:
     if operator_norm(f) > 1.0 + tol:
         raise LinalgError("cnu_decompose requires a contraction")
 
-    basis = np.eye(n, dtype=np.complex128)
-    power = np.eye(n, dtype=np.complex128)
-    for _ in range(n):
-        power = power @ f
-        for g in (power, adjoint(power)):
-            kern = _kernel_basis(np.eye(n) - adjoint(g) @ g, tol)
-            basis = _intersect(basis, kern, tol)
-        if basis.shape[1] == 0:
-            break
-
-    k = basis.shape[1]
-    if k == 0:
-        basis_change = np.eye(n, dtype=np.complex128)
-    else:
-        # Full SVD: leading k left vectors span the unitary subspace, the
-        # rest its orthogonal complement, and the stack is exactly unitary.
-        u_full, _, _ = np.linalg.svd(basis, full_matrices=True)
-        basis_change = u_full
+    _, s, vh = np.linalg.svd(np.linalg.matrix_power(f, n))
+    k = int(np.count_nonzero(1.0 - s**2 <= tol))
+    # With no unitary part the standard basis is kept, so f1 is f exactly.
+    basis_change = adjoint(vh) if k else np.eye(n, dtype=np.complex128)
 
     conj = adjoint(basis_change) @ f @ basis_change
     f0 = conj[:k, :k]

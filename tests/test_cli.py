@@ -273,3 +273,113 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "extrace" in capsys.readouterr().out
+
+
+def test_bound_reports_the_epsilon_it_uses(capsys):
+    from extrace.kappa import RuntimeBound, guarantee_f, robustness_g, runtime_bound
+
+    code, out = run(capsys, "bound", "--B", "10000", "--c", "2")
+    assert code == 0
+    assert out["epsilon"] == math.sin(3.0 * math.asin(0.01))
+    rb = RuntimeBound(out["kappa"], out["epsilon"], lambda n: guarantee_f(n, 10000), robustness_g)
+    assert out["T"] == runtime_bound(rb, 2)
+
+
+def usage_error(capsys, argv, fragment):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert fragment in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flag", [["bound", "--B", "100", "--epsilon", "0.45"],
+                                  ["qwhile", "check", "x.qw", "--allow-contraction"]])
+def test_removed_flags_are_rejected(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_bound_nonpositive_B_is_usage_error(capsys):
+    usage_error(capsys, ["bound", "--B", "0"], "B must be >= 1")
+
+
+def test_trace_unknown_loop_label_is_usage_error(tmp_path, capsys):
+    payload = two_block(0.5 * np.eye(3, dtype=complex), 1).to_json()
+    payload["loop"] = "Q"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    usage_error(capsys, ["trace", str(path)], "unknown block label 'Q'")
+
+
+@pytest.mark.parametrize("method", ["both", "series", "ki"])
+def test_trace_non_square_loop_is_usage_error(tmp_path, capsys, method):
+    from extrace.linalg import Partition, PartitionedMap
+
+    pm = PartitionedMap(
+        np.zeros((3, 3)), Partition(("B", "U"), (1, 2)), Partition(("A", "U"), (2, 1))
+    )
+    payload = pm.to_json()
+    payload["loop"] = "U"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    usage_error(capsys, ["trace", "--method", method, str(path)],
+                "loop block 'U' is 2x1; it must be square")
+
+
+@pytest.mark.parametrize(
+    "argv,fragment",
+    [
+        (["trace", "--max-terms", "0"], "max_terms must be >= 1"),
+        (["trace", "--tol", "0"], "tolerances must be positive"),
+        (["axioms", "--cases", "2", "--tol", "-1"], "tolerances must be positive"),
+    ],
+    ids=["max_terms", "trace_tol", "axioms_tol"],
+)
+def test_bad_trace_config_is_usage_error(tmp_path, capsys, argv, fragment):
+    if argv[0] == "trace":
+        argv = argv + [write_trace_file(tmp_path, HADAMARD, 1)]
+    usage_error(capsys, argv, fragment)
+
+
+def test_trace_json_of_wrong_shape_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text("[1, 2]")
+    usage_error(capsys, ["trace", str(path)], "bad trace input")
+
+
+def write_kernel(tmp_path, **fields):
+    kernel = {"in_ports": ["i", "x"], "out_ports": ["o", "x"],
+              "taps": {"0": matrix_to_literal(HADAMARD)}, **fields}
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({k: v for k, v in kernel.items() if v is not None}))
+    return str(path)
+
+
+@pytest.mark.parametrize("loop", ["5", "-1"])
+def test_lsi_loop_out_of_range_is_usage_error(tmp_path, capsys, loop):
+    usage_error(capsys, ["lsi", write_kernel(tmp_path), "--grid", "8", "--loop", loop],
+                f"cannot loop {loop} ports on shape (2, 2)")
+
+
+@pytest.mark.parametrize(
+    "taps,fragment",
+    [
+        (None, "'taps'"),
+        ([1], "'list' object has no attribute 'items'"),
+        ({"a": [[[1, 0]]]}, "invalid literal for int()"),
+    ],
+    ids=["missing", "list", "bad_offset"],
+)
+def test_lsi_malformed_kernel_is_usage_error(tmp_path, capsys, taps, fragment):
+    usage_error(capsys, ["lsi", write_kernel(tmp_path, taps=taps)], f"bad kernel input: {fragment}")
+
+
+def test_qwhile_contraction_gate_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "c.qw"
+    src.write_text("gate C = [[[0.5,0]]]\n(gate C)\n")
+    usage_error(capsys, ["qwhile", "check", str(src)], "not unitary")

@@ -76,9 +76,6 @@ def test_parse_error_carries_position():
 def test_non_unitary_gate_rejected():
     with pytest.raises(ParseError, match="not unitary"):
         parse("(gate C)", {"C": 0.5 * np.eye(2)})
-    # ...unless the escape hatch is open
-    node = parse("(gate C)", {"C": 0.5 * np.eye(2)}, allow_contraction=True)
-    assert isinstance(node, Unitary)
 
 
 def test_parse_source_gate_table():

@@ -67,14 +67,17 @@ def test_halmos_dilation_large(n):
 
 
 @pytest.mark.parametrize("k", [0, 5])
-def test_cnu_decompose_65(k):
-    rng = np.random.default_rng(65 + k)
-    m = 65 - k
-    w = random_unitary(65, rng)
+@pytest.mark.parametrize("n", SIZES)
+def test_cnu_decompose_large(n, k):
+    rng = np.random.default_rng(n + k)
+    w = random_unitary(n, rng)
     u = random_unitary(k, rng) if k else np.zeros((0, 0))
-    f = w @ direct_sum(u, clustered(m, rng)) @ adjoint(w)
+    f = w @ direct_sum(u, clustered(n - k, rng)) @ adjoint(w)
     d = cnu_decompose(f)
     assert d.unitary_dim == k
     assert classify(d.basis_change, 1e-8) == "unitary"
     rebuilt = d.basis_change @ direct_sum(d.f0, d.f1) @ adjoint(d.basis_change)
     assert operator_norm(rebuilt - f) < 1e-8
+    if k == 0:
+        assert np.array_equal(d.basis_change, np.eye(n))
+        assert np.array_equal(d.f1, f)

@@ -241,6 +241,94 @@ class TestCnuDecompose:
         assert operator_norm(rebuilt - f) < 1e-8
 
 
+# Reference: the eigh-defect dilation and the power/intersection unitary
+# subspace that the one-SVD constructions replace.
+
+
+def ref_defect(m):
+    vals, vecs = np.linalg.eigh(np.eye(m.shape[1]) - adjoint(m) @ m)
+    return (vecs * np.sqrt(np.clip(vals.real, 0.0, None))) @ adjoint(vecs)
+
+
+def ref_halmos(f):
+    return np.vstack([np.hstack([-adjoint(f), ref_defect(f)]),
+                      np.hstack([ref_defect(adjoint(f)), f])])
+
+
+def ref_intersect(a, b, tol):
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        return np.zeros((a.shape[0], 0), dtype=np.complex128)
+    _, s, vh = np.linalg.svd(a - b @ adjoint(b) @ a, full_matrices=True)
+    s = np.concatenate([s, np.zeros(a.shape[1] - len(s))])
+    out = a @ adjoint(vh)[:, s <= tol]
+    return np.linalg.qr(out)[0] if out.shape[1] else out
+
+
+def ref_unitary_subspace(f, tol=1e-8):
+    """Orthonormal basis of the common norm-preserving subspace of f^m and
+    (f^H)^m over m = 1..dim f."""
+    n = f.shape[0]
+    basis, power = np.eye(n, dtype=np.complex128), np.eye(n, dtype=np.complex128)
+    for _ in range(n):
+        power = power @ f
+        for g in (power, adjoint(power)):
+            vals, vecs = np.linalg.eigh(np.eye(n) - adjoint(g) @ g)
+            basis = ref_intersect(basis, vecs[:, np.abs(vals) <= tol], tol)
+        if basis.shape[1] == 0:
+            break
+    return basis
+
+
+def criterion_4_draws():
+    """The dilation inputs and planted unitary/CNU cases of acceptance
+    criterion 4, drawn from the same seeds."""
+    dilations = []
+    for ss in np.random.SeedSequence(99).spawn(500):
+        rng = np.random.default_rng(ss)
+        rows, cols = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        dilations.append(random_contraction(rows, cols, rng))
+    planted = []
+    for ss in np.random.SeedSequence(100).spawn(60):
+        rng = np.random.default_rng(ss)
+        k, m = int(rng.integers(0, 4)), int(rng.integers(0, 4))
+        if k + m == 0:
+            m = 1
+        u = random_unitary(k, rng) if k else np.zeros((0, 0))
+        c = 0.9 * random_contraction(m, m, rng) if m else np.zeros((0, 0))
+        w = random_unitary(k + m, rng)
+        planted.append(w @ direct_sum(u, c) @ adjoint(w))
+    return dilations, planted + [np.diag(np.ones(3), k=-1)]
+
+
+DILATIONS, PLANTED = criterion_4_draws()
+
+
+def test_halmos_matches_eigh_reference():
+    for f in DILATIONS:
+        g = halmos_dilation(f)
+        assert operator_norm(g - ref_halmos(f)) < 1e-12
+        assert np.array_equal(g[f.shape[1]:, f.shape[0]:], f)
+
+
+@pytest.mark.parametrize("i", range(len(PLANTED)))
+def test_cnu_matches_intersection_reference(i):
+    f = PLANTED[i]
+    ref = ref_unitary_subspace(f)
+    k = ref.shape[1]
+    d = cnu_decompose(f)
+    assert d.unitary_dim == k
+    head = d.basis_change[:, :k]
+    assert operator_norm(head @ adjoint(head) - ref @ adjoint(ref)) < 1e-10
+    u_full = np.linalg.svd(ref)[0] if k else np.eye(f.shape[0])
+    conj = adjoint(u_full) @ f @ u_full
+    for got, want in ((d.f0, conj[:k, :k]), (d.f1, conj[k:, k:])):
+        sv = np.linalg.svd(got, compute_uv=False)
+        assert np.allclose(sv, np.linalg.svd(want, compute_uv=False), rtol=0, atol=1e-10)
+    if k == 0:
+        assert np.array_equal(d.basis_change, np.eye(f.shape[0]))
+        assert np.array_equal(d.f1, f)
+
+
 def test_axiom_suite_smoke():
     report = check_trace_axioms(seed=123, n_cases=40)
     assert report.passed, report.to_json()
