@@ -372,7 +372,10 @@ class RuntimeBound:
 
 def runtime_bound(rb: RuntimeBound, c: int = 1) -> int:
     """T_c = g(f(ceil(2c / (kappa (1 - 2 epsilon))))): the loop halts
-    within T_c iterations with probability > 1 - e^{-c}."""
+    within T_c iterations with probability > 1 - e^{-c}; c < 1 makes that
+    probability 0 or negative, so it is rejected."""
+    if c < 1:
+        raise LinalgError("c must be >= 1")
     n = math.ceil(2.0 * c / (rb.kappa * (1.0 - 2.0 * rb.epsilon)))
     return rb.g(rb.f(n))
 

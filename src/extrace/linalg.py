@@ -8,6 +8,7 @@ only stateful object is the caller-supplied RNG seed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,34 @@ def stack_norms(m: np.ndarray) -> np.ndarray:
     if m.size == 0:
         return np.zeros(m.shape[:-2])
     return np.max(np.linalg.svd(m, compute_uv=False), axis=-1)
+
+
+def stack_pinv(m: np.ndarray, rcond: float) -> np.ndarray:
+    """Pseudoinverse of each matrix in a stack from one SVD, built as
+    np.linalg.pinv builds it, so the two agree bit for bit: singular values
+    at or below rcond * sigma_max count as zeros."""
+    u, s, vt = np.linalg.svd(m.conj(), full_matrices=False)
+    large = s > rcond * np.max(s, axis=-1, keepdims=True)
+    s = np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return np.matmul(np.swapaxes(vt, -1, -2), s[..., None] * np.swapaxes(u, -1, -2))
+
+
+def bracket_norms(m: np.ndarray, lo, hi, fro=None) -> np.ndarray:
+    """Operator norms of a stack for tests against a tolerance, with an SVD
+    only where it is needed.  ||m||_F / sqrt(rank) <= ||m|| <= ||m||_F, with
+    1e-9 margins, shows a norm surely below ``lo`` (its Frobenius norm stands
+    in) or surely above ``hi`` (inf stands in); every other entry takes its
+    exact norm.  ``lo`` = 0 or ``hi`` = inf keeps that side exact.  ``fro``
+    passes Frobenius norms already taken."""
+    if fro is None:
+        fro = np.linalg.norm(m, axis=(-2, -1))
+    above = np.isfinite(fro) & (fro > hi * math.sqrt(min(m.shape[-2:])) * (1 + 1e-9))
+    exact = ~(above | (fro < lo * (1 - 1e-9)))
+    norm = np.where(above, math.inf, fro)
+    if exact.any():
+        norm[exact] = stack_norms(m[exact])
+    return norm
 
 
 def classify(m: np.ndarray, tol: float = DEFAULT_TOL) -> str:

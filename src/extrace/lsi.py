@@ -15,7 +15,7 @@ from itertools import chain
 
 import numpy as np
 
-from .linalg import LinalgError, as_matrix, matrix_from_literal, matrix_to_literal, stack_norms
+from .linalg import LinalgError, as_matrix, bracket_norms, matrix_from_literal, matrix_to_literal
 from .trace import TraceConfig, _trace_core
 
 __all__ = [
@@ -201,7 +201,7 @@ def lsi_classify(r: FrequencyResponse, tol: float = 1e-9) -> str:
     """
     if tol <= 0:
         raise LinalgError("tol must be positive")
-    if np.any(stack_norms(r.samples) > 1.0 + tol):
+    if np.any(bracket_norms(r.samples, 1.0 + tol, 1.0 + tol) > 1.0 + tol):
         return "not_certified"
     return "lsi_contraction"
 

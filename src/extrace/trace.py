@@ -18,11 +18,13 @@ from .linalg import (
     LinalgError,
     PartitionedMap,
     adjoint,
+    bracket_norms,
     classify,
     direct_sum,
     operator_norm,
     random_contraction,
     stack_norms,
+    stack_pinv,
     swap_matrix,
 )
 
@@ -117,92 +119,97 @@ def _raise_first(errors: dict):
 
 
 def _tail_ratio(f_uu: np.ndarray) -> np.ndarray:
-    """Per-term decay estimate: the smallest m-th root of ||f_uu^m|| over
-    probe powers m = dim and 2*dim.  Contractions decay geometrically only
-    after the completely-nonunitary mixing length, so a one-step estimate
-    would be too pessimistic."""
+    """Per-term decay estimate ||P^2||^(1/2dim), P = f_uu^dim.  Contractions
+    decay geometrically only after the completely-nonunitary mixing length,
+    so a one-step estimate would be too pessimistic.  The probe P itself is
+    not needed: ||P^2||^(1/2dim) <= ||P||^(1/dim) always."""
     dim = f_uu.shape[-1]
     probe = np.linalg.matrix_power(f_uu, dim)
-    r = stack_norms(probe) ** (1.0 / dim)
-    r2 = stack_norms(probe @ probe) ** (1.0 / (2 * dim))
-    return np.minimum(r, r2)
+    return stack_norms(probe @ probe) ** (1.0 / (2 * dim))
 
 
 def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig):
     """Partial sums of f_BA + sum_n f_BU f_UU^n f_UA for every stack entry
     at once.  An entry retires on its own stopping rule (a term below
     series_tol with a geometric tail certificate), on blow-up or on a
-    non-finite term; the rest run on, up to max_terms.  Returns the sums,
-    terms, last term norms, convergence flags and errors by entry."""
+    non-finite term; the rest run on, up to max_terms.  SVD norms are taken
+    for the last term, for terms whose Frobenius bracket leaves the
+    certificate open, and for partial sums whose bound ||f_BA||_F + sum of
+    the terms' ||.||_F nears blowup and whose bracket is open.  Returns the
+    sums, terms, last term norms, convergence flags and errors by entry."""
     n = f_ba.shape[0]
     total = f_ba.copy()
     terms = np.zeros(n, dtype=np.int64)
     term_norm = np.full(n, math.inf)
     converged = np.zeros(n, dtype=bool)
     errors = {}
-    live = np.arange(n)  # entries still summing
+    live = np.arange(n)  # entries still summing; acc holds their sums
+    acc = f_ba.copy()
+    bound = np.linalg.norm(f_ba, axis=(-2, -1))
     ratio = _tail_ratio(f_uu)
+    # A term can pass the certificate only if its norm is at most this.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = cfg.series_tol * np.where(ratio < 1.0, np.minimum(1.0, (1.0 - ratio) / ratio), 0.0)
     left = f_bu  # f_BU f_UU^t on the live entries
-    # ||x|| <= ||x||_F <= sqrt(rank) ||x||, so an SVD is taken only where the
-    # Frobenius norm cannot settle a test, and on the last term.
-    near = cfg.series_tol * math.sqrt(min(f_ba.shape[1:])) * (1 + 1e-9)
     for t in range(cfg.max_terms):
         if live.size == 0:
             break
         term = left @ f_ua
-        bad = ~np.isfinite(term).all(axis=(-2, -1))
-        term[bad] = 0.0
-        total[live] += term
-        terms[live] = t + 1
-        exact = (np.linalg.norm(term, axis=(-2, -1)) <= near) | (t == cfg.max_terms - 1)
-        tn = np.full(live.size, math.inf)
-        if exact.any():
-            tn[exact] = stack_norms(term[exact])
-        term_norm[live] = tn
-        acc = total[live]
-        blown = ~bad & (np.linalg.norm(acc, axis=(-2, -1)) > cfg.blowup * (1 - 1e-9))
+        fro = np.linalg.norm(term, axis=(-2, -1))
+        bad = ~np.isfinite(fro)
+        if bad.any():
+            bad[bad] = ~np.isfinite(term[bad]).all(axis=(-2, -1))
+            term[bad] = 0.0
+        acc += term
+        bound += fro
+        last = t == cfg.max_terms - 1
+        tn = bracket_norms(term, 0.0, math.inf if last else reach, fro)
+        blown = ~bad & ~(bound < cfg.blowup * (1 - 1e-9))
         if blown.any():
-            blown[blown] = stack_norms(acc[blown]) > cfg.blowup
-        for i in live[bad]:
-            errors[int(i)] = SeriesDivergence(f"non-finite entries at series term {t}")
-        for i in live[blown]:
-            errors[int(i)] = SeriesDivergence(
-                f"partial sum exceeded {cfg.blowup:g} at term {t}; "
-                "the series does not converge in norm"
-            )
-        done = ~bad & ~blown & (tn <= cfg.series_tol)
-        if done.any():
+            blown[blown] = bracket_norms(acc[blown], cfg.blowup, cfg.blowup) > cfg.blowup
+        if last or (bad | blown | (tn <= cfg.series_tol)).any():
+            done = ~bad & ~blown & (tn <= cfg.series_tol)
             with np.errstate(divide="ignore", invalid="ignore"):
                 tail = np.where(ratio < 1.0, tn * ratio / (1.0 - ratio), math.inf)
             tail[tn == 0.0] = 0.0
             done &= tail <= cfg.series_tol
-        converged[live[done]] = True
-        stay = ~(bad | blown | done)
-        if not stay.all():
-            live = live[stay]
-            ratio = ratio[stay]
-            left = left[stay]
-            f_ua = f_ua[stay]
-            f_uu = f_uu[stay]
+            for i in live[bad]:
+                errors[int(i)] = SeriesDivergence(f"non-finite entries at series term {t}")
+            for i in live[blown]:
+                errors[int(i)] = SeriesDivergence(
+                    f"partial sum exceeded {cfg.blowup:g} at term {t}; "
+                    "the series does not converge in norm"
+                )
+            converged[live[done]] = True
+            stop = bad | blown | done | last
+            out = live[stop]
+            total[out], terms[out], term_norm[out] = acc[stop], t + 1, tn[stop]
+            stay = ~stop
+            live, acc, bound, ratio = live[stay], acc[stay], bound[stay], ratio[stay]
+            reach, left, f_ua, f_uu = reach[stay], left[stay], f_ua[stay], f_uu[stay]
         left = left @ f_uu
     return total, terms, term_norm, converged, errors
 
 
-def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig):
+def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact):
     """Closed-form trace via witnesses i, k with f_UA = (id - f_UU) i and
-    f_BU = k (id - f_UU), for every stack entry at once.  Singular values
-    of id - f_UU below 1e-10 * sigma_max count as exact zeros, which keeps
-    unitary loop blocks (where id - f_UU is singular) traceable.  Returns
-    the values, witness residuals and errors by entry."""
+    f_BU = k (id - f_UU), for every stack entry at once, from one SVD of
+    id - f_UU.  Singular values below 1e-10 * sigma_max count as exact
+    zeros, which keeps unitary loop blocks (id - f_UU singular) traceable.
+    Residuals and agreement take exact norms (one SVD each) where ``exact``
+    marks an entry, whose residual is reported, or a check fails; elsewhere
+    the Frobenius bracket settles them.  Returns the values, witness
+    residuals and errors by entry."""
     h = np.eye(f_uu.shape[-1]) - f_uu
-    h_pinv = np.linalg.pinv(h, rcond=1e-10)
+    h_pinv = stack_pinv(h, 1e-10)
     i_wit = h_pinv @ f_ua
     k_wit = f_bu @ h_pinv
-    res_in = stack_norms(h @ i_wit - f_ua) / scale
-    res_out = stack_norms(k_wit @ h - f_bu) / scale
-    residual = np.maximum(res_in, res_out)
     value = f_ba + k_wit @ f_ua
-    agree = stack_norms(value - (f_ba + f_bu @ i_wit))
+    lo = np.where(exact, 0.0, scale)  # 0 keeps an entry's norms exact
+    res_in = bracket_norms(h @ i_wit - f_ua, cfg.ki_residual_tol * lo, math.inf) / scale
+    res_out = bracket_norms(k_wit @ h - f_bu, cfg.ki_residual_tol * lo, math.inf) / scale
+    residual = np.maximum(res_in, res_out)
+    agree = bracket_norms(value - (f_ba + f_bu @ i_wit), cfg.compare_tol * lo, math.inf)
     errors = {}
     for i in np.flatnonzero((residual > cfg.ki_residual_tol) | (agree > cfg.compare_tol * scale)):
         if residual[i] > cfg.ki_residual_tol:
@@ -235,9 +242,11 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig):
     if k == 0:
         return f_ba.copy(), method, terms, np.zeros(n), converged
 
-    norm = stack_norms(m)
+    norm = bracket_norms(m, 1.0, math.inf)  # below 1, scale is exactly 1
     contraction = norm <= 1.0 + cfg.classify_tol
-    values, residual, ki_errors = _kernel_image(f_ba, f_bu, f_ua, f_uu, np.maximum(norm, 1.0), cfg)
+    values, residual, ki_errors = _kernel_image(
+        f_ba, f_bu, f_ua, f_uu, np.maximum(norm, 1.0), cfg, ~contraction
+    )
     # A contraction must pass both routes; any other entry whose closed
     # form fails takes the series value instead.
     errors = {i: e for i, e in ki_errors.items() if contraction[i]}
@@ -297,7 +306,7 @@ def ex_kernel_image(
     if k == 0:
         return TraceResult(f_ba[0].copy(), "kernel_image", 0, 0.0, True)
     scale = max(operator_norm(f.matrix), 1.0)
-    value, residual, errors = _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg)
+    value, residual, errors = _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg, True)
     _raise_first(errors)
     return TraceResult(value[0], "kernel_image", 0, float(residual[0]), True)
 

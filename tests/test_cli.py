@@ -308,6 +308,11 @@ def test_bound_nonpositive_B_is_usage_error(capsys):
     usage_error(capsys, ["bound", "--B", "0"], "B must be >= 1")
 
 
+@pytest.mark.parametrize("c", ["0", "-1"])
+def test_bound_c_below_one_is_usage_error(capsys, c):
+    usage_error(capsys, ["bound", "--B", "100", "--c", c], "c must be >= 1")
+
+
 def test_trace_unknown_loop_label_is_usage_error(tmp_path, capsys):
     payload = two_block(0.5 * np.eye(3, dtype=complex), 1).to_json()
     payload["loop"] = "Q"

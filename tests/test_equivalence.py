@@ -1,0 +1,349 @@
+"""The trace core must give what its earlier form gave, bit for bit.
+
+The earlier form, frozen below, took an exact SVD for every norm it
+compared and built the witnesses with ``np.linalg.pinv``.  The core now
+settles most of those norms by their Frobenius bracket and builds the
+pseudoinverse from one SVD, so values, routes, term counts, reported
+residuals, flags and error messages are compared byte for byte."""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from extrace import trace
+from extrace.linalg import random_unitary, stack_norms, stack_pinv
+from extrace.trace import KiTraceError, SeriesDivergence, TraceConfig
+
+# ---------------------------------------------------------------------------
+# Frozen reference: one SVD per compared norm, pinv witnesses
+
+
+def ref_tail_ratio(f_uu):
+    dim = f_uu.shape[-1]
+    probe = np.linalg.matrix_power(f_uu, dim)
+    r = stack_norms(probe) ** (1.0 / dim)
+    r2 = stack_norms(probe @ probe) ** (1.0 / (2 * dim))
+    return np.minimum(r, r2)
+
+
+def ref_series(f_ba, f_bu, f_ua, f_uu, cfg):
+    n = f_ba.shape[0]
+    total = f_ba.copy()
+    terms = np.zeros(n, dtype=np.int64)
+    term_norm = np.full(n, math.inf)
+    converged = np.zeros(n, dtype=bool)
+    errors = {}
+    live = np.arange(n)
+    ratio = ref_tail_ratio(f_uu)
+    left = f_bu
+    near = cfg.series_tol * math.sqrt(min(f_ba.shape[1:])) * (1 + 1e-9)
+    for t in range(cfg.max_terms):
+        if live.size == 0:
+            break
+        term = left @ f_ua
+        bad = ~np.isfinite(term).all(axis=(-2, -1))
+        term[bad] = 0.0
+        total[live] += term
+        terms[live] = t + 1
+        exact = (np.linalg.norm(term, axis=(-2, -1)) <= near) | (t == cfg.max_terms - 1)
+        tn = np.full(live.size, math.inf)
+        if exact.any():
+            tn[exact] = stack_norms(term[exact])
+        term_norm[live] = tn
+        acc = total[live]
+        blown = ~bad & (np.linalg.norm(acc, axis=(-2, -1)) > cfg.blowup * (1 - 1e-9))
+        if blown.any():
+            blown[blown] = stack_norms(acc[blown]) > cfg.blowup
+        for i in live[bad]:
+            errors[int(i)] = SeriesDivergence(f"non-finite entries at series term {t}")
+        for i in live[blown]:
+            errors[int(i)] = SeriesDivergence(
+                f"partial sum exceeded {cfg.blowup:g} at term {t}; "
+                "the series does not converge in norm"
+            )
+        done = ~bad & ~blown & (tn <= cfg.series_tol)
+        if done.any():
+            with np.errstate(divide="ignore", invalid="ignore"):
+                tail = np.where(ratio < 1.0, tn * ratio / (1.0 - ratio), math.inf)
+            tail[tn == 0.0] = 0.0
+            done &= tail <= cfg.series_tol
+        converged[live[done]] = True
+        stay = ~(bad | blown | done)
+        if not stay.all():
+            live = live[stay]
+            ratio = ratio[stay]
+            left = left[stay]
+            f_ua = f_ua[stay]
+            f_uu = f_uu[stay]
+        left = left @ f_uu
+    return total, terms, term_norm, converged, errors
+
+
+def ref_kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg):
+    h = np.eye(f_uu.shape[-1]) - f_uu
+    h_pinv = np.linalg.pinv(h, rcond=1e-10)
+    i_wit = h_pinv @ f_ua
+    k_wit = f_bu @ h_pinv
+    res_in = stack_norms(h @ i_wit - f_ua) / scale
+    res_out = stack_norms(k_wit @ h - f_bu) / scale
+    residual = np.maximum(res_in, res_out)
+    value = f_ba + k_wit @ f_ua
+    agree = stack_norms(value - (f_ba + f_bu @ i_wit))
+    errors = {}
+    for i in np.flatnonzero((residual > cfg.ki_residual_tol) | (agree > cfg.compare_tol * scale)):
+        if residual[i] > cfg.ki_residual_tol:
+            msg = (
+                "not ki-traceable: witness residuals "
+                f"{res_in[i]:.3e} (input) / {res_out[i]:.3e} (output) exceed "
+                f"{cfg.ki_residual_tol:g}"
+            )
+        else:
+            msg = f"witness forms disagree by {agree[i]:.3e}"
+        errors[int(i)] = KiTraceError(msg, float(res_in[i]), float(res_out[i]))
+    return value, residual, errors
+
+
+def ref_trace_core(m, k, cfg):
+    m = np.asarray(m, dtype=np.complex128)
+    n = m.shape[0]
+    f_ba, f_bu, f_ua, f_uu = trace._blocks(m, k)
+    method = np.full(n, "both_agree", dtype=object)
+    terms = np.zeros(n, dtype=np.int64)
+    converged = np.ones(n, dtype=bool)
+    if k == 0:
+        return f_ba.copy(), method, terms, np.zeros(n), converged
+    norm = stack_norms(m)
+    contraction = norm <= 1.0 + cfg.classify_tol
+    values, residual, ki_errors = ref_kernel_image(
+        f_ba, f_bu, f_ua, f_uu, np.maximum(norm, 1.0), cfg
+    )
+    errors = {i: e for i, e in ki_errors.items() if contraction[i]}
+    fallback = np.isin(np.arange(n), list(ki_errors)) & ~contraction
+    method[~contraction] = "kernel_image"
+    method[fallback] = "series"
+    idx = np.flatnonzero(contraction | fallback)
+    if idx.size == 0:
+        return values, method, terms, residual, converged
+    s_value, s_terms, s_norm, s_converged, s_errors = ref_series(
+        f_ba[idx], f_bu[idx], f_ua[idx], f_uu[idx], cfg
+    )
+    for j, e in s_errors.items():
+        errors.setdefault(int(idx[j]), e)
+    terms[idx] = s_terms
+    alone = ~contraction[idx]
+    values[idx[alone]] = s_value[alone]
+    residual[idx[alone]] = s_norm[alone]
+    converged[idx[alone]] = s_converged[alone]
+    both = np.flatnonzero(~alone)
+    gap = stack_norms(values[idx[both]] - s_value[both])
+    residual[idx[both]] = gap
+    for j, g in zip(both, gap):
+        if not s_converged[j]:
+            errors.setdefault(int(idx[j]), SeriesDivergence(
+                "series failed to converge on a contraction input "
+                f"(last increment {s_norm[j]:.3e})"
+            ))
+        elif g > cfg.compare_tol:
+            errors.setdefault(int(idx[j]), ArithmeticError(
+                "internal consistency failure: series and kernel-image "
+                f"values differ by {g:.3e}"
+            ))
+    trace._raise_first(errors)
+    return values, method, terms, residual, converged
+
+
+# ---------------------------------------------------------------------------
+# Observable outcomes
+
+
+def error_key(e):
+    fields = ("index", "residual_in", "residual_out")
+    return (type(e), str(e)) + tuple(getattr(e, name, None) for name in fields)
+
+
+def core_outcome(core, m, k, cfg):
+    try:
+        values, method, terms, residual, converged = core(m, k, cfg)
+    except ArithmeticError as e:
+        return error_key(e)
+    return values.tobytes(), list(method), terms.tolist(), residual.tobytes(), converged.tolist()
+
+
+def series_outcome(total, terms, term_norm, converged, errors):
+    # An entry's last term norm is reported only when no entry fails.
+    if errors:
+        first = min(errors)
+        return first, error_key(errors[first])
+    return total.tobytes(), terms.tolist(), term_norm.tobytes(), converged.tolist()
+
+
+def kernel_image_outcome(value, residual, errors):
+    return value.tobytes(), residual.tobytes(), {i: error_key(e) for i, e in errors.items()}
+
+
+def assert_same(m, k, cfg):
+    m = np.asarray(m, dtype=np.complex128)
+    assert core_outcome(trace._trace_core, m, k, cfg) == core_outcome(ref_trace_core, m, k, cfg)
+    if k == 0:
+        return
+    blocks = trace._blocks(m, k)
+    # Expansions whose tail ratio does not fall below 1 run the series route
+    # to max_terms; 2,000 terms reach the same last-term rule much sooner.
+    s_cfg = replace(cfg, max_terms=min(cfg.max_terms, 2000))
+    assert series_outcome(*trace._series(*blocks, s_cfg)) == series_outcome(
+        *ref_series(*blocks, s_cfg)
+    )
+    scale = max(float(np.max(stack_norms(m))), 1.0)
+    assert kernel_image_outcome(
+        *trace._kernel_image(*blocks, scale, cfg, True)
+    ) == kernel_image_outcome(*ref_kernel_image(*blocks, scale, cfg))
+
+
+# ---------------------------------------------------------------------------
+# Inputs
+
+CONFIGS = {
+    "default": TraceConfig(),
+    "max_terms=7": TraceConfig(max_terms=7),
+    "blowup=50": TraceConfig(blowup=50),
+    "ki_residual_tol=1e-14": TraceConfig(ki_residual_tol=1e-14),
+    "compare_tol=1e-14": TraceConfig(compare_tol=1e-14),
+}
+SIZES = (2, 3, 4, 5, 8, 13, 24, 50, 100)
+SCALES = (0.3, 0.7, 0.95, 1.0, 1.05, 1.5, 2.0)
+
+
+def loop_sizes(n):
+    return sorted({1, n // 2, n - 1, n} - {0})
+
+
+def with_norm(rng, n, scale):
+    """A square complex Gaussian matrix rescaled to operator norm ``scale``."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    return z * (scale / np.linalg.norm(z, 2))
+
+
+def unitary_loop(rng, n, k, eps):
+    """A contraction whose loop block is a unitary with eigenvalue e^{i eps},
+    so id - f_UU is singular (eps = 0) or nearly so, beside a strict
+    contraction on the body and not coupled to it."""
+    v = random_unitary(k, rng)
+    w, q = np.linalg.eig(v)
+    w[0] = np.exp(1j * eps)
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[: n - k, : n - k] = with_norm(rng, n - k, 0.8) if n > k else 0
+    m[n - k :, n - k :] = q @ np.diag(w / np.abs(w)) @ np.linalg.inv(q)
+    return m
+
+
+@pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
+@pytest.mark.parametrize("n", SIZES)
+def test_random_contractions_and_expansions_match_the_reference(n, cfg):
+    rng = np.random.default_rng(n)
+    for k in loop_sizes(n):
+        for scale in SCALES:
+            assert_same(with_norm(rng, n, scale)[None], k, cfg)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
+def test_unitary_loop_blocks_match_the_reference(cfg):
+    rng = np.random.default_rng(7)
+    for n, k in ((2, 1), (3, 2), (4, 4), (6, 3), (9, 5)):
+        for eps in (0.0, 1e-13, 1e-11, 1e-9, 1e-6, 0.5):
+            assert_same(unitary_loop(rng, n, k, eps)[None], k, cfg)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
+@pytest.mark.parametrize("n", (2, 4, 7))
+def test_mixed_stacks_match_the_reference(n, cfg):
+    # Contractions, boundary cases, expansions and resonant loops in one
+    # stack; a stack stops at its first failing entry, so each stack is
+    # also run without its failing entries.
+    rng = np.random.default_rng(100 + n)
+    for k in loop_sizes(n):
+        stack = [with_norm(rng, n, scale) for scale in rng.choice(SCALES, 40)]
+        stack += [unitary_loop(rng, n, k, eps) for eps in rng.choice([0.0, 1e-12, 1e-3], 10)]
+        stack = np.array(stack)[rng.permutation(50)]
+        assert_same(stack, k, cfg)
+        alone = [core_outcome(ref_trace_core, stack[i : i + 1], k, cfg) for i in range(50)]
+        assert_same(stack[[isinstance(out[0], bytes) for out in alone]], k, cfg)
+
+
+def test_pseudoinverse_from_one_svd_equals_numpy_pinv():
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 5, 40):
+        # singular, resonant near the 1e-10 cutoff on both sides, and generic
+        hs = [np.eye(k) - unitary_loop(rng, k, k, eps) for eps in (0.0, 1e-11, 1e-9, 0.1)]
+        hs += [np.eye(k) - with_norm(rng, k, scale) for scale in (0.5, 1.0, 2.0)]
+        hs += [np.zeros((k, k)), np.eye(k)]
+        h = np.array(hs, dtype=np.complex128)
+        assert stack_pinv(h, 1e-10).tobytes() == np.linalg.pinv(h, rcond=1e-10).tobytes()
+
+
+def resonant_mix(rng, n, k, theta):
+    """A contraction whose loop block has an eigenvalue within about
+    theta**2 of 1, coupled to the body by about theta: a unitary loop block
+    turned by a rotation of angle theta between the first body coordinate
+    and the first loop coordinate."""
+    rot = np.eye(n, dtype=np.complex128)
+    rot[np.ix_([0, n - k], [0, n - k])] = [[np.cos(theta), -np.sin(theta)],
+                                           [np.sin(theta), np.cos(theta)]]
+    return unitary_loop(rng, n, k, 0.0) @ rot
+
+
+@pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
+def test_divergent_non_finite_and_resonant_inputs_match_the_reference(cfg):
+    rng = np.random.default_rng(11)
+    # loop block [[1, 1], [0, 1]]: no witness, the t-th term is t + 1
+    jordan = np.array([[0.5, 1, 0], [1, 1, 1], [1, 0, 1]], dtype=np.complex128)
+    # f_UU = diag(1e70, 0.5): the t-th term is 0.5^t until f_BU f_UU^5 overflows
+    overflow = np.array([[0, 1, 1], [0, 1e70, 0], [1, 0, 0.5]], dtype=np.complex128)
+    assert_same(jordan[None], 2, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same(overflow[None], 2, cfg)
+    if cfg.max_terms <= 7:  # the resonant series would run to max_terms
+        for n, k in ((3, 2), (5, 3), (8, 4)):
+            for theta in (1e-7, 1e-4):
+                assert_same(resonant_mix(rng, n, k, theta)[None], k, cfg)
+
+
+def first_draw(draw, accept):
+    """The first of up to 10,000 draws that ``accept`` takes; the test is
+    skipped on a build whose rounding never produces one."""
+    for _ in range(10_000):
+        x = draw()
+        if accept(x):
+            return x
+    pytest.skip("no draw splits the Frobenius and SVD norms on this build")
+
+
+def test_bracket_margins_hold_where_rounding_splits_the_two_norms():
+    # The Frobenius and SVD norms round differently.  A rank-one sum whose
+    # SVD norm lies two ulps above its Frobenius norm blows up at a bound
+    # between them; a unitary term whose Frobenius norm rounds above
+    # sqrt(rank) times its SVD norm passes series_tol set to that SVD norm.
+    rng = np.random.default_rng(0)
+
+    def rank_one():
+        col, row = (rng.standard_normal((3, 1)) + 1j * rng.standard_normal((3, 1)) for _ in "cr")
+        return col, row.T
+
+    def split(x):
+        return float(stack_norms(x)) > np.nextafter(np.linalg.norm(x), math.inf)
+
+    col, row = first_draw(rank_one, lambda cr: split(cr[0] @ cr[1]))
+    m = np.zeros((4, 4), dtype=np.complex128)
+    m[:3, 3:], m[3:, :3] = col, row
+    bound = np.nextafter(np.linalg.norm(col @ row), math.inf)
+    assert_same(m[None], 1, TraceConfig(blowup=float(bound)))
+
+    def rounds_above(q):
+        term = q @ np.eye(3)
+        return np.linalg.norm(term) > float(stack_norms(term)) * math.sqrt(3)
+
+    q = first_draw(lambda: random_unitary(3, rng), rounds_above)
+    m = np.zeros((6, 6), dtype=np.complex128)
+    m[:3, 3:], m[3:, :3] = q, np.eye(3)
+    assert_same(m[None], 3, TraceConfig(series_tol=float(stack_norms(q @ np.eye(3)))))

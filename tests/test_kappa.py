@@ -418,6 +418,14 @@ class TestBounds:
         # ceil(2 / (0.1 * 0.5)) = 40 -> f -> 41 -> g -> 123
         assert runtime_bound(rb, 1) == 123
 
+    @pytest.mark.parametrize("c", [0, -1])
+    def test_runtime_bound_rejects_c_below_one(self, c):
+        rb = RuntimeBound(0.1, 0.25, f=lambda n: n + 1, g=lambda n: 3 * n)
+        with pytest.raises(LinalgError, match="c must be >= 1"):
+            runtime_bound(rb, c)
+        with pytest.raises(LinalgError, match="c must be >= 1"):
+            grover_runtime_bound(100, c=c)
+
     def test_epsilon_validation(self):
         with pytest.raises(LinalgError):
             RuntimeBound(0.1, 0.5, f=lambda n: n, g=lambda n: n)

@@ -11,7 +11,7 @@ import pytest
 
 from extrace import trace
 from extrace.linalg import direct_sum, random_contraction, two_block
-from extrace.lsi import FirKernel, FrequencyResponse, dtft, lsi_ex
+from extrace.lsi import FirKernel, FrequencyResponse, dtft, lsi_classify, lsi_ex
 from extrace.qwhile import (
     Delay,
     DoWhile,
@@ -188,27 +188,45 @@ def test_failing_stack_names_bad_frequency_semantics():
         semantics(DoWhile(body, 2), 16)
 
 
-def count_decompositions(monkeypatch, fn):
-    counts = {"svd": 0, "pinv": 0}
-    for name in counts:
-        original = getattr(np.linalg, name)
+def count_svds(monkeypatch, fn):
+    """SVD calls made by fn() and the matrices they decompose: (calls, entries)."""
+    counts = [0, 0]
+    original = np.linalg.svd
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+    def counted(a, *args, **kwargs):
+        counts[0] += 1
+        counts[1] += math.prod(np.shape(a)[:-2])
+        return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+    monkeypatch.setattr(np.linalg, "svd", counted)
     fn()
     monkeypatch.undo()
-    return counts
+    return tuple(counts)
 
 
 def test_decomposition_count_does_not_grow_with_grid(monkeypatch):
     program = parse_source((CORPUS / "hadamard_delay_loop.qw").read_text()).program
-    small = count_decompositions(monkeypatch, lambda: semantics(program, 64))
-    large = count_decompositions(monkeypatch, lambda: semantics(program, 1024))
-    assert small["pinv"] >= 1 and small["svd"] >= 1
+    small = count_svds(monkeypatch, lambda: semantics(program, 64))[0]
+    large = count_svds(monkeypatch, lambda: semantics(program, 1024))[0]
+    assert small >= 1
     assert small == large
+
+
+def test_nested_loop_takes_at_most_six_svds_per_loop_entry(monkeypatch):
+    # two loops traced at each of 4096 frequencies
+    program = parse_source((CORPUS / "nested_loop.qw").read_text()).program
+    entries = count_svds(monkeypatch, lambda: semantics(program, 4096))[1]
+    assert entries <= 6 * 2 * 4096
+
+
+def test_contractions_below_one_in_frobenius_norm_take_no_svd_of_the_stack(monkeypatch):
+    rng = np.random.default_rng(5)
+    taps = {t: random_contraction(4, 4, rng) / 4 for t in range(3)}
+    r = dtft(FirKernel(tuple("abcd"), tuple("abcd"), taps), 64)
+    assert np.all(np.linalg.norm(r.samples, axis=(-2, -1)) < 1)
+    for fn in (lambda: trace._trace_core(r.samples, 2, TraceConfig()), lambda: lsi_classify(r)):
+        assert all(shape[-2:] != (4, 4) for shape in svd_sizes(monkeypatch, fn))
+    assert lsi_classify(r) == "lsi_contraction"
 
 
 def svd_sizes(monkeypatch, fn):
