@@ -22,7 +22,7 @@ from .kappa import (
     grover_runtime_bound,
     grover_statevector,
 )
-from .linalg import LinalgError, PartitionedMap, matrix_to_literal
+from .linalg import LinalgError, PartitionedMap
 from .lsi import (DEFAULT_GRID, FirKernel, dtft, lsi_classify, lsi_ex,
                   response_to_csv, write_csv)
 from .qwhile import QWhileError, check, parse_source, semantics
@@ -41,9 +41,22 @@ OK, CHECK_FAILED, BAD_INPUT = 0, 1, 2
 _MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
 
 
-def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+def _emit(obj, value=None) -> None:
+    """Print obj as indent-2 JSON in one write.  A complex matrix ``value``
+    goes in as the first key, "value", with the bytes json.dumps gives its
+    rows of [re, im] pairs; one % over a template formats it, since the
+    stdlib's indenting encoder runs in pure Python."""
+    text = json.dumps(obj, indent=2)
+    if value is not None:
+        rows, cols = value.shape
+        pair = "[\n        %r,\n        %r\n      ]"
+        row = "[\n      " + ",\n      ".join([pair] * cols) + "\n    ]" if cols else "[]"
+        literal = "[\n    " + ",\n    ".join([row] * rows) + "\n  ]" if rows else "[]"
+        literal %= tuple(value.view(np.float64).ravel().tolist())
+        # %r spells non-finite floats nan, inf, -inf; no finite repr holds those letters.
+        literal = literal.replace("nan", "NaN").replace("inf", "Infinity")
+        text = '{\n  "value": ' + literal + "," + text[1:]
+    sys.stdout.write(text + "\n")
 
 
 def _fail(kind: str, message: str, **extra) -> int:
@@ -97,12 +110,12 @@ def _cmd_trace(args) -> int:
         return _fail("trace_failed", str(e))
     _emit(
         {
-            "value": matrix_to_literal(result.value),
             "method": result.method,
             "terms_used": result.terms_used,
             "residual": result.residual,
             "converged": result.converged,
-        }
+        },
+        value=result.value,
     )
     return OK if result.converged else CHECK_FAILED
 

@@ -171,7 +171,16 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig):
             done = ~bad & ~blown & (tn <= cfg.series_tol)
             with np.errstate(divide="ignore", invalid="ignore"):
                 tail = np.where(ratio < 1.0, tn * ratio / (1.0 - ratio), math.inf)
-            tail[tn == 0.0] = 0.0
+            # A zero term certifies only with the next dim - 1 terms zero too;
+            # by Cayley-Hamilton every later term is then zero.
+            zero = np.flatnonzero(done & (tn == 0.0))
+            if zero.size:
+                ahead, z_uu, z_ua = left[zero], f_uu[zero], f_ua[zero]
+                vanish = np.ones(zero.size, dtype=bool)
+                for _ in range(f_uu.shape[-1] - 1):
+                    ahead = ahead @ z_uu
+                    vanish &= ~(ahead @ z_ua).any(axis=(-2, -1))
+                tail[zero] = np.where(vanish, 0.0, math.inf)
             done &= tail <= cfg.series_tol
             for i in live[bad]:
                 errors[int(i)] = SeriesDivergence(f"non-finite entries at series term {t}")

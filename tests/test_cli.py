@@ -9,7 +9,8 @@ import pytest
 from extrace import cli, lsi
 from extrace.cli import main
 from extrace.kappa import GroverParams, grover_montecarlo, grover_statevector
-from extrace.linalg import matrix_to_literal, two_block
+from extrace.linalg import matrix_to_literal, random_contraction, two_block
+from extrace.trace import KiTraceError, ex, ex_kernel_image, ex_series
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
@@ -51,6 +52,58 @@ def test_trace_bad_file_is_usage_error(tmp_path, capsys):
     path.write_text("{not json")
     code = main(["trace", str(path)])
     assert code == 2
+
+
+TRACE_KEYS = {"method": "both_agree", "terms_used": 3, "residual": 1e-17, "converged": True}
+
+
+def stdlib_trace_report(value, keys):
+    return json.dumps({"value": matrix_to_literal(value), **keys}, indent=2) + "\n"
+
+
+def emitted(capsys, value, keys):
+    cli._emit(dict(keys), value=value)
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (5, 2), (64, 64)])
+def test_emitted_value_bytes_equal_stdlib(capsys, shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    scale = 10.0 ** rng.integers(-20, 20, size=shape)
+    value = scale * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    assert emitted(capsys, value, TRACE_KEYS) == stdlib_trace_report(value, TRACE_KEYS)
+
+
+@pytest.mark.parametrize("special", [-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf])
+def test_emitted_special_floats_equal_stdlib(capsys, special):
+    value = np.array([[1.0, 2.5], [-3.0, 0.1]], dtype=complex)
+    value.real[0, 1] = value.imag[1, 0] = special
+    assert emitted(capsys, value, TRACE_KEYS) == stdlib_trace_report(value, TRACE_KEYS)
+
+
+@pytest.mark.parametrize("n", [2, 17, 64])
+@pytest.mark.parametrize("method", ["series", "ki", "both"])
+def test_trace_stdout_bytes_equal_stdlib(tmp_path, capsys, method, n):
+    rng = np.random.default_rng(n)
+    m = 0.8 * random_contraction(n, n, rng)
+    path = write_trace_file(tmp_path, m, n // 2)
+    route = {"series": ex_series, "ki": ex_kernel_image, "both": ex}[method]
+    r = route(two_block(m, n // 2), "U")
+    keys = {"method": r.method, "terms_used": r.terms_used, "residual": r.residual,
+            "converged": r.converged}
+    assert main(["trace", "--method", method, path]) == 0
+    assert capsys.readouterr().out == stdlib_trace_report(r.value, keys)
+
+
+def test_not_ki_traceable_report_bytes_equal_stdlib(tmp_path, capsys):
+    bad = np.array([[0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 2.0]])
+    path = write_trace_file(tmp_path, bad, 2)
+    with pytest.raises(KiTraceError) as e:
+        ex_kernel_image(two_block(bad, 2), "U")
+    want = {"error": "not_ki_traceable", "message": str(e.value),
+            "residual_in": e.value.residual_in, "residual_out": e.value.residual_out}
+    assert main(["trace", "--method", "ki", path]) == 1
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
 
 
 def write_rows_with_csv_module(path, header, rows):

@@ -108,6 +108,31 @@ def test_trace_never_expands_contractions(seed, dim):
     assert operator_norm(value) <= 1.0 + 1e-7
 
 
+@st.composite
+def shifted_loop_contractions(draw):
+    """A contraction with a d-dim loop whose first d - 1 series terms are
+    exactly zero: f_UU = c S (S the upper shift), f_BU = a e_1^T and
+    f_UA = b e_d, so the only nonzero term is a b c^(d-1), term d - 1."""
+    d = draw(st.integers(2, 6))
+    m = np.zeros((d + 1, d + 1))
+    m[0, 0] = draw(st.floats(-1.0, 1.0))
+    m[0, 1] = draw(st.floats(0.5, 1.0))
+    m[d, 0] = draw(st.floats(0.5, 1.0))
+    m[1:, 1:] = draw(st.floats(0.3, 0.9)) * np.eye(d, k=1)
+    return m * (0.95 / max(operator_norm(m), 0.95)), d
+
+
+@given(shifted_loop_contractions())
+@settings(deadline=None, max_examples=40)
+def test_vanishing_leading_terms_do_not_certify(case):
+    m, d = case
+    f_ba, f_bu, f_ua, f_uu = m[:1, :1], m[:1, 1:], m[1:, :1], m[1:, 1:]
+    want = f_ba + f_bu @ np.linalg.solve(np.eye(d) - f_uu, f_ua)
+    got = ex(two_block(m, d), "U")
+    assert got.method == "both_agree"
+    assert np.abs(got.value - want).max() <= 1e-10
+
+
 @given(
     st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
     st.floats(min_value=0.0, max_value=1.0, allow_nan=False),

@@ -126,6 +126,35 @@ class TestSeries:
         assert r.converged
 
 
+# f_BU f_UA = 0 on both, so the first series term is exactly zero while
+# later ones are not.  NILPOTENT is a contraction (norm 0.9) whose loop
+# block is nilpotent; JORDAN's loop block [[1, 1], [0, 1]] has no witness
+# and its terms grow as 0, 1, 2, ...
+NILPOTENT = np.array([[0.5, 0.5, 0.0], [0.0, 0.0, 0.9], [0.5, 0.0, 0.0]])
+JORDAN = np.array([[0.5, 1.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
+
+
+class TestZeroTerms:
+    def test_zero_first_term_does_not_certify_a_contraction(self):
+        r = ex_series(two_block(NILPOTENT, 2), "U")
+        assert (r.terms_used, r.converged) == (3, True)
+        assert scalar(r) == pytest.approx(0.725, abs=1e-12)
+        r = ex(two_block(NILPOTENT, 2), "U")
+        assert (r.method, r.terms_used) == ("both_agree", 3)
+        assert scalar(r) == pytest.approx(0.725, abs=1e-12)
+
+    @pytest.mark.parametrize("route", [ex, ex_series])
+    def test_zero_first_term_does_not_hide_divergence(self, route):
+        with pytest.raises(SeriesDivergence, match="at term 1414"):
+            route(two_block(JORDAN, 2), "U")
+
+    def test_vanishing_tail_keeps_its_term_count(self):
+        # Yanking: the terms are id, 0, 0, ..., so the series stops after two.
+        r = ex_series(two_block(swap_matrix(3, 3), 3), "U")
+        assert (r.terms_used, r.converged) == (2, True)
+        assert np.array_equal(r.value, np.eye(3))
+
+
 class TestKernelImage:
     def test_agrees_with_series_on_contractions(self):
         for seed in range(60):
