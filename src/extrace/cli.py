@@ -25,7 +25,7 @@ from .kappa import (
 from .linalg import LinalgError, PartitionedMap
 from .lsi import (DEFAULT_GRID, FirKernel, dtft, lsi_classify, lsi_ex,
                   response_to_csv, write_csv)
-from .qwhile import QWhileError, check, parse_source, semantics
+from .qwhile import QWhileError, parse_source, semantics
 from .trace import (
     KiTraceError,
     SeriesDivergence,
@@ -155,9 +155,6 @@ def _cmd_qwhile(args) -> int:
         source = parse_source(text)
     except QWhileError as e:
         raise SystemExit(f"{args.file}: {e}")
-    report = check(source.program)
-    if not report.ok:
-        return _fail("ill_formed", "program failed static checks", details=report.errors)
     if args.action == "check":
         _emit({"well_formed": True, "in_ports": source.program.in_count,
                "out_ports": source.program.out_count})

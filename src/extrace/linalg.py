@@ -115,11 +115,13 @@ def classify(m: np.ndarray, tol: float = DEFAULT_TOL) -> str:
 
 
 def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Block-diagonal a (+) b of two matrices, or of two stacks with the same leading axes."""
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    out = np.zeros((a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]), dtype=np.complex128)
-    out[: a.shape[0], : a.shape[1]] = a
-    out[a.shape[0] :, a.shape[1] :] = b
+    *lead, rows, cols = a.shape
+    out = np.zeros((*lead, rows + b.shape[-2], cols + b.shape[-1]), dtype=np.complex128)
+    out[..., :rows, :cols] = a
+    out[..., rows:, cols:] = b
     return out
 
 

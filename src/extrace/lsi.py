@@ -111,6 +111,9 @@ class FrequencyResponse:
             raise LinalgError("frequency grid needs at least 2 points")
         if samples.shape[0] != grid.size:
             raise LinalgError("one sample per grid frequency required")
+        ports = (len(self.out_ports), len(self.in_ports))
+        if samples.shape[1:] != ports:
+            raise LinalgError(f"samples are {samples.shape[1:]} per frequency, ports need {ports}")
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "out_ports", tuple(self.out_ports))
@@ -148,15 +151,30 @@ def _uniform_grid(n: int) -> np.ndarray:
     return 2.0 * np.pi * np.arange(n) / n
 
 
+def _transform(taps: dict, grid: np.ndarray, shape: tuple) -> np.ndarray:
+    """sum_t taps[t] e^{-i w t} at each grid w, for taps of the given shape,
+    accumulated in the dict's order."""
+    out = np.zeros((grid.size, *shape), dtype=np.complex128)
+    for t, m in taps.items():
+        out += np.multiply.outer(np.exp(-1j * grid * t), m)
+    return out
+
+
+def _convolve_taps(a: dict, b: dict) -> dict:
+    """sum over t1 + t2 = t of a[t1] @ b[t2], looping over a then b."""
+    out: dict = {}
+    for t1, m1 in a.items():
+        for t2, m2 in b.items():
+            t = t1 + t2
+            prod = m1 @ m2
+            out[t] = out[t] + prod if t in out else prod
+    return out
+
+
 def dtft(k: FirKernel, grid_size: int = DEFAULT_GRID) -> FrequencyResponse:
     """Sample sum_t tap[t] e^{-i w t} on the uniform grid; exact finite sum."""
     grid = _uniform_grid(grid_size)
-    out, inp = k.shape
-    samples = np.zeros((grid_size, out, inp), dtype=np.complex128)
-    for t, m in k.taps.items():
-        phase = np.exp(-1j * grid * t)
-        samples += phase[:, None, None] * m[None, :, :]
-    return FrequencyResponse(grid, samples, k.out_ports, k.in_ports)
+    return FrequencyResponse(grid, _transform(k.taps, grid, k.shape), k.out_ports, k.in_ports)
 
 
 def convolve(g: FirKernel, f: FirKernel) -> FirKernel:
@@ -165,31 +183,13 @@ def convolve(g: FirKernel, f: FirKernel) -> FirKernel:
         raise LinalgError(
             f"port mismatch: g consumes {g.in_ports}, f produces {f.out_ports}"
         )
-    taps: dict = {}
-    for t1, m1 in g.taps.items():
-        for t2, m2 in f.taps.items():
-            t = t1 + t2
-            prod = m1 @ m2
-            if t in taps:
-                taps[t] = taps[t] + prod
-            else:
-                taps[t] = prod
-    return FirKernel(g.out_ports, f.in_ports, taps)
+    return FirKernel(g.out_ports, f.in_ports, _convolve_taps(g.taps, f.taps))
 
 
 def apply_kernel(k: FirKernel, s: Signal) -> Signal:
     if k.in_ports != s.ports:
         raise LinalgError(f"port mismatch: kernel takes {k.in_ports}, signal has {s.ports}")
-    out: dict = {}
-    for t1, m in k.taps.items():
-        for t2, v in s.samples.items():
-            t = t1 + t2
-            prod = m @ v
-            if t in out:
-                out[t] = out[t] + prod
-            else:
-                out[t] = prod
-    return Signal(k.out_ports, out)
+    return Signal(k.out_ports, _convolve_taps(k.taps, s.samples))
 
 
 def lsi_classify(r: FrequencyResponse, tol: float = 1e-9) -> str:
@@ -239,10 +239,7 @@ def parseval_norm(s: Signal, grid_size: int) -> float:
         raise LinalgError(
             f"grid size {grid_size} too small for support width {width}"
         )
-    grid = _uniform_grid(grid_size)
-    spectrum = np.zeros((grid_size, len(s.ports)), dtype=np.complex128)
-    for t, v in s.samples.items():
-        spectrum += np.exp(-1j * grid * t)[:, None] * v[None, :]
+    spectrum = _transform(s.samples, _uniform_grid(grid_size), (len(s.ports),))
     return float(np.sum(np.abs(spectrum) ** 2) / grid_size)
 
 

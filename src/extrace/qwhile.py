@@ -12,10 +12,11 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .linalg import LinalgError, classify, matrix_from_literal
+from .linalg import LinalgError, classify, direct_sum, matrix_from_literal
 from .lsi import DEFAULT_GRID, FrequencyResponse, _uniform_grid
 from .trace import TraceConfig, _trace_core
 
@@ -66,8 +67,8 @@ class Unitary:
 @dataclass(frozen=True)
 class Delay:
     t: int
-    in_count: int = 1
-    out_count: int = 1
+    in_count: ClassVar[int] = 1
+    out_count: ClassVar[int] = 1
 
 
 @dataclass(frozen=True)
@@ -182,67 +183,37 @@ class _Parser:
             raise ParseError(f"trailing input {tok.text!r}", tok.line, tok.col)
         return node
 
+    def _integer(self, form: str, what: str) -> tuple[int, _Token]:
+        tok = self._next(what)
+        try:
+            return int(tok.text), tok
+        except ValueError:
+            raise ParseError(f"{form} wants an integer, got {tok.text!r}", tok.line, tok.col)
+
     def parse_node(self) -> Node:
         self._expect("(")
-        head = self._next("a form head")
+        head = at = self._next("a form head")
         if head.text == "gate":
-            name = self._next("a gate name")
-            if name.text not in self.gates:
-                raise ParseError(f"unknown gate {name.text!r}", name.line, name.col)
-            matrix = self.gates[name.text]
-            if matrix.shape[0] != matrix.shape[1]:
-                raise ParseError(
-                    f"gate {name.text!r} matrix is not square", name.line, name.col
-                )
-            if classify(matrix, UNITARY_TOL) != "unitary":
-                raise ParseError(
-                    f"gate {name.text!r} matrix is not unitary at tolerance "
-                    f"{UNITARY_TOL:g}",
-                    name.line,
-                    name.col,
-                )
-            node: Node = Unitary(name.text, matrix)
+            at = self._next("a gate name")
+            if at.text not in self.gates:
+                raise ParseError(f"unknown gate {at.text!r}", at.line, at.col)
+            node: Node = Unitary(at.text, self.gates[at.text])
         elif head.text == "delay":
-            t_tok = self._next("a delay value")
-            try:
-                t = int(t_tok.text)
-            except ValueError:
-                raise ParseError(f"delay wants an integer, got {t_tok.text!r}", t_tok.line, t_tok.col)
-            if t < 0:
-                raise ParseError("delay must be nonnegative", t_tok.line, t_tok.col)
+            t, at = self._integer("delay", "a delay value")
             node = Delay(t)
         elif head.text == "seq":
-            first = self.parse_node()
-            second = self.parse_node()
-            if first.out_count != second.in_count:
-                raise ParseError(
-                    f"seq mismatch: first produces {first.out_count} ports, "
-                    f"second consumes {second.in_count}",
-                    head.line,
-                    head.col,
-                )
-            node = Seq(first, second)
+            node = Seq(self.parse_node(), self.parse_node())
         elif head.text == "par":
             node = Par(self.parse_node(), self.parse_node())
         elif head.text == "loop":
             body = self.parse_node()
-            k_tok = self._next("a feedback port count")
-            try:
-                k = int(k_tok.text)
-            except ValueError:
-                raise ParseError(f"loop wants an integer, got {k_tok.text!r}", k_tok.line, k_tok.col)
-            if k < 1:
-                raise ParseError("loop feedback count must be >= 1", k_tok.line, k_tok.col)
-            if k > min(body.in_count, body.out_count):
-                raise ParseError(
-                    f"loop feedback count {k} exceeds body ports "
-                    f"({body.in_count} in / {body.out_count} out)",
-                    k_tok.line,
-                    k_tok.col,
-                )
+            k, at = self._integer("loop", "a feedback port count")
             node = DoWhile(body, k)
         else:
             raise ParseError(f"unknown form {head.text!r}", head.line, head.col)
+        error = _node_error(node, UNITARY_TOL)
+        if error is not None:
+            raise ParseError(error, at.line, at.col)
         self._expect(")")
         return node
 
@@ -297,6 +268,33 @@ def parse_source(text: str) -> SourceFile:
 # Static checking
 
 
+def _node_error(node: Node, tol: float) -> str | None:
+    """The first static rule that node itself breaks, or None.  Only the
+    node is judged; its children count by their port counts alone."""
+    if isinstance(node, Unitary):
+        if node.matrix.shape[0] != node.matrix.shape[1]:
+            return f"gate {node.name!r} matrix is not square"
+        if classify(node.matrix, tol) != "unitary":
+            return f"gate {node.name!r} matrix is not unitary at tolerance {tol:g}"
+    elif isinstance(node, Delay):
+        if node.t < 0:
+            return "delay must be nonnegative"
+    elif isinstance(node, Seq):
+        if node.first.out_count != node.second.in_count:
+            return (f"seq mismatch (arity mismatch): first produces {node.first.out_count} "
+                    f"ports, second consumes {node.second.in_count}")
+    elif isinstance(node, DoWhile):
+        k, body = node.feedback, node.body
+        if k < 1:
+            return "loop feedback count must be >= 1"
+        if k > min(body.in_count, body.out_count):
+            return (f"loop feedback count {k} exceeds body ports "
+                    f"({body.in_count} in / {body.out_count} out)")
+    elif not isinstance(node, Par):
+        return f"unknown node {type(node).__name__}"
+    return None
+
+
 @dataclass
 class WellFormedReport:
     errors: list = field(default_factory=list)
@@ -307,39 +305,22 @@ class WellFormedReport:
 
 
 def check(p: Node, tol: float = UNITARY_TOL) -> WellFormedReport:
-    """Re-validate every invariant of an AST, reporting violations with
-    their path.  The parser enforces these already; this catches ASTs
-    built programmatically."""
+    """Validate an AST built in code by the parser's rules, reporting each
+    violation prefixed with its path.  Parsed programs have passed already."""
     report = WellFormedReport()
 
     def walk(node: Node, path: str):
-        if isinstance(node, Unitary):
-            if node.matrix.shape[0] != node.matrix.shape[1]:
-                report.errors.append(f"{path}: gate matrix not square")
-            elif classify(node.matrix, tol) != "unitary":
-                report.errors.append(f"{path}: gate {node.name!r} not unitary")
-        elif isinstance(node, Delay):
-            if node.t < 0:
-                report.errors.append(f"{path}: negative delay")
-        elif isinstance(node, Seq):
-            if node.first.out_count != node.second.in_count:
-                report.errors.append(
-                    f"{path}: seq arity mismatch "
-                    f"({node.first.out_count} -> {node.second.in_count})"
-                )
+        error = _node_error(node, tol)
+        if error is not None:
+            report.errors.append(f"{path}: {error}")
+        if isinstance(node, Seq):
             walk(node.first, path + ".seq[0]")
             walk(node.second, path + ".seq[1]")
         elif isinstance(node, Par):
             walk(node.left, path + ".par[0]")
             walk(node.right, path + ".par[1]")
         elif isinstance(node, DoWhile):
-            if node.feedback < 1 or node.feedback > min(
-                node.body.in_count, node.body.out_count
-            ):
-                report.errors.append(f"{path}: bad loop feedback count {node.feedback}")
             walk(node.body, path + ".loop")
-        else:
-            report.errors.append(f"{path}: unknown node {type(node).__name__}")
 
     walk(p, "$")
     return report
@@ -369,19 +350,11 @@ def _eval(node: Node, grid: np.ndarray, cfg: TraceConfig) -> np.ndarray:
     if isinstance(node, Seq):
         return _eval(node.second, grid, cfg) @ _eval(node.first, grid, cfg)
     if isinstance(node, Par):
-        left = _eval(node.left, grid, cfg)
-        right = _eval(node.right, grid, cfg)
-        out = np.zeros(
-            (n, left.shape[1] + right.shape[1], left.shape[2] + right.shape[2]),
-            dtype=np.complex128,
-        )
-        out[:, : left.shape[1], : left.shape[2]] = left
-        out[:, left.shape[1] :, left.shape[2] :] = right
-        return out
+        return direct_sum(_eval(node.left, grid, cfg), _eval(node.right, grid, cfg))
     if isinstance(node, DoWhile):
         try:
             return _trace_core(_eval(node.body, grid, cfg), node.feedback, cfg)[0]
-        except ArithmeticError as e:  # pragma: no cover - closure guarantees
+        except ArithmeticError as e:
             raise QWhileError(
                 f"internal error: loop sample diverged at omega={grid[e.index]:.6f}: {e}"
             ) from e

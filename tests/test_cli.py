@@ -189,6 +189,20 @@ def test_qwhile_check_only(capsys):
     assert out["well_formed"] is True
 
 
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.qw")), ids=lambda p: p.stem)
+def test_qwhile_check_corpus(capsys, path):
+    code, out = run(capsys, "qwhile", "check", str(path))
+    assert code == 0
+    assert out["well_formed"] is True
+
+
+def test_qwhile_non_unitary_gate_exits_2(tmp_path, capsys):
+    src = tmp_path / "half.qw"
+    src.write_text("gate C = [[[0.5,0],[0,0]],[[0,0],[0.5,0]]]\n(loop (gate C) 1)\n")
+    usage_error(capsys, ["qwhile", "check", str(src)], "2:13: gate 'C' matrix is not unitary")
+
+
 def test_qwhile_parse_error_exit(tmp_path, capsys):
     bad = tmp_path / "bad.qw"
     bad.write_text("(gate MISSING)\n")

@@ -80,6 +80,17 @@ def test_direct_sum_blocks():
     assert np.count_nonzero(d) == 4
 
 
+
+def test_direct_sum_keeps_stack_axes():
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(4, 2, 3)) + 1j * rng.normal(size=(4, 2, 3))
+    b = rng.normal(size=(4, 1, 2))
+    d = direct_sum(a, b)
+    assert d.shape == (4, 3, 5)
+    for i in range(4):
+        assert np.array_equal(d[i], direct_sum(a[i], b[i]))
+
+
 class TestPartition:
     def test_spans(self):
         p = Partition(("B", "U"), (2, 3))

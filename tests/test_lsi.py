@@ -279,3 +279,11 @@ def test_frequency_response_validation():
         FrequencyResponse(np.array([0.0]), np.zeros((1, 1, 1)), ("o",), ("i",))
     with pytest.raises(LinalgError):
         FrequencyResponse(np.array([0.0, 1.0]), np.zeros((3, 1, 1)), ("o",), ("i",))
+
+
+def test_frequency_response_ports_fit_samples():
+    grid = np.array([0.0, math.pi])
+    with pytest.raises(LinalgError, match="ports need"):
+        FrequencyResponse(grid, np.zeros((2, 2, 2)), ("o0", "o1"), ("i0", "i1", "i2"))
+    with pytest.raises(LinalgError, match="ports need"):
+        FrequencyResponse(grid, np.zeros((2, 1)), ("o",), ("i",))

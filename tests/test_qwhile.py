@@ -103,6 +103,45 @@ def test_check_passes_corpus():
         assert check(src.program).ok, path.name
 
 
+
+X = GATES["X"]
+H = Unitary("H", HADAMARD)
+
+
+@pytest.mark.parametrize(
+    "source,gates,line,col,ast,path,fragment",
+    [
+        ("(par (delay 0)\n  (gate R))", {"R": np.ones((1, 2))}, 2, 9,
+         Par(Delay(0), Unitary("R", np.ones((1, 2)))), "$.par[1]", "not square"),
+        ("(seq (gate H)\n     (gate C))", {"C": 0.5 * np.eye(2)}, 2, 12,
+         Seq(H, Unitary("C", 0.5 * np.eye(2))), "$.seq[1]", "not unitary"),
+        ("(loop (par (gate X)\n  (delay -2)) 1)", {}, 2, 10,
+         DoWhile(Par(Unitary("X", X), Delay(-2)), 1), "$.loop.par[1]", "nonnegative"),
+        ("(par (gate X)\n  (seq (gate H) (delay 0)))", {}, 2, 4,
+         Par(Unitary("X", X), Seq(H, Delay(0))), "$.par[1]", "arity mismatch"),
+        ("(loop (gate X) 0)", {}, 1, 16, DoWhile(Unitary("X", X), 0), "$", ">= 1"),
+        ("(par (delay 1)\n  (loop (delay 0) 2))", {}, 2, 19,
+         Par(Delay(1), DoWhile(Delay(0), 2)), "$.par[1]", "exceeds body ports"),
+    ],
+    ids=["square", "unitary", "delay", "seq", "loop_low", "loop_high"],
+)
+def test_parser_and_check_share_each_rule(source, gates, line, col, ast, path, fragment):
+    with pytest.raises(ParseError) as exc:
+        parse(source, {**GATES, **gates})
+    errors = check(ast).errors
+    assert len(errors) == 1 and errors[0].startswith(f"{path}: ")
+    message = errors[0][len(path) + 2 :]
+    assert fragment in message
+    assert (exc.value.line, exc.value.col) == (line, col)
+    assert str(exc.value) == f"{line}:{col}: {message}"
+
+
+def test_delay_ports_are_not_fields():
+    with pytest.raises(TypeError):
+        Delay(0, 2, 2)
+    assert Delay(5).in_count == Delay(5).out_count == 1
+
+
 class TestSemantics:
     def test_gate_is_constant(self):
         r = semantics(parse("(gate H)", GATES), 16)
