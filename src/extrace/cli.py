@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 import numpy as np
@@ -18,9 +17,10 @@ import numpy as np
 from . import __version__
 from .kappa import (
     GroverParams,
+    _grover_bound,
     grover_montecarlo,
-    grover_runtime_bound,
     grover_statevector,
+    runtime_bound,
 )
 from .linalg import LinalgError, PartitionedMap
 from .lsi import (DEFAULT_GRID, FirKernel, dtft, lsi_classify, lsi_ex,
@@ -203,13 +203,12 @@ def _cmd_grover(args) -> int:
 def _cmd_bound(args) -> int:
     if args.B < 1:
         raise SystemExit("B must be >= 1")
-    kappa = args.kappa if args.kappa is not None else args.B ** -0.5
-    epsilon = math.sin(3.0 * math.asin(args.B ** -0.5))  # the epsilon T_c is built with
     try:
-        t_c = grover_runtime_bound(args.B, kappa, args.c)
+        rb = _grover_bound(args.B, args.kappa)
+        t_c = runtime_bound(rb, args.c)
     except LinalgError as e:
         raise SystemExit(str(e))
-    _emit({"B": args.B, "kappa": kappa, "epsilon": epsilon, "c": args.c, "T": t_c})
+    _emit({"B": args.B, "kappa": rb.kappa, "epsilon": rb.epsilon, "c": args.c, "T": t_c})
     return OK
 
 

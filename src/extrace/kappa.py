@@ -11,7 +11,7 @@ angle in the plane spanned by the off-target and target states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -264,29 +264,18 @@ class MonteCarloSummary:
     mean: float
     n_trials: int
     censored: int
-    histogram: list  # [[bucket_lo, count], ...]
     bucket_width: int
+    histogram: list  # [[bucket_lo, count], ...]
     exact_median: int | None  # smallest t with F(t) >= 1/2, None past the horizon
     exact_mean: float  # E[T | T <= max_iterations], as the sample mean is taken
     censored_mass: float  # 1 - F(max_iterations)
 
     def to_json(self) -> dict:
-        return {
-            "median": self.median,
-            "mean": self.mean,
-            "n_trials": self.n_trials,
-            "censored": self.censored,
-            "bucket_width": self.bucket_width,
-            "histogram": self.histogram,
-            "exact_median": self.exact_median,
-            "exact_mean": self.exact_mean,
-            "censored_mass": self.censored_mass,
-        }
+        """The fields in order; unlike dataclasses.asdict, the histogram is not copied."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def grover_montecarlo(
-    p: GroverParams, n_trials: int, bucket_width: int | None = None
-) -> tuple[GroverSamples, MonteCarloSummary]:
+def grover_montecarlo(p: GroverParams, n_trials: int) -> tuple[GroverSamples, MonteCarloSummary]:
     """Sample halting times of the weakly-measured loop.
 
     The conditional angle trajectory is shared by all trials, so each
@@ -315,11 +304,9 @@ def grover_montecarlo(
     median = float(np.median(done)) if done.size else math.nan
     mean = float(np.mean(done)) if done.size else math.nan
 
-    if bucket_width is None:
-        # A few dozen buckets per oscillation period of the halting
-        # probability, so the periodic peaks stay visible.
-        period = math.pi / (2.0 * p.alpha)
-        bucket_width = max(1, int(round(period / 24.0)))
+    # 24 buckets per oscillation period pi / (2 alpha) of the halting
+    # probability, so its periodic peaks stay visible.
+    bucket_width = max(1, int(round(math.pi / (2.0 * p.alpha) / 24.0)))
     lo, counts = np.unique((done - 1) // bucket_width * bucket_width + 1, return_counts=True)
     histogram = np.column_stack([lo, counts]).tolist()
 
@@ -330,8 +317,8 @@ def grover_montecarlo(
         mean,
         n_trials,
         int(censored.sum()),
-        histogram,
         bucket_width,
+        histogram,
         exact_median=half + 1 if half < cdf.size else None,
         exact_mean=float(np.dot(np.arange(1, cdf.size + 1), pmf) / cdf[-1]),
         censored_mass=float(survival[-1]),
@@ -380,12 +367,20 @@ def runtime_bound(rb: RuntimeBound, c: int = 1) -> int:
     return rb.g(rb.f(n))
 
 
+def _grover_epsilon(B_size: int) -> float:
+    """epsilon = sin 3 alpha, sin alpha = B^-1/2: the robustness gap."""
+    return math.sin(3.0 * math.asin(B_size ** -0.5))
+
+
+def _grover_bound(B_size: int, kappa: float | None = None) -> RuntimeBound:
+    """The Grover loop's RuntimeBound: kappa defaults to B^-1/2, epsilon is
+    sin 3 alpha, f is guarantee_f at B and g is robustness_g."""
+    return RuntimeBound(B_size ** -0.5 if kappa is None else kappa, _grover_epsilon(B_size),
+                        lambda n: guarantee_f(n, B_size), robustness_g)
+
+
 def grover_runtime_bound(B_size: int, kappa: float | None = None, c: int = 1) -> int:
-    if kappa is None:
-        kappa = B_size ** -0.5
-    alpha = math.asin(B_size ** -0.5)
-    rb = RuntimeBound(kappa, math.sin(3.0 * alpha), lambda n: guarantee_f(n, B_size), robustness_g)
-    return runtime_bound(rb, c)
+    return runtime_bound(_grover_bound(B_size, kappa), c)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +420,9 @@ def verify_guarantee(p: GroverParams, n_max: int = 50) -> GuaranteeReport:
             )
 
     # Robustness: for every n there is m <= g(n) with success
-    # probabilities within epsilon = sin(3 alpha).
-    eps = math.sin(3.0 * alpha)
+    # probabilities within epsilon = sin(3 alpha).  For 2 <= B <= 33 epsilon
+    # is at least 1/2, which RuntimeBound rejects, so it is taken bare.
+    eps = _grover_epsilon(p.B_size)
     measured = grover_recurrence(p, robustness_g(n_max))
     p_meas = np.sin(measured) ** 2
     p_unmeas = np.sin(unmeasured) ** 2

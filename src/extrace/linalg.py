@@ -30,7 +30,7 @@ __all__ = [
     "swap_matrix",
 ]
 
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = 1e-9  # the one contraction / isometry / unitarity tolerance of the engine
 
 
 class LinalgError(ValueError):

@@ -15,7 +15,8 @@ from itertools import chain
 
 import numpy as np
 
-from .linalg import LinalgError, as_matrix, bracket_norms, matrix_from_literal, matrix_to_literal
+from .linalg import (DEFAULT_TOL, LinalgError, as_matrix, bracket_norms, matrix_from_literal,
+                     matrix_to_literal)
 from .trace import TraceConfig, _trace_core
 
 __all__ = [
@@ -34,6 +35,7 @@ __all__ = [
 
 DEFAULT_GRID = 256
 CSV_CHUNK_ROWS = 1 << 12  # rows per write: at most about 0.3 MiB of CSV text at once
+TAP_MASS_TOL = 1e-9  # kernel_from_response drops taps of at most this largest |entry|
 
 
 @dataclass(frozen=True)
@@ -192,16 +194,18 @@ def apply_kernel(k: FirKernel, s: Signal) -> Signal:
     return Signal(k.out_ports, _convolve_taps(k.taps, s.samples))
 
 
-def lsi_classify(r: FrequencyResponse, tol: float = 1e-9) -> str:
-    """'lsi_contraction' when every grid sample is a contraction.
+def lsi_classify(r: FrequencyResponse) -> str:
+    """'lsi_contraction' when every grid sample has norm at most
+    1 + DEFAULT_TOL, else 'not_certified'.
 
-    Per-frequency contraction is sufficient for the time-domain map to be
-    one; necessity is only conjectured, hence 'not_certified' rather than
-    a negative verdict.
+    The l2 norm of the time-domain map is the maximum over omega of its
+    symbol's norm (Laurent/Toeplitz symbol theorem), so a sample above the
+    tolerance proves the map is not a contraction.  Samples within it do
+    not prove one: the symbol may peak between grid points (taps 0.53 at
+    t = 0 and 0.53 e^{i pi/4} at t = 1 pass at grid 4 and peak at 1.06).
     """
-    if tol <= 0:
-        raise LinalgError("tol must be positive")
-    if np.any(bracket_norms(r.samples, 1.0 + tol, 1.0 + tol) > 1.0 + tol):
+    limit = 1.0 + DEFAULT_TOL
+    if np.any(bracket_norms(r.samples, limit, limit) > limit):
         return "not_certified"
     return "lsi_contraction"
 
@@ -216,9 +220,13 @@ def lsi_ex(
     if r.out_ports[-loop_ports:] != r.in_ports[-loop_ports:]:
         raise LinalgError("trailing loop ports differ between input and output")
     try:
-        values = _trace_core(r.samples, loop_ports, cfg)[0]
+        values, _, _, residual, converged = _trace_core(r.samples, loop_ports, cfg)
     except ArithmeticError as e:
         raise ArithmeticError(f"loop trace failed at omega={r.grid[e.index]:.6f}: {e}") from e
+    if not converged.all():
+        i = int(np.argmin(converged))
+        raise ArithmeticError(f"loop trace failed at omega={r.grid[i]:.6f}: series did not "
+                              f"converge in {cfg.max_terms} terms (last term {residual[i]:.3e})")
     return FrequencyResponse(
         r.grid,
         values,
@@ -243,9 +251,7 @@ def parseval_norm(s: Signal, grid_size: int) -> float:
     return float(np.sum(np.abs(spectrum) ** 2) / grid_size)
 
 
-def kernel_from_response(
-    r: FrequencyResponse, alias_tol: float = 1e-9
-) -> FirKernel:
+def kernel_from_response(r: FrequencyResponse) -> FirKernel:
     """Truncated reconstruction: inverse DFT of the grid samples, taps on
     t in [-N/2, N/2).  Warns when boundary taps carry mass, the telltale
     of a response that did not come from a kernel of support < N."""
@@ -259,12 +265,12 @@ def kernel_from_response(
         t = idx if idx < n - half else idx - n
         m = taps_dft[idx]
         mass = float(np.abs(m).max()) if m.size else 0.0
-        if mass <= alias_tol:
+        if mass <= TAP_MASS_TOL:
             continue
         taps[t] = m
         if abs(t) >= half - 1:
             boundary_mass = max(boundary_mass, mass)
-    if boundary_mass > alias_tol:
+    if boundary_mass > TAP_MASS_TOL:
         warnings.warn(
             "reconstructed taps reach the grid boundary; the response "
             "likely aliases a kernel of support >= grid size",

@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .linalg import LinalgError, classify, direct_sum, matrix_from_literal
+from .linalg import DEFAULT_TOL, LinalgError, classify, direct_sum, matrix_from_literal
 from .lsi import DEFAULT_GRID, FrequencyResponse, _uniform_grid
 from .trace import TraceConfig, _trace_core
 
@@ -35,8 +35,6 @@ __all__ = [
     "parse_source",
     "semantics",
 ]
-
-UNITARY_TOL = 1e-9
 
 
 class QWhileError(ValueError):
@@ -211,7 +209,7 @@ class _Parser:
             node = DoWhile(body, k)
         else:
             raise ParseError(f"unknown form {head.text!r}", head.line, head.col)
-        error = _node_error(node, UNITARY_TOL)
+        error = _node_error(node)
         if error is not None:
             raise ParseError(error, at.line, at.col)
         self._expect(")")
@@ -268,14 +266,14 @@ def parse_source(text: str) -> SourceFile:
 # Static checking
 
 
-def _node_error(node: Node, tol: float) -> str | None:
+def _node_error(node: Node) -> str | None:
     """The first static rule that node itself breaks, or None.  Only the
     node is judged; its children count by their port counts alone."""
     if isinstance(node, Unitary):
         if node.matrix.shape[0] != node.matrix.shape[1]:
             return f"gate {node.name!r} matrix is not square"
-        if classify(node.matrix, tol) != "unitary":
-            return f"gate {node.name!r} matrix is not unitary at tolerance {tol:g}"
+        if classify(node.matrix) != "unitary":
+            return f"gate {node.name!r} matrix is not unitary at tolerance {DEFAULT_TOL:g}"
     elif isinstance(node, Delay):
         if node.t < 0:
             return "delay must be nonnegative"
@@ -304,13 +302,13 @@ class WellFormedReport:
         return not self.errors
 
 
-def check(p: Node, tol: float = UNITARY_TOL) -> WellFormedReport:
+def check(p: Node) -> WellFormedReport:
     """Validate an AST built in code by the parser's rules, reporting each
     violation prefixed with its path.  Parsed programs have passed already."""
     report = WellFormedReport()
 
     def walk(node: Node, path: str):
-        error = _node_error(node, tol)
+        error = _node_error(node)
         if error is not None:
             report.errors.append(f"{path}: {error}")
         if isinstance(node, Seq):

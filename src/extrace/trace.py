@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
+    DEFAULT_TOL,
     LinalgError,
     PartitionedMap,
     adjoint,
@@ -43,6 +44,10 @@ __all__ = [
     "halmos_dilation",
 ]
 
+CNU_TOL = 1e-8  # cnu_decompose: contraction test and unitary subspace 1 - s^2 <= CNU_TOL
+CNU_CHECK_TOL = 1e-7  # cnu_decompose: off-diagonal mass and unitarity of the split
+AXIOM_MAX_DIM = 4  # check_trace_axioms draws every block dimension from 1..AXIOM_MAX_DIM
+
 
 class SeriesDivergence(ArithmeticError):
     """The path series does not converge in norm."""
@@ -63,7 +68,6 @@ class TraceConfig:
     max_terms: int = 100_000
     ki_residual_tol: float = 1e-8
     compare_tol: float = 1e-8
-    classify_tol: float = 1e-9
     blowup: float = 1e6
 
     def __post_init__(self):
@@ -252,7 +256,7 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig):
         return f_ba.copy(), method, terms, np.zeros(n), converged
 
     norm = bracket_norms(m, 1.0, math.inf)  # below 1, scale is exactly 1
-    contraction = norm <= 1.0 + cfg.classify_tol
+    contraction = norm <= 1.0 + DEFAULT_TOL
     values, residual, ki_errors = _kernel_image(
         f_ba, f_bu, f_ua, f_uu, np.maximum(norm, 1.0), cfg, ~contraction
     )
@@ -332,7 +336,7 @@ def ex(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig()) -> 
 # Structure theorems
 
 
-def halmos_dilation(f: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def halmos_dilation(f: np.ndarray) -> np.ndarray:
     """Embed a contraction f: A -> B into the unitary
     [[-f^H, D_f], [D_{f^H}, f]] on B (+) A.
 
@@ -342,7 +346,7 @@ def halmos_dilation(f: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     count, so f D_f = D_{f^H} f holds by construction."""
     f = np.asarray(f, dtype=np.complex128)
     u, s, vh = np.linalg.svd(f)
-    if (s[0] if s.size else 0.0) > 1.0 + tol:
+    if (s[0] if s.size else 0.0) > 1.0 + DEFAULT_TOL:
         raise LinalgError("halmos_dilation requires a contraction")
 
     def defect(w: np.ndarray) -> np.ndarray:
@@ -354,7 +358,7 @@ def halmos_dilation(f: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     return np.vstack([top, bot])
 
 
-def cnu_decompose(f: np.ndarray, tol: float = 1e-8) -> CnuDecomposition:
+def cnu_decompose(f: np.ndarray) -> CnuDecomposition:
     """Split a square contraction into its unitary part and its
     completely nonunitary part.
 
@@ -365,18 +369,18 @@ def cnu_decompose(f: np.ndarray, tol: float = 1e-8) -> CnuDecomposition:
     they reach 0: if K_{m+1} = K_m, then f maps K_m isometrically into
     itself, which makes it a unitary piece that reduces f, and H_c has
     none.  So n powers suffice.  One full SVD of f^n gives H_u as the
-    right singular vectors with 1 - s^2 <= tol; the singular values come
+    right singular vectors with 1 - s^2 <= CNU_TOL; the singular values come
     in descending order, so H_u leads and H_c spans the rest.
     """
     f = np.asarray(f, dtype=np.complex128)
     n = f.shape[0]
     if f.shape[0] != f.shape[1]:
         raise LinalgError("cnu_decompose requires a square matrix")
-    if operator_norm(f) > 1.0 + tol:
+    if operator_norm(f) > 1.0 + CNU_TOL:
         raise LinalgError("cnu_decompose requires a contraction")
 
     _, s, vh = np.linalg.svd(np.linalg.matrix_power(f, n))
-    k = int(np.count_nonzero(1.0 - s**2 <= tol))
+    k = int(np.count_nonzero(1.0 - s**2 <= CNU_TOL))
     # With no unitary part the standard basis is kept, so f1 is f exactly.
     basis_change = adjoint(vh) if k else np.eye(n, dtype=np.complex128)
 
@@ -384,12 +388,12 @@ def cnu_decompose(f: np.ndarray, tol: float = 1e-8) -> CnuDecomposition:
     f0 = conj[:k, :k]
     f1 = conj[k:, k:]
     off = max(operator_norm(conj[:k, k:]), operator_norm(conj[k:, :k])) if 0 < k < n else 0.0
-    if off > max(tol, 1e-7):
+    if off > CNU_CHECK_TOL:
         raise LinalgError(
             f"block off-diagonal mass {off:.3e} after basis change; "
             "numerical failure in the unitary/CNU split"
         )
-    if k and classify(f0, max(tol, 1e-7)) != "unitary":
+    if k and classify(f0, CNU_CHECK_TOL) != "unitary":
         raise LinalgError("recovered unitary part failed the unitarity check")
     if f1.shape[0]:
         tail = operator_norm(np.linalg.matrix_power(f1, f1.shape[0]))
@@ -449,25 +453,25 @@ _AXIOMS = (
 )
 
 
-def _draw_case(case: int, rng: np.random.Generator, max_dim: int):
+def _draw_case(case: int, rng: np.random.Generator):
     """Draw one case in the checker's fixed order.  Returns its context, loop
     size u, traces {(ctx, name): (matrix, loop size)} and a function from
     all traced values (with vanishing II's nested one) to each law's lhs - rhs."""
-    a, b, u = (int(rng.integers(1, max_dim + 1)) for _ in range(3))
+    a, b, u = (int(rng.integers(1, AXIOM_MAX_DIM + 1)) for _ in range(3))
     ctx = f"case {case} (a={a}, b={b}, u={u})"
     f = random_contraction(b + u, a + u, rng)
     g = random_contraction(a, a, rng)
     h = random_contraction(b, b, rng)
-    a2, b2 = (int(rng.integers(1, max_dim + 1)) for _ in range(2))
+    a2, b2 = (int(rng.integers(1, AXIOM_MAX_DIM + 1)) for _ in range(2))
     g2 = random_contraction(a, a2, rng)
     h2 = random_contraction(b2, b, rng)
-    u2 = int(rng.integers(1, max_dim + 1))
+    u2 = int(rng.integers(1, AXIOM_MAX_DIM + 1))
     fd = random_contraction(b + u2, a + u, rng)
     gd = random_contraction(u, u2, rng)
-    c, d = (int(rng.integers(1, max_dim + 1)) for _ in range(2))
+    c, d = (int(rng.integers(1, AXIOM_MAX_DIM + 1)) for _ in range(2))
     gs = random_contraction(d, c, rng)
     fv = random_contraction(b, a, rng)
-    v = int(rng.integers(1, max_dim + 1))
+    v = int(rng.integers(1, AXIOM_MAX_DIM + 1))
     fw = random_contraction(b + u + v, a + u + v, rng)
     traces = {
         # ex(f) is shared by both naturality laws and superposing.
@@ -522,12 +526,7 @@ def _trace_grouped(jobs: dict, cfg: TraceConfig) -> dict:
     return values
 
 
-def check_trace_axioms(
-    seed: int,
-    n_cases: int,
-    cfg: TraceConfig = TraceConfig(),
-    max_dim: int = 4,
-) -> AxiomReport:
+def check_trace_axioms(seed: int, n_cases: int, cfg: TraceConfig = TraceConfig()) -> AxiomReport:
     """Sample random contraction instances per axiom and assert the
     Kleene-equality form at cfg.compare_tol.  Every case is drawn first;
     the traces then run batched by matrix shape and loop size.  Law failures
@@ -537,7 +536,7 @@ def check_trace_axioms(
     if n_cases < 0:
         raise LinalgError("n_cases must be >= 0")
     streams = np.random.SeedSequence(seed).spawn(n_cases)
-    cases = [_draw_case(i, np.random.default_rng(ss), max_dim) for i, ss in enumerate(streams)]
+    cases = [_draw_case(i, np.random.default_rng(ss)) for i, ss in enumerate(streams)]
     t = _trace_grouped({key: job for _, _, jobs, _ in cases for key, job in jobs.items()}, cfg)
     nested = {(ctx, "vanishing_ii"): (t[ctx, "vanishing_ii (inner)"], u) for ctx, u, _, _ in cases}
     t.update(_trace_grouped(nested, cfg))

@@ -438,6 +438,32 @@ def test_lsi_loop_out_of_range_is_usage_error(tmp_path, capsys, loop):
                 f"cannot loop {loop} ports on shape (2, 2)")
 
 
+# f_UU = diag(1, 2): no witness, and the series grows like 2^n.
+DIVERGENT = [[0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 2.0]]
+
+
+@pytest.mark.parametrize(
+    "tap,loop,fragment",
+    [
+        (DIVERGENT, "2", "partial sum exceeded"),
+        # f_UU = 1 and no witness: the partial sums grow by 1 a term and stop
+        # unconverged at max_terms, below the blow-up bound.
+        ([[0.0, 1.0], [1.0, 1.0]], "1", "series did not converge in 100000 terms"),
+    ],
+    ids=["divergent", "unconverged"],
+)
+def test_lsi_loop_trace_failure_is_a_report(tmp_path, capsys, tap, loop, fragment):
+    ports = ["a", "b", "c"][: len(tap)]
+    kernel = {"in_ports": ports, "out_ports": ports, "taps": {"0": matrix_to_literal(tap)}}
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(kernel))
+    code, out = run(capsys, "lsi", str(path), "--grid", "2", "--loop", loop)
+    assert code == 1
+    assert out["error"] == "loop_trace_failed"
+    assert out["message"].startswith("loop trace failed at omega=0.000000: ")
+    assert fragment in out["message"]
+
+
 @pytest.mark.parametrize(
     "taps,fragment",
     [

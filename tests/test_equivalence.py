@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from extrace import trace
-from extrace.linalg import random_unitary, stack_norms, stack_pinv
+from extrace.linalg import DEFAULT_TOL, random_unitary, stack_norms, stack_pinv
 from extrace.trace import KiTraceError, SeriesDivergence, TraceConfig
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def ref_trace_core(m, k, cfg):
     if k == 0:
         return f_ba.copy(), method, terms, np.zeros(n), converged
     norm = stack_norms(m)
-    contraction = norm <= 1.0 + cfg.classify_tol
+    contraction = norm <= 1.0 + DEFAULT_TOL
     values, residual, ki_errors = ref_kernel_image(
         f_ba, f_bu, f_ua, f_uu, np.maximum(norm, 1.0), cfg
     )

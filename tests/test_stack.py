@@ -158,8 +158,16 @@ def test_mixed_stack_gives_each_sample_its_scalar_route():
     scalar = [ex(two_block(m, 1), "U", cfg) for m in samples]
     assert {s.method for s in scalar} == {"both_agree", "kernel_image", "series"}
     assert not all(s.converged for s in scalar)
-    traced = lsi_ex(response(samples), 1, cfg)
-    for got, want in zip(traced.samples, scalar):
+    # A stack holding an unconverged sample raises, naming that sample's omega.
+    for stack in (samples, samples[1:]):
+        r = response(stack)
+        bad = min(i for i, m in enumerate(stack) if m is UNCONVERGED_EXPANSION)
+        with pytest.raises(ArithmeticError, match=f"omega={r.grid[bad]:.6f}: series did not"):
+            lsi_ex(r, 1, cfg)
+    kept = [(m, s) for m, s in zip(samples, scalar) if s.converged]
+    assert {s.method for _, s in kept} == {"both_agree", "kernel_image", "series"}
+    traced = lsi_ex(response([m for m, _ in kept]), 1, cfg)
+    for got, (_, want) in zip(traced.samples, kept):
         assert np.array_equal(got, want.value)
 
 
