@@ -65,6 +65,11 @@ def stack_norms(m: np.ndarray) -> np.ndarray:
     return np.max(np.linalg.svd(m, compute_uv=False), axis=-1)
 
 
+def fro_norms(m: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix in a stack: np.linalg.norm's formula, without its checks."""
+    return np.sqrt(np.add.reduce((m.conj() * m).real, axis=(-2, -1)))
+
+
 def stack_pinv(m: np.ndarray, rcond: float) -> np.ndarray:
     """Pseudoinverse of each matrix in a stack from one SVD, built as
     np.linalg.pinv builds it, so the two agree bit for bit: singular values
@@ -84,7 +89,7 @@ def bracket_norms(m: np.ndarray, lo, hi, fro=None) -> np.ndarray:
     exact norm.  ``lo`` = 0 or ``hi`` = inf keeps that side exact.  ``fro``
     passes Frobenius norms already taken."""
     if fro is None:
-        fro = np.linalg.norm(m, axis=(-2, -1))
+        fro = fro_norms(m)
     above = np.isfinite(fro) & (fro > hi * math.sqrt(min(m.shape[-2:])) * (1 + 1e-9))
     exact = ~(above | (fro < lo * (1 - 1e-9)))
     norm = np.where(above, math.inf, fro)
@@ -263,15 +268,38 @@ def random_isometry(rows: int, cols: int, seed) -> np.ndarray:
 
 def random_contraction(rows: int, cols: int, seed) -> np.ndarray:
     """Gaussian matrix rescaled to a uniformly drawn operator norm in [0, 1]."""
+    draws = []
+    z = draw_contraction(rows, cols, seed, draws)
+    rescale_draws(draws)
+    return z
+
+
+def draw_contraction(rows: int, cols: int, seed, draws: list) -> np.ndarray:
+    """random_contraction's Gaussian matrix, drawn in its order and put on
+    ``draws`` with its target norm, for rescale_draws to rescale in place."""
     if rows < 1 or cols < 1:
         raise LinalgError("dimensions must be >= 1")
     rng = _rng(seed)
     z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-    target = rng.uniform(0.0, 1.0)
-    norm = operator_norm(z)
-    if norm == 0.0:
-        return z
-    return z * (target / norm)
+    draws.append((z, rng.uniform(0.0, 1.0)))
+    return z
+
+
+def rescale_draws(draws: list) -> None:
+    """Rescale each drawn matrix to its target norm by one SVD per shape; a zero matrix stays."""
+    for (z, target), norm in zip(draws, grouped_norms([z for z, _ in draws])):
+        if norm != 0.0:
+            z *= target / norm
+
+
+def grouped_norms(mats) -> list:
+    """Operator norm of each matrix in a list of mixed shapes, by one stacked SVD per shape."""
+    groups, norms = {}, np.empty(len(mats))
+    for i, m in enumerate(mats):
+        groups.setdefault(m.shape, []).append(i)
+    for idx in groups.values():
+        norms[idx] = stack_norms(np.stack([mats[i] for i in idx]))
+    return norms.tolist()
 
 
 def _rng(seed) -> np.random.Generator:

@@ -210,6 +210,23 @@ def lsi_classify(r: FrequencyResponse) -> str:
     return "lsi_contraction"
 
 
+def _loop_values(samples, loop_ports, grid, cfg: TraceConfig, error=ArithmeticError,
+                 failed="loop trace failed") -> np.ndarray:
+    """Trace out the trailing loop_ports ports of every grid sample.  Raises
+    ``error`` at the first sample whose trace fails, its message led by
+    ``failed``, or whose series did not converge, rather than pass its
+    partial sum off as a value."""
+    try:
+        values, _, _, residual, converged = _trace_core(samples, loop_ports, cfg)
+    except ArithmeticError as e:
+        raise error(f"{failed} at omega={grid[e.index]:.6f}: {e}") from e
+    if not converged.all():
+        i = int(np.argmin(converged))
+        raise error(f"loop trace failed at omega={grid[i]:.6f}: series did not "
+                    f"converge in {cfg.max_terms} terms (last term {residual[i]:.3e})")
+    return values
+
+
 def lsi_ex(
     r: FrequencyResponse, loop_ports: int, cfg: TraceConfig = TraceConfig()
 ) -> FrequencyResponse:
@@ -219,17 +236,9 @@ def lsi_ex(
         raise LinalgError(f"cannot loop {loop_ports} ports on shape {(n_out, n_in)}")
     if r.out_ports[-loop_ports:] != r.in_ports[-loop_ports:]:
         raise LinalgError("trailing loop ports differ between input and output")
-    try:
-        values, _, _, residual, converged = _trace_core(r.samples, loop_ports, cfg)
-    except ArithmeticError as e:
-        raise ArithmeticError(f"loop trace failed at omega={r.grid[e.index]:.6f}: {e}") from e
-    if not converged.all():
-        i = int(np.argmin(converged))
-        raise ArithmeticError(f"loop trace failed at omega={r.grid[i]:.6f}: series did not "
-                              f"converge in {cfg.max_terms} terms (last term {residual[i]:.3e})")
     return FrequencyResponse(
         r.grid,
-        values,
+        _loop_values(r.samples, loop_ports, r.grid, cfg),
         r.out_ports[:-loop_ports],
         r.in_ports[:-loop_ports],
     )

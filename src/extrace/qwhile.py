@@ -17,8 +17,8 @@ from typing import ClassVar
 import numpy as np
 
 from .linalg import DEFAULT_TOL, LinalgError, classify, direct_sum, matrix_from_literal
-from .lsi import DEFAULT_GRID, FrequencyResponse, _uniform_grid
-from .trace import TraceConfig, _trace_core
+from .lsi import DEFAULT_GRID, FrequencyResponse, _loop_values, _uniform_grid
+from .trace import TraceConfig
 
 __all__ = [
     "Delay",
@@ -350,10 +350,6 @@ def _eval(node: Node, grid: np.ndarray, cfg: TraceConfig) -> np.ndarray:
     if isinstance(node, Par):
         return direct_sum(_eval(node.left, grid, cfg), _eval(node.right, grid, cfg))
     if isinstance(node, DoWhile):
-        try:
-            return _trace_core(_eval(node.body, grid, cfg), node.feedback, cfg)[0]
-        except ArithmeticError as e:
-            raise QWhileError(
-                f"internal error: loop sample diverged at omega={grid[e.index]:.6f}: {e}"
-            ) from e
+        return _loop_values(_eval(node.body, grid, cfg), node.feedback, grid, cfg,
+                            QWhileError, "internal error: loop sample diverged")
     raise QWhileError(f"cannot evaluate node {type(node).__name__}")

@@ -22,8 +22,11 @@ from .linalg import (
     bracket_norms,
     classify,
     direct_sum,
+    draw_contraction,
+    fro_norms,
+    grouped_norms,
     operator_norm,
-    random_contraction,
+    rescale_draws,
     stack_norms,
     stack_pinv,
     swap_matrix,
@@ -132,14 +135,18 @@ def _tail_ratio(f_uu: np.ndarray) -> np.ndarray:
     return stack_norms(probe @ probe) ** (1.0 / (2 * dim))
 
 
-def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig):
+def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
     """Partial sums of f_BA + sum_n f_BU f_UU^n f_UA for every stack entry
     at once.  An entry retires on its own stopping rule (a term below
     series_tol with a geometric tail certificate), on blow-up or on a
-    non-finite term; the rest run on, up to max_terms.  SVD norms are taken
-    for the last term, for terms whose Frobenius bracket leaves the
-    certificate open, and for partial sums whose bound ||f_BA||_F + sum of
-    the terms' ||.||_F nears blowup and whose bracket is open.  Returns the
+    non-finite term; the rest run on, up to max_terms.  A term is quiet when
+    it is not the last and every live entry's ||term||_F is finite, above
+    reach * sqrt(rank) * (1 + 1e-9) and keeps the bound ||f_BA||_F + sum of
+    the terms' ||.||_F below blowup * (1 - 1e-9): it can neither certify nor
+    blow up, so it only adds to the sums.  Other terms take SVD norms where
+    the Frobenius bracket leaves the certificate or the blow-up open, but an
+    entry ``exact`` does not mark, whose last term norm goes unreported,
+    takes ||term||_F as its norm where that alone certifies.  Returns the
     sums, terms, last term norms, convergence flags and errors by entry."""
     n = f_ba.shape[0]
     total = f_ba.copy()
@@ -149,26 +156,34 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig):
     errors = {}
     live = np.arange(n)  # entries still summing; acc holds their sums
     acc = f_ba.copy()
-    bound = np.linalg.norm(f_ba, axis=(-2, -1))
+    bound = fro_norms(f_ba)
     ratio = _tail_ratio(f_uu)
     # A term can pass the certificate only if its norm is at most this.
     with np.errstate(divide="ignore", invalid="ignore"):
         reach = cfg.series_tol * np.where(ratio < 1.0, np.minimum(1.0, (1.0 - ratio) / ratio), 0.0)
+    quiet = reach * math.sqrt(min(f_ba.shape[1:])) * (1 + 1e-9)  # above it, surely out of reach
+    lo = np.where(exact, 0.0, reach)  # 0 keeps an entry's term norms exact
+    cap = cfg.blowup * (1 - 1e-9)
     left = f_bu  # f_BU f_UU^t on the live entries
     for t in range(cfg.max_terms):
         if live.size == 0:
             break
         term = left @ f_ua
-        fro = np.linalg.norm(term, axis=(-2, -1))
+        fro = fro_norms(term)
+        bound += fro
+        last = t == cfg.max_terms - 1
+        # bound >= fro, so bound < cap also keeps fro finite.
+        if not last and ((fro > quiet) & (bound < cap)).all():
+            acc += term
+            left = left @ f_uu
+            continue
         bad = ~np.isfinite(fro)
         if bad.any():
             bad[bad] = ~np.isfinite(term[bad]).all(axis=(-2, -1))
             term[bad] = 0.0
         acc += term
-        bound += fro
-        last = t == cfg.max_terms - 1
-        tn = bracket_norms(term, 0.0, math.inf if last else reach, fro)
-        blown = ~bad & ~(bound < cfg.blowup * (1 - 1e-9))
+        tn = bracket_norms(term, lo, math.inf if last else reach, fro)
+        blown = ~bad & ~(bound < cap)
         if blown.any():
             blown[blown] = bracket_norms(acc[blown], cfg.blowup, cfg.blowup) > cfg.blowup
         if last or (bad | blown | (tn <= cfg.series_tol)).any():
@@ -198,8 +213,11 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig):
             out = live[stop]
             total[out], terms[out], term_norm[out] = acc[stop], t + 1, tn[stop]
             stay = ~stop
+            if not stay.any():
+                break
             live, acc, bound, ratio = live[stay], acc[stay], bound[stay], ratio[stay]
-            reach, left, f_ua, f_uu = reach[stay], left[stay], f_ua[stay], f_uu[stay]
+            reach, quiet, lo = reach[stay], quiet[stay], lo[stay]
+            left, f_ua, f_uu = left[stay], f_ua[stay], f_uu[stay]
         left = left @ f_uu
     return total, terms, term_norm, converged, errors
 
@@ -263,19 +281,18 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig):
     # A contraction must pass both routes; any other entry whose closed
     # form fails takes the series value instead.
     errors = {i: e for i, e in ki_errors.items() if contraction[i]}
-    fallback = np.isin(np.arange(n), list(ki_errors)) & ~contraction
     method[~contraction] = "kernel_image"
-    method[fallback] = "series"
-    idx = np.flatnonzero(contraction | fallback)
+    method[[i for i in ki_errors if not contraction[i]]] = "series"
+    idx = np.flatnonzero(method != "kernel_image")
     if idx.size == 0:  # every entry took the closed form alone
         return values, method, terms, residual, converged
+    alone = ~contraction[idx]
     s_value, s_terms, s_norm, s_converged, s_errors = _series(
-        f_ba[idx], f_bu[idx], f_ua[idx], f_uu[idx], cfg
+        f_ba[idx], f_bu[idx], f_ua[idx], f_uu[idx], cfg, alone
     )
     for j, e in s_errors.items():
         errors.setdefault(int(idx[j]), e)
     terms[idx] = s_terms
-    alone = ~contraction[idx]
     values[idx[alone]] = s_value[alone]
     residual[idx[alone]] = s_norm[alone]
     converged[idx[alone]] = s_converged[alone]
@@ -453,45 +470,49 @@ _AXIOMS = (
 )
 
 
-def _draw_case(case: int, rng: np.random.Generator):
-    """Draw one case in the checker's fixed order.  Returns its context, loop
-    size u, traces {(ctx, name): (matrix, loop size)} and a function from
-    all traced values (with vanishing II's nested one) to each law's lhs - rhs."""
+def _draw_case(case: int, rng: np.random.Generator, draws: list):
+    """Draw one case in the checker's fixed order, its contractions going
+    on ``draws`` to be rescaled before its traces are built.  Returns its
+    context, loop size u, a function building its traces {name: (matrix,
+    loop size)} and a function from all traced values (with vanishing II's
+    nested one) to each law's lhs - rhs."""
     a, b, u = (int(rng.integers(1, AXIOM_MAX_DIM + 1)) for _ in range(3))
     ctx = f"case {case} (a={a}, b={b}, u={u})"
-    f = random_contraction(b + u, a + u, rng)
-    g = random_contraction(a, a, rng)
-    h = random_contraction(b, b, rng)
+    f = draw_contraction(b + u, a + u, rng, draws)
+    g = draw_contraction(a, a, rng, draws)
+    h = draw_contraction(b, b, rng, draws)
     a2, b2 = (int(rng.integers(1, AXIOM_MAX_DIM + 1)) for _ in range(2))
-    g2 = random_contraction(a, a2, rng)
-    h2 = random_contraction(b2, b, rng)
+    g2 = draw_contraction(a, a2, rng, draws)
+    h2 = draw_contraction(b2, b, rng, draws)
     u2 = int(rng.integers(1, AXIOM_MAX_DIM + 1))
-    fd = random_contraction(b + u2, a + u, rng)
-    gd = random_contraction(u, u2, rng)
+    fd = draw_contraction(b + u2, a + u, rng, draws)
+    gd = draw_contraction(u, u2, rng, draws)
     c, d = (int(rng.integers(1, AXIOM_MAX_DIM + 1)) for _ in range(2))
-    gs = random_contraction(d, c, rng)
-    fv = random_contraction(b, a, rng)
+    gs = draw_contraction(d, c, rng, draws)
+    fv = draw_contraction(b, a, rng, draws)
     v = int(rng.integers(1, AXIOM_MAX_DIM + 1))
-    fw = random_contraction(b + u + v, a + u + v, rng)
-    traces = {
-        # ex(f) is shared by both naturality laws and superposing.
-        "naturality_input (f)": (f, u),
-        # Naturality: h ex(f) g = ex((h + id) f (g + id)); output side with non-square g, h.
-        "naturality_input": (direct_sum(h, np.eye(u)) @ f @ direct_sum(g, np.eye(u)), u),
-        "naturality_output": (direct_sum(h2, np.eye(u)) @ f @ direct_sum(g2, np.eye(u)), u),
-        # Dinaturality: ex^U((id + g) f) = ex^{U'}(f (id + g)).
-        "dinaturality (left)": (direct_sum(np.eye(b), gd) @ fd, u),
-        "dinaturality (right)": (fd @ direct_sum(np.eye(a), gd), u2),
-        # Superposing: g (+) ex(f) = ex(g (+) f).
-        "superposing": (direct_sum(gs, f), u),
-        # Vanishing I: tracing a zero-dimensional loop is the identity op.
-        "vanishing_i": (fv, 0),
-        # Vanishing II: ex^U(ex^V(f)) = ex^{U+V}(f); the outer ex^U runs on the inner value.
-        "vanishing_ii (inner)": (fw, v),
-        "vanishing_ii (flat)": (fw, u + v),
-        # Yanking: ex^U(swap) = id.
-        "yanking": (swap_matrix(u, u), u),
-    }
+    fw = draw_contraction(b + u + v, a + u + v, rng, draws)
+
+    def traces() -> dict:
+        return {
+            # ex(f) is shared by both naturality laws and superposing.
+            "naturality_input (f)": (f, u),
+            # Naturality: h ex(f) g = ex((h + id) f (g + id)); output side with non-square g, h.
+            "naturality_input": (direct_sum(h, np.eye(u)) @ f @ direct_sum(g, np.eye(u)), u),
+            "naturality_output": (direct_sum(h2, np.eye(u)) @ f @ direct_sum(g2, np.eye(u)), u),
+            # Dinaturality: ex^U((id + g) f) = ex^{U'}(f (id + g)).
+            "dinaturality (left)": (direct_sum(np.eye(b), gd) @ fd, u),
+            "dinaturality (right)": (fd @ direct_sum(np.eye(a), gd), u2),
+            # Superposing: g (+) ex(f) = ex(g (+) f).
+            "superposing": (direct_sum(gs, f), u),
+            # Vanishing I: tracing a zero-dimensional loop is the identity op.
+            "vanishing_i": (fv, 0),
+            # Vanishing II: ex^U(ex^V(f)) = ex^{U+V}(f); the outer ex^U runs on the inner value.
+            "vanishing_ii (inner)": (fw, v),
+            "vanishing_ii (flat)": (fw, u + v),
+            # Yanking: ex^U(swap) = id.
+            "yanking": (swap_matrix(u, u), u),
+        }
 
     def differences(t: dict) -> dict:
         ex_f = t[ctx, "naturality_input (f)"]
@@ -505,7 +526,7 @@ def _draw_case(case: int, rng: np.random.Generator):
             "yanking": t[ctx, "yanking"] - np.eye(u),
         }
 
-    return ctx, u, {(ctx, name): job for name, job in traces.items()}, differences
+    return ctx, u, traces, differences
 
 
 def _trace_grouped(jobs: dict, cfg: TraceConfig) -> dict:
@@ -528,25 +549,31 @@ def _trace_grouped(jobs: dict, cfg: TraceConfig) -> dict:
 
 def check_trace_axioms(seed: int, n_cases: int, cfg: TraceConfig = TraceConfig()) -> AxiomReport:
     """Sample random contraction instances per axiom and assert the
-    Kleene-equality form at cfg.compare_tol.  Every case is drawn first;
-    the traces then run batched by matrix shape and loop size.  Law failures
-    go into the report; a failing trace raises, naming its case and law."""
+    Kleene-equality form at cfg.compare_tol.  Every case is drawn first and
+    its contractions rescaled by one SVD per shape; the traces then run
+    batched by matrix shape and loop size, and the law deviations take one
+    SVD per shape.  Law failures go into the report; a failing trace raises,
+    naming its case and law."""
     if seed < 0:
         raise LinalgError("seed must be >= 0")
     if n_cases < 0:
         raise LinalgError("n_cases must be >= 0")
     streams = np.random.SeedSequence(seed).spawn(n_cases)
-    cases = [_draw_case(i, np.random.default_rng(ss)) for i, ss in enumerate(streams)]
-    t = _trace_grouped({key: job for _, _, jobs, _ in cases for key, job in jobs.items()}, cfg)
+    draws = []
+    cases = [_draw_case(i, np.random.default_rng(ss), draws) for i, ss in enumerate(streams)]
+    rescale_draws(draws)
+    t = _trace_grouped({(ctx, name): job for ctx, _, traces, _ in cases
+                        for name, job in traces().items()}, cfg)
     nested = {(ctx, "vanishing_ii"): (t[ctx, "vanishing_ii (inner)"], u) for ctx, u, _, _ in cases}
     t.update(_trace_grouped(nested, cfg))
+    laws = [(ctx, name, diff) for ctx, _, _, differences in cases
+            for name, diff in differences(t).items()]
     checks = {name: AxiomCheck(name) for name in _AXIOMS}
-    for ctx, _, _, differences in cases:
-        for name, diff in differences(t).items():
-            check, deviation = checks[name], operator_norm(diff)
-            check.cases += 1
-            check.worst_deviation = max(check.worst_deviation, deviation)
-            if deviation > cfg.compare_tol:
-                check.failures += 1
-                check.notes.append(f"{ctx}: deviation {deviation:.3e}")
+    for (ctx, name, _), deviation in zip(laws, grouped_norms([diff for _, _, diff in laws])):
+        check = checks[name]
+        check.cases += 1
+        check.worst_deviation = max(check.worst_deviation, deviation)
+        if deviation > cfg.compare_tol:
+            check.failures += 1
+            check.notes.append(f"{ctx}: deviation {deviation:.3e}")
     return AxiomReport(checks)

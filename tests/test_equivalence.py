@@ -347,3 +347,41 @@ def test_bracket_margins_hold_where_rounding_splits_the_two_norms():
     m = np.zeros((6, 6), dtype=np.complex128)
     m[:3, 3:], m[3:, :3] = q, np.eye(3)
     assert_same(m[None], 3, TraceConfig(series_tol=float(stack_norms(q @ np.eye(3)))))
+
+
+def nilpotent_loop(rng, n, k, scale):
+    """A matrix rescaled to operator norm ``scale`` whose k x k loop block
+    is strictly upper triangular, so f_UU^k = 0: the first k series terms
+    are nonzero and every later one is exactly zero."""
+    m = with_norm(rng, n, 1.0)
+    m[n - k :, n - k :] = np.triu(m[n - k :, n - k :], 1)
+    return m * (scale / np.linalg.norm(m, 2))
+
+
+@pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
+def test_runs_of_quiet_terms_end_as_the_reference_ends_them(cfg):
+    # A quiet term is one far from the certificate, with finite norms and
+    # the partial-sum bound below blowup, for every live entry.  Each input
+    # below ends a run of such terms at one edge of that rule.
+    rng = np.random.default_rng(23)
+    # One entry comes within reach of the certificate while another is quiet.
+    for n, k in ((3, 1), (4, 2), (6, 3)):
+        assert_same(np.array([with_norm(rng, n, 0.2), with_norm(rng, n, 0.97)]), k, cfg)
+        assert_same(np.array([with_norm(rng, n, s) for s in (0.97, 0.05, 0.6, 0.99)]), k, cfg)
+    # The bound crosses blowup after quiet terms 1.5^t; with alternating
+    # signs the partial sums stay below it for some terms after that.
+    for loop in (1.5, -1.5, 3.0):
+        assert_same(np.array([[[0.0, 1.0], [1.0, loop]]]), 1, cfg)
+    # f_UU = diag(1e16, 0.9): terms 0.9^t until f_BU f_UU^20 overflows.
+    overflow = np.array([[0, 1, 1], [0, 1e16, 0], [1, 0, 0.9]], dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_same(overflow[None], 2, cfg)
+    # The last term would otherwise be quiet.
+    for max_terms in (1, 2, 3):
+        short = replace(cfg, max_terms=max_terms)
+        assert_same(with_norm(rng, 3, 0.9)[None], 1, short)
+        assert_same(np.array([with_norm(rng, 4, 0.9), with_norm(rng, 4, 1.5)]), 2, short)
+    # A nilpotent loop block: quiet terms, then exact zeros.
+    for n, k in ((3, 2), (5, 3), (7, 4)):
+        for scale in (0.9, 2.0):
+            assert_same(nilpotent_loop(rng, n, k, scale)[None], k, cfg)

@@ -63,6 +63,16 @@ def test_random_factories_classify():
         assert operator_norm(random_contraction(4, 4, seed)) <= 1.0 + 1e-12
 
 
+def test_random_contraction_rescales_as_one_matrix_svd_did():
+    # The rescale takes a stacked SVD; it must give the bytes of the
+    # per-matrix draw, norm and multiply it replaced.
+    for seed, (rows, cols) in enumerate([(1, 1), (3, 2), (4, 7), (12, 12), (2, 9)]):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        want = z * (rng.uniform(0.0, 1.0) / operator_norm(z))
+        assert random_contraction(rows, cols, seed).tobytes() == want.tobytes()
+
+
 def test_swap_matrix_is_the_braiding():
     s = swap_matrix(2, 3)
     v = np.arange(5.0)

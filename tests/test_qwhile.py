@@ -10,6 +10,7 @@ from extrace.qwhile import (
     DoWhile,
     Par,
     ParseError,
+    QWhileError,
     Seq,
     Unitary,
     check,
@@ -17,6 +18,7 @@ from extrace.qwhile import (
     parse_source,
     semantics,
 )
+from extrace.trace import TraceConfig
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -167,6 +169,14 @@ class TestSemantics:
     def test_loop_with_swap_body_is_identity(self):
         r = semantics(parse("(loop (gate X) 1)", GATES), 16)
         assert np.allclose(r.samples, 1.0, atol=1e-10)
+
+    def test_unconverged_loop_sample_raises(self):
+        # A non-unitary gate built in code: f_UU = 1, so every loop sample's
+        # series runs to max_terms without converging.
+        p = DoWhile(Unitary("G", np.array([[0.0, 1.0], [1.0, 1.0]])), 1)
+        with pytest.raises(QWhileError, match=r"^loop trace failed at omega=0\.000000: series "
+                           r"did not converge in 500 terms \(last term 1\.000e\+00\)$"):
+            semantics(p, 4, TraceConfig(max_terms=500))
 
     def test_delay_zero_needs_matching_arity(self):
         # (delay 0) is a single-wire primitive; it cannot be wedged after

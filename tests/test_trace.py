@@ -450,7 +450,8 @@ def traced_shapes(monkeypatch, fn):
     return calls
 
 
-@pytest.mark.parametrize("seed,n_cases", [(5, 16), (3, 40), (123, 40)])
+# Seeds 0-9 at 16 cases: the size of `axioms 16` in the trace_scalar bench mix.
+@pytest.mark.parametrize("seed,n_cases", [(seed, 16) for seed in range(10)] + [(3, 40), (123, 40)])
 def test_batched_axioms_equal_per_case_reference(monkeypatch, seed, n_cases):
     reports = []
     want = traced_shapes(monkeypatch, lambda: reports.append(reference_axioms(seed, n_cases)))
