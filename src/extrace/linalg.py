@@ -83,16 +83,40 @@ def stack_pinv(m: np.ndarray, rcond: float) -> np.ndarray:
 
 def bracket_norms(m: np.ndarray, lo, hi, fro=None) -> np.ndarray:
     """Operator norms of a stack for tests against a tolerance, with an SVD
-    only where it is needed.  ||m||_F / sqrt(rank) <= ||m|| <= ||m||_F, with
-    1e-9 margins, shows a norm surely below ``lo`` (its Frobenius norm stands
-    in) or surely above ``hi`` (inf stands in); every other entry takes its
-    exact norm.  ``lo`` = 0 or ``hi`` = inf keeps that side exact.  ``fro``
-    passes Frobenius norms already taken."""
+    only where it is needed.  Two brackets show a norm surely below ``lo``
+    (an upper bound of it stands in) or surely above ``hi`` (inf stands in):
+    ||m||_F / sqrt(rank) <= ||m|| <= ||m||_F with 1e-9 margins and, where
+    that leaves it open, ||G||_F <= ||y|| <= sqrt(max row sum of |G|) for
+    y = m / ||m||_F and G its smaller Gram matrix (exact for rank one;
+    Gershgorin).  Every other entry takes its exact norm.  ``lo`` = 0 or
+    ``hi`` = inf keeps that side exact.  ``fro`` passes Frobenius norms
+    already taken."""
     if fro is None:
         fro = fro_norms(m)
-    above = np.isfinite(fro) & (fro > hi * math.sqrt(min(m.shape[-2:])) * (1 + 1e-9))
+    root = math.sqrt(min(m.shape[-2:]))
+    finite = np.isfinite(fro)
+    above = finite & (fro > hi * root * (1 + 1e-9))
     exact = ~(above | (fro < lo * (1 - 1e-9)))
     norm = np.where(above, math.inf, fro)
+    if fro.min(initial=math.inf) <= 1e-150:  # squares underflow: ||m||_F may be 0 on a nonzero m
+        tiny = np.flatnonzero((fro <= 1e-150) & m.any(axis=(-2, -1)))
+        norm[tiny], exact[tiny] = stack_norms(m[tiny]), False
+    if not exact.any():
+        return norm
+    # Within the first bracket, the Gram one decides only where ||m||_F / sqrt(rank) < lo
+    # or ||m||_F > hi; its margin keeps a unitary of up to 256 dims below 1 + DEFAULT_TOL.
+    eps = 8 * sum(m.shape[-2:]) ** 2 * 2.0**-53
+    gram = np.flatnonzero(exact & finite & ((fro < lo * root * (1 - eps)) | (fro > hi * (1 + eps))))
+    if gram.size:
+        lo, hi, f = (v[gram] if np.ndim(v) else v for v in (lo, hi, fro))
+        y = m[gram] / f[:, None, None]  # ||y||_F = 1
+        yh = y.conj().swapaxes(-1, -2)
+        g = np.abs(y @ yh if y.shape[-2] <= y.shape[-1] else yh @ y)
+        g_lo = f * np.sqrt((g * g).sum(axis=(-2, -1))) * (1 - eps)
+        g_hi = f * np.sqrt(g.sum(axis=-1).max(axis=-1)) * (1 + eps)
+        g_above = g_lo > hi * (1 + eps)
+        norm[gram] = np.where(g_above, math.inf, g_hi)
+        exact[gram] = ~(g_above | (g_hi < lo * (1 - eps)))
     if exact.any():
         norm[exact] = stack_norms(m[exact])
     return norm

@@ -144,10 +144,10 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
     reach * sqrt(rank) * (1 + 1e-9) and keeps the bound ||f_BA||_F + sum of
     the terms' ||.||_F below blowup * (1 - 1e-9): it can neither certify nor
     blow up, so it only adds to the sums.  Other terms take SVD norms where
-    the Frobenius bracket leaves the certificate or the blow-up open, but an
-    entry ``exact`` does not mark, whose last term norm goes unreported,
-    takes ||term||_F as its norm where that alone certifies.  Returns the
-    sums, terms, last term norms, convergence flags and errors by entry."""
+    bracket_norms leaves the certificate or the blow-up open, but an entry
+    ``exact`` does not mark, whose last term norm goes unreported, takes an
+    upper bound as its norm where that alone certifies.  Returns the sums,
+    terms, last term norms, convergence flags and errors by entry."""
     n = f_ba.shape[0]
     total = f_ba.copy()
     terms = np.zeros(n, dtype=np.int64)
@@ -228,22 +228,25 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact):
     id - f_UU.  Singular values below 1e-10 * sigma_max count as exact
     zeros, which keeps unitary loop blocks (id - f_UU singular) traceable.
     Residuals and agreement take exact norms (one SVD each) where ``exact``
-    marks an entry, whose residual is reported, or a check fails; elsewhere
-    the Frobenius bracket settles them.  Returns the values, witness
-    residuals and errors by entry."""
+    marks an entry, whose residual is reported, or a check fails, both
+    residuals then; elsewhere the brackets settle them.  Returns the values,
+    witness residuals and errors by entry."""
     h = np.eye(f_uu.shape[-1]) - f_uu
     h_pinv = stack_pinv(h, 1e-10)
     i_wit = h_pinv @ f_ua
     k_wit = f_bu @ h_pinv
     value = f_ba + k_wit @ f_ua
     lo = np.where(exact, 0.0, scale)  # 0 keeps an entry's norms exact
-    res_in = bracket_norms(h @ i_wit - f_ua, cfg.ki_residual_tol * lo, math.inf) / scale
-    res_out = bracket_norms(k_wit @ h - f_bu, cfg.ki_residual_tol * lo, math.inf) / scale
+    d_in, d_out = h @ i_wit - f_ua, k_wit @ h - f_bu
+    res_in = bracket_norms(d_in, cfg.ki_residual_tol * lo, math.inf) / scale
+    res_out = bracket_norms(d_out, cfg.ki_residual_tol * lo, math.inf) / scale
     residual = np.maximum(res_in, res_out)
     agree = bracket_norms(value - (f_ba + f_bu @ i_wit), cfg.compare_tol * lo, math.inf)
     errors = {}
     for i in np.flatnonzero((residual > cfg.ki_residual_tol) | (agree > cfg.compare_tol * scale)):
         if residual[i] > cfg.ki_residual_tol:
+            s = np.broadcast_to(scale, residual.shape)[i]
+            res_in[i], res_out[i] = operator_norm(d_in[i]) / s, operator_norm(d_out[i]) / s
             msg = (
                 "not ki-traceable: witness residuals "
                 f"{res_in[i]:.3e} (input) / {res_out[i]:.3e} (output) exceed "
@@ -255,13 +258,14 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact):
     return value, residual, errors
 
 
-def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig):
+def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False):
     """Total trace of the loop block, the trailing k rows and columns, of
     every matrix in the stack ``m`` (N, rows, cols).  Contractions take the
     closed form as the canonical value and the series as the cross-check;
     the rest take the closed form or, failing that, the series.  Returns
     the values (N, b, a) and, per entry, the method, series terms, residual
-    and convergence flag.  Raises the error of the first failing entry."""
+    and convergence flag; a contraction's residual, its series/closed-form
+    gap, is exact only if ``report_gap``.  Raises the first entry's error."""
     m = np.asarray(m, dtype=np.complex128)
     if not np.all(np.isfinite(m)):
         raise LinalgError("matrix contains non-finite entries")
@@ -297,7 +301,8 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig):
     residual[idx[alone]] = s_norm[alone]
     converged[idx[alone]] = s_converged[alone]
     both = np.flatnonzero(~alone)
-    gap = stack_norms(values[idx[both]] - s_value[both])
+    diff = values[idx[both]] - s_value[both]
+    gap = stack_norms(diff) if report_gap else bracket_norms(diff, cfg.compare_tol, math.inf)
     residual[idx[both]] = gap
     for j, g in zip(both, gap):
         if not s_converged[j]:
@@ -345,7 +350,8 @@ def ex(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig()) -> 
     """Total trace on contractions: closed form as the canonical value,
     series as the cross-check.  Non-contractions get whichever route
     succeeds."""
-    values, method, terms, residual, converged = _trace_core(*_loop_last(f, loop_label), cfg)
+    m, k = _loop_last(f, loop_label)
+    values, method, terms, residual, converged = _trace_core(m, k, cfg, report_gap=True)
     return TraceResult(values[0], method[0], int(terms[0]), float(residual[0]), bool(converged[0]))
 
 

@@ -2,12 +2,13 @@
 
 The earlier form, frozen below, took an exact SVD for every norm it
 compared and built the witnesses with ``np.linalg.pinv``.  The core now
-settles most of those norms by their Frobenius bracket and builds the
-pseudoinverse from one SVD, so values, routes, term counts, reported
+settles most of those norms by their Frobenius and Gram brackets and builds
+the pseudoinverse from one SVD, so values, routes, term counts, reported
 residuals, flags and error messages are compared byte for byte."""
 
 import math
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -171,6 +172,17 @@ def core_outcome(core, m, k, cfg):
     return values.tobytes(), list(method), terms.tolist(), residual.tobytes(), converged.tolist()
 
 
+def without_gaps(outcome):
+    """A core outcome without the residuals of its contraction entries
+    (route both_agree): their series/closed-form gaps, which the core
+    reports exact only when asked to."""
+    if not isinstance(outcome[0], bytes):
+        return outcome
+    values, method, terms, residual, converged = outcome
+    kept = np.frombuffer(residual)[np.array(method) != "both_agree"]
+    return values, method, terms, kept.tobytes(), converged
+
+
 def series_outcome(total, terms, term_norm, converged, errors):
     # An entry's last term norm is reported only when no entry fails.
     if errors:
@@ -185,7 +197,9 @@ def kernel_image_outcome(value, residual, errors):
 
 def assert_same(m, k, cfg):
     m = np.asarray(m, dtype=np.complex128)
-    assert core_outcome(trace._trace_core, m, k, cfg) == core_outcome(ref_trace_core, m, k, cfg)
+    want = core_outcome(ref_trace_core, m, k, cfg)
+    assert core_outcome(partial(trace._trace_core, report_gap=True), m, k, cfg) == want
+    assert without_gaps(core_outcome(trace._trace_core, m, k, cfg)) == without_gaps(want)
     if k == 0:
         return
     blocks = trace._blocks(m, k)
@@ -385,3 +399,13 @@ def test_runs_of_quiet_terms_end_as_the_reference_ends_them(cfg):
     for n, k in ((3, 2), (5, 3), (7, 4)):
         for scale in (0.9, 2.0):
             assert_same(nilpotent_loop(rng, n, k, scale)[None], k, cfg)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
+def test_terms_whose_frobenius_norm_underflows_match_the_reference(cfg):
+    # The second series term, about coupling^2 * tiny, is nonzero but its
+    # Frobenius norm underflows to 0; it still certifies as the reference
+    # certifies it, not by the exactly-zero-term rule one term later.
+    for coupling, tiny in ((1e-3, 1e-158), (1e-3, 1e-159), (1e-2, 1e-159), (1e-2, 1e-160)):
+        m = np.array([[0.5, coupling, coupling], [coupling, tiny, tiny], [coupling, 0, tiny]])
+        assert_same(m[None], 2, cfg)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from extrace import trace
-from extrace.linalg import direct_sum, random_contraction, two_block
+from extrace.linalg import direct_sum, random_contraction, random_unitary, two_block
 from extrace.lsi import FirKernel, FrequencyResponse, dtft, lsi_classify, lsi_ex
 from extrace.qwhile import (
     Delay,
@@ -220,11 +220,34 @@ def test_decomposition_count_does_not_grow_with_grid(monkeypatch):
     assert small == large
 
 
-def test_nested_loop_takes_at_most_six_svds_per_loop_entry(monkeypatch):
-    # two loops traced at each of 4096 frequencies
+def test_nested_loop_takes_at_most_three_svds_per_loop_entry(monkeypatch):
+    # two loops traced at each of 4096 frequencies: the witnesses, the tail
+    # ratio and the contraction test of a unitary sample
     program = parse_source((CORPUS / "nested_loop.qw").read_text()).program
     entries = count_svds(monkeypatch, lambda: semantics(program, 4096))[1]
-    assert entries <= 6 * 2 * 4096
+    assert entries <= 3 * 2 * 4096
+
+
+def test_strictly_contractive_fir_takes_at_most_two_svds_per_sample(monkeypatch):
+    # Unitary taps of norm 0.3: every sample is a strict contraction, most
+    # with ||sample||_F above 1.  Only the witnesses and the tail ratio
+    # take SVDs; the brackets settle the rest, the gap included.
+    rng = np.random.default_rng(0)
+    taps = {t: 0.3 * random_unitary(4, rng) for t in range(3)}
+    r = dtft(FirKernel(tuple("abcd"), tuple("abcd"), taps), 64)
+    assert np.mean(np.linalg.norm(r.samples, axis=(-2, -1)) > 1) > 0.5
+    entries = count_svds(monkeypatch, lambda: (lsi_classify(r), lsi_ex(r, 2)))[1]
+    assert entries <= 2 * 64
+    assert lsi_classify(r) == "lsi_contraction"
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.qw")), ids=lambda p: p.stem)
+def test_unitary_corpus_responses_classify_without_an_svd(monkeypatch, path):
+    # ||U||_F / sqrt(n) = 1 leaves the Frobenius bracket open on a unitary
+    # sample; the Gram bracket shows it below 1 + DEFAULT_TOL.
+    r = semantics(parse_source(path.read_text()).program, 256)
+    assert svd_sizes(monkeypatch, lambda: lsi_classify(r)) == []
+    assert lsi_classify(r) == "lsi_contraction"
 
 
 def test_contractions_below_one_in_frobenius_norm_take_no_svd_of_the_stack(monkeypatch):

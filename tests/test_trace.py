@@ -440,9 +440,9 @@ def traced_shapes(monkeypatch, fn):
     calls = []
     original = trace._trace_core
 
-    def counted(m, k, cfg):
+    def counted(m, k, cfg, **kwargs):
         calls.append((m.shape[0], m.shape[1:], k))
-        return original(m, k, cfg)
+        return original(m, k, cfg, **kwargs)
 
     monkeypatch.setattr(trace, "_trace_core", counted)
     fn()
