@@ -351,8 +351,8 @@ class RuntimeBound:
     g: Callable[[int], int]
 
     def __post_init__(self):
-        if not self.epsilon < 0.5:
-            raise LinalgError("epsilon must be < 1/2")
+        if not 0.0 <= self.epsilon < 0.5:  # a gap between probabilities
+            raise LinalgError("epsilon must lie in [0, 1/2)")
         if not 0.0 < self.kappa <= 1.0:
             raise LinalgError("kappa must lie in (0, 1]")
 

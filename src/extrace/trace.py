@@ -222,15 +222,18 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
     return total, terms, term_norm, converged, errors
 
 
-def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact):
+def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, m=None):
     """Closed-form trace via witnesses i, k with f_UA = (id - f_UU) i and
     f_BU = k (id - f_UU), for every stack entry at once, from one SVD of
     id - f_UU.  Singular values below 1e-10 * sigma_max count as exact
     zeros, which keeps unitary loop blocks (id - f_UU singular) traceable.
     Residuals and agreement take exact norms (one SVD each) where ``exact``
     marks an entry, whose residual is reported, or a check fails, both
-    residuals then; elsewhere the brackets settle them.  Returns the values,
-    witness residuals and errors by entry."""
+    residuals then; elsewhere the brackets settle them.  Residuals are
+    judged against ``scale``; a failing entry reports them against
+    max(||m||, 1) of its matrix in the stack ``m``, where given, else
+    against ``scale``.  Returns the values, witness residuals and errors by
+    entry."""
     h = np.eye(f_uu.shape[-1]) - f_uu
     h_pinv = stack_pinv(h, 1e-10)
     i_wit = h_pinv @ f_ua
@@ -245,7 +248,7 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact):
     errors = {}
     for i in np.flatnonzero((residual > cfg.ki_residual_tol) | (agree > cfg.compare_tol * scale)):
         if residual[i] > cfg.ki_residual_tol:
-            s = np.broadcast_to(scale, residual.shape)[i]
+            s = scale if m is None else max(operator_norm(m[i]), 1.0)
             res_in[i], res_out[i] = operator_norm(d_in[i]) / s, operator_norm(d_out[i]) / s
             msg = (
                 "not ki-traceable: witness residuals "
@@ -277,10 +280,13 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False):
     if k == 0:
         return f_ba.copy(), method, terms, np.zeros(n), converged
 
-    norm = bracket_norms(m, 1.0, math.inf)  # below 1, scale is exactly 1
-    contraction = norm <= 1.0 + DEFAULT_TOL
+    limit = 1.0 + DEFAULT_TOL
+    contraction = bracket_norms(m, limit, limit) <= limit
+    scale = np.ones(n)  # a contraction's residuals are judged against 1
+    if not contraction.all():
+        scale[~contraction] = stack_norms(m[~contraction])
     values, residual, ki_errors = _kernel_image(
-        f_ba, f_bu, f_ua, f_uu, np.maximum(norm, 1.0), cfg, ~contraction
+        f_ba, f_bu, f_ua, f_uu, scale, cfg, ~contraction, m
     )
     # A contraction must pass both routes; any other entry whose closed
     # form fails takes the series value instead.

@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from extrace.linalg import DEFAULT_TOL, bracket_norms, random_unitary, stack_norms
 
-# (lo, hi) as the engine passes them: lsi_classify, the contraction test,
-# series terms, witness residuals, a blow-up check and an exact norm.
+# (lo, hi) as the engine passes them: lsi_classify and the trace core's
+# contraction test, both (1 + DEFAULT_TOL, 1 + DEFAULT_TOL); series terms,
+# witness residuals, a blow-up check and an exact norm.  (1.0, inf) keeps an
+# edge at 1 with the upper side exact.
 BOUNDS = [
     (1 + DEFAULT_TOL, 1 + DEFAULT_TOL),
     (1.0, math.inf),

@@ -375,6 +375,11 @@ def test_bound_nonpositive_B_is_usage_error(capsys):
     usage_error(capsys, ["bound", "--B", "0"], "B must be >= 1")
 
 
+def test_bound_B_one_is_usage_error(capsys):
+    # sin alpha = 1 puts epsilon = sin(3 pi / 2) = -1 below the gap's range
+    usage_error(capsys, ["bound", "--B", "1"], "epsilon must lie in [0, 1/2)")
+
+
 @pytest.mark.parametrize("c", ["0", "-1"])
 def test_bound_c_below_one_is_usage_error(capsys, c):
     usage_error(capsys, ["bound", "--B", "100", "--c", c], "c must be >= 1")

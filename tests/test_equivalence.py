@@ -409,3 +409,50 @@ def test_terms_whose_frobenius_norm_underflows_match_the_reference(cfg):
     for coupling, tiny in ((1e-3, 1e-158), (1e-3, 1e-159), (1e-2, 1e-159), (1e-2, 1e-160)):
         m = np.array([[0.5, coupling, coupling], [coupling, tiny, tiny], [coupling, 0, tiny]])
         assert_same(m[None], 2, cfg)
+
+
+def one_port_loop(loop, body=(0.3, 0.2, 0.1)):
+    """A 2x2 matrix whose 1x1 loop block is ``loop``."""
+    a, b, c = body
+    return np.array([[a, b], [c, loop]], dtype=np.complex128)
+
+
+@pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
+def test_one_port_loops_match_the_reference(cfg):
+    # 1x1 loop blocks take zgesdd's arithmetic in numpy inside its window and
+    # the SVD outside it; the reference takes the SVD and np.linalg.pinv.
+    h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
+    delay_at_zero = h.copy()  # hadamard_delay_loop's body at omega = 0, imaginary parts -0.0
+    delay_at_zero.imag = -0.0
+    swap = np.array([[0, 1], [1, 0]], dtype=np.complex128)  # loop block exactly 0
+    tame = [delay_at_zero, h, swap, one_port_loop(-0.7), one_port_loop(-1.0),
+            one_port_loop(complex(-0.6, -0.0), (0.6, 0.5, 0.5))]
+    for m in tame:
+        assert_same(m[None], 1, cfg)
+    assert_same(np.array(tame), 1, cfg)
+    # id - f_UU and f_UU^2 near zgesdd's rescaling lines and the window's edges
+    edges = [one_port_loop(v) for v in (
+        1e135, -1e135, 1e140, 1e-135, 1e-140, 1e135j, -1e-140j, 10**67.5, 1e70,
+        -(10**-67.5) * 1j, 1e-70, 1 + 1e-135j, 1 - 1e-140j, 1 + 1.000001e-130j,
+        1 - 0.999999e-130j)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in edges:
+            assert_same(m[None], 1, cfg)
+        # one entry outside the window sends the whole stack to the SVD
+        assert_same(np.array(tame + edges[-4:-2]), 1, cfg)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1 + 3e-16, 1 + 2e-11])
+def test_contraction_without_witness_reports_against_its_norm(scale):
+    # A rotation by about 1.4e-6 between the body and the first loop port,
+    # beside a loop port of gain 0.5: id - f_UU has a singular value of at
+    # most 2e-11, below the pinv cutoff, so no witness exists.  The
+    # contraction test judges residuals against 1, yet the error reports
+    # them against max(||m||, 1), as the reference does.
+    c = 1 - 1e-12
+    s = math.sqrt(1 - c * c)
+    m = scale * np.array([[c, -s, 0], [s, c, 0], [0, 0, 0.5]], dtype=np.complex128)
+    cfg = TraceConfig(max_terms=7)  # the series is resonant, and the closed form fails first
+    assert_same(m[None], 2, cfg)
+    with pytest.raises(KiTraceError, match="not ki-traceable"):
+        trace._trace_core(m[None], 2, cfg)

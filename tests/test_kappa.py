@@ -430,6 +430,11 @@ class TestBounds:
         with pytest.raises(LinalgError):
             RuntimeBound(0.1, 0.5, f=lambda n: n, g=lambda n: n)
 
+    @pytest.mark.parametrize("epsilon", [0.5, -1e-300, -1.0, math.nan])
+    def test_epsilon_outside_the_gap_range_is_rejected(self, epsilon):
+        with pytest.raises(LinalgError, match=r"epsilon must lie in \[0, 1/2\)"):
+            RuntimeBound(0.1, epsilon, f=lambda n: n, g=lambda n: n)
+
     def test_remark_constant_factor(self):
         t = grover_runtime_bound(10**6, 1e-3, c=1)
         approx = (8 + math.pi / 2) * math.sqrt(10**6)

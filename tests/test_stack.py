@@ -212,32 +212,41 @@ def count_svds(monkeypatch, fn):
     return tuple(counts)
 
 
+def unitary_tap_response(ports, grid, seed=0):
+    """The transform of three taps, each a unitary scaled to norm 0.3: every
+    sample is a strict contraction."""
+    rng = np.random.default_rng(seed)
+    names = tuple(f"p{i}" for i in range(ports))
+    return dtft(FirKernel(names, names, {t: 0.3 * random_unitary(ports, rng) for t in range(3)}),
+                grid)
+
+
 def test_decomposition_count_does_not_grow_with_grid(monkeypatch):
-    program = parse_source((CORPUS / "hadamard_delay_loop.qw").read_text()).program
-    small = count_svds(monkeypatch, lambda: semantics(program, 64))[0]
-    large = count_svds(monkeypatch, lambda: semantics(program, 1024))[0]
+    # A two-port loop block keeps its witness and tail-ratio SVDs.
+    small = count_svds(monkeypatch, lambda: lsi_ex(unitary_tap_response(3, 64), 2))[0]
+    large = count_svds(monkeypatch, lambda: lsi_ex(unitary_tap_response(3, 1024), 2))[0]
     assert small >= 1
     assert small == large
 
 
-def test_nested_loop_takes_at_most_three_svds_per_loop_entry(monkeypatch):
-    # two loops traced at each of 4096 frequencies: the witnesses, the tail
-    # ratio and the contraction test of a unitary sample
-    program = parse_source((CORPUS / "nested_loop.qw").read_text()).program
-    entries = count_svds(monkeypatch, lambda: semantics(program, 4096))[1]
-    assert entries <= 3 * 2 * 4096
+@pytest.mark.parametrize("name", ["hadamard_delay_loop", "nested_loop", "swap_loop"])
+def test_corpus_loops_take_no_svd(monkeypatch, name):
+    # Every corpus loop feeds back one port: the witnesses and the tail ratio
+    # of a 1x1 loop block take zgesdd's arithmetic in numpy, and the Gram
+    # bracket settles the contraction test of a unitary sample.
+    program = parse_source((CORPUS / f"{name}.qw").read_text()).program
+    assert count_svds(monkeypatch, lambda: lsi_classify(semantics(program, 4096))) == (0, 0)
 
 
 def test_strictly_contractive_fir_takes_at_most_two_svds_per_sample(monkeypatch):
-    # Unitary taps of norm 0.3: every sample is a strict contraction, most
-    # with ||sample||_F above 1.  Only the witnesses and the tail ratio
-    # take SVDs; the brackets settle the rest, the gap included.
-    rng = np.random.default_rng(0)
-    taps = {t: 0.3 * random_unitary(4, rng) for t in range(3)}
-    r = dtft(FirKernel(tuple("abcd"), tuple("abcd"), taps), 64)
+    # Every sample is a strict contraction, most with ||sample||_F above 1.
+    # A two-port loop's witnesses and tail ratio take SVDs, a one-port
+    # loop's take none; the brackets settle the rest, the gap included.
+    r = unitary_tap_response(4, 64)
     assert np.mean(np.linalg.norm(r.samples, axis=(-2, -1)) > 1) > 0.5
     entries = count_svds(monkeypatch, lambda: (lsi_classify(r), lsi_ex(r, 2)))[1]
     assert entries <= 2 * 64
+    assert count_svds(monkeypatch, lambda: (lsi_classify(r), lsi_ex(r, 1))) == (0, 0)
     assert lsi_classify(r) == "lsi_contraction"
 
 
@@ -302,7 +311,7 @@ def test_series_takes_no_svd_of_an_empty_stack(monkeypatch):
                lambda: ex(small, "U"), lambda: ex(big, "U"),
                lambda: ex(series_alone, "U", short), lambda: lsi_ex(fir, 2)):
         sizes = svd_sizes(monkeypatch, fn)
-        assert sizes and all(math.prod(shape) > 0 for shape in sizes), sizes
+        assert all(math.prod(shape) > 0 for shape in sizes), sizes
     for g in (small, big):
         result = ex(g, "U")
         assert result.method == "kernel_image" and result.terms_used == 0
