@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from decimal import Decimal, localcontext
 from typing import Callable
 
 import numpy as np
@@ -168,23 +169,80 @@ def grover_recurrence(p: GroverParams, n_steps: int | None = None) -> np.ndarray
     return out
 
 
+def _sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
+    """sin x and cos x for 0 <= x <= pi/2 by their Taylor series, in the
+    current decimal context."""
+    x2, s_term, c_term, k = x * x, x, Decimal(1), 1
+    s, c = s_term, c_term
+    while abs(s_term) + abs(c_term) > Decimal("1e-60"):
+        c_term *= -x2 / ((2 * k - 1) * (2 * k))
+        s_term *= -x2 / ((2 * k) * (2 * k + 1))
+        s, c, k = s + s_term, c + c_term, k + 1
+    return s, c
+
+
+def _split_rate(w: Decimal, n: int) -> tuple[float, float]:
+    """w as hi + lo with hi short enough that t * hi is exact for t <= n."""
+    m, e = math.frexp(float(w))
+    bits = 53 - max(n, 1).bit_length()
+    hi = math.ldexp(round(math.ldexp(m, bits)), e - bits)
+    return hi, float(w - Decimal(hi))
+
+
 def _trajectory(p: GroverParams, n_steps: int | None = None) -> np.ndarray:
     """grover_recurrence's trajectory: b_t is the unwrapped angle of M^t v_0, where
     M = diag(1, xi) R(2 alpha) is one keep-looping step up to a positive scale and
-    v_0 = (cos alpha, sin alpha).  Doubling from P = M: the f rows held so far, times
-    P^T (einsum: threaded BLAS stalls on two columns) and normalised, are the next f
-    (N + 1 in all); then P <- P^2 over its largest entry.  Max error vs 40 digits over
-    20,000 steps: 2.8e-13 (B = 1e4, kappa = 1e-3), 1.1e-13 (B = 1e8); loop 3.5e-10, 5.3e-13."""
+    v_0 = (cos alpha, sin alpha).  With K = M - (tr M / 2) I and d = det K,
+    Cayley-Hamilton on M / sqrt(xi) (determinant 1, tr M >= 0 as alpha <= pi/4) puts
+    M^t v_0 along
+        cos(t w) v_0 + sin(t w) K v_0 / sqrt(d),  w = atan2(sqrt(d), tr M / 2),  d > 0;
+        v_0 + t K v_0 / sqrt(xi),                                                d = 0;
+        e^(-2tw) v_0 + (1 - e^(-2tw)) P v_0,      w = asinh(sqrt(-d / xi)),      d < 0,
+    P = (I + K / sqrt(-d)) / 2 the projector on the growing eigenvector.  Near d = 0
+    and near kappa = 1 the angles hang on digits that doubles lose, so d, w and the
+    two vectors are set up in 50-digit decimals, and the phase t w is carried as
+    t w_hi (exact) + t w_lo.  Max error of kappa sin^2 against 30-digit steps over
+    1000 draws of up to 1500 steps, B in [2, 1e7], kappa in [1e-6, 1], near d = 0
+    and kappa = 1 included: 5.2e-13 (the per-step loop: 1.9e-3)."""
     n = p.max_iterations if n_steps is None else n_steps
-    c, s, xi = math.cos(2.0 * p.alpha), math.sin(2.0 * p.alpha), math.sqrt(1.0 - p.kappa)
-    power = np.array([[c, -s], [xi * s, xi * c]])
-    v = np.array([[math.cos(p.alpha), math.sin(p.alpha)]])
-    while len(v) <= n:
-        block = np.einsum("ij,kj->ik", v[: n + 1 - len(v)], power)
-        v = np.concatenate([v, block / np.hypot(block[:, :1], block[:, 1:])])
-        power = power @ power
-        power /= np.abs(power).max()
-    return np.unwrap(np.arctan2(v[:, 1], v[:, 0]))
+    t = np.arange(1, n + 1, dtype=float)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        sin_a, cos_a = _sin_cos(Decimal(p.alpha))
+        xi = (1 - Decimal(p.kappa)).sqrt()
+        c, s = 1 - 2 * sin_a * sin_a, 2 * sin_a * cos_a
+        h = c * Decimal(p.kappa) / (1 + xi) / 2  # K = [[h, -s], [xi s, -h]]
+        kv = (h * cos_a - s * sin_a, xi * s * cos_a - h * sin_a)
+        d = xi * s * s - h * h
+        if d > 0:
+            r, half_tr = d.sqrt(), c * (1 + xi) / 2
+            w0 = math.atan2(float(r), float(half_tr))
+            s0, c0 = _sin_cos(Decimal(w0))  # w = w0 + atan(tan(w - w0)), |w - w0| < 1e-15
+            w_hi, w_lo = _split_rate(
+                Decimal(w0) + (r * c0 - half_tr * s0) / (half_tr * c0 + r * s0), n)
+            second = (kv[0] / r, kv[1] / r)
+        elif d == 0:
+            second = (kv[0] / xi.sqrt(), kv[1] / xi.sqrt())
+        else:
+            r = (-d).sqrt()
+            w = math.asinh(float(r / xi.sqrt())) if xi > 0 else math.inf
+            second = ((cos_a + kv[0] / r) / 2, (sin_a + kv[1] / r) / 2)
+        v0 = (float(cos_a), float(sin_a))
+        v1 = (float(second[0]), float(second[1]))
+    if d > 0:
+        ca, sa = np.cos(t * w_hi), np.sin(t * w_hi)
+        cb, sb = np.cos(t * w_lo), np.sin(t * w_lo)
+        f, g = ca * cb - sa * sb, sa * cb + ca * sb
+    elif d == 0:
+        f, g = np.ones(n), t
+    else:
+        f, g = np.exp(-2.0 * t * w), -np.expm1(-2.0 * t * w)
+    b = np.empty(n + 1)
+    b[0] = p.alpha
+    b[1:] = np.arctan2(f * v0[1] + g * v1[1], f * v0[0] + g * v1[0])
+    # np.unwrap's corrections, as whole turns
+    b[1:] -= 2.0 * math.pi * np.cumsum(np.round(np.diff(b) / (2.0 * math.pi)))
+    return b
 
 
 def premeasurement_angles(p: GroverParams, n_steps: int | None = None) -> np.ndarray:
