@@ -189,13 +189,16 @@ def _cmd_grover(args) -> int:
     samples, summary = grover_montecarlo(params, args.trials)
     if args.out:
         # The angle is a function of the halting iteration, so each distinct
-        # (iterations, censored) row tail is formatted once.
+        # key (iterations, censored) has one row tail, formatted once.
         key = samples.iterations * 2 + samples.censored
-        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-        firsts = [c[first].tolist() for c in (samples.iterations, samples.censored, samples.angle)]
-        tails = np.array(["%d,%d,%.17g" % row for row in zip(*firsts)], dtype=object)
+        seen = np.bincount(key) > 0
+        angle = np.empty(seen.size)
+        angle[key] = samples.angle  # any trial's angle stands for its key's
+        keys = np.flatnonzero(seen)
+        tails = np.array(["%d,%d,%.17g" % row for row in zip(
+            (keys >> 1).tolist(), (keys & 1).tolist(), angle[keys].tolist())], dtype=object)
         write_csv(args.out, "trial,iterations,censored,angle_at_halt", "%d,%s",
-                  [np.arange(inverse.size), tails[inverse]])
+                  [np.arange(key.size), tails[(np.cumsum(seen) - 1)[key]]])
     _emit(summary.to_json())
     return OK
 

@@ -353,20 +353,26 @@ def grover_montecarlo(p: GroverParams, n_trials: int) -> tuple[GroverSamples, Mo
     cdf = 1.0 - survival  # cdf[t - 1] = F(t)
 
     u = np.random.default_rng(np.random.SeedSequence(p.seed)).random(n_trials)
-    idx = np.searchsorted(cdf, u, side="right")
+    # Sorted keys let the binary search start where the previous key ended.
+    order = np.argsort(u)
+    ranked = np.searchsorted(cdf, u[order], side="right")
+    idx = np.empty_like(ranked)
+    idx[order] = ranked
+    del u, order
     censored = idx >= p.max_iterations
     last = np.minimum(idx, p.max_iterations - 1)
     samples = GroverSamples(np.where(censored, p.max_iterations, idx + 1), censored, angles[last])
 
-    done = samples.iterations[~censored]
+    done = ranked[ranked < p.max_iterations] + 1  # the uncensored iterations, sorted
     median = float(np.median(done)) if done.size else math.nan
     mean = float(np.mean(done)) if done.size else math.nan
 
     # 24 buckets per oscillation period pi / (2 alpha) of the halting
     # probability, so its periodic peaks stay visible.
     bucket_width = max(1, int(round(math.pi / (2.0 * p.alpha) / 24.0)))
-    lo, counts = np.unique((done - 1) // bucket_width * bucket_width + 1, return_counts=True)
-    histogram = np.column_stack([lo, counts]).tolist()
+    counts = np.bincount((done - 1) // bucket_width)
+    bucket = np.flatnonzero(counts)
+    histogram = np.column_stack([bucket * bucket_width + 1, counts[bucket]]).tolist()
 
     half = int(np.searchsorted(cdf, 0.5))
     pmf = np.diff(cdf, prepend=0.0)

@@ -129,10 +129,15 @@ def _tail_ratio(f_uu: np.ndarray) -> np.ndarray:
     """Per-term decay estimate ||P^2||^(1/2dim), P = f_uu^dim.  Contractions
     decay geometrically only after the completely-nonunitary mixing length,
     so a one-step estimate would be too pessimistic.  The probe P itself is
-    not needed: ||P^2||^(1/2dim) <= ||P||^(1/dim) always."""
+    not needed: ||P^2||^(1/2dim) <= ||P||^(1/dim) always.  An entry whose
+    probe overflows gets ratio inf, which certifies nothing."""
     dim = f_uu.shape[-1]
-    probe = np.linalg.matrix_power(f_uu, dim)
-    return stack_norms(probe @ probe) ** (1.0 / (2 * dim))
+    with np.errstate(over="ignore", invalid="ignore"):
+        probe = np.linalg.matrix_power(f_uu, dim)
+        probe = probe @ probe
+    finite = np.isfinite(probe).all(axis=(-2, -1))
+    probe[~finite] = 0.0
+    return np.where(finite, stack_norms(probe) ** (1.0 / (2 * dim)), math.inf)
 
 
 def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):

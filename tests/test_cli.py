@@ -47,6 +47,19 @@ def test_trace_divergence_exit_code(tmp_path, capsys):
     assert out["error"] == "series_divergence"
 
 
+def test_trace_overflowing_tail_probe_is_a_report(tmp_path, capsys):
+    # f_UU = diag(1e200, 1): squaring its probe overflows, so the entry gets
+    # no geometric certificate and runs to max_terms instead of crashing.
+    path = write_trace_file(tmp_path, [[0, 0, 1], [0, 1e200, 0], [1, 0, 1]], 2)
+    code = main(["trace", "--method", "series", "--max-terms", "1000", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    out = json.loads(captured.out)
+    assert out["converged"] is False
+    assert out["terms_used"] == 1000
+    assert captured.err == ""
+
+
 def test_trace_bad_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -250,6 +263,31 @@ def test_grover_csv_format(tmp_path, capsys, monkeypatch):
                [format(a, ".17g") for a in samples.angle.tolist()])
     write_rows_with_csv_module(want, ["trial", "iterations", "censored", "angle_at_halt"], rows)
     assert data == want.read_bytes()
+
+
+def test_grover_csv_bytes_at_scale(tmp_path, capsys, monkeypatch):
+    # Thousands of distinct (iterations, censored) keys, some trials censored.
+    monkeypatch.setattr(lsi, "CSV_CHUNK_ROWS", 97)
+    out_csv = tmp_path / "trials.csv"
+    argv = ["grover", "--B", "1000000", "--max-iter", "3000", "--trials", "20000", "--seed", "5"]
+    code, out = run(capsys, *argv, "--out", str(out_csv))
+    assert code == 0
+    assert 0 < out["censored"] < 20000
+    samples, _ = grover_montecarlo(GroverParams(10**6, None, 5, 3000), 20000)
+    key = samples.iterations * 2 + samples.censored
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    assert first.size > 2000
+    firsts = [c[first].tolist() for c in (samples.iterations, samples.censored, samples.angle)]
+    tails = np.array(["%d,%d,%.17g" % row for row in zip(*firsts)], dtype=object)
+    unique_csv = tmp_path / "unique.csv"
+    lsi.write_csv(str(unique_csv), "trial,iterations,censored,angle_at_halt", "%d,%s",
+                  [np.arange(inverse.size), tails[inverse]])
+    want = tmp_path / "want.csv"
+    rows = zip(range(20000), samples.iterations.tolist(), samples.censored.astype(int).tolist(),
+               [format(a, ".17g") for a in samples.angle.tolist()])
+    write_rows_with_csv_module(want, ["trial", "iterations", "censored", "angle_at_halt"], rows)
+    data = out_csv.read_bytes()
+    assert data == want.read_bytes() == unique_csv.read_bytes()
 
 
 def test_grover_exact_law_keys(capsys):

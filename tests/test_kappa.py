@@ -1,12 +1,16 @@
+import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from extrace.kappa import (
     GroverParams,
+    GroverSamples,
     KappaMeasurement,
+    MonteCarloSummary,
     RuntimeBound,
     _trajectory,
     build_E,
@@ -396,6 +400,67 @@ class TestMonteCarlo:
         _, summary = grover_montecarlo(p, 10)
         assert summary.exact_median is None
         assert summary.censored_mass > 0.5
+
+
+def frozen_grover_montecarlo(p, n_trials):
+    """Reference sampler: one searchsorted over the draws in trial order,
+    np.median over trial order and an np.unique histogram.  The sorted
+    search and the bincount histogram must match it byte for byte."""
+    angles = premeasurement_angles(p)
+    probs = p.kappa * np.sin(angles) ** 2
+    with np.errstate(divide="ignore"):
+        log_survival = np.cumsum(np.log1p(-np.minimum(probs, 1.0)))
+    survival = np.exp(log_survival)
+    cdf = 1.0 - survival
+
+    u = np.random.default_rng(np.random.SeedSequence(p.seed)).random(n_trials)
+    idx = np.searchsorted(cdf, u, side="right")
+    censored = idx >= p.max_iterations
+    last = np.minimum(idx, p.max_iterations - 1)
+    samples = GroverSamples(np.where(censored, p.max_iterations, idx + 1), censored, angles[last])
+
+    done = samples.iterations[~censored]
+    median = float(np.median(done)) if done.size else math.nan
+    mean = float(np.mean(done)) if done.size else math.nan
+    bucket_width = max(1, int(round(math.pi / (2.0 * p.alpha) / 24.0)))
+    lo, counts = np.unique((done - 1) // bucket_width * bucket_width + 1, return_counts=True)
+    histogram = np.column_stack([lo, counts]).tolist()
+
+    half = int(np.searchsorted(cdf, 0.5))
+    pmf = np.diff(cdf, prepend=0.0)
+    summary = MonteCarloSummary(
+        median, mean, n_trials, int(censored.sum()), bucket_width, histogram,
+        exact_median=half + 1 if half < cdf.size else None,
+        exact_mean=float(np.dot(np.arange(1, cdf.size + 1), pmf) / cdf[-1]),
+        censored_mass=float(survival[-1]),
+    )
+    return samples, summary
+
+
+@st.composite
+def montecarlo_runs(draw):
+    b = draw(st.one_of(st.integers(2, 100), st.integers(2, 10**8)))
+    kappa = draw(st.one_of(st.none(), st.just(1.0), st.floats(-4.0, 0.0).map(lambda e: 10.0**e)))
+    horizon = GroverParams(b, kappa).max_iterations
+    max_iterations = draw(st.one_of(st.integers(1, 50), st.integers(1, horizon), st.just(horizon)))
+    seed = draw(st.integers(0, 2**64))
+    return GroverParams(b, kappa, seed, max_iterations), draw(st.integers(1, 20_000))
+
+
+@given(montecarlo_runs())
+@example((GroverParams(10**8, 1e-6, 3, 5), 1000))  # every trial censored
+@example((GroverParams(10**4, None, 7), 10_000))  # no trial censored
+@example((GroverParams(2, 1.0, 0), 1))
+@example((GroverParams(10**6, None, 5, 3000), 20_000))  # some censored
+@settings(deadline=None, max_examples=40)
+def test_montecarlo_bytes_equal_frozen_reference(run):
+    p, n_trials = run
+    samples, summary = grover_montecarlo(p, n_trials)
+    want_samples, want_summary = frozen_grover_montecarlo(p, n_trials)
+    for got, want in zip((samples.iterations, samples.censored, samples.angle),
+                         (want_samples.iterations, want_samples.censored, want_samples.angle)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert json.dumps(summary.to_json()) == json.dumps(want_summary.to_json())
 
 
 class TestBounds:
