@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 STATEVECTOR_CAP = 4096
+ITERATION_CAP = 10**7  # horizon cap: grover_montecarlo peaks at about 88 B a step, 0.88 GB here
 
 
 @dataclass(frozen=True)
@@ -273,6 +274,8 @@ def grover_statevector(p: GroverParams, *, force_keep_looping: bool = False) -> 
     b = p.B_size
     if b > STATEVECTOR_CAP:
         raise LinalgError(f"B_size {b} exceeds the statevector cap {STATEVECTOR_CAP}")
+    if p.max_iterations > ITERATION_CAP:
+        raise LinalgError(f"max_iterations must be <= {ITERATION_CAP} (default ceil(50 / kappa))")
     rng = np.random.default_rng(np.random.SeedSequence(p.seed))
     star = 0
     psi = np.full(b, b ** -0.5, dtype=np.complex128)
@@ -345,6 +348,8 @@ def grover_montecarlo(p: GroverParams, n_trials: int) -> tuple[GroverSamples, Mo
     """
     if n_trials < 1:
         raise LinalgError("n_trials must be >= 1")
+    if p.max_iterations > ITERATION_CAP:
+        raise LinalgError(f"max_iterations must be <= {ITERATION_CAP} (default ceil(50 / kappa))")
     angles = premeasurement_angles(p)
     probs = p.kappa * np.sin(angles) ** 2
     with np.errstate(divide="ignore"):

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -135,7 +137,7 @@ def bracket_norms(m: np.ndarray, lo, hi, fro=None) -> np.ndarray:
     gram = np.flatnonzero(exact & finite & ((fro < lo * root * (1 - eps)) | (fro > hi * (1 + eps))))
     if gram.size:
         lo, hi, f = (v[gram] if np.ndim(v) else v for v in (lo, hi, fro))
-        y = m[gram] / f[:, None, None]  # ||y||_F = 1
+        y = (m[gram] if gram.size < fro.size else m) / f[:, None, None]  # ||y||_F = 1
         yh = y.conj().swapaxes(-1, -2)
         g = np.abs(y @ yh if y.shape[-2] <= y.shape[-1] else yh @ y)
         g_lo = f * np.sqrt((g * g).sum(axis=(-2, -1))) * (1 - eps)
@@ -367,25 +369,22 @@ def matrix_to_literal(m: np.ndarray) -> list:
 
 
 def matrix_from_literal(obj) -> np.ndarray:
+    """Rows of [re, im] pairs of numbers within the float range, as a matrix."""
     if isinstance(obj, str):
         obj = json.loads(obj)
     if not isinstance(obj, list):
         raise LinalgError("matrix literal must be a JSON array of rows")
-    rows = []
-    width = None
-    for row in obj:
-        if not isinstance(row, list):
-            raise LinalgError("matrix literal row must be an array")
-        entries = []
-        for entry in row:
-            if not (isinstance(entry, list) and len(entry) == 2):
-                raise LinalgError("matrix entries must be [re, im] pairs")
-            entries.append(complex(float(entry[0]), float(entry[1])))
-        if width is None:
-            width = len(entries)
-        elif len(entries) != width:
-            raise LinalgError("ragged matrix literal")
-        rows.append(entries)
-    if not rows:
-        return np.zeros((0, 0), dtype=np.complex128)
-    return as_matrix(rows)
+    if not all(map(isinstance, obj, repeat(list))):
+        raise LinalgError("matrix literal row must be an array")
+    if len(set(map(len, obj))) > 1:
+        raise LinalgError("ragged matrix literal")
+    entries = list(chain.from_iterable(obj))
+    if not (all(map(isinstance, entries, repeat(list))) and set(map(len, entries)) <= {2}):
+        raise LinalgError("matrix entries must be [re, im] pairs")
+    try:  # array("d") checks and converts in one pass: it takes ints, floats and bools
+        flat = array("d", list(chain.from_iterable(entries)))
+    except TypeError:
+        raise LinalgError("matrix entries must be numbers") from None
+    except OverflowError:
+        raise LinalgError("matrix entries must be within the float range") from None
+    return as_matrix(np.frombuffer(flat, np.complex128).reshape(len(obj), -1 if obj else 0))

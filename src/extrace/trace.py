@@ -163,9 +163,10 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
     acc = f_ba.copy()
     bound = fro_norms(f_ba)
     ratio = _tail_ratio(f_uu)
-    # A term can pass the certificate only if its norm is at most this.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        reach = cfg.series_tol * np.where(ratio < 1.0, np.minimum(1.0, (1.0 - ratio) / ratio), 0.0)
+    # A term can pass the certificate only if its norm is at most this:
+    # series_tol * min(1, (1 - ratio) / ratio), 0 where ratio >= 1.
+    reach = cfg.series_tol * np.divide(1.0 - ratio, ratio, out=(ratio <= 0.5) * 1.0,
+                                       where=(ratio > 0.5) & (ratio < 1.0))
     quiet = reach * math.sqrt(min(f_ba.shape[1:])) * (1 + 1e-9)  # above it, surely out of reach
     lo = np.where(exact, 0.0, reach)  # 0 keeps an entry's term norms exact
     cap = cfg.blowup * (1 - 1e-9)
@@ -287,8 +288,9 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False):
 
     limit = 1.0 + DEFAULT_TOL
     contraction = bracket_norms(m, limit, limit) <= limit
+    every = contraction.all()
     scale = np.ones(n)  # a contraction's residuals are judged against 1
-    if not contraction.all():
+    if not every:
         scale[~contraction] = stack_norms(m[~contraction])
     values, residual, ki_errors = _kernel_image(
         f_ba, f_bu, f_ua, f_uu, scale, cfg, ~contraction, m
@@ -296,32 +298,36 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False):
     # A contraction must pass both routes; any other entry whose closed
     # form fails takes the series value instead.
     errors = {i: e for i, e in ki_errors.items() if contraction[i]}
-    method[~contraction] = "kernel_image"
-    method[[i for i in ki_errors if not contraction[i]]] = "series"
-    idx = np.flatnonzero(method != "kernel_image")
-    if idx.size == 0:  # every entry took the closed form alone
-        return values, method, terms, residual, converged
+    if every:  # contiguous, as a gather leaves them: matmul rounds by the layout
+        idx, blocks = np.arange(n), map(np.ascontiguousarray, (f_ba, f_bu, f_ua, f_uu))
+    else:
+        method[~contraction] = "kernel_image"
+        method[[i for i in ki_errors if not contraction[i]]] = "series"
+        idx = np.flatnonzero(method != "kernel_image")
+        if idx.size == 0:  # every entry took the closed form alone
+            return values, method, terms, residual, converged
+        blocks = (x[idx] for x in (f_ba, f_bu, f_ua, f_uu))
     alone = ~contraction[idx]
-    s_value, s_terms, s_norm, s_converged, s_errors = _series(
-        f_ba[idx], f_bu[idx], f_ua[idx], f_uu[idx], cfg, alone
-    )
+    s_value, s_terms, s_norm, s_converged, s_errors = _series(*blocks, cfg, alone)
     for j, e in s_errors.items():
         errors.setdefault(int(idx[j]), e)
     terms[idx] = s_terms
-    values[idx[alone]] = s_value[alone]
-    residual[idx[alone]] = s_norm[alone]
-    converged[idx[alone]] = s_converged[alone]
+    if not every:
+        values[idx[alone]] = s_value[alone]
+        residual[idx[alone]] = s_norm[alone]
+        converged[idx[alone]] = s_converged[alone]
     both = np.flatnonzero(~alone)
     diff = values[idx[both]] - s_value[both]
     gap = stack_norms(diff) if report_gap else bracket_norms(diff, cfg.compare_tol, math.inf)
     residual[idx[both]] = gap
-    for j, g in zip(both, gap):
+    fail = ~s_converged[both] | (gap > cfg.compare_tol)
+    for j, g in zip(both[fail], gap[fail]):
         if not s_converged[j]:
             errors.setdefault(int(idx[j]), SeriesDivergence(
                 "series failed to converge on a contraction input "
                 f"(last increment {s_norm[j]:.3e})"
             ))
-        elif g > cfg.compare_tol:
+        else:
             errors.setdefault(int(idx[j]), ArithmeticError(
                 "internal consistency failure: series and kernel-image "
                 f"values differ by {g:.3e}"
@@ -579,10 +585,20 @@ def check_trace_axioms(seed: int, n_cases: int, cfg: TraceConfig = TraceConfig()
     draws = []
     cases = [_draw_case(i, np.random.default_rng(ss), draws) for i, ss in enumerate(streams)]
     rescale_draws(draws)
-    t = _trace_grouped({(ctx, name): job for ctx, _, traces, _ in cases
-                        for name, job in traces().items()}, cfg)
-    nested = {(ctx, "vanishing_ii"): (t[ctx, "vanishing_ii (inner)"], u) for ctx, u, _, _ in cases}
-    t.update(_trace_grouped(nested, cfg))
+    jobs = {(ctx, name): job for ctx, _, traces, _ in cases for name, job in traces().items()}
+    inner = {key: job for key, job in jobs.items() if key[1] == "vanishing_ii (inner)"}
+
+    def traced(first: dict, rest: dict) -> dict:
+        t = _trace_grouped(first, cfg)
+        nested = {(c, "vanishing_ii"): (t[c, "vanishing_ii (inner)"], u) for c, u, _, _ in cases}
+        return {**t, **_trace_grouped({**rest, **nested}, cfg)}
+
+    # Inner traces first, so each nested one joins its case's ex(f) stack.  A failure
+    # traces again in draw order, nested ones last, and the error names that order's.
+    try:
+        t = traced(inner, {key: job for key, job in jobs.items() if key not in inner})
+    except ArithmeticError:
+        t = traced(jobs, {})
     laws = [(ctx, name, diff) for ctx, _, _, differences in cases
             for name, diff in differences(t).items()]
     checks = {name: AxiomCheck(name) for name in _AXIOMS}

@@ -315,6 +315,21 @@ def test_negative_seed_is_usage_error(capsys, argv):
     assert "seed" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grover", "--B", "16", "--kappa", "1e-7"],
+        ["grover", "--B", "16", "--max-iter", "1000000000"],
+        ["grover", "--B", "16", "--kappa", "1e-300"],
+        ["grover", "--B", "16", "--kappa", "1e-12", "--mode", "statevector"],
+    ],
+    ids=["default_horizon", "max_iter", "tiny_kappa", "statevector"],
+)
+def test_grover_horizon_beyond_the_cap_is_usage_error(capsys, argv):
+    # Refused before the first array is allocated or the first step is run.
+    usage_error(capsys, argv, "max_iterations must be <= 10000000")
+
+
 def test_negative_cases_is_usage_error(capsys):
     code = main(["axioms", "--cases", "-1"])
     captured = capsys.readouterr()
@@ -524,3 +539,38 @@ def test_qwhile_contraction_gate_is_usage_error(tmp_path, capsys):
     src = tmp_path / "c.qw"
     src.write_text("gate C = [[[0.5,0]]]\n(gate C)\n")
     usage_error(capsys, ["qwhile", "check", str(src)], "not unitary")
+
+
+# Literal entries that float() rejects or converts: a JSON integer beyond the
+# float range, null, a string, and a numeric string, refused since the
+# literal rules take only JSON numbers.
+BAD_ENTRIES = {"huge": "1" + "0" * 400, "null": "null", "text": '"abc"', "numeric_text": '"0.5"'}
+
+
+def literal_with(entry):
+    return f"[[[{entry}, 0], [0, 0]], [[0, 0], [1, 0]]]"
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+def test_trace_bad_literal_entry_is_usage_error(tmp_path, capsys, entry):
+    path = tmp_path / "input.json"
+    path.write_text('{"matrix": %s, "row_partition": {"names": ["B", "U"], "sizes": [1, 1]}, '
+                    '"col_partition": {"names": ["A", "U"], "sizes": [1, 1]}}' % literal_with(entry))
+    usage_error(capsys, ["trace", str(path)], "bad trace input: matrix entries must be")
+
+
+@pytest.mark.parametrize("entry", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+def test_lsi_bad_literal_entry_is_usage_error(tmp_path, capsys, entry):
+    path = tmp_path / "kernel.json"
+    path.write_text('{"in_ports": ["i", "x"], "out_ports": ["o", "x"], "taps": {"0": %s}}'
+                    % literal_with(entry))
+    usage_error(capsys, ["lsi", str(path)], "bad kernel input: matrix entries must be")
+
+
+@pytest.mark.parametrize("action", ["run", "check"])
+@pytest.mark.parametrize("entry", BAD_ENTRIES.values(), ids=BAD_ENTRIES.keys())
+def test_qwhile_bad_literal_entry_names_the_gate_line(tmp_path, capsys, action, entry):
+    src = tmp_path / "g.qw"
+    src.write_text(f"\ngate G = {literal_with(entry)}\n\n(gate G)\n")
+    usage_error(capsys, ["qwhile", action, str(src)],
+                f"{src}: 2:1: bad matrix literal for gate 'G': matrix entries must be")

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from extrace.linalg import (
     LinalgError,
@@ -164,3 +165,87 @@ def test_matrix_literal_rejects_malformed():
     for bad in ("{}", [[1, 2]], [[[1, 2, 3]]], [[[1, 0]], [[1, 0], [2, 0]]]):
         with pytest.raises(LinalgError):
             matrix_from_literal(bad)
+
+
+def loop_matrix_from_literal(obj):
+    """matrix_from_literal as it was, one complex(float(), float()) per entry."""
+    if not isinstance(obj, list):
+        raise LinalgError("matrix literal must be a JSON array of rows")
+    rows = []
+    width = None
+    for row in obj:
+        if not isinstance(row, list):
+            raise LinalgError("matrix literal row must be an array")
+        entries = []
+        for entry in row:
+            if not (isinstance(entry, list) and len(entry) == 2):
+                raise LinalgError("matrix entries must be [re, im] pairs")
+            entries.append(complex(float(entry[0]), float(entry[1])))
+        if width is None:
+            width = len(entries)
+        elif len(entries) != width:
+            raise LinalgError("ragged matrix literal")
+        rows.append(entries)
+    if not rows:
+        return np.zeros((0, 0), dtype=np.complex128)
+    return as_matrix(rows)
+
+
+# JSON numbers within the float range: ints up to 2^1023, floats with -0.0,
+# subnormals and the extremes.
+numbers = st.one_of(
+    st.integers(-(2**1023), 2**1023),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+                     1.7976931348623157e308, 2**53 + 1, -(2**63) - 1]),
+)
+
+
+@st.composite
+def literals(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return [[[draw(numbers), draw(numbers)] for _ in range(cols)] for _ in range(rows)]
+
+
+@given(literals())
+@example([])
+@example([[]])
+@example([[[1, -0.0], [5e-324, 1e308], [-1e308, 2]]])
+def test_literal_conversion_matches_the_entry_loop(obj):
+    want = loop_matrix_from_literal(obj)
+    got = matrix_from_literal(obj)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=2), children,
+                                                                         max_size=2),
+    max_leaves=16,
+)
+
+
+@given(json_values.filter(lambda v: not isinstance(v, str)))  # a str is read as JSON text
+@example([[[1, 0], [0, 0]], [[0, 0]]])
+@example([[[1, 0, 0]]])
+@example([[1, 0]])
+@example([[[10**400, 0]]])
+@example([[[None, 0]]])
+@example([[["abc", 0]]])
+@example([[["0.5", 0]]])
+@example([[[True, 0]]])
+def test_literal_rejects_what_the_entry_loop_rejects(obj):
+    """A literal the loop rejects, by a LinalgError on its shape or by an
+    error of float() on an entry, raises LinalgError.  Of what the loop
+    takes, the conversion refuses only numeric strings; bools read as 1, 0."""
+    try:
+        want = loop_matrix_from_literal(obj)
+    except (ValueError, TypeError, OverflowError):
+        with pytest.raises(LinalgError):
+            matrix_from_literal(obj)
+        return
+    if all(isinstance(x, (int, float)) for row in obj for entry in row for x in entry):
+        assert matrix_from_literal(obj).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(LinalgError, match="matrix entries must be numbers"):
+            matrix_from_literal(obj)

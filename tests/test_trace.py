@@ -456,17 +456,23 @@ def test_batched_axioms_equal_per_case_reference(monkeypatch, seed, n_cases):
     reports = []
     want = traced_shapes(monkeypatch, lambda: reports.append(reference_axioms(seed, n_cases)))
     assert len(want) == 13 * n_cases
-    # The reference's 11th ex call of each case is vanishing II's nested one.
+    # The reference's 10th ex call of each case is vanishing II's inner one,
+    # its 11th the nested one, which has the shape and loop of the 1st, ex(f).
     per_case = [want[13 * i : 13 * i + 13] for i in range(n_cases)]
-    first = {call[1:] for calls in per_case for j, call in enumerate(calls) if j != 10}
-    nested = {calls[10][1:] for calls in per_case}
+    assert all(calls[10][1:] == calls[0][1:] for calls in per_case)
+    inner = {calls[9][1:] for calls in per_case}
+    rest = {call[1:] for calls in per_case for j, call in enumerate(calls) if j != 9}
     got = traced_shapes(monkeypatch, lambda: reports.append(check_trace_axioms(seed, n_cases)))
     assert reports[1].to_json() == reports[0].to_json()
-    # One call per distinct (shape, loop) group, then one per group of the
-    # nested pass; ex(f), which three laws use, is traced once per case.
-    assert sorted(call[1:] for call in got[: len(first)]) == sorted(first)
-    assert sorted(call[1:] for call in got[len(first) :]) == sorted(nested)
+    # One call per distinct (shape, loop) group of the inner traces, then one
+    # per group of the rest, where each nested trace joins its case's ex(f);
+    # ex(f), which three laws use, is traced once per case.
+    assert sorted(call[1:] for call in got[: len(inner)]) == sorted(inner)
+    assert sorted(call[1:] for call in got[len(inner) :]) == sorted(rest)
     assert sum(n for n, _, _ in got) == 11 * n_cases
+    # Fewer calls than a nested pass of its own would make.
+    first = {call[1:] for calls in per_case for j, call in enumerate(calls) if j != 10}
+    assert len(got) < len(first) + len({calls[10][1:] for calls in per_case})
 
 
 def test_failing_axiom_trace_names_case_and_law():
