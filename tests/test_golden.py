@@ -1,0 +1,193 @@
+"""Every CLI command below must print and write the bytes it did when the
+table was taken: one SHA-256 over each run's exit code, stdout and CSV
+file.  stderr is left out, since numpy warnings name source lines.
+
+BLAS, libm and numpy's SIMD loops round differently across builds and
+CPUs, so the table holds for the environment it was taken in, named by its
+fingerprint; anywhere else the test skips and names the fingerprint it
+found.  A change that moves bytes on purpose edits the entries it moves
+and says so in CHANGES.md."""
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from extrace.cli import main
+from extrace.linalg import matrix_to_literal, two_block
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+PROGRAMS = ["hadamard_delay_loop", "nested_loop", "phase_chain", "swap_loop"]
+KERNELS = {"k2": (2, 1, 64), "k4": (4, 2, 256), "k6": (6, 3, 128)}  # ports, loop, grid
+TRACES = {"c4": (4, True), "c16": (16, True), "c48": (48, True), "e8": (8, False), "e32": (32, False)}
+# A Jordan loop block, whose series diverges, and f_UU = diag(1e200, 1), whose
+# series runs to max_terms; with their extra trace arguments.
+FIXED = {"jordan": ([[0.5, 1, 0], [0, 1, 1], [1, 0, 1]], []),
+         "huge": ([[0, 0, 1], [0, 1e200, 0], [1, 0, 1]], ["--max-terms", "1000"])}
+
+
+def fingerprint() -> str:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
+        blas = "unknown BLAS"
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    features = " ".join(sorted(name for name, on in __cpu_features__.items() if on))
+    return f"numpy {np.__version__}; {blas}; {platform.machine()}; {features}"
+
+
+def partitioned(rng, n: int, contraction: bool) -> np.ndarray:
+    """n x n, loop block the trailing n // 2 ports: a contraction of norm
+    0.8, or an expansion of norm about 2 whose loop block has norm 0.5."""
+    z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if contraction:
+        return z * (0.8 / np.linalg.norm(z, 2))
+    k = n - n // 2
+    loop = z[k:, k:] * (0.5 / np.linalg.norm(z[k:, k:], 2))
+    z[k:, k:] = 0
+    z *= 2.0 / np.linalg.norm(z, 2)
+    z[k:, k:] = loop
+    return z
+
+
+def fir_kernel(rng, ports: int) -> dict:
+    """Three taps of norm 0.3 each at offsets 0..6: a strict contraction."""
+    taps = {}
+    for t in sorted(rng.choice(7, size=3, replace=False).tolist()):
+        tap = rng.standard_normal((ports, ports)) + 1j * rng.standard_normal((ports, ports))
+        taps[str(t)] = matrix_to_literal(tap * (0.3 / np.linalg.norm(tap, 2)))
+    names = [f"p{i}" for i in range(ports)]
+    return {"in_ports": names, "out_ports": names, "taps": taps}
+
+
+def write_inputs(root: Path) -> None:
+    rng = np.random.default_rng(2021)
+    for name, (ports, _, _) in KERNELS.items():
+        (root / f"{name}.json").write_text(json.dumps(fir_kernel(rng, ports)))
+    matrices = {name: (partitioned(rng, n, c), n // 2) for name, (n, c) in TRACES.items()}
+    matrices.update({name: (np.array(m, dtype=complex), 2) for name, (m, _) in FIXED.items()})
+    for name, (m, loop) in matrices.items():
+        (root / f"{name}.json").write_text(json.dumps({**two_block(m, loop).to_json(), "loop": "U"}))
+
+
+def commands() -> dict:
+    """{id: (argv, writes CSV)}; "{}" in argv stands for the input
+    directory, and a run that writes CSV gets --out there."""
+    cmds = {}
+    for program in PROGRAMS:
+        for grid in (8, 256):
+            cmds[f"qwhile-{program}-{grid}"] = (["qwhile", "run", str(CORPUS / f"{program}.qw"),
+                                                 "--grid", str(grid)], True)
+    cmds["qwhile-hadamard_delay_loop-4096"] = (
+        ["qwhile", "run", str(CORPUS / "hadamard_delay_loop.qw"), "--grid", "4096"], True)
+    for name, (_, loop, grid) in KERNELS.items():
+        for csv in (False, True):
+            cmds[f"lsi-{name}{'-csv' if csv else ''}"] = (
+                ["lsi", "{}/" + f"{name}.json", "--grid", str(grid), "--loop", str(loop)], csv)
+    extra = {name: args for name, (_, args) in FIXED.items()}
+    for name in [*TRACES, *FIXED]:
+        for method in ("both", "series", "ki"):
+            cmds[f"trace-{name}-{method}"] = (
+                ["trace", "--method", method, *extra.get(name, []), "{}/" + f"{name}.json"], False)
+    for seed in (0, 7):
+        cmds[f"axioms-200-seed{seed}"] = (["axioms", "--cases", "200", "--seed", str(seed)], False)
+    cmds["grover-4096-csv"] = (["grover", "--B", "4096", "--trials", "2000", "--seed", "3"], True)
+    cmds["grover-1e6"] = (["grover", "--B", "1000000", "--kappa", "0.001", "--trials", "1000",
+                           "--seed", "1"], False)
+    cmds["grover-statevector-csv"] = (["grover", "--B", "64", "--kappa", "0.3", "--seed", "1",
+                                       "--mode", "statevector"], True)
+    cmds["bound-10000"] = (["bound", "--B", "10000", "--c", "2"], False)
+    return cmds
+
+
+COMMANDS = commands()
+
+
+def digest(root: Path, argv: list, csv: bool) -> str:
+    argv = [a.replace("{}", str(root)) for a in argv]
+    out_csv = root / "out.csv"
+    out_csv.unlink(missing_ok=True)
+    if csv:
+        argv += ["--out", str(out_csv)]
+    stdout = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main(argv)
+    h = hashlib.sha256(f"{code}\0{stdout.getvalue()}\0".encode())
+    h.update(out_csv.read_bytes() if csv else b"")
+    return h.hexdigest()[:16]
+
+
+# SHA-256 of fingerprint() for the environment the table was taken in:
+# numpy 2.4.6, scipy-openblas 0.3.31.188.0, x86_64 with AVX-512.
+TABLE_FINGERPRINT = "6f0ddf8085d5c4ee"
+GOLDEN = {
+    "qwhile-hadamard_delay_loop-8": "59f59af2042b83f8",
+    "qwhile-hadamard_delay_loop-256": "79fa5922d6c8237c",
+    "qwhile-nested_loop-8": "7d56a4575b059f2b",
+    "qwhile-nested_loop-256": "1ae83a8afddf39f9",
+    "qwhile-phase_chain-8": "bae7bb3656410b63",
+    "qwhile-phase_chain-256": "35544e2dc3fd7427",
+    "qwhile-swap_loop-8": "ae899ec75808631c",
+    "qwhile-swap_loop-256": "5270e4f8ffed02ae",
+    "qwhile-hadamard_delay_loop-4096": "f01c16cacd7a6522",
+    "lsi-k2": "cb51f44f4b51b6f3",
+    "lsi-k2-csv": "62712e655aff06ea",
+    "lsi-k4": "77e2874d151a6aae",
+    "lsi-k4-csv": "3d8d6449efad1120",
+    "lsi-k6": "b69f7a3e0c012b19",
+    "lsi-k6-csv": "72a14ad6c159f07f",
+    "trace-c4-both": "5f46840afad7789f",
+    "trace-c4-series": "84c301e5b23e0c02",
+    "trace-c4-ki": "afb6205397503968",
+    "trace-c16-both": "4a46533fb5f4a6da",
+    "trace-c16-series": "8cedb7824ff21533",
+    "trace-c16-ki": "9616c77b862f274a",
+    "trace-c48-both": "54d35bd729b74e65",
+    "trace-c48-series": "605bc16fa3bf8c1c",
+    "trace-c48-ki": "c48b4c777b155116",
+    "trace-e8-both": "448a73760599256a",
+    "trace-e8-series": "4f96f2882050e10e",
+    "trace-e8-ki": "448a73760599256a",
+    "trace-e32-both": "dd0c494865b5514a",
+    "trace-e32-series": "bf6040234dd91739",
+    "trace-e32-ki": "dd0c494865b5514a",
+    "trace-jordan-both": "b34a3301b28cf240",
+    "trace-jordan-series": "b34a3301b28cf240",
+    "trace-jordan-ki": "c2dbc0cd151b9f52",
+    "trace-huge-both": "9fed2b1dcaa6c5ca",
+    "trace-huge-series": "e77bab9b4ecbeaa3",
+    "trace-huge-ki": "9fed2b1dcaa6c5ca",
+    "axioms-200-seed0": "41e5b5142494a079",
+    "axioms-200-seed7": "1379d8a4931d9b6e",
+    "grover-4096-csv": "e77f7f8e06ac3d36",
+    "grover-1e6": "a18f7b44bebb740e",
+    "grover-statevector-csv": "fbfea0918f91e547",
+    "bound-10000": "f779d42d94fb1455",
+}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    found = fingerprint()
+    if hashlib.sha256(found.encode()).hexdigest()[:16] != TABLE_FINGERPRINT:
+        pytest.skip(f"golden table not taken in this environment: {found}")
+    root = tmp_path_factory.mktemp("golden")
+    write_inputs(root)
+    return root
+
+
+@pytest.mark.parametrize("cid", COMMANDS)
+def test_cli_bytes_match_the_golden_table(inputs, cid):
+    assert digest(inputs, *COMMANDS[cid]) == GOLDEN[cid]
