@@ -167,10 +167,7 @@ def _cmd_qwhile(args) -> int:
 
 
 def _cmd_grover(args) -> int:
-    try:
-        params = GroverParams(args.B, args.kappa, args.seed, args.max_iter)
-    except LinalgError as e:
-        raise SystemExit(str(e))
+    params = GroverParams(args.B, args.kappa, args.seed, args.max_iter)
     if args.mode == "statevector":
         run = grover_statevector(params)
         if args.out:
@@ -206,11 +203,8 @@ def _cmd_grover(args) -> int:
 def _cmd_bound(args) -> int:
     if args.B < 1:
         raise SystemExit("B must be >= 1")
-    try:
-        rb = _grover_bound(args.B, args.kappa)
-        t_c = runtime_bound(rb, args.c)
-    except LinalgError as e:
-        raise SystemExit(str(e))
+    rb = _grover_bound(args.B, args.kappa)
+    t_c = runtime_bound(rb, args.c)
     _emit({"B": args.B, "kappa": rb.kappa, "epsilon": rb.epsilon, "c": args.c, "T": t_c})
     return OK
 

@@ -41,6 +41,9 @@ __all__ = [
 
 STATEVECTOR_CAP = 4096
 ITERATION_CAP = 10**7  # horizon cap: grover_montecarlo peaks at about 88 B a step, 0.88 GB here
+# grover_statevector's cap on max_iterations * max(B, 1024): a step took 29 us
+# at B = 16 and 109 us at B = 4096 on one Xeon core, so about 30 s at the cap.
+STATEVECTOR_WORK_CAP = 2**30
 
 
 @dataclass(frozen=True)
@@ -143,6 +146,8 @@ class GroverParams:
             raise LinalgError("kappa must lie in (0, 1]")
         object.__setattr__(self, "kappa", float(kappa))
         if self.max_iterations is None:
+            if 50.0 / kappa == math.inf:
+                raise LinalgError(f"kappa {kappa:g} is too small: ceil(50 / kappa) is not finite")
             object.__setattr__(self, "max_iterations", int(math.ceil(50.0 / kappa)))
         if self.max_iterations < 1:
             raise LinalgError("max_iterations must be >= 1")
@@ -276,6 +281,9 @@ def grover_statevector(p: GroverParams, *, force_keep_looping: bool = False) -> 
         raise LinalgError(f"B_size {b} exceeds the statevector cap {STATEVECTOR_CAP}")
     if p.max_iterations > ITERATION_CAP:
         raise LinalgError(f"max_iterations must be <= {ITERATION_CAP} (default ceil(50 / kappa))")
+    if p.max_iterations * max(b, 1024) > STATEVECTOR_WORK_CAP:
+        raise LinalgError(f"statevector work max_iterations * max(B, 1024) exceeds the cap "
+                          f"{STATEVECTOR_WORK_CAP}")
     rng = np.random.default_rng(np.random.SeedSequence(p.seed))
     star = 0
     psi = np.full(b, b ** -0.5, dtype=np.complex128)
@@ -381,6 +389,8 @@ def grover_montecarlo(p: GroverParams, n_trials: int) -> tuple[GroverSamples, Mo
 
     half = int(np.searchsorted(cdf, 0.5))
     pmf = np.diff(cdf, prepend=0.0)
+    # NaN, as median and mean are without halts, where F rounds to 0 at every step
+    exact_mean = float(np.dot(np.arange(1, cdf.size + 1), pmf) / cdf[-1]) if cdf[-1] else math.nan
     summary = MonteCarloSummary(
         median,
         mean,
@@ -389,7 +399,7 @@ def grover_montecarlo(p: GroverParams, n_trials: int) -> tuple[GroverSamples, Mo
         bucket_width,
         histogram,
         exact_median=half + 1 if half < cdf.size else None,
-        exact_mean=float(np.dot(np.arange(1, cdf.size + 1), pmf) / cdf[-1]),
+        exact_mean=exact_mean,
         censored_mass=float(survival[-1]),
     )
     return samples, summary
@@ -432,7 +442,11 @@ def runtime_bound(rb: RuntimeBound, c: int = 1) -> int:
     probability 0 or negative, so it is rejected."""
     if c < 1:
         raise LinalgError("c must be >= 1")
-    n = math.ceil(2.0 * c / (rb.kappa * (1.0 - 2.0 * rb.epsilon)))
+    try:
+        n = math.ceil(2.0 * c / (rb.kappa * (1.0 - 2.0 * rb.epsilon)))
+    except (OverflowError, ZeroDivisionError):
+        raise LinalgError(f"kappa {rb.kappa:g} is too small: "
+                          "ceil(2c / (kappa (1 - 2 epsilon))) is not finite") from None
     return rb.g(rb.f(n))
 
 

@@ -125,31 +125,15 @@ class _Token:
     col: int
 
 
+_TOKEN = re.compile(r"[()]|[^\s()]+")  # \s is str.isspace on every code point
+
+
 def _tokenize(text: str, line0: int = 1) -> list[_Token]:
-    tokens = []
-    line, col = line0, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch.isspace():
-            col += 1
-            i += 1
-        elif ch in "()":
-            tokens.append(_Token(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append(_Token(text[i:j], line, col))
-            col += j - i
-            i = j
-    return tokens
+    """Parentheses and the words between them, by line and column; only a
+    line feed ends a line."""
+    return [_Token(m.group(), line, m.start() + 1)
+            for line, row in enumerate(text.split("\n"), start=line0)
+            for m in _TOKEN.finditer(row)]
 
 
 class _Parser:

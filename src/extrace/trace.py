@@ -50,6 +50,10 @@ __all__ = [
 CNU_TOL = 1e-8  # cnu_decompose: contraction test and unitary subspace 1 - s^2 <= CNU_TOL
 CNU_CHECK_TOL = 1e-7  # cnu_decompose: off-diagonal mass and unitarity of the split
 AXIOM_MAX_DIM = 4  # check_trace_axioms draws every block dimension from 1..AXIOM_MAX_DIM
+# Trace routes, kept as indices into this table until a result is returned: a
+# contraction flag as an integer is _KI or _BOTH, and nonzero ones take the series.
+_ROUTES = np.array(["kernel_image", "both_agree", "series"], dtype=object)
+_KI, _BOTH, _SERIES = range(3)
 
 
 class SeriesDivergence(ArithmeticError):
@@ -280,46 +284,43 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False):
         raise LinalgError("matrix contains non-finite entries")
     n = m.shape[0]
     f_ba, f_bu, f_ua, f_uu = _blocks(m, k)
-    method = np.full(n, "both_agree", dtype=object)
     terms = np.zeros(n, dtype=np.int64)
     converged = np.ones(n, dtype=bool)
     if k == 0:
-        return f_ba.copy(), method, terms, np.zeros(n), converged
+        return f_ba.copy(), _ROUTES[np.full(n, _BOTH)], terms, np.zeros(n), converged
 
     limit = 1.0 + DEFAULT_TOL
-    contraction = bracket_norms(m, limit, limit) <= limit
-    every = contraction.all()
-    scale = np.ones(n)  # a contraction's residuals are judged against 1
-    if not every:
-        scale[~contraction] = stack_norms(m[~contraction])
+    norm = bracket_norms(m, limit, math.inf)  # exact at and above the limit
+    contraction = norm <= limit
+    scale = np.where(contraction, 1.0, norm)  # a contraction's residuals are judged against 1
     values, residual, ki_errors = _kernel_image(
         f_ba, f_bu, f_ua, f_uu, scale, cfg, ~contraction, m
     )
     # A contraction must pass both routes; any other entry whose closed
     # form fails takes the series value instead.
     errors = {i: e for i, e in ki_errors.items() if contraction[i]}
-    if every:  # contiguous, as a gather leaves them: matmul rounds by the layout
-        idx, blocks = np.arange(n), map(np.ascontiguousarray, (f_ba, f_bu, f_ua, f_uu))
-    else:
-        method[~contraction] = "kernel_image"
-        method[[i for i in ki_errors if not contraction[i]]] = "series"
-        idx = np.flatnonzero(method != "kernel_image")
-        if idx.size == 0:  # every entry took the closed form alone
-            return values, method, terms, residual, converged
-        blocks = (x[idx] for x in (f_ba, f_bu, f_ua, f_uu))
-    alone = ~contraction[idx]
-    s_value, s_terms, s_norm, s_converged, s_errors = _series(*blocks, cfg, alone)
+    route = contraction.astype(np.int8)
+    fallback = [i for i in ki_errors if i not in errors]
+    if fallback:
+        route[fallback] = _SERIES
+    idx = route.nonzero()[0]
+    if idx.size == 0:  # every entry took the closed form alone
+        return values, _ROUTES[route], terms, residual, converged
+    alone = route[idx] == _SERIES
+    s_value, s_terms, s_norm, s_converged, s_errors = _series(
+        *(x.take(idx, axis=0) for x in (f_ba, f_bu, f_ua, f_uu)), cfg, alone
+    )
     for j, e in s_errors.items():
         errors.setdefault(int(idx[j]), e)
     terms[idx] = s_terms
-    if not every:
-        values[idx[alone]] = s_value[alone]
-        residual[idx[alone]] = s_norm[alone]
-        converged[idx[alone]] = s_converged[alone]
+    if fallback:
+        at = idx[alone]
+        values[at], residual[at], converged[at] = s_value[alone], s_norm[alone], s_converged[alone]
     both = np.flatnonzero(~alone)
-    diff = values[idx[both]] - s_value[both]
+    at = idx[both]
+    diff = values[at] - s_value[both]
     gap = stack_norms(diff) if report_gap else bracket_norms(diff, cfg.compare_tol, math.inf)
-    residual[idx[both]] = gap
+    residual[at] = gap
     fail = ~s_converged[both] | (gap > cfg.compare_tol)
     for j, g in zip(both[fail], gap[fail]):
         if not s_converged[j]:
@@ -333,7 +334,7 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False):
                 f"values differ by {g:.3e}"
             ))
     _raise_first(errors)
-    return values, method, terms, residual, converged
+    return values, _ROUTES[route], terms, residual, converged
 
 
 def ex_series(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig()) -> TraceResult:
@@ -342,10 +343,11 @@ def ex_series(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig
     m, k = _loop_last(f, loop_label)
     f_ba, f_bu, f_ua, f_uu = _blocks(m, k)
     if k == 0:
-        return TraceResult(f_ba[0].copy(), "series", 0, 0.0, True)
+        return TraceResult(f_ba[0].copy(), _ROUTES[_SERIES], 0, 0.0, True)
     total, terms, term_norm, converged, errors = _series(f_ba, f_bu, f_ua, f_uu, cfg)
     _raise_first(errors)
-    return TraceResult(total[0], "series", int(terms[0]), float(term_norm[0]), bool(converged[0]))
+    return TraceResult(total[0], _ROUTES[_SERIES], int(terms[0]), float(term_norm[0]),
+                       bool(converged[0]))
 
 
 def ex_kernel_image(
@@ -356,11 +358,11 @@ def ex_kernel_image(
     m, k = _loop_last(f, loop_label)
     f_ba, f_bu, f_ua, f_uu = _blocks(m, k)
     if k == 0:
-        return TraceResult(f_ba[0].copy(), "kernel_image", 0, 0.0, True)
+        return TraceResult(f_ba[0].copy(), _ROUTES[_KI], 0, 0.0, True)
     scale = max(operator_norm(f.matrix), 1.0)
     value, residual, errors = _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg, True)
     _raise_first(errors)
-    return TraceResult(value[0], "kernel_image", 0, float(residual[0]), True)
+    return TraceResult(value[0], _ROUTES[_KI], 0, float(residual[0]), True)
 
 
 def ex(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig()) -> TraceResult:

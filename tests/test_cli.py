@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -328,6 +329,38 @@ def test_negative_seed_is_usage_error(capsys, argv):
 def test_grover_horizon_beyond_the_cap_is_usage_error(capsys, argv):
     # Refused before the first array is allocated or the first step is run.
     usage_error(capsys, argv, "max_iterations must be <= 10000000")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grover", "--B", "16", "--kappa", "1e-320"],
+        ["grover", "--B", "16", "--kappa", "5e-324"],
+        ["bound", "--B", "10000", "--kappa", "1e-320"],
+        ["bound", "--B", "10000", "--kappa", "5e-324"],
+    ],
+    ids=["grover", "grover_min", "bound", "bound_min"],
+)
+def test_tiny_kappa_is_usage_error(capsys, argv):
+    # ceil(50 / kappa) and ceil(2c / (kappa (1 - 2 epsilon))) are not finite.
+    usage_error(capsys, argv, "is too small")
+
+
+def test_grover_statevector_beyond_the_work_cap_is_usage_error(capsys):
+    # 2,000,000 steps at max(B, 1024) = 1024 is above 2^30, within ITERATION_CAP.
+    usage_error(capsys, ["grover", "--B", "16", "--max-iter", "2000000", "--mode", "statevector"],
+                "statevector work max_iterations * max(B, 1024) exceeds the cap 1073741824")
+
+
+def test_grover_summary_without_halts_divides_by_nothing(capsys):
+    # The CDF rounds to 0 at every step, so no halting time has a mean.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(capsys, "grover", "--B", "1000000", "--kappa", "1e-20",
+                        "--max-iter", "1000", "--trials", "100")
+    assert code == 0
+    assert out["censored"] == 100 and out["censored_mass"] == 1.0
+    assert all(math.isnan(out[key]) for key in ("median", "mean", "exact_mean"))
 
 
 def test_negative_cases_is_usage_error(capsys):

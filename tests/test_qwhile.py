@@ -75,6 +75,25 @@ def test_parse_error_carries_position():
     assert exc.value.col == 9
 
 
+@pytest.mark.parametrize(
+    "space", ["\t", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000"],
+    ids=["tab", "cr", "vt", "ff", "fs", "nel", "nbsp", "ideographic"],
+)
+def test_parse_error_counts_each_space_as_one_column(space):
+    # Only a line feed ends a line; any other space is one column.
+    with pytest.raises(ParseError) as exc:
+        parse(f"(seq{space}(gate H)\n{space}{space}(gate{space}NOPE))", GATES)
+    assert str(exc.value) == "2:9: unknown gate 'NOPE'"
+
+
+@pytest.mark.parametrize("space", ["\t", "\xa0", "\u3000"], ids=["tab", "nbsp", "ideographic"])
+def test_source_parse_error_counts_lines_from_the_program(space):
+    text = f"gate X = [[[0,0],[1,0]],[[1,0],[0,0]]]\n\n(seq{space}(gate X)\n{space}(gate NOPE))"
+    with pytest.raises(ParseError) as exc:
+        parse_source(text)
+    assert str(exc.value) == "4:8: unknown gate 'NOPE'"
+
+
 def test_non_unitary_gate_rejected():
     with pytest.raises(ParseError, match="not unitary"):
         parse("(gate C)", {"C": 0.5 * np.eye(2)})
