@@ -445,8 +445,7 @@ def runtime_bound(rb: RuntimeBound, c: int = 1) -> int:
     try:
         n = math.ceil(2.0 * c / (rb.kappa * (1.0 - 2.0 * rb.epsilon)))
     except (OverflowError, ZeroDivisionError):
-        raise LinalgError(f"kappa {rb.kappa:g} is too small: "
-                          "ceil(2c / (kappa (1 - 2 epsilon))) is not finite") from None
+        raise LinalgError("ceil(2c / (kappa (1 - 2 epsilon))) is not finite") from None
     return rb.g(rb.f(n))
 
 

@@ -307,6 +307,7 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False):
     if idx.size == 0:  # every entry took the closed form alone
         return values, _ROUTES[route], terms, residual, converged
     alone = route[idx] == _SERIES
+    # Contiguous copies, as the reference gathers them: matmul rounds by the layout.
     s_value, s_terms, s_norm, s_converged, s_errors = _series(
         *(x.take(idx, axis=0) for x in (f_ba, f_bu, f_ua, f_uu)), cfg, alone
     )

@@ -338,12 +338,13 @@ def test_grover_horizon_beyond_the_cap_is_usage_error(capsys, argv):
         ["grover", "--B", "16", "--kappa", "5e-324"],
         ["bound", "--B", "10000", "--kappa", "1e-320"],
         ["bound", "--B", "10000", "--kappa", "5e-324"],
+        ["bound", "--B", "10000", "--c", "1" + "0" * 400],  # 2c overflows a float
     ],
-    ids=["grover", "grover_min", "bound", "bound_min"],
+    ids=["grover", "grover_min", "bound", "bound_min", "bound_huge_c"],
 )
-def test_tiny_kappa_is_usage_error(capsys, argv):
-    # ceil(50 / kappa) and ceil(2c / (kappa (1 - 2 epsilon))) are not finite.
-    usage_error(capsys, argv, "is too small")
+def test_non_finite_horizon_or_bound_is_usage_error(capsys, argv):
+    # ceil(50 / kappa) or ceil(2c / (kappa (1 - 2 epsilon))) is not finite.
+    usage_error(capsys, argv, ") is not finite")
 
 
 def test_grover_statevector_beyond_the_work_cap_is_usage_error(capsys):
