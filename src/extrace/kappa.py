@@ -123,12 +123,6 @@ def theta(a: float, kappa: float) -> float:
     return d - 2.0 * math.pi * round(d / (2.0 * math.pi))
 
 
-def theta_bound(kappa: float) -> float:
-    """Tight supremum of |theta(., kappa)|: arcsin((1-xi)/(1+xi))."""
-    xi = math.sqrt(1.0 - kappa)
-    return math.asin((1.0 - xi) / (1.0 + xi))
-
-
 @dataclass(frozen=True)
 class GroverParams:
     B_size: int
@@ -157,24 +151,6 @@ class GroverParams:
         return math.asin(self.B_size ** -0.5)
 
 
-def grover_recurrence(p: GroverParams, n_steps: int | None = None) -> np.ndarray:
-    """Per-step reference for the all-keep-looping angle trajectory b_0..b_N
-    (b_0 = alpha is the initial state, b_n the angle after iteration n).
-
-    One loop iteration: the amplification step advances by 2*alpha,
-    then the keep-looping collapse acts on the advanced angle."""
-    n = p.max_iterations if n_steps is None else n_steps
-    alpha = p.alpha
-    out = np.empty(n + 1)
-    out[0] = alpha
-    a = alpha
-    for i in range(1, n + 1):
-        advanced = a + 2.0 * alpha
-        a = advanced - theta(advanced, p.kappa)
-        out[i] = a
-    return out
-
-
 def _sin_cos(x: Decimal) -> tuple[Decimal, Decimal]:
     """sin x and cos x for 0 <= x <= pi/2 by their Taylor series, in the
     current decimal context."""
@@ -195,12 +171,15 @@ def _split_rate(w: Decimal, n: int) -> tuple[float, float]:
     return hi, float(w - Decimal(hi))
 
 
-def _trajectory(p: GroverParams, n_steps: int | None = None) -> np.ndarray:
-    """grover_recurrence's trajectory: b_t is the unwrapped angle of M^t v_0, where
-    M = diag(1, xi) R(2 alpha) is one keep-looping step up to a positive scale and
-    v_0 = (cos alpha, sin alpha).  With K = M - (tr M / 2) I and d = det K,
-    Cayley-Hamilton on M / sqrt(xi) (determinant 1, tr M >= 0 as alpha <= pi/4) puts
-    M^t v_0 along
+def grover_recurrence(p: GroverParams, n_steps: int | None = None) -> np.ndarray:
+    """The all-keep-looping angle trajectory b_0..b_N (b_0 = alpha is the initial
+    state, b_n the angle after iteration n).  One loop iteration advances the angle
+    by 2 alpha, then the keep-looping collapse theta acts on the advanced angle.
+
+    b_t is the unwrapped angle of M^t v_0, where M = diag(1, xi) R(2 alpha) is one
+    keep-looping step up to a positive scale and v_0 = (cos alpha, sin alpha).  With
+    K = M - (tr M / 2) I and d = det K, Cayley-Hamilton on M / sqrt(xi) (determinant
+    1, tr M >= 0 as alpha <= pi/4) puts M^t v_0 along
         cos(t w) v_0 + sin(t w) K v_0 / sqrt(d),  w = atan2(sqrt(d), tr M / 2),  d > 0;
         v_0 + t K v_0 / sqrt(xi),                                                d = 0;
         e^(-2tw) v_0 + (1 - e^(-2tw)) P v_0,      w = asinh(sqrt(-d / xi)),      d < 0,
@@ -209,7 +188,7 @@ def _trajectory(p: GroverParams, n_steps: int | None = None) -> np.ndarray:
     two vectors are set up in 50-digit decimals, and the phase t w is carried as
     t w_hi (exact) + t w_lo.  Max error of kappa sin^2 against 30-digit steps over
     1000 draws of up to 1500 steps, B in [2, 1e7], kappa in [1e-6, 1], near d = 0
-    and kappa = 1 included: 5.2e-13 (the per-step loop: 1.9e-3)."""
+    and kappa = 1 included: 5.2e-13 (a per-step loop of theta in doubles: 1.9e-3)."""
     n = p.max_iterations if n_steps is None else n_steps
     t = np.arange(1, n + 1, dtype=float)
     with localcontext() as ctx:
@@ -253,7 +232,7 @@ def _trajectory(p: GroverParams, n_steps: int | None = None) -> np.ndarray:
 
 def premeasurement_angles(p: GroverParams, n_steps: int | None = None) -> np.ndarray:
     """Angle seen by the measurement at each iteration (1-indexed)."""
-    return _trajectory(p, n_steps)[:-1] + 2.0 * p.alpha
+    return grover_recurrence(p, n_steps)[:-1] + 2.0 * p.alpha
 
 
 def halting_probabilities(p: GroverParams, n_steps: int | None = None) -> np.ndarray:

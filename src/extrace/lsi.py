@@ -87,16 +87,6 @@ class FirKernel:
         )
 
 
-def delta_kernel(ports) -> FirKernel:
-    ports = tuple(ports)
-    n = len(ports)
-    return FirKernel(ports, ports, {0: np.eye(n, dtype=np.complex128)})
-
-
-def delay_kernel(port: str, t: int) -> FirKernel:
-    return FirKernel((port,), (port,), {int(t): np.eye(1, dtype=np.complex128)})
-
-
 @dataclass(frozen=True)
 class FrequencyResponse:
     """Per-frequency matrices on the uniform grid 2*pi*j/N."""

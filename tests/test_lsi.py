@@ -14,8 +14,6 @@ from extrace.lsi import (
     Signal,
     apply_kernel,
     convolve,
-    delay_kernel,
-    delta_kernel,
     dtft,
     kernel_from_response,
     lsi_classify,
@@ -41,12 +39,12 @@ def random_kernel(out_n, in_n, n_taps, rng, spread=4):
 
 
 def test_delta_kernel_transform_is_identity():
-    r = dtft(delta_kernel(("a", "b")), 16)
+    r = dtft(FirKernel(("a", "b"), ("a", "b"), {0: np.eye(2)}), 16)
     assert np.allclose(r.samples, np.eye(2))
 
 
 def test_delay_kernel_transform_is_phase():
-    r = dtft(delay_kernel("a", 3), 32)
+    r = dtft(FirKernel(("a",), ("a",), {3: np.eye(1)}), 32)
     assert np.allclose(r.samples[:, 0, 0], np.exp(-1j * r.grid * 3))
 
 
@@ -87,7 +85,7 @@ def test_convolve_port_mismatch():
 def test_convolution_with_delta_is_identity():
     rng = np.random.default_rng(5)
     f = random_kernel(2, 2, 3, rng)
-    d = delta_kernel(f.out_ports)
+    d = FirKernel(f.out_ports, f.out_ports, {0: np.eye(len(f.out_ports))})
     gf = convolve(d, f)
     assert set(gf.taps) == set(f.taps)
     for t in f.taps:
@@ -192,7 +190,7 @@ def test_adjoint_response_identity():
 
 
 def test_response_to_csv_format(tmp_path):
-    r = dtft(delay_kernel("a", 1), 4)
+    r = dtft(FirKernel(("a",), ("a",), {1: np.eye(1)}), 4)
     path = tmp_path / "resp.csv"
     response_to_csv(r, path)
     lines = path.read_text().strip().splitlines()
