@@ -69,7 +69,7 @@ def _load_json(path):
         with open(path) as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise SystemExit(f"cannot read {path}: {e}")
+        raise LinalgError(f"cannot read {path}: {e}")
 
 
 def _report_response(response, out) -> int:
@@ -92,7 +92,7 @@ def _cmd_trace(args) -> int:
         pm = PartitionedMap.from_json(obj)
         loop = obj.get("loop", "U")
     except _MALFORMED as e:
-        raise SystemExit(f"bad trace input: {e}")
+        raise LinalgError(f"bad trace input: {e}")
     cfg = TraceConfig(series_tol=args.tol, max_terms=args.max_terms)
     route = {"series": ex_series, "ki": ex_kernel_image, "both": ex}[args.method]
     try:
@@ -135,7 +135,7 @@ def _cmd_lsi(args) -> int:
     try:
         kernel = FirKernel.from_json(obj)
     except _MALFORMED as e:
-        raise SystemExit(f"bad kernel input: {e}")
+        raise LinalgError(f"bad kernel input: {e}")
     response = dtft(kernel, args.grid)
     if args.loop:
         try:
@@ -150,18 +150,18 @@ def _cmd_qwhile(args) -> int:
         with open(args.file) as fh:
             text = fh.read()
     except OSError as e:
-        raise SystemExit(f"cannot read {args.file}: {e}")
+        raise LinalgError(f"cannot read {args.file}: {e}")
     try:
         source = parse_source(text)
     except QWhileError as e:
-        raise SystemExit(f"{args.file}: {e}")
+        raise LinalgError(f"{args.file}: {e}")
     if args.action == "check":
         _emit({"well_formed": True, "in_ports": source.program.in_count,
                "out_ports": source.program.out_count})
         return OK
     try:
         response = semantics(source.program, args.grid)
-    except QWhileError as e:
+    except ArithmeticError as e:
         return _fail("evaluation_failed", str(e))
     return _report_response(response, args.out)
 
@@ -202,7 +202,7 @@ def _cmd_grover(args) -> int:
 
 def _cmd_bound(args) -> int:
     if args.B < 1:
-        raise SystemExit("B must be >= 1")
+        raise LinalgError("B must be >= 1")
     rb = _grover_bound(args.B, args.kappa)
     t_c = runtime_bound(rb, args.c)
     _emit({"B": args.B, "kappa": rb.kappa, "epsilon": rb.epsilon, "c": args.c, "T": t_c})
@@ -275,11 +275,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as e:
-        if isinstance(e.code, str):
-            print(f"error: {e.code}", file=sys.stderr)
-            return BAD_INPUT
-        raise
     except LinalgError as e:
         print(f"error: {e}", file=sys.stderr)
         return BAD_INPUT

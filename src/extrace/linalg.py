@@ -36,7 +36,8 @@ DEFAULT_TOL = 1e-9  # the one contraction / isometry / unitarity tolerance of th
 
 
 class LinalgError(ValueError):
-    """Raised on malformed matrices, unknown labels or failed numerical checks."""
+    """Raised on malformed matrices, unknown labels or failed numerical
+    checks: the malformed-input error, which the CLI maps to exit 2."""
 
 
 def as_matrix(data) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .linalg import (DEFAULT_TOL, LinalgError, as_matrix, bracket_norms, matrix_from_literal,
                      matrix_to_literal)
-from .trace import TraceConfig, _trace_core
+from .trace import SeriesDivergence, TraceConfig, _trace_core
 
 __all__ = [
     "FirKernel",
@@ -200,20 +200,21 @@ def lsi_classify(r: FrequencyResponse) -> str:
     return "lsi_contraction"
 
 
-def _loop_values(samples, loop_ports, grid, cfg: TraceConfig, error=ArithmeticError,
-                 failed="loop trace failed") -> np.ndarray:
-    """Trace out the trailing loop_ports ports of every grid sample.  Raises
-    ``error`` at the first sample whose trace fails, its message led by
-    ``failed``, or whose series did not converge, rather than pass its
-    partial sum off as a value."""
+def _loop_values(samples, loop_ports, grid, cfg: TraceConfig) -> np.ndarray:
+    """Trace out the trailing loop_ports ports of every grid sample.  The
+    first failing sample re-raises the trace core's error with its omega
+    leading the message; one whose series did not converge raises
+    SeriesDivergence the same way, rather than pass its partial sum off as
+    a value."""
     try:
         values, _, _, residual, converged = _trace_core(samples, loop_ports, cfg)
     except ArithmeticError as e:
-        raise error(f"{failed} at omega={grid[e.index]:.6f}: {e}") from e
+        e.args = (f"loop trace failed at omega={grid[e.index]:.6f}: {e}",)
+        raise
     if not converged.all():
         i = int(np.argmin(converged))
-        raise error(f"loop trace failed at omega={grid[i]:.6f}: series did not "
-                    f"converge in {cfg.max_terms} terms (last term {residual[i]:.3e})")
+        raise SeriesDivergence(f"loop trace failed at omega={grid[i]:.6f}: series did not "
+                               f"converge in {cfg.max_terms} terms (last term {residual[i]:.3e})")
     return values
 
 

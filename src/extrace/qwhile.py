@@ -221,29 +221,21 @@ def parse(text: str, gates: dict | None = None) -> Node:
 def parse_source(text: str) -> SourceFile:
     """Parse a full source file: gate declarations then one program."""
     gates: dict = {}
-    program_lines = []
-    program_start = 1
-    in_program = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, line in enumerate(lines, start=1):
         m = _GATE_LINE.match(line)
-        if m and not in_program:
+        if m:
             name, literal = m.group(1), m.group(2)
             try:
                 gates[name] = matrix_from_literal(json.loads(literal))
             except (json.JSONDecodeError, LinalgError) as e:
                 raise ParseError(f"bad matrix literal for gate {name!r}: {e}", lineno, 1)
-            continue
-        if not in_program and line.strip() == "":
-            continue
-        if not in_program:
-            in_program = True
-            program_start = lineno
-        program_lines.append(line)
-    if not program_lines:
+        elif line.strip():
+            break
+    else:
         raise ParseError("source file has no program expression", 1, 1)
-    tokens = _tokenize("\n".join(program_lines), line0=program_start)
-    program = _Parser(tokens, gates).parse_program()
-    return SourceFile(gates, program)
+    tokens = _tokenize("\n".join(lines[lineno - 1:]), line0=lineno)
+    return SourceFile(gates, _Parser(tokens, gates).parse_program())
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +326,5 @@ def _eval(node: Node, grid: np.ndarray, cfg: TraceConfig) -> np.ndarray:
     if isinstance(node, Par):
         return direct_sum(_eval(node.left, grid, cfg), _eval(node.right, grid, cfg))
     if isinstance(node, DoWhile):
-        return _loop_values(_eval(node.body, grid, cfg), node.feedback, grid, cfg,
-                            QWhileError, "internal error: loop sample diverged")
+        return _loop_values(_eval(node.body, grid, cfg), node.feedback, grid, cfg)
     raise QWhileError(f"cannot evaluate node {type(node).__name__}")

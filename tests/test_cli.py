@@ -133,7 +133,7 @@ def test_axioms_trace_failure_is_a_report(capsys):
     assert code == 1
     assert out["error"] == "trace_failed"
     assert out["message"].startswith("case 0 (a=")
-    assert "), naturality_input (f): " in out["message"]
+    assert "), vanishing_ii (inner): " in out["message"]
 
 
 def test_axioms_subcommand(capsys):
@@ -554,6 +554,24 @@ def test_lsi_loop_trace_failure_is_a_report(tmp_path, capsys, tap, loop, fragmen
     assert out["error"] == "loop_trace_failed"
     assert out["message"].startswith("loop trace failed at omega=0.000000: ")
     assert fragment in out["message"]
+
+
+def test_qwhile_loop_trace_failure_is_a_report(tmp_path, capsys):
+    # At omega = 0 the loop block is cos 0.01, beyond the series' max_terms:
+    # the run reports the loop trace's own message, not an internal error.
+    t = 0.01
+    rotation = [[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]]
+    path = tmp_path / "near_resonance.qw"
+    path.write_text(f"gate R = {json.dumps(matrix_to_literal(rotation))}\n\n"
+                    "(loop (seq (par (delay 0) (delay 1)) (gate R)) 1)\n")
+    code = main(["qwhile", "run", str(path), "--grid", "64"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    out = json.loads(captured.out)
+    assert out["error"] == "evaluation_failed"
+    assert out["message"].startswith("loop trace failed at omega=0.000000: "
+                                     "series failed to converge on a contraction input")
 
 
 @pytest.mark.parametrize(

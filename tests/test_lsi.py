@@ -22,6 +22,7 @@ from extrace.lsi import (
     response_to_csv,
 )
 from extrace.qwhile import parse_source, semantics
+from extrace.trace import KiTraceError, TraceConfig
 
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -162,6 +163,19 @@ def test_lsi_ex_port_validation():
     r = dtft(FirKernel(("o", "x"), ("i", "y"), {0: np.eye(2)}), 8)
     with pytest.raises(LinalgError):
         lsi_ex(r, 1)
+
+
+def test_lsi_ex_failure_keeps_the_trace_core_error():
+    # A witness tolerance below roundoff fails every sample of a contraction
+    # kernel; the first frequency's KiTraceError arrives with its residuals.
+    rng = np.random.default_rng(23)
+    k = FirKernel(("o", "x", "y"), ("i", "x", "y"),
+                  {0: 0.5 * random_unitary(3, rng), 1: 0.5 * random_unitary(3, rng)})
+    with pytest.raises(KiTraceError, match=r"^loop trace failed at omega=0\.000000: "
+                       r"not ki-traceable: witness residuals") as exc:
+        lsi_ex(dtft(k, 16), 2, TraceConfig(ki_residual_tol=1e-30))
+    assert max(exc.value.residual_in, exc.value.residual_out) > 1e-30
+    assert exc.value.index == 0
 
 
 def test_kernel_response_round_trip():

@@ -10,7 +10,6 @@ from extrace.qwhile import (
     DoWhile,
     Par,
     ParseError,
-    QWhileError,
     Seq,
     Unitary,
     check,
@@ -18,7 +17,7 @@ from extrace.qwhile import (
     parse_source,
     semantics,
 )
-from extrace.trace import TraceConfig
+from extrace.trace import SeriesDivergence, TraceConfig
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -193,9 +192,20 @@ class TestSemantics:
         # A non-unitary gate built in code: f_UU = 1, so every loop sample's
         # series runs to max_terms without converging.
         p = DoWhile(Unitary("G", np.array([[0.0, 1.0], [1.0, 1.0]])), 1)
-        with pytest.raises(QWhileError, match=r"^loop trace failed at omega=0\.000000: series "
+        with pytest.raises(SeriesDivergence, match=r"^loop trace failed at omega=0\.000000: series "
                            r"did not converge in 500 terms \(last term 1\.000e\+00\)$"):
             semantics(p, 4, TraceConfig(max_terms=500))
+
+    def test_loop_near_resonance_raises_series_divergence(self):
+        # R rotates by t = 0.01, so at omega = 0 the loop block is cos t and
+        # the series needs about 4.6e5 terms, beyond max_terms: the trace
+        # core's own error reaches the caller, its omega first.
+        t = 0.01
+        rotation = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+        p = parse("(loop (seq (par (delay 0) (delay 1)) (gate R)) 1)", {"R": rotation})
+        with pytest.raises(SeriesDivergence, match=r"^loop trace failed at omega=0\.000000: "
+                           r"series failed to converge on a contraction input"):
+            semantics(p, 64)
 
     def test_delay_zero_needs_matching_arity(self):
         # (delay 0) is a single-wire primitive; it cannot be wedged after

@@ -16,7 +16,6 @@ from extrace.qwhile import (
     Delay,
     DoWhile,
     Par,
-    QWhileError,
     Seq,
     Unitary,
     parse_source,
@@ -192,7 +191,7 @@ def test_failing_stack_names_bad_frequency_semantics():
     # and its series diverges, while every other frequency has a witness.
     g = Unitary("G", np.array([[0.0, 1.0, 1.0], [1.0, -1.0, 0.0], [1.0, 0.0, 2.0]]))
     body = Seq(Par(Delay(0), Par(Delay(1), Delay(0))), g)
-    with pytest.raises(QWhileError, match=f"omega={math.pi:.6f}: partial sum exceeded"):
+    with pytest.raises(SeriesDivergence, match=f"omega={math.pi:.6f}: partial sum exceeded"):
         semantics(DoWhile(body, 2), 16)
 
 
