@@ -288,7 +288,6 @@ def grover_statevector(p: GroverParams, *, force_keep_looping: bool = False) -> 
             residuals.append(0.0)
             halted = it
             break
-        v = v.copy()
         v[star] *= xi
         v /= np.linalg.norm(v)
         angles.append(math.asin(min(1.0, abs(v[star]))))

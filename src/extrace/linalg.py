@@ -41,10 +41,8 @@ class LinalgError(ValueError):
 
 
 def as_matrix(data) -> np.ndarray:
-    """Coerce to a 2-D complex matrix, rejecting NaN/Inf entries."""
+    """Coerce to a 2-D complex matrix, rejecting other ranks and NaN/Inf entries."""
     m = np.asarray(data, dtype=np.complex128)
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
     if m.ndim != 2:
         raise LinalgError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if m.size and not np.all(np.isfinite(m)):
@@ -227,15 +225,6 @@ class Partition:
         i = self.index(label)
         start = sum(self.sizes[:i])
         return start, start + self.sizes[i]
-
-    def size(self, label: str) -> int:
-        return self.sizes[self.index(label)]
-
-    def without(self, label: str) -> "Partition":
-        i = self.index(label)
-        return Partition(
-            self.names[:i] + self.names[i + 1 :], self.sizes[:i] + self.sizes[i + 1 :]
-        )
 
     def to_json(self) -> dict:
         return {"names": list(self.names), "sizes": list(self.sizes)}

@@ -9,7 +9,6 @@ responses.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from itertools import chain
 
@@ -26,7 +25,6 @@ __all__ = [
     "apply_kernel",
     "convolve",
     "dtft",
-    "kernel_from_response",
     "lsi_classify",
     "lsi_ex",
     "parseval_norm",
@@ -35,7 +33,6 @@ __all__ = [
 
 DEFAULT_GRID = 256
 CSV_CHUNK_ROWS = 1 << 12  # rows per write: at most about 0.3 MiB of CSV text at once
-TAP_MASS_TOL = 1e-9  # kernel_from_response drops taps of at most this largest |entry|
 
 
 @dataclass(frozen=True)
@@ -63,13 +60,6 @@ class FirKernel:
     @property
     def shape(self) -> tuple[int, int]:
         return len(self.out_ports), len(self.in_ports)
-
-    @property
-    def support(self) -> tuple[int, int]:
-        """Inclusive (min, max) time offsets; (0, 0) for the empty kernel."""
-        if not self.taps:
-            return 0, 0
-        return min(self.taps), max(self.taps)
 
     def to_json(self) -> dict:
         return {
@@ -164,9 +154,14 @@ def _convolve_taps(a: dict, b: dict) -> dict:
 
 
 def dtft(k: FirKernel, grid_size: int = DEFAULT_GRID) -> FrequencyResponse:
-    """Sample sum_t tap[t] e^{-i w t} on the uniform grid; exact finite sum."""
+    """Sample sum_t tap[t] e^{-i w t} on the uniform grid; exact finite sum.
+    A sample that overflows the float range is malformed input."""
     grid = _uniform_grid(grid_size)
-    return FrequencyResponse(grid, _transform(k.taps, grid, k.shape), k.out_ports, k.in_ports)
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = _transform(k.taps, grid, k.shape)
+    if not np.isfinite(samples).all():
+        raise LinalgError("kernel transform overflows: a sample is not finite")
+    return FrequencyResponse(grid, samples, k.out_ports, k.in_ports)
 
 
 def convolve(g: FirKernel, f: FirKernel) -> FirKernel:
@@ -200,39 +195,29 @@ def lsi_classify(r: FrequencyResponse) -> str:
     return "lsi_contraction"
 
 
-def _loop_values(samples, loop_ports, grid, cfg: TraceConfig) -> np.ndarray:
-    """Trace out the trailing loop_ports ports of every grid sample.  The
+def lsi_ex(
+    r: FrequencyResponse, loop_ports: int, cfg: TraceConfig = TraceConfig()
+) -> FrequencyResponse:
+    """Trace out the trailing loop_ports ports at every grid frequency.  The
     first failing sample re-raises the trace core's error with its omega
     leading the message; one whose series did not converge raises
     SeriesDivergence the same way, rather than pass its partial sum off as
     a value."""
-    try:
-        values, _, _, residual, converged = _trace_core(samples, loop_ports, cfg)
-    except ArithmeticError as e:
-        e.args = (f"loop trace failed at omega={grid[e.index]:.6f}: {e}",)
-        raise
-    if not converged.all():
-        i = int(np.argmin(converged))
-        raise SeriesDivergence(f"loop trace failed at omega={grid[i]:.6f}: series did not "
-                               f"converge in {cfg.max_terms} terms (last term {residual[i]:.3e})")
-    return values
-
-
-def lsi_ex(
-    r: FrequencyResponse, loop_ports: int, cfg: TraceConfig = TraceConfig()
-) -> FrequencyResponse:
-    """Trace out the trailing loop_ports ports at every grid frequency."""
     n_out, n_in = r.samples.shape[1], r.samples.shape[2]
     if loop_ports < 1 or loop_ports > min(n_out, n_in):
         raise LinalgError(f"cannot loop {loop_ports} ports on shape {(n_out, n_in)}")
     if r.out_ports[-loop_ports:] != r.in_ports[-loop_ports:]:
         raise LinalgError("trailing loop ports differ between input and output")
-    return FrequencyResponse(
-        r.grid,
-        _loop_values(r.samples, loop_ports, r.grid, cfg),
-        r.out_ports[:-loop_ports],
-        r.in_ports[:-loop_ports],
-    )
+    try:
+        values, _, _, residual, converged = _trace_core(r.samples, loop_ports, cfg)
+    except ArithmeticError as e:
+        e.args = (f"loop trace failed at omega={r.grid[e.index]:.6f}: {e}",)
+        raise
+    if not converged.all():
+        i = int(np.argmin(converged))
+        raise SeriesDivergence(f"loop trace failed at omega={r.grid[i]:.6f}: series did not "
+                               f"converge in {cfg.max_terms} terms (last term {residual[i]:.3e})")
+    return FrequencyResponse(r.grid, values, r.out_ports[:-loop_ports], r.in_ports[:-loop_ports])
 
 
 def parseval_norm(s: Signal, grid_size: int) -> float:
@@ -249,35 +234,6 @@ def parseval_norm(s: Signal, grid_size: int) -> float:
         )
     spectrum = _transform(s.samples, _uniform_grid(grid_size), (len(s.ports),))
     return float(np.sum(np.abs(spectrum) ** 2) / grid_size)
-
-
-def kernel_from_response(r: FrequencyResponse) -> FirKernel:
-    """Truncated reconstruction: inverse DFT of the grid samples, taps on
-    t in [-N/2, N/2).  Warns when boundary taps carry mass, the telltale
-    of a response that did not come from a kernel of support < N."""
-    n = r.grid_size
-    # samples[j] = sum_t tap[t] e^{-2 pi i j t / N}  -> inverse DFT over j.
-    taps_dft = np.fft.ifft(r.samples, axis=0)
-    taps: dict = {}
-    half = n // 2
-    boundary_mass = 0.0
-    for idx in range(n):
-        t = idx if idx < n - half else idx - n
-        m = taps_dft[idx]
-        mass = float(np.abs(m).max()) if m.size else 0.0
-        if mass <= TAP_MASS_TOL:
-            continue
-        taps[t] = m
-        if abs(t) >= half - 1:
-            boundary_mass = max(boundary_mass, mass)
-    if boundary_mass > TAP_MASS_TOL:
-        warnings.warn(
-            "reconstructed taps reach the grid boundary; the response "
-            "likely aliases a kernel of support >= grid size",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return FirKernel(r.out_ports, r.in_ports, taps)
 
 
 def write_csv(path, header: str, row_format: str, columns) -> None:

@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from .linalg import DEFAULT_TOL, LinalgError, classify, direct_sum, matrix_from_literal
-from .lsi import DEFAULT_GRID, FrequencyResponse, _loop_values, _uniform_grid
+from .lsi import DEFAULT_GRID, FrequencyResponse, _uniform_grid, lsi_ex
 from .trace import TraceConfig
 
 __all__ = [
@@ -326,5 +326,8 @@ def _eval(node: Node, grid: np.ndarray, cfg: TraceConfig) -> np.ndarray:
     if isinstance(node, Par):
         return direct_sum(_eval(node.left, grid, cfg), _eval(node.right, grid, cfg))
     if isinstance(node, DoWhile):
-        return _loop_values(_eval(node.body, grid, cfg), node.feedback, grid, cfg)
+        body = _eval(node.body, grid, cfg)
+        # Ports numbered from the end, so the trailing loop ports match.
+        outs, ins = (tuple(range(-n, 0)) for n in body.shape[1:])
+        return lsi_ex(FrequencyResponse(grid, body, outs, ins), node.feedback, cfg).samples
     raise QWhileError(f"cannot evaluate node {type(node).__name__}")

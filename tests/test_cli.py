@@ -530,6 +530,20 @@ def test_lsi_loop_out_of_range_is_usage_error(tmp_path, capsys, loop):
                 f"cannot loop {loop} ports on shape (2, 2)")
 
 
+@pytest.mark.parametrize("loop", [[], ["--loop", "1"]], ids=["plain", "looped"])
+def test_lsi_overflowing_transform_is_usage_error(tmp_path, capsys, loop):
+    # Taps of 1e308 on one entry at t = 0 and t = 1 sum past the float range
+    # at omega = 0, so the response has no finite sample to report.
+    big = matrix_to_literal([[1e308, 0.0], [0.0, 0.0]])
+    out = tmp_path / "response.csv"
+    argv = ["lsi", write_kernel(tmp_path, taps={"0": big, "1": big}), "--grid", "8",
+            "--out", str(out), *loop]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        usage_error(capsys, argv, "kernel transform overflows")
+    assert not out.exists()
+
+
 # f_UU = diag(1, 2): no witness, and the series grows like 2^n.
 DIVERGENT = [[0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 2.0]]
 
