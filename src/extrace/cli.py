@@ -2,7 +2,11 @@
 
 Exit codes: 0 when every requested check passes, 1 when a check fails or
 a trace is undefined (with a machine-readable JSON report on stdout),
-2 on malformed input or usage errors.
+2 on malformed input or usage errors.  ``main`` reports a trace failure
+from any command by its error's exact class: SeriesDivergence as
+series_divergence, KiTraceError as not_ki_traceable with its residuals,
+and a bare ArithmeticError (series and closed form disagree) as
+trace_failed.  Any other ArithmeticError propagates.
 """
 
 from __future__ import annotations
@@ -37,6 +41,12 @@ from .trace import (
 )
 
 OK, CHECK_FAILED, BAD_INPUT = 0, 1, 2
+# Trace failure class: its JSON error kind and the attributes reported with it.
+_TRACE_FAILURES = {
+    SeriesDivergence: ("series_divergence", ()),
+    KiTraceError: ("not_ki_traceable", ("residual_in", "residual_out")),
+    ArithmeticError: ("trace_failed", ()),
+}
 # What from_json raises on JSON of the wrong shape (LinalgError is a ValueError).
 _MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
 
@@ -57,11 +67,6 @@ def _emit(obj, value=None) -> None:
         literal = literal.replace("nan", "NaN").replace("inf", "Infinity")
         text = '{\n  "value": ' + literal + "," + text[1:]
     sys.stdout.write(text + "\n")
-
-
-def _fail(kind: str, message: str, **extra) -> int:
-    _emit({"error": kind, "message": message, **extra})
-    return CHECK_FAILED
 
 
 def _load_json(path):
@@ -95,19 +100,7 @@ def _cmd_trace(args) -> int:
         raise LinalgError(f"bad trace input: {e}")
     cfg = TraceConfig(series_tol=args.tol, max_terms=args.max_terms)
     route = {"series": ex_series, "ki": ex_kernel_image, "both": ex}[args.method]
-    try:
-        result = route(pm, loop, cfg)
-    except SeriesDivergence as e:
-        return _fail("series_divergence", str(e))
-    except KiTraceError as e:
-        return _fail(
-            "not_ki_traceable",
-            str(e),
-            residual_in=e.residual_in,
-            residual_out=e.residual_out,
-        )
-    except ArithmeticError as e:
-        return _fail("trace_failed", str(e))
+    result = route(pm, loop, cfg)
     _emit(
         {
             "method": result.method,
@@ -122,10 +115,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_axioms(args) -> int:
     cfg = TraceConfig(compare_tol=args.tol)
-    try:
-        report = check_trace_axioms(args.seed, args.cases, cfg)
-    except ArithmeticError as e:
-        return _fail("trace_failed", str(e))
+    report = check_trace_axioms(args.seed, args.cases, cfg)
     _emit({"passed": report.passed, "checks": report.to_json()})
     return OK if report.passed else CHECK_FAILED
 
@@ -138,10 +128,7 @@ def _cmd_lsi(args) -> int:
         raise LinalgError(f"bad kernel input: {e}")
     response = dtft(kernel, args.grid)
     if args.loop:
-        try:
-            response = lsi_ex(response, args.loop)
-        except ArithmeticError as e:
-            return _fail("loop_trace_failed", str(e))
+        response = lsi_ex(response, args.loop)
     return _report_response(response, args.out)
 
 
@@ -159,10 +146,7 @@ def _cmd_qwhile(args) -> int:
         _emit({"well_formed": True, "in_ports": source.program.in_count,
                "out_ports": source.program.out_count})
         return OK
-    try:
-        response = semantics(source.program, args.grid)
-    except ArithmeticError as e:
-        return _fail("evaluation_failed", str(e))
+    response = semantics(source.program, args.grid)
     return _report_response(response, args.out)
 
 
@@ -278,6 +262,12 @@ def main(argv=None) -> int:
     except LinalgError as e:
         print(f"error: {e}", file=sys.stderr)
         return BAD_INPUT
+    except ArithmeticError as e:
+        if type(e) not in _TRACE_FAILURES:
+            raise  # an OverflowError or the like is a fault, not a trace failure
+        kind, keys = _TRACE_FAILURES[type(e)]
+        _emit({"error": kind, "message": str(e), **{k: getattr(e, k) for k in keys}})
+        return CHECK_FAILED
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -202,7 +203,10 @@ class Partition:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "sizes", tuple(int(s) for s in self.sizes))
+        try:
+            object.__setattr__(self, "sizes", tuple(map(operator.index, self.sizes)))
+        except TypeError:
+            raise LinalgError("partition sizes must be integers") from None
         if len(self.names) != len(self.sizes):
             raise LinalgError("partition names and sizes differ in length")
         if len(set(self.names)) != len(self.names):
@@ -277,17 +281,18 @@ class PartitionedMap:
         )
 
 
-def two_block(matrix, loop_dim: int, *, body="A", out="B", loop="U") -> PartitionedMap:
-    """Partition a square-on-the-loop matrix into (body, loop) blocks,
-    the loop block taking the trailing ``loop_dim`` rows and columns."""
+def two_block(matrix, loop_dim: int) -> PartitionedMap:
+    """Partition a square-on-the-loop matrix into rows ("B", "U") and
+    columns ("A", "U"), the loop block "U" taking the trailing ``loop_dim``
+    rows and columns."""
     m = as_matrix(matrix)
     rows, cols = m.shape
     if loop_dim < 0 or loop_dim > min(rows, cols):
         raise LinalgError(f"loop dimension {loop_dim} does not fit shape {m.shape}")
     return PartitionedMap(
         m,
-        Partition((out, loop), (rows - loop_dim, loop_dim)),
-        Partition((body, loop), (cols - loop_dim, loop_dim)),
+        Partition(("B", "U"), (rows - loop_dim, loop_dim)),
+        Partition(("A", "U"), (cols - loop_dim, loop_dim)),
     )
 
 

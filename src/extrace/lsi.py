@@ -232,8 +232,9 @@ def parseval_norm(s: Signal, grid_size: int) -> float:
         raise LinalgError(
             f"grid size {grid_size} too small for support width {width}"
         )
-    spectrum = _transform(s.samples, _uniform_grid(grid_size), (len(s.ports),))
-    return float(np.sum(np.abs(spectrum) ** 2) / grid_size)
+    with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is inf
+        spectrum = _transform(s.samples, _uniform_grid(grid_size), (len(s.ports),))
+        return float(np.sum(np.abs(spectrum) ** 2) / grid_size)
 
 
 def write_csv(path, header: str, row_format: str, columns) -> None:

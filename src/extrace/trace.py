@@ -78,8 +78,9 @@ class TraceConfig:
     blowup: float = 1e6
 
     def __post_init__(self):
-        if min(self.series_tol, self.ki_residual_tol, self.compare_tol) <= 0:
-            raise LinalgError("tolerances must be positive")
+        if not all(0 < t < math.inf for t in (self.series_tol, self.ki_residual_tol,
+                                               self.compare_tol, self.blowup)):
+            raise LinalgError("tolerances must be positive and finite, and so must blowup")
         if self.max_terms < 1:
             raise LinalgError("max_terms must be >= 1")
 

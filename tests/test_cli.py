@@ -128,12 +128,37 @@ def write_rows_with_csv_module(path, header, rows):
 
 
 def test_axioms_trace_failure_is_a_report(capsys):
-    # A compare tolerance below roundoff fails the witness agreement check.
+    # A compare tolerance below roundoff fails the witness agreement check,
+    # a KiTraceError: the report carries its kind and residuals.
     code, out = run(capsys, "axioms", "--cases", "2", "--tol", "1e-30")
     assert code == 1
-    assert out["error"] == "trace_failed"
+    assert out["error"] == "not_ki_traceable"
     assert out["message"].startswith("case 0 (a=")
-    assert "), vanishing_ii (inner): " in out["message"]
+    assert "), vanishing_ii (inner): witness forms disagree by " in out["message"]
+    assert list(out) == ["error", "message", "residual_in", "residual_out"]
+    assert all(isinstance(out[k], float) for k in ("residual_in", "residual_out"))
+
+
+@pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("ex", ["trace", "--method", "both"]),
+        ("lsi_ex", ["lsi", "--grid", "8", "--loop", "1"]),
+    ],
+    ids=["trace", "lsi_loop"],
+)
+def test_other_arithmetic_errors_propagate_out_of_main(tmp_path, capsys, monkeypatch,
+                                                       target, argv):
+    # Only the trace layer's three failure classes are reports; any other
+    # ArithmeticError is a fault and leaves main as it was raised.
+    def overflow(*_):
+        raise OverflowError("stray overflow")
+
+    monkeypatch.setattr(cli, target, overflow)
+    path = write_trace_file(tmp_path, HADAMARD, 1) if target == "ex" else write_kernel(tmp_path)
+    with pytest.raises(OverflowError, match="stray overflow"):
+        main([*argv, path])
+    assert capsys.readouterr().out == ""
 
 
 def test_axioms_subcommand(capsys):
@@ -501,13 +526,29 @@ def test_trace_non_square_loop_is_usage_error(tmp_path, capsys, method):
         (["trace", "--max-terms", "0"], "max_terms must be >= 1"),
         (["trace", "--tol", "0"], "tolerances must be positive"),
         (["axioms", "--cases", "2", "--tol", "-1"], "tolerances must be positive"),
+        # A NaN tolerance would pass every comparison vacuously.
+        (["trace", "--tol", "nan"], "tolerances must be positive and finite"),
+        (["axioms", "--cases", "3", "--tol", "nan"], "tolerances must be positive and finite"),
+        (["axioms", "--cases", "1", "--tol", "inf"], "tolerances must be positive and finite"),
     ],
-    ids=["max_terms", "trace_tol", "axioms_tol"],
+    ids=["max_terms", "trace_tol", "axioms_tol", "trace_tol_nan", "axioms_tol_nan",
+         "axioms_tol_inf"],
 )
 def test_bad_trace_config_is_usage_error(tmp_path, capsys, argv, fragment):
     if argv[0] == "trace":
         argv = argv + [write_trace_file(tmp_path, HADAMARD, 1)]
     usage_error(capsys, argv, fragment)
+
+
+@pytest.mark.parametrize("sizes", [[1.9, 1], [1, "1"], [1.9, "1"]],
+                         ids=["float", "string", "both"])
+def test_trace_non_integer_partition_size_is_usage_error(tmp_path, capsys, sizes):
+    # Sizes are neither truncated nor parsed from strings.
+    payload = {**two_block(HADAMARD, 1).to_json(), "loop": "U"}
+    payload["row_partition"]["sizes"] = sizes
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    usage_error(capsys, ["trace", str(path)], "partition sizes must be integers")
 
 
 def test_trace_json_of_wrong_shape_is_usage_error(tmp_path, capsys):
@@ -565,7 +606,7 @@ def test_lsi_loop_trace_failure_is_a_report(tmp_path, capsys, tap, loop, fragmen
     path.write_text(json.dumps(kernel))
     code, out = run(capsys, "lsi", str(path), "--grid", "2", "--loop", loop)
     assert code == 1
-    assert out["error"] == "loop_trace_failed"
+    assert out["error"] == "series_divergence"
     assert out["message"].startswith("loop trace failed at omega=0.000000: ")
     assert fragment in out["message"]
 
@@ -583,7 +624,7 @@ def test_qwhile_loop_trace_failure_is_a_report(tmp_path, capsys):
     assert code == 1
     assert captured.err == ""
     out = json.loads(captured.out)
-    assert out["error"] == "evaluation_failed"
+    assert out["error"] == "series_divergence"
     assert out["message"].startswith("loop trace failed at omega=0.000000: "
                                      "series failed to converge on a contraction input")
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -114,6 +115,14 @@ def test_parseval_matches_time_domain():
             {int(t): rng.standard_normal(2) + 1j * rng.standard_normal(2) for t in times},
         )
         assert parseval_norm(s, 64) == pytest.approx(s.norm_squared(), abs=1e-9)
+
+
+def test_parseval_overflow_is_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # Overflow in the square, and in the transform's own sum.
+        assert parseval_norm(Signal(("a",), {0: [1e200]}), 4) == math.inf
+        assert parseval_norm(Signal(("a",), {0: [1e308], 1: [1e308]}), 4) == math.inf
 
 
 def test_parseval_rejects_tiny_grid():

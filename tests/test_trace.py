@@ -5,6 +5,7 @@ import pytest
 
 from extrace import trace
 from extrace.linalg import (
+    LinalgError,
     adjoint,
     classify,
     direct_sum,
@@ -480,3 +481,11 @@ def test_failing_axiom_trace_names_case_and_law():
     with pytest.raises(SeriesDivergence,
                        match=r"^case 0 \(a=\d, b=\d, u=\d\), vanishing_ii \(inner\): "):
         check_trace_axioms(0, 2, TraceConfig(max_terms=1))
+
+
+@pytest.mark.parametrize("field", ["series_tol", "ki_residual_tol", "compare_tol", "blowup"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_trace_config_requires_positive_finite_tolerances(field, value):
+    # A NaN tolerance passes no comparison, so it would let every check pass vacuously.
+    with pytest.raises(LinalgError, match="must be positive and finite"):
+        TraceConfig(**{field: value})
