@@ -120,7 +120,8 @@ def bracket_norms(m: np.ndarray, lo, hi, fro=None) -> np.ndarray:
     ``hi`` = inf keeps that side exact.  ``fro`` passes Frobenius norms
     already taken."""
     if fro is None:
-        fro = fro_norms(m)
+        with np.errstate(over="ignore", invalid="ignore"):  # a square past the float range is inf
+            fro = fro_norms(m)
     root = math.sqrt(min(m.shape[-2:]))
     finite = np.isfinite(fro)
     above = finite & (fro > hi * root * (1 + 1e-9))

@@ -33,6 +33,9 @@ __all__ = [
 
 DEFAULT_GRID = 256
 CSV_CHUNK_ROWS = 1 << 12  # rows per write: at most about 0.3 MiB of CSV text at once
+# Cap on grid size * rows * cols of a sampled response: 2^26 complex128 samples
+# are 1 GiB.  A grid above it is refused before anything is allocated.
+GRID_WORK_CAP = 2**26
 
 
 @dataclass(frozen=True)
@@ -127,9 +130,12 @@ class Signal:
         return float(sum(np.vdot(v, v).real for v in self.samples.values()))
 
 
-def _uniform_grid(n: int) -> np.ndarray:
+def _uniform_grid(n: int, entries: int) -> np.ndarray:
+    """The grid 2*pi*j/n for samples of ``entries`` matrix entries each."""
     if n < 2:
         raise LinalgError("grid size must be >= 2")
+    if n * max(entries, 1) > GRID_WORK_CAP:
+        raise LinalgError(f"grid size {n} * {entries} entries exceeds the cap {GRID_WORK_CAP}")
     return 2.0 * np.pi * np.arange(n) / n
 
 
@@ -156,7 +162,7 @@ def _convolve_taps(a: dict, b: dict) -> dict:
 def dtft(k: FirKernel, grid_size: int = DEFAULT_GRID) -> FrequencyResponse:
     """Sample sum_t tap[t] e^{-i w t} on the uniform grid; exact finite sum.
     A sample that overflows the float range is malformed input."""
-    grid = _uniform_grid(grid_size)
+    grid = _uniform_grid(grid_size, k.shape[0] * k.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):
         samples = _transform(k.taps, grid, k.shape)
     if not np.isfinite(samples).all():
@@ -233,7 +239,7 @@ def parseval_norm(s: Signal, grid_size: int) -> float:
             f"grid size {grid_size} too small for support width {width}"
         )
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is inf
-        spectrum = _transform(s.samples, _uniform_grid(grid_size), (len(s.ports),))
+        spectrum = _transform(s.samples, _uniform_grid(grid_size, len(s.ports)), (len(s.ports),))
         return float(np.sum(np.abs(spectrum) ** 2) / grid_size)
 
 

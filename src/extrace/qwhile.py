@@ -308,7 +308,7 @@ def semantics(
     p: Node, grid_size: int = DEFAULT_GRID, cfg: TraceConfig = TraceConfig()
 ) -> FrequencyResponse:
     """Structural recursion to per-frequency matrices on the uniform grid."""
-    grid = _uniform_grid(grid_size)
+    grid = _uniform_grid(grid_size, p.out_count * p.in_count)
     samples = _eval(p, grid, cfg)
     out_ports = tuple(f"out{i}" for i in range(p.out_count))
     in_ports = tuple(f"in{i}" for i in range(p.in_count))

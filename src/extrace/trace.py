@@ -102,17 +102,6 @@ class CnuDecomposition:
     f1: np.ndarray
 
 
-def _loop_last(f: PartitionedMap, loop_label: str):
-    """The matrix of f as a one-entry stack (1, rows, cols) with the loop
-    block moved to the trailing rows and columns, and the loop size."""
-    (r0, r1), (c0, c1) = f.row_partition.span(loop_label), f.col_partition.span(loop_label)
-    if r1 - r0 != c1 - c0:
-        raise LinalgError(f"loop block {loop_label!r} is {r1 - r0}x{c1 - c0}; it must be square")
-    rows = np.r_[0:r0, r1 : f.matrix.shape[0], r0:r1]
-    cols = np.r_[0:c0, c1 : f.matrix.shape[1], c0:c1]
-    return f.matrix[np.ix_(rows, cols)][None], r1 - r0
-
-
 def _blocks(m: np.ndarray, k: int):
     """f_BA, f_BU, f_UA, f_UU of every matrix in the stack m, the loop
     block being the trailing k rows and columns."""
@@ -145,6 +134,7 @@ def _tail_ratio(f_uu: np.ndarray) -> np.ndarray:
     return np.where(finite, stack_norms(probe) ** (1.0 / (2 * dim)), math.inf)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the per-term checks catch a non-finite term
 def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
     """Partial sums of f_BA + sum_n f_BU f_UU^n f_UA for every stack entry
     at once.  An entry retires on its own stopping rule (a term below
@@ -272,52 +262,55 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, m=None
     return value, residual, errors
 
 
-def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False):
+def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False, route=_BOTH):
     """Total trace of the loop block, the trailing k rows and columns, of
-    every matrix in the stack ``m`` (N, rows, cols).  Contractions take the
-    closed form as the canonical value and the series as the cross-check;
-    the rest take the closed form or, failing that, the series.  Returns
-    the values (N, b, a) and, per entry, the method, series terms, residual
-    and convergence flag; a contraction's residual, its series/closed-form
-    gap, is exact only if ``report_gap``.  Raises the first entry's error."""
+    every matrix in the stack ``m`` (N, rows, cols).  On the default route,
+    contractions take the closed form as the canonical value and the series
+    as the cross-check; the rest take the closed form or, failing that, the
+    series.  Route _SERIES runs the series alone with exact term norms,
+    _KI the closed form alone with exact residuals.  Returns the values
+    (N, b, a) and, per entry, the method, series terms, residual and
+    convergence flag; a contraction's residual, its series/closed-form gap,
+    is exact only if ``report_gap``.  Raises the first entry's error."""
     m = np.asarray(m, dtype=np.complex128)
     if not np.all(np.isfinite(m)):
         raise LinalgError("matrix contains non-finite entries")
     n = m.shape[0]
-    f_ba, f_bu, f_ua, f_uu = _blocks(m, k)
+    blocks = _blocks(m, k)
+    routes = np.full(n, route, dtype=np.int8)
     terms = np.zeros(n, dtype=np.int64)
     converged = np.ones(n, dtype=bool)
     if k == 0:
-        return f_ba.copy(), _ROUTES[np.full(n, _BOTH)], terms, np.zeros(n), converged
-
+        return blocks[0].copy(), _ROUTES[routes], terms, np.zeros(n), converged
+    if route == _SERIES:
+        values, terms, residual, converged, errors = _series(*blocks, cfg)
+        _raise_first(errors)
+        return values, _ROUTES[routes], terms, residual, converged
     limit = 1.0 + DEFAULT_TOL
     norm = bracket_norms(m, limit, math.inf)  # exact at and above the limit
     contraction = norm <= limit
     scale = np.where(contraction, 1.0, norm)  # a contraction's residuals are judged against 1
-    values, residual, ki_errors = _kernel_image(
-        f_ba, f_bu, f_ua, f_uu, scale, cfg, ~contraction, m
-    )
-    # A contraction must pass both routes; any other entry whose closed
-    # form fails takes the series value instead.
-    errors = {i: e for i, e in ki_errors.items() if contraction[i]}
-    route = contraction.astype(np.int8)
-    fallback = [i for i in ki_errors if i not in errors]
-    if fallback:
-        route[fallback] = _SERIES
-    idx = route.nonzero()[0]
+    values, residual, errors = _kernel_image(*blocks, scale, cfg, (route == _KI) | ~contraction, m)
+    if route == _BOTH:
+        # A contraction must pass both routes; any other entry whose closed
+        # form fails takes the series value instead.
+        routes = contraction.astype(np.int8)
+        routes[[i for i in errors if not contraction[i]]] = _SERIES
+        errors = {i: e for i, e in errors.items() if contraction[i]}
+    idx = routes.nonzero()[0]
     if idx.size == 0:  # every entry took the closed form alone
-        return values, _ROUTES[route], terms, residual, converged
-    alone = route[idx] == _SERIES
+        _raise_first(errors)
+        return values, _ROUTES[routes], terms, residual, converged
+    alone = routes[idx] == _SERIES
     # Contiguous copies, as the reference gathers them: matmul rounds by the layout.
     s_value, s_terms, s_norm, s_converged, s_errors = _series(
-        *(x.take(idx, axis=0) for x in (f_ba, f_bu, f_ua, f_uu)), cfg, alone
+        *(x.take(idx, axis=0) for x in blocks), cfg, alone
     )
     for j, e in s_errors.items():
         errors.setdefault(int(idx[j]), e)
     terms[idx] = s_terms
-    if fallback:
-        at = idx[alone]
-        values[at], residual[at], converged[at] = s_value[alone], s_norm[alone], s_converged[alone]
+    at = idx[alone]
+    values[at], residual[at], converged[at] = s_value[alone], s_norm[alone], s_converged[alone]
     both = np.flatnonzero(~alone)
     at = idx[both]
     diff = values[at] - s_value[both]
@@ -336,20 +329,26 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False):
                 f"values differ by {g:.3e}"
             ))
     _raise_first(errors)
-    return values, _ROUTES[route], terms, residual, converged
+    return values, _ROUTES[routes], terms, residual, converged
+
+
+def _trace_one(f: PartitionedMap, loop_label: str, cfg: TraceConfig, route) -> TraceResult:
+    """The trace of f over its loop block by ``route``, as a TraceResult."""
+    (r0, r1), (c0, c1) = f.row_partition.span(loop_label), f.col_partition.span(loop_label)
+    if r1 - r0 != c1 - c0:
+        raise LinalgError(f"loop block {loop_label!r} is {r1 - r0}x{c1 - c0}; it must be square")
+    # The loop block moved to the trailing rows and columns of a one-entry stack.
+    rows = np.r_[0:r0, r1 : f.matrix.shape[0], r0:r1]
+    cols = np.r_[0:c0, c1 : f.matrix.shape[1], c0:c1]
+    values, method, terms, residual, converged = _trace_core(
+        f.matrix[np.ix_(rows, cols)][None], r1 - r0, cfg, report_gap=True, route=route)
+    return TraceResult(values[0], method[0], int(terms[0]), float(residual[0]), bool(converged[0]))
 
 
 def ex_series(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     """Partial sums of f_BA + sum_n f_BU f_UU^n f_UA with a geometric
     tail certificate as the stopping rule."""
-    m, k = _loop_last(f, loop_label)
-    f_ba, f_bu, f_ua, f_uu = _blocks(m, k)
-    if k == 0:
-        return TraceResult(f_ba[0].copy(), _ROUTES[_SERIES], 0, 0.0, True)
-    total, terms, term_norm, converged, errors = _series(f_ba, f_bu, f_ua, f_uu, cfg)
-    _raise_first(errors)
-    return TraceResult(total[0], _ROUTES[_SERIES], int(terms[0]), float(term_norm[0]),
-                       bool(converged[0]))
+    return _trace_one(f, loop_label, cfg, _SERIES)
 
 
 def ex_kernel_image(
@@ -357,23 +356,14 @@ def ex_kernel_image(
 ) -> TraceResult:
     """Closed-form trace via witnesses i, k with
     f_UA = (id - f_UU) i  and  f_BU = k (id - f_UU)."""
-    m, k = _loop_last(f, loop_label)
-    f_ba, f_bu, f_ua, f_uu = _blocks(m, k)
-    if k == 0:
-        return TraceResult(f_ba[0].copy(), _ROUTES[_KI], 0, 0.0, True)
-    scale = max(operator_norm(f.matrix), 1.0)
-    value, residual, errors = _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg, True)
-    _raise_first(errors)
-    return TraceResult(value[0], _ROUTES[_KI], 0, float(residual[0]), True)
+    return _trace_one(f, loop_label, cfg, _KI)
 
 
 def ex(f: PartitionedMap, loop_label: str, cfg: TraceConfig = TraceConfig()) -> TraceResult:
     """Total trace on contractions: closed form as the canonical value,
     series as the cross-check.  Non-contractions get whichever route
     succeeds."""
-    m, k = _loop_last(f, loop_label)
-    values, method, terms, residual, converged = _trace_core(m, k, cfg, report_gap=True)
-    return TraceResult(values[0], method[0], int(terms[0]), float(residual[0]), bool(converged[0]))
+    return _trace_one(f, loop_label, cfg, _BOTH)
 
 
 # ---------------------------------------------------------------------------

@@ -585,6 +585,65 @@ def test_lsi_overflowing_transform_is_usage_error(tmp_path, capsys, loop):
     assert not out.exists()
 
 
+def huge_input(tmp_path, name):
+    """An input whose entries are finite but square past the float range."""
+    if name == "kernel":
+        return write_kernel(tmp_path, taps={"0": matrix_to_literal(np.diag([1e154, 1e154]))})
+    if name == "diag":
+        return write_trace_file(tmp_path, np.diag([1e154, 1e154]), 1)
+    return write_trace_file(tmp_path, [[0, 0, 1], [0, 1e200, 0], [1, 0, 1]], 2)
+
+
+@pytest.mark.parametrize(
+    "name,argv",
+    [
+        ("diag", ["trace", "--method", "both"]),
+        ("diag", ["trace", "--method", "ki"]),
+        # f_UU = diag(1e200, 1): value 0 by the closed form, whose residual
+        # scale hides the missing witness (ROADMAP item 4).
+        ("huge", ["trace", "--method", "both", "--max-terms", "1000"]),
+        ("kernel", ["lsi", "--grid", "8"]),
+        ("kernel", ["lsi", "--grid", "8", "--loop", "1"]),
+    ],
+    ids=["trace-both", "trace-ki", "trace-both-huge", "lsi", "lsi-looped"],
+)
+def test_finite_huge_inputs_print_no_runtime_warning(tmp_path, capsys, name, argv):
+    # Frobenius squares and series products past the float range are inf,
+    # which the norm brackets and per-term checks already handle.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*argv, huge_input(tmp_path, name)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == ""
+    assert "error" not in json.loads(captured.out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lsi", "KERNEL", "--grid", "1000000000"],
+        ["lsi", "KERNEL", "--grid", "1000000000", "--loop", "1"],
+        ["qwhile", "run", str(CORPUS / "swap_loop.qw"), "--grid", "1000000000"],
+    ],
+    ids=["lsi", "lsi-looped", "qwhile"],
+)
+def test_grid_beyond_the_cap_is_usage_error(tmp_path, capsys, argv):
+    # Refused before the grid or any sample is allocated.
+    argv = [write_kernel(tmp_path) if a == "KERNEL" else a for a in argv]
+    usage_error(capsys, argv, "entries exceeds the cap 67108864")
+
+
+def test_grid_cap_counts_every_sample_entry(tmp_path, capsys, monkeypatch):
+    # A 2 x 2 kernel at grid 16 and the 1 x 1 swap loop at grid 64 reach the
+    # cap exactly; one more grid point is refused.
+    monkeypatch.setattr(lsi, "GRID_WORK_CAP", 64)
+    swap = str(CORPUS / "swap_loop.qw")
+    for argv, grid in ((["lsi", write_kernel(tmp_path)], 16), (["qwhile", "run", swap], 64)):
+        assert run(capsys, *argv, "--grid", str(grid))[0] == 0
+        usage_error(capsys, [*argv, "--grid", str(grid + 1)], "exceeds the cap 64")
+
+
 # f_UU = diag(1, 2): no witness, and the series grows like 2^n.
 DIVERGENT = [[0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 2.0]]
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from extrace import trace
-from extrace.linalg import DEFAULT_TOL, random_unitary, stack_norms, stack_pinv
+from extrace.linalg import DEFAULT_TOL, random_unitary, stack_norms, stack_pinv, two_block
 from extrace.trace import KiTraceError, SeriesDivergence, TraceConfig
 
 # ---------------------------------------------------------------------------
@@ -195,6 +195,26 @@ def kernel_image_outcome(value, residual, errors):
     return value.tobytes(), residual.tobytes(), {i: error_key(e) for i, e in errors.items()}
 
 
+def entry_error_key(e):
+    return type(e), str(e), getattr(e, "residual_in", None), getattr(e, "residual_out", None)
+
+
+def entry_outcome(route, f, cfg):
+    """What a public single-matrix entry returns or raises."""
+    try:
+        r = route(f, "U", cfg)
+    except ArithmeticError as e:
+        return entry_error_key(e)
+    return r.value.tobytes(), r.terms_used, np.float64(r.residual).tobytes(), r.converged
+
+
+def reference_entry(value, terms, residual, converged, errors):
+    """The same, from a reference route's outcome on a one-entry stack."""
+    if errors:
+        return entry_error_key(errors[0])
+    return value[0].tobytes(), int(terms[0]), residual[:1].tobytes(), bool(converged[0])
+
+
 def assert_same(m, k, cfg):
     m = np.asarray(m, dtype=np.complex128)
     want = core_outcome(ref_trace_core, m, k, cfg)
@@ -206,13 +226,26 @@ def assert_same(m, k, cfg):
     # Expansions whose tail ratio does not fall below 1 run the series route
     # to max_terms; 2,000 terms reach the same last-term rule much sooner.
     s_cfg = replace(cfg, max_terms=min(cfg.max_terms, 2000))
-    assert series_outcome(*trace._series(*blocks, s_cfg)) == series_outcome(
-        *ref_series(*blocks, s_cfg)
-    )
+    ref_s = ref_series(*blocks, s_cfg)
+    assert series_outcome(*trace._series(*blocks, s_cfg)) == series_outcome(*ref_s)
     scale = max(float(np.max(stack_norms(m))), 1.0)
+    ref_ki = ref_kernel_image(*blocks, scale, cfg)
     assert kernel_image_outcome(
         *trace._kernel_image(*blocks, scale, cfg, True)
-    ) == kernel_image_outcome(*ref_kernel_image(*blocks, scale, cfg))
+    ) == kernel_image_outcome(*ref_ki)
+    if m.shape[0] > 1:
+        return
+    # The public entries are routes of the core; ex_kernel_image judges a
+    # contraction's residuals against 1, so its reported residual is the
+    # reference's only where ||m|| lies outside (1, 1 + DEFAULT_TOL].
+    f = two_block(m[0], k)
+    assert entry_outcome(trace.ex_series, f, s_cfg) == reference_entry(*ref_s)
+    value, residual, errors = ref_ki
+    got = entry_outcome(trace.ex_kernel_image, f, cfg)
+    want = reference_entry(value, np.zeros(1, dtype=np.int64), residual, np.ones(1, bool), errors)
+    if 1.0 < scale <= 1.0 + DEFAULT_TOL and isinstance(want[0], bytes):
+        got, want = got[:2] + got[3:], want[:2] + want[3:]
+    assert got == want
 
 
 # ---------------------------------------------------------------------------
