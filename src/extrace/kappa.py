@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import LinalgError, adjoint, operator_norm
+from .linalg import LinalgError
 
 __all__ = [
     "GroverParams",
@@ -48,38 +48,35 @@ STATEVECTOR_WORK_CAP = 2**30
 
 @dataclass(frozen=True)
 class KappaMeasurement:
+    """A strength-kappa measurement of the predicate subspace spanned by the
+    basis states whose indices are ``predicate`` (distinct, nonnegative);
+    ``index`` holds them as an array."""
+
     kappa: float
-    predicate_projector: np.ndarray
+    predicate: tuple
+    index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
             raise LinalgError("kappa must lie in [0, 1]")
-        p = np.asarray(self.predicate_projector, dtype=np.complex128)
-        object.__setattr__(self, "predicate_projector", p)
-        if p.shape[0] != p.shape[1]:
-            raise LinalgError("predicate projector must be square")
-        if operator_norm(p @ p - p) > 1e-10 or operator_norm(p - adjoint(p)) > 1e-10:
-            raise LinalgError("predicate_projector is not an orthogonal projector")
+        q = tuple(self.predicate)
+        if not all(isinstance(i, (int, np.integer)) and i >= 0 for i in q) or len(set(q)) < len(q):
+            raise LinalgError("predicate must be distinct nonnegative integer indices")
+        object.__setattr__(self, "predicate", tuple(map(int, q)))
+        object.__setattr__(self, "index", np.array(self.predicate, dtype=np.intp))
 
 
-def probe_rotation(kappa: float) -> np.ndarray:
-    """2x2 rotation sending |bot> to sqrt(1-k)|bot> + sqrt(k)|top>.
-
-    The strength-k coupling is only fixed up to Z-rotations on the probe;
-    this representative is the proper rotation, so zero strength is the
-    identity.
-    """
-    xi = math.sqrt(1.0 - kappa)
-    sk = math.sqrt(kappa)
-    return np.array([[xi, -sk], [sk, xi]], dtype=np.complex128)
-
-
-def build_E(km: KappaMeasurement) -> np.ndarray:
-    """The coupling unitary on H (x) C^2: identity off the predicate
-    subspace, the probe rotation on it."""
-    p = km.predicate_projector
-    ident = np.eye(p.shape[0], dtype=np.complex128)
-    return np.kron(ident - p, np.eye(2)) + np.kron(p, probe_rotation(km.kappa))
+def build_E(km: KappaMeasurement, dim: int) -> np.ndarray:
+    """The coupling unitary on H (x) C^2, H of dimension ``dim``: identity off
+    the predicate subspace and, on it, the rotation sending |bot> to
+    sqrt(1-k)|bot> + sqrt(k)|top>.  The strength-k coupling is only fixed up
+    to Z-rotations on the probe; this representative is the proper rotation,
+    so zero strength is the identity.  A dense 2 dim x 2 dim matrix, against
+    which kappa_measure is checked."""
+    xi, sk = math.sqrt(1.0 - km.kappa), math.sqrt(km.kappa)
+    e = np.eye(2 * dim, dtype=np.complex128).reshape(dim, 2, dim, 2)
+    e[km.index, :, km.index, :] = [[xi, -sk], [sk, xi]]
+    return e.reshape(2 * dim, 2 * dim)
 
 
 @dataclass(frozen=True)
@@ -89,20 +86,25 @@ class MeasurementOutcome:
     p_top: float
 
 
-def kappa_measure(state: np.ndarray, km: KappaMeasurement, rng) -> MeasurementOutcome:
+def kappa_measure(state: np.ndarray, km: KappaMeasurement, u: float) -> MeasurementOutcome:
+    """Measure the unit vector ``state`` with ``km``.  It certifies with
+    probability p_top = kappa * p_Q, when the uniform draw ``u`` falls below
+    p_top, and the post-state is then the normalised predicate part;
+    otherwise the predicate amplitudes are damped by sqrt(1 - kappa) and the
+    state renormalised.  u = 1.0 never certifies."""
     state = np.asarray(state, dtype=np.complex128).reshape(-1)
-    norm = np.linalg.norm(state)
+    norm = math.sqrt(np.vdot(state, state).real)
     if abs(norm - 1.0) > 1e-9:
         raise LinalgError(f"state norm {norm:.3e} is not 1")
-    p = km.predicate_projector
-    in_q = p @ state
-    p_q = float(np.vdot(in_q, in_q).real)
+    in_q = state[km.index]
+    p_q = min(float(np.vdot(in_q, in_q).real), 1.0)  # p_top <= 1, so u = 1.0 keeps looping
     p_top = km.kappa * p_q
-    if rng.random() < p_top:
-        post = in_q / np.linalg.norm(in_q)
+    if u < p_top:
+        post = np.zeros_like(state)
+        post[km.index] = in_q / math.sqrt(p_q)
         return MeasurementOutcome(True, post, p_top)
-    xi = math.sqrt(1.0 - km.kappa)
-    post = (state - in_q) + xi * in_q
+    post = state.copy()
+    post[km.index] *= math.sqrt(1.0 - km.kappa)
     post /= np.linalg.norm(post)
     return MeasurementOutcome(False, post, p_top)
 
@@ -264,36 +266,30 @@ def grover_statevector(p: GroverParams, *, force_keep_looping: bool = False) -> 
         raise LinalgError(f"statevector work max_iterations * max(B, 1024) exceeds the cap "
                           f"{STATEVECTOR_WORK_CAP}")
     rng = np.random.default_rng(np.random.SeedSequence(p.seed))
-    star = 0
+    km = KappaMeasurement(p.kappa, (0,))  # the target state |star> = |0>
     psi = np.full(b, b ** -0.5, dtype=np.complex128)
     psi1 = np.zeros(b, dtype=np.complex128)
-    psi1[star] = 1.0
+    psi1[0] = 1.0
     psi0 = (math.sqrt(b) * psi - psi1) / math.sqrt(b - 1)
-    xi = math.sqrt(1.0 - p.kappa)
+    two_psi0, two_psi = 2.0 * psi0, 2.0 * psi  # (2.0 * psi0) * c is 2.0 * psi0 * c, bit for bit
 
     def grover_step(v):
-        v = 2.0 * psi0 * np.vdot(psi0, v) - v
-        return 2.0 * psi * np.vdot(psi, v) - v
+        v = two_psi0 * np.vdot(psi0, v) - v
+        return two_psi * np.vdot(psi, v) - v
 
     v = psi.copy()
-    angles = []
-    residuals = []
-    halted = None
+    angles, residuals = [], []
     for it in range(1, p.max_iterations + 1):
-        v = grover_step(v)
-        p_top = p.kappa * float(abs(v[star]) ** 2)
-        if not force_keep_looping and rng.random() < p_top:
-            v = psi1 * (v[star] / abs(v[star]))
-            angles.append(math.pi / 2.0)
-            residuals.append(0.0)
-            halted = it
-            break
-        v[star] *= xi
-        v /= np.linalg.norm(v)
-        angles.append(math.asin(min(1.0, abs(v[star]))))
-        plane = psi0 * np.vdot(psi0, v) + psi1 * np.vdot(psi1, v)
-        residuals.append(float(np.linalg.norm(v - plane)))
-    return StatevectorRun(angles, halted, v, residuals)
+        out = kappa_measure(grover_step(v), km, 1.0 if force_keep_looping else rng.random())
+        v = out.post_state
+        angles.append(math.pi / 2.0 if out.certified else math.asin(min(1.0, abs(v[0]))))
+        # The plane keeps v[0] and replaces every other amplitude by their mean.
+        d = v[1:]
+        d = d - d.sum() / (b - 1)
+        residuals.append(math.sqrt(np.vdot(d, d).real))
+        if out.certified:
+            return StatevectorRun(angles, it, v, residuals)
+    return StatevectorRun(angles, None, v, residuals)
 
 
 @dataclass(frozen=True)
@@ -468,10 +464,8 @@ def verify_guarantee(p: GroverParams, n_max: int = 50) -> GuaranteeReport:
     horizon = guarantee_f(n_max, p.B_size)
 
     # Unmeasured evolution: angle alpha + 2k alpha after k steps.
-    ks = np.arange(horizon + 1)
-    unmeasured = alpha + 2.0 * ks * alpha
-    active = np.sin(unmeasured) ** 2 > 0.5
-    active_cum = np.cumsum(active)
+    p_unmeas = np.sin(alpha + 2.0 * np.arange(horizon + 1) * alpha) ** 2
+    active_cum = np.cumsum(p_unmeas > 0.5)
     for n in range(1, n_max + 1):
         f_n = guarantee_f(n, p.B_size)
         if active_cum[f_n] < n:
@@ -485,7 +479,6 @@ def verify_guarantee(p: GroverParams, n_max: int = 50) -> GuaranteeReport:
     eps = _grover_epsilon(p.B_size)
     measured = grover_recurrence(p, robustness_g(n_max))
     p_meas = np.sin(measured) ** 2
-    p_unmeas = np.sin(unmeasured) ** 2
     for n in range(1, n_max + 1):
         m_hi = robustness_g(n)
         gap = np.min(np.abs(p_unmeas[n] - p_meas[: m_hi + 1]))

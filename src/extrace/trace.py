@@ -167,8 +167,6 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
     cap = cfg.blowup * (1 - 1e-9)
     left = f_bu  # f_BU f_UU^t on the live entries
     for t in range(cfg.max_terms):
-        if live.size == 0:
-            break
         term = left @ f_ua
         fro = fro_norms(term)
         bound += fro
@@ -223,7 +221,7 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
     return total, terms, term_norm, converged, errors
 
 
-def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, m=None):
+def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, m):
     """Closed-form trace via witnesses i, k with f_UA = (id - f_UU) i and
     f_BU = k (id - f_UU), for every stack entry at once, from one SVD of
     id - f_UU.  Singular values below 1e-10 * sigma_max count as exact
@@ -232,30 +230,37 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, m=None
     marks an entry, whose residual is reported, or a check fails, both
     residuals then; elsewhere the brackets settle them.  Residuals are
     judged against ``scale``; a failing entry reports them against
-    max(||m||, 1) of its matrix in the stack ``m``, where given, else
-    against ``scale``.  Returns the values, witness residuals and errors by
-    entry."""
+    max(||m||, 1) of its matrix in the stack ``m``.  An entry whose value,
+    residuals or agreement is not finite fails before any norm is taken.
+    Returns the values, witness residuals and errors by entry."""
     h = np.eye(f_uu.shape[-1]) - f_uu
     h_pinv = stack_pinv(h, 1e-10)
-    i_wit = h_pinv @ f_ua
-    k_wit = f_bu @ h_pinv
-    value = f_ba + k_wit @ f_ua
+    with np.errstate(over="ignore", invalid="ignore"):  # an entry that overflows fails below
+        i_wit = h_pinv @ f_ua
+        k_wit = f_bu @ h_pinv
+        value = f_ba + k_wit @ f_ua
+        diffs = (h @ i_wit - f_ua, k_wit @ h - f_bu, value - (f_ba + f_bu @ i_wit))
+    finite = np.logical_and.reduce([np.isfinite(d).all(axis=(-2, -1)) for d in diffs])
+    d_in, d_out, gap = diffs
+    if not finite.all():
+        d_in, d_out, gap = (np.where(finite[:, None, None], d, 0.0) for d in diffs)
     lo = np.where(exact, 0.0, scale)  # 0 keeps an entry's norms exact
-    d_in, d_out = h @ i_wit - f_ua, k_wit @ h - f_bu
     res_in = bracket_norms(d_in, cfg.ki_residual_tol * lo, math.inf) / scale
     res_out = bracket_norms(d_out, cfg.ki_residual_tol * lo, math.inf) / scale
     residual = np.maximum(res_in, res_out)
-    agree = bracket_norms(value - (f_ba + f_bu @ i_wit), cfg.compare_tol * lo, math.inf)
+    agree = bracket_norms(gap, cfg.compare_tol * lo, math.inf)
     errors = {}
-    for i in np.flatnonzero((residual > cfg.ki_residual_tol) | (agree > cfg.compare_tol * scale)):
-        if residual[i] > cfg.ki_residual_tol:
-            s = scale if m is None else max(operator_norm(m[i]), 1.0)
-            res_in[i], res_out[i] = operator_norm(d_in[i]) / s, operator_norm(d_out[i]) / s
+    fails = ~finite | (residual > cfg.ki_residual_tol) | (agree > cfg.compare_tol * scale)
+    for i in np.flatnonzero(fails):
+        if not finite[i] or residual[i] > cfg.ki_residual_tol:
+            s = max(operator_norm(m[i]), 1.0)
+            res_in[i], res_out[i] = (operator_norm(d[i]) / s if np.isfinite(d[i]).all()
+                                     else math.inf for d in diffs[:2])
             msg = (
                 "not ki-traceable: witness residuals "
                 f"{res_in[i]:.3e} (input) / {res_out[i]:.3e} (output) exceed "
                 f"{cfg.ki_residual_tol:g}"
-            )
+            ) if finite[i] else "not ki-traceable: the closed form is not finite"
         else:
             msg = f"witness forms disagree by {agree[i]:.3e}"
         errors[int(i)] = KiTraceError(msg, float(res_in[i]), float(res_out[i]))

@@ -7,10 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extrace import cli, lsi
+from extrace import cli, lsi, trace
 from extrace.cli import main
 from extrace.kappa import GroverParams, grover_montecarlo, grover_statevector
-from extrace.linalg import matrix_to_literal, random_contraction, two_block
+from extrace.linalg import matrix_to_literal, random_contraction, swap_matrix, two_block
 from extrace.trace import KiTraceError, ex, ex_kernel_image, ex_series
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -159,6 +159,24 @@ def test_other_arithmetic_errors_propagate_out_of_main(tmp_path, capsys, monkeyp
     with pytest.raises(OverflowError, match="stray overflow"):
         main([*argv, path])
     assert capsys.readouterr().out == ""
+
+
+def test_axioms_law_failure_is_a_failed_report(capsys, monkeypatch):
+    # Halving the swap leaves every trace defined but breaks yanking:
+    # ex^U(swap / 2) = id / 4, a deviation of 3/4 in each case.
+    monkeypatch.setattr(trace, "swap_matrix", lambda a, b: 0.5 * swap_matrix(a, b))
+    report = trace.check_trace_axioms(3, 4)
+    yanking = report.checks["yanking"]
+    assert (yanking.failures, yanking.cases) == (4, 4)
+    assert yanking.worst_deviation == pytest.approx(0.75)
+    assert yanking.notes[0].startswith("case 0 (a=")
+    assert yanking.notes[0].endswith("): deviation 7.500e-01")
+    assert not report.passed
+    assert all(c.passed for name, c in report.checks.items() if name != "yanking")
+    code, out = run(capsys, "axioms", "--cases", "4", "--seed", "3")
+    assert code == 1
+    assert out["passed"] is False
+    assert out["checks"]["yanking"]["notes"] == yanking.notes
 
 
 def test_axioms_subcommand(capsys):
@@ -617,6 +635,35 @@ def test_finite_huge_inputs_print_no_runtime_warning(tmp_path, capsys, name, arg
     assert code == 0
     assert captured.err == ""
     assert "error" not in json.loads(captured.out)
+
+
+BEYOND = [[1e200, 1e200], [1e200, 0.5]]  # 1-port trace 1e200 + 2e400: past the float range
+
+
+@pytest.mark.parametrize(
+    "argv,kind",
+    [
+        (["trace", "--method", "both"], "series_divergence"),
+        (["trace", "--method", "ki"], "not_ki_traceable"),
+        (["lsi", "--grid", "8", "--loop", "1"], "series_divergence"),
+    ],
+    ids=["trace-both", "trace-ki", "lsi-looped"],
+)
+def test_trace_beyond_the_float_range_is_a_report(tmp_path, capsys, argv, kind):
+    # The closed form overflows; the entry fails before any norm sees it, so
+    # both routes fall back to the series, which reports the non-finite term.
+    path = (write_kernel(tmp_path, taps={"0": matrix_to_literal(BEYOND)}) if argv[0] == "lsi"
+            else write_trace_file(tmp_path, BEYOND, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*argv, path])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    report = json.loads(captured.out)
+    assert report["error"] == kind
+    if kind == "not_ki_traceable":
+        assert "the closed form is not finite" in report["message"]
+        assert (report["residual_in"], report["residual_out"]) == (0.0, 0.0)
 
 
 @pytest.mark.parametrize(

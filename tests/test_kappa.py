@@ -1,11 +1,13 @@
 import json
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from extrace import kappa
 from extrace.kappa import (
     GroverParams,
     GroverSamples,
@@ -21,7 +23,6 @@ from extrace.kappa import (
     halting_probabilities,
     kappa_measure,
     premeasurement_angles,
-    probe_rotation,
     robustness_g,
     runtime_bound,
     theta,
@@ -30,21 +31,19 @@ from extrace.kappa import (
 from extrace.linalg import LinalgError, adjoint, classify, operator_norm
 
 
-def projector_onto_last(n, k):
-    p = np.zeros((n, n), dtype=complex)
-    for i in range(n - k, n):
-        p[i, i] = 1.0
-    return p
+def last(n, k):
+    """The predicate of the last k of n basis states."""
+    return tuple(range(n - k, n))
 
 
 class TestBuildE:
     def test_kappa_zero_is_identity(self):
-        km = KappaMeasurement(0.0, projector_onto_last(3, 1))
-        assert np.allclose(build_E(km), np.eye(6))
+        km = KappaMeasurement(0.0, last(3, 1))
+        assert np.allclose(build_E(km, 3), np.eye(6))
 
     def test_kappa_one_full_projector_flips_probe(self):
-        km = KappaMeasurement(1.0, np.eye(2))
-        e = build_E(km)
+        km = KappaMeasurement(1.0, (0, 1))
+        e = build_E(km, 2)
         # |h, bot> -> |h, top>
         state = np.zeros(4)
         state[0] = 1.0  # (h=0, probe=bot)
@@ -56,58 +55,115 @@ class TestBuildE:
         for _ in range(20):
             n = int(rng.integers(2, 6))
             k = int(rng.integers(1, n + 1))
-            km = KappaMeasurement(float(rng.uniform()), projector_onto_last(n, k))
-            e = build_E(km)
+            km = KappaMeasurement(float(rng.uniform()), last(n, k))
+            e = build_E(km, n)
             assert operator_norm(adjoint(e) @ e - np.eye(2 * n)) < 1e-10
 
     def test_rejects_non_projector(self):
+        # Only distinct nonnegative integer indices span a projector onto basis states.
+        for predicate in [(0, 0), (-1,), (0.5,), ("0",), ([0, 1],)]:
+            with pytest.raises(LinalgError, match="predicate must be"):
+                KappaMeasurement(0.5, predicate)
         with pytest.raises(LinalgError):
-            KappaMeasurement(0.5, np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(LinalgError):
-            KappaMeasurement(1.5, np.eye(2))
+            KappaMeasurement(1.5, (0,))
+
+    def test_index_past_the_dimension_is_rejected(self):
+        km = KappaMeasurement(0.5, (3,))
+        with pytest.raises(IndexError):
+            build_E(km, 3)
+        with pytest.raises(IndexError):
+            kappa_measure(np.array([1.0, 0.0, 0.0]), km, 0.5)
+
+    def test_predicate_is_a_tuple_of_ints(self):
+        km = KappaMeasurement(0.5, [np.int64(2), 0])
+        assert km.predicate == (2, 0) and all(type(i) is int for i in km.predicate)
+        same = KappaMeasurement(0.5, (2, 0))
+        assert km == same and hash(km) == hash(same)
 
 
 class TestKappaMeasure:
     def test_state_in_subspace_kappa_one(self):
-        km = KappaMeasurement(1.0, projector_onto_last(2, 1))
-        out = kappa_measure(np.array([0.0, 1.0]), km, np.random.default_rng(0))
+        km = KappaMeasurement(1.0, last(2, 1))
+        out = kappa_measure(np.array([0.0, 1.0]), km, np.random.default_rng(0).random())
         assert out.certified
         assert out.p_top == pytest.approx(1.0)
 
     def test_orthogonal_state_never_certifies(self):
-        km = KappaMeasurement(0.9, projector_onto_last(2, 1))
+        km = KappaMeasurement(0.9, last(2, 1))
         state = np.array([1.0, 0.0])
-        out = kappa_measure(state, km, np.random.default_rng(0))
+        out = kappa_measure(state, km, 0.0)
         assert not out.certified
         assert np.allclose(out.post_state, state)
 
     def test_grover_plane_collapse_shape(self):
         kappa = 0.3
         a = 0.7
-        km = KappaMeasurement(kappa, projector_onto_last(2, 1))
+        km = KappaMeasurement(kappa, last(2, 1))
         state = np.array([math.cos(a), math.sin(a)])
         rng = np.random.default_rng(1)
-        out = kappa_measure(state, km, rng)
+        out = kappa_measure(state, km, rng.random())
         while out.certified:
-            out = kappa_measure(state, km, rng)
+            out = kappa_measure(state, km, rng.random())
         expected = np.array([math.cos(a), math.sqrt(1 - kappa) * math.sin(a)])
         assert np.allclose(out.post_state, expected / np.linalg.norm(expected), atol=1e-12)
 
     def test_probability_against_bernoulli_frequency(self):
         kappa, a = 0.25, 1.1
-        km = KappaMeasurement(kappa, projector_onto_last(2, 1))
+        km = KappaMeasurement(kappa, last(2, 1))
         state = np.array([math.cos(a), math.sin(a)])
         rng = np.random.default_rng(77)
         n = 100_000
-        hits = sum(kappa_measure(state, km, rng).certified for _ in range(n))
+        hits = sum(kappa_measure(state, km, rng.random()).certified for _ in range(n))
         p = kappa * math.sin(a) ** 2
         stderr = math.sqrt(p * (1 - p) / n)
         assert abs(hits / n - p) < 3 * stderr
 
     def test_rejects_unnormalized(self):
-        km = KappaMeasurement(0.5, projector_onto_last(2, 1))
+        km = KappaMeasurement(0.5, last(2, 1))
         with pytest.raises(LinalgError):
-            kappa_measure(np.array([1.0, 1.0]), km, np.random.default_rng(0))
+            kappa_measure(np.array([1.0, 1.0]), km, 0.5)
+
+    def test_draw_one_never_certifies(self):
+        # Rounding may put |<target|state>|^2 a little above 1; p_top stays at most kappa.
+        state = np.array([1.0 + 2e-16, 1e-9])
+        out = kappa_measure(state, KappaMeasurement(1.0, (0,)), 1.0)
+        assert not out.certified and out.p_top <= 1.0
+
+    def test_agrees_with_the_dilation(self):
+        # build_E on state (x) |bot>: the |top> branch has squared norm p_top and,
+        # normalised, is the certified post-state; the |bot> branch, normalised,
+        # is the keep-looping post-state.
+        rng = np.random.default_rng(27)
+        for _ in range(200):
+            d = int(rng.integers(1, 7))
+            predicate = tuple(int(i) for i in rng.permutation(d)[: int(rng.integers(1, d + 1))])
+            km = KappaMeasurement(float(rng.uniform(0.01, 1.0)), predicate)
+            state = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            state /= np.linalg.norm(state)
+            branches = (build_E(km, d) @ np.kron(state, [1.0, 0.0])).reshape(d, 2)
+            bot, top = branches[:, 0], branches[:, 1]
+            certified = kappa_measure(state, km, 0.0)
+            assert certified.certified
+            assert np.vdot(top, top).real == pytest.approx(certified.p_top, rel=1e-12)
+            assert np.allclose(certified.post_state, top / np.linalg.norm(top), atol=1e-12)
+            kept = kappa_measure(state, km, 1.0)
+            assert not kept.certified and kept.p_top == certified.p_top
+            if np.linalg.norm(bot) > 1e-6:  # kappa = 1 on a state inside the predicate
+                assert np.allclose(kept.post_state, bot / np.linalg.norm(bot), atol=1e-12)
+
+    def test_no_dense_projector(self):
+        # A d x d projector at d = 2^20 would take 16 TiB; the state is 16 MiB.
+        d = 2**20
+        state = np.zeros(d, dtype=np.complex128)
+        state[[0, -1]] = math.sqrt(0.5)
+        tracemalloc.start()
+        try:
+            out = kappa_measure(state, KappaMeasurement(0.5, (d - 1,)), 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.p_top == pytest.approx(0.25)
+        assert peak < 100 * 2**20
 
 
 class TestTheta:
@@ -142,13 +198,13 @@ class TestTheta:
     def test_agrees_with_measurement_collapse(self):
         # extract the collapse angle from the measurement operation itself
         kappa = 0.4
-        km = KappaMeasurement(kappa, projector_onto_last(2, 1))
+        km = KappaMeasurement(kappa, last(2, 1))
         rng = np.random.default_rng(3)
         for a in np.linspace(0.05, 1.5, 20):
             state = np.array([math.cos(a), math.sin(a)])
-            out = kappa_measure(state, km, rng)
+            out = kappa_measure(state, km, rng.random())
             while out.certified:
-                out = kappa_measure(state, km, rng)
+                out = kappa_measure(state, km, rng.random())
             post_angle = math.atan2(out.post_state[1].real, out.post_state[0].real)
             assert a - post_angle == pytest.approx(theta(float(a), kappa), abs=1e-10)
 
@@ -528,3 +584,16 @@ class TestVerifyGuarantee:
         report = verify_guarantee(GroverParams(256), n_max=10)
         assert report.n_checked == 10
         assert report.B_size == 256
+
+    def test_violations_are_reported(self, monkeypatch):
+        # At B = 64 the unmeasured angle (2k + 1) alpha first passes pi/4 at
+        # k = 3, so f(n) = n fails every n; no probability gap is below -1.
+        monkeypatch.setattr(kappa, "guarantee_f", lambda n, b: n)
+        monkeypatch.setattr(kappa, "_grover_epsilon", lambda b: -1.0)
+        report = verify_guarantee(GroverParams(64), n_max=3)
+        assert not report.ok
+        assert report.guarantee_violations == [
+            f"n={n}: only {active} active iterations within f(n)={n}"
+            for n, active in ((1, 0), (2, 0), (3, 1))]
+        assert [v.split(":")[0] for v in report.robustness_violations] == ["n=1", "n=2", "n=3"]
+        assert all(v.endswith("exceeds eps=-1.000e+00") for v in report.robustness_violations)
