@@ -41,8 +41,8 @@ __all__ = [
 
 STATEVECTOR_CAP = 4096
 ITERATION_CAP = 10**7  # horizon cap: grover_montecarlo peaks at about 88 B a step, 0.88 GB here
-# grover_statevector's cap on max_iterations * max(B, 1024): a step took 29 us
-# at B = 16 and 109 us at B = 4096 on one Xeon core, so about 30 s at the cap.
+# grover_statevector's cap on max_iterations * max(B, 1024).  B = 1024 is the worst
+# case: 2^20 steps at 35-60 us a step on one core of a shared Xeon host, so 37-63 s.
 STATEVECTOR_WORK_CAP = 2**30
 
 
@@ -87,11 +87,11 @@ class MeasurementOutcome:
 
 
 def kappa_measure(state: np.ndarray, km: KappaMeasurement, u: float) -> MeasurementOutcome:
-    """Measure the unit vector ``state`` with ``km``.  It certifies with
-    probability p_top = kappa * p_Q, when the uniform draw ``u`` falls below
-    p_top, and the post-state is then the normalised predicate part;
-    otherwise the predicate amplitudes are damped by sqrt(1 - kappa) and the
-    state renormalised.  u = 1.0 never certifies."""
+    """Measure the unit vector ``state`` with ``km``.  It certifies with probability
+    p_top = kappa * p_Q, when the uniform draw ``u`` falls below p_top, and the
+    post-state is then the normalised predicate part; otherwise the predicate amplitudes
+    are damped by sqrt(1 - kappa) and the state renormalised, which raises LinalgError
+    where that branch has probability 0.  u = 1.0 never certifies."""
     state = np.asarray(state, dtype=np.complex128).reshape(-1)
     norm = math.sqrt(np.vdot(state, state).real)
     if abs(norm - 1.0) > 1e-9:
@@ -105,8 +105,10 @@ def kappa_measure(state: np.ndarray, km: KappaMeasurement, u: float) -> Measurem
         return MeasurementOutcome(True, post, p_top)
     post = state.copy()
     post[km.index] *= math.sqrt(1.0 - km.kappa)
-    post /= np.linalg.norm(post)
-    return MeasurementOutcome(False, post, p_top)
+    norm = np.linalg.norm(post)
+    if norm == 0.0:
+        raise LinalgError("the keep-looping branch has probability 0")
+    return MeasurementOutcome(False, post / norm, p_top)
 
 
 def theta(a: float, kappa: float) -> float:
@@ -192,6 +194,8 @@ def grover_recurrence(p: GroverParams, n_steps: int | None = None) -> np.ndarray
     1000 draws of up to 1500 steps, B in [2, 1e7], kappa in [1e-6, 1], near d = 0
     and kappa = 1 included: 5.2e-13 (a per-step loop of theta in doubles: 1.9e-3)."""
     n = p.max_iterations if n_steps is None else n_steps
+    if n > ITERATION_CAP:
+        raise LinalgError(f"max_iterations must be <= {ITERATION_CAP} (default ceil(50 / kappa))")
     t = np.arange(1, n + 1, dtype=float)
     with localcontext() as ctx:
         ctx.prec = 50
@@ -260,8 +264,6 @@ def grover_statevector(p: GroverParams, *, force_keep_looping: bool = False) -> 
     b = p.B_size
     if b > STATEVECTOR_CAP:
         raise LinalgError(f"B_size {b} exceeds the statevector cap {STATEVECTOR_CAP}")
-    if p.max_iterations > ITERATION_CAP:
-        raise LinalgError(f"max_iterations must be <= {ITERATION_CAP} (default ceil(50 / kappa))")
     if p.max_iterations * max(b, 1024) > STATEVECTOR_WORK_CAP:
         raise LinalgError(f"statevector work max_iterations * max(B, 1024) exceeds the cap "
                           f"{STATEVECTOR_WORK_CAP}")
@@ -330,8 +332,6 @@ def grover_montecarlo(p: GroverParams, n_trials: int) -> tuple[GroverSamples, Mo
     """
     if n_trials < 1:
         raise LinalgError("n_trials must be >= 1")
-    if p.max_iterations > ITERATION_CAP:
-        raise LinalgError(f"max_iterations must be <= {ITERATION_CAP} (default ceil(50 / kappa))")
     angles = premeasurement_angles(p)
     probs = p.kappa * np.sin(angles) ** 2
     with np.errstate(divide="ignore"):

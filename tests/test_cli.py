@@ -359,19 +359,24 @@ def test_negative_seed_is_usage_error(capsys, argv):
     assert "seed" in captured.err
 
 
+HORIZON_CAP = "max_iterations must be <= 10000000"
+WORK_CAP = "statevector work max_iterations * max(B, 1024) exceeds the cap 1073741824"
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "argv,fragment",
     [
-        ["grover", "--B", "16", "--kappa", "1e-7"],
-        ["grover", "--B", "16", "--max-iter", "1000000000"],
-        ["grover", "--B", "16", "--kappa", "1e-300"],
-        ["grover", "--B", "16", "--kappa", "1e-12", "--mode", "statevector"],
+        (["grover", "--B", "16", "--kappa", "1e-7"], HORIZON_CAP),
+        (["grover", "--B", "16", "--max-iter", "1000000000"], HORIZON_CAP),
+        (["grover", "--B", "16", "--kappa", "1e-300"], HORIZON_CAP),
+        # The work cap admits at most 2^20 steps, so it refuses this horizon first.
+        (["grover", "--B", "16", "--kappa", "1e-12", "--mode", "statevector"], WORK_CAP),
     ],
     ids=["default_horizon", "max_iter", "tiny_kappa", "statevector"],
 )
-def test_grover_horizon_beyond_the_cap_is_usage_error(capsys, argv):
+def test_grover_horizon_beyond_the_cap_is_usage_error(capsys, argv, fragment):
     # Refused before the first array is allocated or the first step is run.
-    usage_error(capsys, argv, "max_iterations must be <= 10000000")
+    usage_error(capsys, argv, fragment)
 
 
 @pytest.mark.parametrize(
@@ -393,7 +398,7 @@ def test_non_finite_horizon_or_bound_is_usage_error(capsys, argv):
 def test_grover_statevector_beyond_the_work_cap_is_usage_error(capsys):
     # 2,000,000 steps at max(B, 1024) = 1024 is above 2^30, within ITERATION_CAP.
     usage_error(capsys, ["grover", "--B", "16", "--max-iter", "2000000", "--mode", "statevector"],
-                "statevector work max_iterations * max(B, 1024) exceeds the cap 1073741824")
+                WORK_CAP)
 
 
 def test_grover_summary_without_halts_divides_by_nothing(capsys):

@@ -2,13 +2,14 @@
 table was taken: one SHA-256 over each run's exit code, stdout and CSV
 file.  stderr is left out, since numpy warnings name source lines.
 
-BLAS, libm and numpy's SIMD loops round differently across builds and
-CPUs, so the table holds for the environment it was taken in, named by its
-fingerprint; anywhere else the test skips and names the fingerprint it
-found.  A change that moves bytes on purpose edits the entries it moves
-and says so in CHANGES.md."""
+BLAS, libm and numpy's SIMD loops round differently across builds, CPUs
+and the BLAS kernel sets picked at run time, so the table holds for the
+environment it was taken in, named by its fingerprint; anywhere else the
+test skips and names the fingerprint it found.  A change that moves bytes
+on purpose edits the entries it moves and says so in CHANGES.md."""
 
 import contextlib
+import ctypes
 import hashlib
 import io
 import json
@@ -22,6 +23,11 @@ import pytest
 from extrace.cli import main
 from extrace.linalg import matrix_to_literal, two_block
 
+try:
+    from numpy._core import _multiarray_umath as umath
+except ImportError:  # numpy before 2.0
+    from numpy.core import _multiarray_umath as umath
+
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 PROGRAMS = ["hadamard_delay_loop", "nested_loop", "phase_chain", "swap_loop"]
 KERNELS = {"k2": (2, 1, 64), "k4": (4, 2, 256), "k6": (6, 3, 128)}  # ports, loop, grid
@@ -32,18 +38,26 @@ FIXED = {"jordan": ([[0.5, 1, 0], [0, 1, 1], [1, 0, 1]], []),
          "huge": ([[0, 0, 1], [0, 1e200, 0], [1, 0, 1]], ["--max-terms", "1000"])}
 
 
+def blas_core() -> str:
+    """The kernel set numpy's bundled OpenBLAS picked at run time, which
+    OPENBLAS_CORETYPE can change on the same CPU; "unknown" for another BLAS."""
+    try:
+        corename = ctypes.CDLL(umath.__file__).scipy_openblas_get_corename64_
+    except (OSError, AttributeError):
+        return "unknown"
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def fingerprint() -> str:
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         blas = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy before 1.26 has no dict mode
         blas = "unknown BLAS"
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        from numpy.core._multiarray_umath import __cpu_features__
-    features = " ".join(sorted(name for name, on in __cpu_features__.items() if on))
-    return f"numpy {np.__version__}; {blas}; {platform.machine()}; {features}"
+    features = " ".join(sorted(name for name, on in umath.__cpu_features__.items() if on))
+    return (f"numpy {np.__version__}; {blas}, {blas_core()} kernels; {platform.machine()}; "
+            f"{features}")
 
 
 def partitioned(rng, n: int, contraction: bool) -> np.ndarray:
@@ -130,8 +144,8 @@ def digest(root: Path, argv: list, csv: bool) -> str:
 
 
 # SHA-256 of fingerprint() for the environment the table was taken in:
-# numpy 2.4.6, scipy-openblas 0.3.31.188.0, x86_64 with AVX-512.
-TABLE_FINGERPRINT = "6f0ddf8085d5c4ee"
+# numpy 2.4.6, scipy-openblas 0.3.31.188.0 with its SkylakeX kernels, x86_64 with AVX-512.
+TABLE_FINGERPRINT = "91a2a150829d5ca9"
 GOLDEN = {
     "qwhile-hadamard_delay_loop-8": "59f59af2042b83f8",
     "qwhile-hadamard_delay_loop-256": "79fa5922d6c8237c",

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import mpmath
 import numpy as np
@@ -129,6 +130,14 @@ class TestKappaMeasure:
         out = kappa_measure(state, KappaMeasurement(1.0, (0,)), 1.0)
         assert not out.certified and out.p_top <= 1.0
 
+    def test_keep_looping_of_probability_zero_is_an_error(self):
+        # At kappa = 1 a state inside the predicate certifies surely; the forced
+        # keep-looping branch is the zero vector, which has no normalisation.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
+                kappa_measure(np.array([1.0, 0.0]), KappaMeasurement(1.0, (0,)), 1.0)
+
     def test_agrees_with_the_dilation(self):
         # build_E on state (x) |bot>: the |top> branch has squared norm p_top and,
         # normalised, is the certified post-state; the |bot> branch, normalised,
@@ -244,6 +253,14 @@ class TestRecurrence:
         inc = np.diff(traj)
         assert np.all(inc >= p.alpha - 1e-12)
         assert np.all(inc <= 3 * p.alpha + 1e-12)
+
+    @pytest.mark.parametrize(
+        "trajectory", [grover_recurrence, premeasurement_angles, halting_probabilities])
+    def test_horizon_beyond_the_cap_is_refused(self, trajectory):
+        # ceil(50 / 1e-12) = 5e13 steps: refused before any array of that length
+        # is requested.
+        with pytest.raises(LinalgError, match="max_iterations must be <= 10000000"):
+            trajectory(GroverParams(16, kappa=1e-12))
 
     def test_monotone(self):
         p = GroverParams(256)
