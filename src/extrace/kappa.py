@@ -91,7 +91,8 @@ def kappa_measure(state: np.ndarray, km: KappaMeasurement, u: float) -> Measurem
     p_top = kappa * p_Q, when the uniform draw ``u`` falls below p_top, and the
     post-state is then the normalised predicate part; otherwise the predicate amplitudes
     are damped by sqrt(1 - kappa) and the state renormalised, which raises LinalgError
-    where that branch has probability 0.  u = 1.0 never certifies."""
+    where that branch has probability 0: a damped norm of at most sqrt(d) 2^-52 is
+    rounding residue of the d entries.  u = 1.0 never certifies."""
     state = np.asarray(state, dtype=np.complex128).reshape(-1)
     norm = math.sqrt(np.vdot(state, state).real)
     if abs(norm - 1.0) > 1e-9:
@@ -106,7 +107,7 @@ def kappa_measure(state: np.ndarray, km: KappaMeasurement, u: float) -> Measurem
     post = state.copy()
     post[km.index] *= math.sqrt(1.0 - km.kappa)
     norm = np.linalg.norm(post)
-    if norm == 0.0:
+    if norm <= math.sqrt(post.size) * 2.0**-52:
         raise LinalgError("the keep-looping branch has probability 0")
     return MeasurementOutcome(False, post / norm, p_top)
 

@@ -7,7 +7,6 @@ only stateful object is the caller-supplied RNG seed.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from array import array
@@ -261,11 +260,6 @@ class PartitionedMap:
                 f"{self.col_partition.total}"
             )
 
-    def block(self, row_label: str, col_label: str) -> np.ndarray:
-        r0, r1 = self.row_partition.span(row_label)
-        c0, c1 = self.col_partition.span(col_label)
-        return self.matrix[r0:r1, c0:c1]
-
     def to_json(self) -> dict:
         return {
             "matrix": matrix_to_literal(self.matrix),
@@ -366,8 +360,6 @@ def matrix_to_literal(m: np.ndarray) -> list:
 
 def matrix_from_literal(obj) -> np.ndarray:
     """Rows of [re, im] pairs of numbers within the float range, as a matrix."""
-    if isinstance(obj, str):
-        obj = json.loads(obj)
     if not isinstance(obj, list):
         raise LinalgError("matrix literal must be a JSON array of rows")
     if not all(map(isinstance, obj, repeat(list))):

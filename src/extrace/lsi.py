@@ -22,7 +22,6 @@ __all__ = [
     "FirKernel",
     "FrequencyResponse",
     "Signal",
-    "apply_kernel",
     "convolve",
     "dtft",
     "lsi_classify",
@@ -84,29 +83,29 @@ class FirKernel:
 class FrequencyResponse:
     """Per-frequency matrices on the uniform grid 2*pi*j/N."""
 
-    grid: np.ndarray
     samples: np.ndarray  # (N, out, in)
     out_ports: tuple[str, ...]
     in_ports: tuple[str, ...]
 
     def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=np.float64)
         samples = np.asarray(self.samples, dtype=np.complex128)
-        if grid.size < 2:
-            raise LinalgError("frequency grid needs at least 2 points")
-        if samples.shape[0] != grid.size:
-            raise LinalgError("one sample per grid frequency required")
         ports = (len(self.out_ports), len(self.in_ports))
         if samples.shape[1:] != ports:
             raise LinalgError(f"samples are {samples.shape[1:]} per frequency, ports need {ports}")
-        object.__setattr__(self, "grid", grid)
+        if samples.shape[0] < 2:
+            raise LinalgError("frequency grid needs at least 2 points")
         object.__setattr__(self, "samples", samples)
         object.__setattr__(self, "out_ports", tuple(self.out_ports))
         object.__setattr__(self, "in_ports", tuple(self.in_ports))
 
     @property
     def grid_size(self) -> int:
-        return self.grid.size
+        return self.samples.shape[0]
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The frequency 2*pi*j/N of each sample j: _uniform_grid's formula."""
+        return 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
 
 
 @dataclass(frozen=True)
@@ -148,17 +147,6 @@ def _transform(taps: dict, grid: np.ndarray, shape: tuple) -> np.ndarray:
     return out
 
 
-def _convolve_taps(a: dict, b: dict) -> dict:
-    """sum over t1 + t2 = t of a[t1] @ b[t2], looping over a then b."""
-    out: dict = {}
-    for t1, m1 in a.items():
-        for t2, m2 in b.items():
-            t = t1 + t2
-            prod = m1 @ m2
-            out[t] = out[t] + prod if t in out else prod
-    return out
-
-
 def dtft(k: FirKernel, grid_size: int = DEFAULT_GRID) -> FrequencyResponse:
     """Sample sum_t tap[t] e^{-i w t} on the uniform grid; exact finite sum.
     A sample that overflows the float range is malformed input."""
@@ -167,22 +155,23 @@ def dtft(k: FirKernel, grid_size: int = DEFAULT_GRID) -> FrequencyResponse:
         samples = _transform(k.taps, grid, k.shape)
     if not np.isfinite(samples).all():
         raise LinalgError("kernel transform overflows: a sample is not finite")
-    return FrequencyResponse(grid, samples, k.out_ports, k.in_ports)
+    return FrequencyResponse(samples, k.out_ports, k.in_ports)
 
 
 def convolve(g: FirKernel, f: FirKernel) -> FirKernel:
-    """Tap-wise matrix convolution g * f (apply f first)."""
+    """Tap-wise matrix convolution g * f (apply f first): tap t is the sum
+    over t1 + t2 = t of g[t1] @ f[t2], looping over g's taps then f's."""
     if g.in_ports != f.out_ports:
         raise LinalgError(
             f"port mismatch: g consumes {g.in_ports}, f produces {f.out_ports}"
         )
-    return FirKernel(g.out_ports, f.in_ports, _convolve_taps(g.taps, f.taps))
-
-
-def apply_kernel(k: FirKernel, s: Signal) -> Signal:
-    if k.in_ports != s.ports:
-        raise LinalgError(f"port mismatch: kernel takes {k.in_ports}, signal has {s.ports}")
-    return Signal(k.out_ports, _convolve_taps(k.taps, s.samples))
+    taps: dict = {}
+    for t1, m1 in g.taps.items():
+        for t2, m2 in f.taps.items():
+            t = t1 + t2
+            prod = m1 @ m2
+            taps[t] = taps[t] + prod if t in taps else prod
+    return FirKernel(g.out_ports, f.in_ports, taps)
 
 
 def lsi_classify(r: FrequencyResponse) -> str:
@@ -223,7 +212,7 @@ def lsi_ex(
         i = int(np.argmin(converged))
         raise SeriesDivergence(f"loop trace failed at omega={r.grid[i]:.6f}: series did not "
                                f"converge in {cfg.max_terms} terms (last term {residual[i]:.3e})")
-    return FrequencyResponse(r.grid, values, r.out_ports[:-loop_ports], r.in_ports[:-loop_ports])
+    return FrequencyResponse(values, r.out_ports[:-loop_ports], r.in_ports[:-loop_ports])
 
 
 def parseval_norm(s: Signal, grid_size: int) -> float:

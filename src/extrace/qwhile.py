@@ -269,6 +269,15 @@ def _node_error(node: Node) -> str | None:
     return None
 
 
+def _children(node: Node) -> list:
+    """(path step, child) for each child of a node, in order."""
+    if isinstance(node, Seq):
+        return [(".seq[0]", node.first), (".seq[1]", node.second)]
+    if isinstance(node, Par):
+        return [(".par[0]", node.left), (".par[1]", node.right)]
+    return [(".loop", node.body)] if isinstance(node, DoWhile) else []
+
+
 @dataclass
 class WellFormedReport:
     errors: list = field(default_factory=list)
@@ -287,14 +296,8 @@ def check(p: Node) -> WellFormedReport:
         error = _node_error(node)
         if error is not None:
             report.errors.append(f"{path}: {error}")
-        if isinstance(node, Seq):
-            walk(node.first, path + ".seq[0]")
-            walk(node.second, path + ".seq[1]")
-        elif isinstance(node, Par):
-            walk(node.left, path + ".par[0]")
-            walk(node.right, path + ".par[1]")
-        elif isinstance(node, DoWhile):
-            walk(node.body, path + ".loop")
+        for step, child in _children(node):
+            walk(child, path + step)
 
     walk(p, "$")
     return report
@@ -308,11 +311,17 @@ def semantics(
     p: Node, grid_size: int = DEFAULT_GRID, cfg: TraceConfig = TraceConfig()
 ) -> FrequencyResponse:
     """Structural recursion to per-frequency matrices on the uniform grid."""
-    grid = _uniform_grid(grid_size, p.out_count * p.in_count)
+    grid = _uniform_grid(grid_size, _widest(p))
     samples = _eval(p, grid, cfg)
     out_ports = tuple(f"out{i}" for i in range(p.out_count))
     in_ports = tuple(f"in{i}" for i in range(p.in_count))
-    return FrequencyResponse(grid, samples, out_ports, in_ports)
+    return FrequencyResponse(samples, out_ports, in_ports)
+
+
+def _widest(node: Node) -> int:
+    """The most out x in entries of any node, loop bodies included: the grid
+    cap's count, since every node's samples are built."""
+    return max([node.out_count * node.in_count, *(_widest(c) for _, c in _children(node))])
 
 
 def _eval(node: Node, grid: np.ndarray, cfg: TraceConfig) -> np.ndarray:
@@ -329,5 +338,5 @@ def _eval(node: Node, grid: np.ndarray, cfg: TraceConfig) -> np.ndarray:
         body = _eval(node.body, grid, cfg)
         # Ports numbered from the end, so the trailing loop ports match.
         outs, ins = (tuple(range(-n, 0)) for n in body.shape[1:])
-        return lsi_ex(FrequencyResponse(grid, body, outs, ins), node.feedback, cfg).samples
+        return lsi_ex(FrequencyResponse(body, outs, ins), node.feedback, cfg).samples
     raise QWhileError(f"cannot evaluate node {type(node).__name__}")

@@ -677,21 +677,30 @@ def test_trace_beyond_the_float_range_is_a_report(tmp_path, capsys, argv, kind):
         ["lsi", "KERNEL", "--grid", "1000000000"],
         ["lsi", "KERNEL", "--grid", "1000000000", "--loop", "1"],
         ["qwhile", "run", str(CORPUS / "swap_loop.qw"), "--grid", "1000000000"],
+        # 1 port, but the loop body is 64 x 64: 2^20 * 4096 entries, 64 GiB of samples
+        ["qwhile", "run", "WIDE", "--grid", "1048576"],
     ],
-    ids=["lsi", "lsi-looped", "qwhile"],
+    ids=["lsi", "lsi-looped", "qwhile", "qwhile-wide-body"],
 )
 def test_grid_beyond_the_cap_is_usage_error(tmp_path, capsys, argv):
     # Refused before the grid or any sample is allocated.
-    argv = [write_kernel(tmp_path) if a == "KERNEL" else a for a in argv]
+    files = {"KERNEL": write_kernel, "WIDE": write_wide_loop}
+    argv = [files[a](tmp_path) if a in files else a for a in argv]
     usage_error(capsys, argv, "entries exceeds the cap 67108864")
 
 
+def write_wide_loop(tmp_path):
+    path = tmp_path / "wide_loop.qw"
+    path.write_text(f"gate I = {json.dumps(matrix_to_literal(np.eye(64)))}\n\n(loop (gate I) 63)\n")
+    return str(path)
+
+
 def test_grid_cap_counts_every_sample_entry(tmp_path, capsys, monkeypatch):
-    # A 2 x 2 kernel at grid 16 and the 1 x 1 swap loop at grid 64 reach the
-    # cap exactly; one more grid point is refused.
+    # A 2 x 2 kernel and the 1-port swap loop, whose body is 2 x 2, reach the
+    # cap exactly at grid 16; one more grid point is refused.
     monkeypatch.setattr(lsi, "GRID_WORK_CAP", 64)
     swap = str(CORPUS / "swap_loop.qw")
-    for argv, grid in ((["lsi", write_kernel(tmp_path)], 16), (["qwhile", "run", swap], 64)):
+    for argv, grid in ((["lsi", write_kernel(tmp_path)], 16), (["qwhile", "run", swap], 16)):
         assert run(capsys, *argv, "--grid", str(grid))[0] == 0
         usage_error(capsys, [*argv, "--grid", str(grid + 1)], "exceeds the cap 64")
 

@@ -6,7 +6,9 @@ BLAS, libm and numpy's SIMD loops round differently across builds, CPUs
 and the BLAS kernel sets picked at run time, so the table holds for the
 environment it was taken in, named by its fingerprint; anywhere else the
 test skips and names the fingerprint it found.  A change that moves bytes
-on purpose edits the entries it moves and says so in CHANGES.md."""
+on purpose edits the entries it moves and says so in CHANGES.md;
+``PYTHONPATH=src python tests/test_golden.py`` prints this environment's
+fingerprint and table, from the same commands and digests."""
 
 import contextlib
 import ctypes
@@ -58,6 +60,10 @@ def fingerprint() -> str:
     features = " ".join(sorted(name for name, on in umath.__cpu_features__.items() if on))
     return (f"numpy {np.__version__}; {blas}, {blas_core()} kernels; {platform.machine()}; "
             f"{features}")
+
+
+def fingerprint_digest(found: str) -> str:
+    return hashlib.sha256(found.encode()).hexdigest()[:16]
 
 
 def partitioned(rng, n: int, contraction: bool) -> np.ndarray:
@@ -195,7 +201,7 @@ GOLDEN = {
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     found = fingerprint()
-    if hashlib.sha256(found.encode()).hexdigest()[:16] != TABLE_FINGERPRINT:
+    if fingerprint_digest(found) != TABLE_FINGERPRINT:
         pytest.skip(f"golden table not taken in this environment: {found}")
     root = tmp_path_factory.mktemp("golden")
     write_inputs(root)
@@ -205,3 +211,18 @@ def inputs(tmp_path_factory):
 @pytest.mark.parametrize("cid", COMMANDS)
 def test_cli_bytes_match_the_golden_table(inputs, cid):
     assert digest(inputs, *COMMANDS[cid]) == GOLDEN[cid]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    found = fingerprint()
+    print(f"# {found}")
+    print(f'TABLE_FINGERPRINT = "{fingerprint_digest(found)}"')
+    print("GOLDEN = {")
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_inputs(root)
+        for cid, (argv, csv) in COMMANDS.items():
+            print(f'    "{cid}": "{digest(root, argv, csv)}",')
+    print("}")

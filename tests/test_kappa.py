@@ -138,6 +138,16 @@ class TestKappaMeasure:
             with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
                 kappa_measure(np.array([1.0, 0.0]), KappaMeasurement(1.0, (0,)), 1.0)
 
+    def test_keep_looping_of_rounding_residue_is_an_error(self):
+        # At B = 4 one Grover step puts the state on the target up to residue of
+        # about 1e-16 an entry, so at kappa = 1 the forced keep-looping branch has
+        # probability about 3.7e-32: it is renormalised noise, not a state.
+        p = GroverParams(4, kappa=1.0, max_iterations=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
+                grover_statevector(p, force_keep_looping=True)
+
     def test_agrees_with_the_dilation(self):
         # build_E on state (x) |bot>: the |top> branch has squared norm p_top and,
         # normalised, is the certified post-state; the |bot> branch, normalised,

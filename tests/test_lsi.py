@@ -13,7 +13,6 @@ from extrace.lsi import (
     FirKernel,
     FrequencyResponse,
     Signal,
-    apply_kernel,
     convolve,
     dtft,
     lsi_classify,
@@ -91,14 +90,6 @@ def test_convolution_with_delta_is_identity():
     assert set(gf.taps) == set(f.taps)
     for t in f.taps:
         assert np.allclose(gf.taps[t], f.taps[t])
-
-
-def test_apply_kernel_time_domain():
-    k = FirKernel(("o",), ("i",), {1: [[2.0]]})
-    s = Signal(("i",), {0: [1.0], 3: [1.0j]})
-    out = apply_kernel(k, s)
-    assert np.allclose(out.samples[1], [2.0])
-    assert np.allclose(out.samples[4], [2.0j])
 
 
 def test_parseval_trivial_cases():
@@ -266,9 +257,9 @@ def test_special_values_csv_bytes_equal_csv_module(tmp_path):
     samples = np.empty((n, 2, 3), dtype=np.complex128)
     samples.real = np.stack([np.roll(values, k) for k in range(6)], axis=1).reshape(n, 2, 3)
     samples.imag = np.stack([np.roll(values, -k) for k in range(6)], axis=1).reshape(n, 2, 3)
-    r = FrequencyResponse(values, samples, ("o0", "o1"), ("i0", "i1", "i2"))
+    r = FrequencyResponse(samples, ("o0", "o1"), ("i0", "i1", "i2"))
     assert_csv_matches_reference(r, tmp_path)
-    empty = FrequencyResponse(values, np.zeros((n, 0, 0)), (), ())
+    empty = FrequencyResponse(np.zeros((n, 0, 0)), (), ())
     assert_csv_matches_reference(empty, tmp_path)
 
 
@@ -279,16 +270,22 @@ def test_csv_chunks_split_one_frequency(tmp_path, monkeypatch):
     assert_csv_matches_reference(dtft(k, 13), tmp_path)
 
 
-def test_frequency_response_validation():
-    with pytest.raises(LinalgError):
-        FrequencyResponse(np.array([0.0]), np.zeros((1, 1, 1)), ("o",), ("i",))
-    with pytest.raises(LinalgError):
-        FrequencyResponse(np.array([0.0, 1.0]), np.zeros((3, 1, 1)), ("o",), ("i",))
+def test_frequency_response_refuses_one_sample():
+    with pytest.raises(LinalgError, match="at least 2 points"):
+        FrequencyResponse(np.zeros((1, 1, 1)), ("o",), ("i",))
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 4096])
+def test_frequency_response_grid_is_the_uniform_grid(n):
+    r = FrequencyResponse(np.zeros((n, 1, 1)), ("o",), ("i",))
+    assert r.grid_size == n
+    assert r.grid.tobytes() == lsi._uniform_grid(n, 1).tobytes()
 
 
 def test_frequency_response_ports_fit_samples():
-    grid = np.array([0.0, math.pi])
     with pytest.raises(LinalgError, match="ports need"):
-        FrequencyResponse(grid, np.zeros((2, 2, 2)), ("o0", "o1"), ("i0", "i1", "i2"))
+        FrequencyResponse(np.zeros((2, 2, 2)), ("o0", "o1"), ("i0", "i1", "i2"))
     with pytest.raises(LinalgError, match="ports need"):
-        FrequencyResponse(grid, np.zeros((2, 1)), ("o",), ("i",))
+        FrequencyResponse(np.zeros((2, 1)), ("o",), ("i",))
+    with pytest.raises(LinalgError, match="ports need"):
+        FrequencyResponse(np.zeros(2), ("o",), ("i",))

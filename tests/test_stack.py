@@ -137,9 +137,8 @@ def test_series_stack_gives_each_entry_what_it_gets_alone():
 
 def response(samples):
     samples = np.asarray(samples, dtype=np.complex128)
-    n, ports = samples.shape[0], samples.shape[1]
-    names = tuple(f"p{i}" for i in range(ports))
-    return FrequencyResponse(2.0 * np.pi * np.arange(n) / n, samples, names, names)
+    names = tuple(f"p{i}" for i in range(samples.shape[1]))
+    return FrequencyResponse(samples, names, names)
 
 
 # One sample per route of the total trace, each a 2x2 map with a 1-dim loop.

@@ -17,8 +17,7 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
 
 def scaled_response(norm):
     samples = np.stack([np.diag([norm, 0.5])] * 4)
-    grid = 2.0 * np.pi * np.arange(4) / 4
-    return FrequencyResponse(grid, samples, ("a", "b"), ("a", "b"))
+    return FrequencyResponse(samples, ("a", "b"), ("a", "b"))
 
 
 def test_lsi_classify_tolerance():
