@@ -51,21 +51,40 @@ _TRACE_FAILURES = {
 _MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
 
 
-def _emit(obj, value=None) -> None:
-    """Print obj as indent-2 JSON in one write.  A complex matrix ``value``
-    goes in as the first key, "value", with the bytes json.dumps gives its
-    rows of [re, im] pairs; one % over a template formats it, since the
-    stdlib's indenting encoder runs in pure Python."""
-    text = json.dumps(obj, indent=2)
-    if value is not None:
-        rows, cols = value.shape
-        pair = "[\n        %r,\n        %r\n      ]"
-        row = "[\n      " + ",\n      ".join([pair] * cols) + "\n    ]" if cols else "[]"
-        literal = "[\n    " + ",\n    ".join([row] * rows) + "\n  ]" if rows else "[]"
-        literal %= tuple(value.view(np.float64).ravel().tolist())
-        # %r spells non-finite floats nan, inf, -inf; no finite repr holds those letters.
-        literal = literal.replace("nan", "NaN").replace("inf", "Infinity")
-        text = '{\n  "value": ' + literal + "," + text[1:]
+def _template(shape, spec, depth=1) -> str:
+    """The text json.dumps(indent=2) gives a nested list of ``shape`` whose
+    brackets open at nesting ``depth``, with ``spec`` for every entry."""
+    if not shape:
+        return spec
+    if not shape[0]:
+        return "[]"
+    inner = "\n" + "  " * (depth + 1)
+    item = _template(shape[1:], spec, depth + 1)
+    return "[" + inner + ("," + inner).join([item] * shape[0]) + "\n" + "  " * depth + "]"
+
+
+def _array_text(a: np.ndarray) -> str:
+    """A numeric array's top-level JSON value as json.dumps(indent=2) gives its
+    nested lists (a complex entry as its [re, im] pair), by one % over a
+    template, since the stdlib's indenting encoder runs in pure Python."""
+    if a.dtype.kind == "i":
+        return _template(a.shape, "%d") % tuple(a.ravel().tolist())
+    if a.dtype.kind == "c":
+        a = np.ascontiguousarray(a, dtype=np.complex128).view(np.float64).reshape(*a.shape, 2)
+    text = _template(a.shape, "%r") % tuple(a.ravel().tolist())
+    # %r spells non-finite floats nan, inf, -inf; no finite repr holds those letters.
+    return text.replace("nan", "NaN").replace("inf", "Infinity")
+
+
+def _emit(obj) -> None:
+    """Print the dict obj as indent-2 JSON in one write.  A numpy array at any
+    top-level key prints as its nested lists would, formatted by _array_text."""
+    arrays = {k: v for k, v in obj.items() if isinstance(v, np.ndarray)}
+    text = json.dumps({k: None if k in arrays else v for k, v in obj.items()}, indent=2)
+    for k, a in arrays.items():
+        # A top-level key is the one line that opens with a newline and two spaces.
+        key = "\n  " + json.dumps(k) + ": "
+        text = text.replace(key + "null", key + _array_text(a), 1)
     sys.stdout.write(text + "\n")
 
 
@@ -103,12 +122,12 @@ def _cmd_trace(args) -> int:
     result = route(pm, loop, cfg)
     _emit(
         {
+            "value": result.value,
             "method": result.method,
             "terms_used": result.terms_used,
             "residual": result.residual,
             "converged": result.converged,
-        },
-        value=result.value,
+        }
     )
     return OK if result.converged else CHECK_FAILED
 
@@ -180,7 +199,7 @@ def _cmd_grover(args) -> int:
             (keys >> 1).tolist(), (keys & 1).tolist(), angle[keys].tolist())], dtype=object)
         write_csv(args.out, "trial,iterations,censored,angle_at_halt", "%d,%s",
                   [np.arange(key.size), tails[(np.cumsum(seen) - 1)[key]]])
-    _emit(summary.to_json())
+    _emit(vars(summary))  # the fields in order, the histogram as its array
     return OK
 
 

@@ -237,9 +237,14 @@ def write_csv(path, header: str, row_format: str, columns) -> None:
     (comma-separated, CRLF line ends; the cells are numbers, so nothing is
     quoted).  Row i is ``row_format`` (%-style) applied to entry i of each
     array in ``columns``; rows are formatted and written CSV_CHUNK_ROWS at
-    a time, with one format per chunk."""
+    a time, with one format per chunk.  A path that cannot be opened for
+    writing raises LinalgError, as an unreadable input does."""
     n_rows = len(columns[0])
-    with open(path, "w", newline="") as fh:
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as e:
+        raise LinalgError(f"cannot write {path}: {e}")
+    with fh:
         fh.write(header + "\r\n")
         for start in range(0, n_rows, CSV_CHUNK_ROWS):
             cells = zip(*[c[start : start + CSV_CHUNK_ROWS].tolist() for c in columns])

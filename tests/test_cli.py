@@ -9,7 +9,7 @@ import pytest
 
 from extrace import cli, lsi, trace
 from extrace.cli import main
-from extrace.kappa import GroverParams, grover_montecarlo, grover_statevector
+from extrace.kappa import TRIALS_CAP, GroverParams, grover_montecarlo, grover_statevector
 from extrace.linalg import matrix_to_literal, random_contraction, swap_matrix, two_block
 from extrace.trace import KiTraceError, ex, ex_kernel_image, ex_series
 
@@ -76,7 +76,7 @@ def stdlib_trace_report(value, keys):
 
 
 def emitted(capsys, value, keys):
-    cli._emit(dict(keys), value=value)
+    cli._emit({"value": value, **keys})
     return capsys.readouterr().out
 
 
@@ -93,6 +93,25 @@ def test_emitted_special_floats_equal_stdlib(capsys, special):
     value = np.array([[1.0, 2.5], [-3.0, 0.1]], dtype=complex)
     value.real[0, 1] = value.imag[1, 0] = special
     assert emitted(capsys, value, TRACE_KEYS) == stdlib_trace_report(value, TRACE_KEYS)
+
+
+def test_emitted_arrays_at_any_key_equal_stdlib(capsys):
+    # Arrays after the first key, an empty one, and a string that spells an
+    # array key's line: only the top-level keys take the template.
+    rng = np.random.default_rng(7)
+    obj = {
+        "n": 3,
+        "counts": rng.integers(-10**12, 10**12, size=(5, 2)),
+        "note": '\n  "counts": null',
+        "nested": {"counts": None, "list": [1, 2.5]},
+        "empty": np.zeros((0, 2), dtype=np.int64),
+        "value": rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3)),
+        "floats": np.array([[0.1, -0.0, math.nan], [math.inf, -math.inf, 5e-324]]),
+    }
+    cli._emit(obj)
+    want = {k: (matrix_to_literal(v) if k == "value" else v.tolist())
+            if isinstance(v, np.ndarray) else v for k, v in obj.items()}
+    assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("n", [2, 17, 64])
@@ -340,6 +359,86 @@ def test_grover_exact_law_keys(capsys):
     assert isinstance(out["exact_median"], int)
     assert out["exact_mean"] > 0
     assert 0.0 <= out["censored_mass"] < 1e-6
+
+
+@pytest.mark.parametrize(
+    "B,strength,max_iter,trials,seed,buckets",
+    [
+        (10**6, 1e-20, 1000, 100, 0, 0),  # no halts: NaN median, mean and exact_mean
+        (4, None, None, 1, 0, 1),
+        (10**4, 1e-3, None, 5000, 1, 841),
+        (4, 4e-4, None, 28000, 0, 10350),
+    ],
+    ids=["0-buckets", "1-bucket", "841-buckets", "10350-buckets"],
+)
+def test_grover_stdout_bytes_equal_stdlib(capsys, B, strength, max_iter, trials, seed, buckets):
+    _, summary = grover_montecarlo(GroverParams(B, strength, seed, max_iter), trials)
+    assert len(summary.histogram) == buckets
+    argv = ["grover", "--B", str(B), "--trials", str(trials), "--seed", str(seed)]
+    argv += ["--kappa", repr(strength)] * (strength is not None)
+    argv += ["--max-iter", str(max_iter)] * (max_iter is not None)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == json.dumps(summary.to_json(), indent=2) + "\n"
+
+
+def test_grover_histogram_bypasses_the_stdlib_encoder(capsys, monkeypatch):
+    # Budget: no list longer than 16 items reaches json.dumps on a
+    # 10,350-bucket run; the histogram goes through the template.
+    longest = []
+    dumps = json.dumps
+
+    def spy(obj, *args, **kwargs):
+        def walk(o):
+            if isinstance(o, (list, tuple)):
+                longest.append(len(o))
+                for x in o:
+                    walk(x)
+            elif isinstance(o, dict):
+                for x in o.values():
+                    walk(x)
+        walk(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", spy)
+    code = main(["grover", "--B", "4", "--kappa", "4e-4", "--trials", "28000"])
+    monkeypatch.undo()
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["histogram"]) == 10350
+    assert max(longest, default=0) <= 16
+
+
+def test_grover_trials_beyond_the_cap_is_usage_error(tmp_path, capsys, monkeypatch):
+    # Refused before the trajectory or any draw is allocated.
+    def allocated(*args, **kwargs):
+        raise AssertionError("the trial count was checked after the first allocation")
+
+    monkeypatch.setattr("extrace.kappa.premeasurement_angles", allocated)
+    out = str(tmp_path / "trials.csv")
+    for trials in (TRIALS_CAP + 1, 10**9):
+        usage_error(capsys, ["grover", "--B", "16", "--trials", str(trials), "--out", out],
+                    "n_trials must be <= 10000000")
+    assert not (tmp_path / "trials.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["grover", "--B", "16", "--trials", "10"],
+        ["grover", "--B", "16", "--max-iter", "5", "--mode", "statevector"],
+        ["lsi", "KERNEL", "--grid", "8"],
+        ["qwhile", "run", str(CORPUS / "swap_loop.qw"), "--grid", "8"],
+    ],
+    ids=["grover", "grover-statevector", "lsi", "qwhile"],
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    argv = [write_kernel(tmp_path) if a == "KERNEL" else a for a in argv]
+    out = tmp_path / "missing" / "x.csv"
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    assert not out.parent.exists()
 
 
 @pytest.mark.parametrize(

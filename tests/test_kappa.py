@@ -553,6 +553,35 @@ def test_montecarlo_bytes_equal_frozen_reference(run):
     assert json.dumps(summary.to_json()) == json.dumps(want_summary.to_json())
 
 
+@pytest.mark.parametrize("d", [2, 64, 4096])
+def test_keep_looping_post_state_bytes_equal_division(d):
+    # Every part of the state is nonzero, so no zero sign can differ.
+    rng = np.random.default_rng(d)
+    state = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    state /= np.linalg.norm(state)
+    km = KappaMeasurement(0.3, tuple(range(0, d, 3)))
+    post = state.copy()
+    post[km.index] *= math.sqrt(1.0 - km.kappa)
+    out = kappa_measure(state, km, 1.0)
+    assert out.post_state.tobytes() == (post / np.linalg.norm(post)).tobytes()
+
+
+@given(montecarlo_runs())
+@example((GroverParams(10**4, 1e-3), 1))  # n |w_lo| = 4.7e-9, just under TINY_PHASE
+@example((GroverParams(4, 1e-4), 1))  # n |w_lo| past TINY_PHASE: four trig passes
+@settings(deadline=None, max_examples=40)
+def test_tiny_phase_shortcut_keeps_every_byte(run):
+    # The reference takes cos and sin of the low phase at every step.
+    p, _ = run
+    got = grover_recurrence(p)
+    kappa.TINY_PHASE, tiny = 0.0, kappa.TINY_PHASE
+    try:
+        want = grover_recurrence(p)
+    finally:
+        kappa.TINY_PHASE = tiny
+    assert got.tobytes() == want.tobytes()
+
+
 class TestBounds:
     def test_guarantee_f_closed_form(self):
         b = 10**6
