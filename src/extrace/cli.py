@@ -182,7 +182,7 @@ def _cmd_grover(args) -> int:
                 "mode": "statevector",
                 "halted_at": run.halted_at,
                 "iterations": len(run.angles),
-                "final_angle": run.angles[-1] if run.angles else None,
+                "final_angle": run.angles[-1],
             }
         )
         return OK
@@ -204,8 +204,6 @@ def _cmd_grover(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    if args.B < 1:
-        raise LinalgError("B must be >= 1")
     rb = _grover_bound(args.B, args.kappa)
     t_c = runtime_bound(rb, args.c)
     _emit({"B": args.B, "kappa": rb.kappa, "epsilon": rb.epsilon, "c": args.c, "T": t_c})

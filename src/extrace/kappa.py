@@ -93,15 +93,17 @@ class MeasurementOutcome:
 
 def kappa_measure(state: np.ndarray, km: KappaMeasurement, u: float) -> MeasurementOutcome:
     """Measure the unit vector ``state`` with ``km``.  It certifies with probability
-    p_top = kappa * p_Q, when the uniform draw ``u`` falls below p_top, and the
-    post-state is then the normalised predicate part; otherwise the predicate amplitudes
-    are damped by sqrt(1 - kappa) and the state renormalised, which raises LinalgError
-    where that branch has probability 0: a damped norm of at most sqrt(d) 2^-52 is
-    rounding residue of the d entries.  u = 1.0 never certifies."""
+    p_top = kappa * p_Q, when the uniform draw ``u`` falls below p_top (u = 1.0 never
+    does), and the post-state is then the normalised predicate part; otherwise the
+    predicate amplitudes are damped by sqrt(1 - kappa) and the state renormalised.  A
+    damped norm of at most sqrt(d) 2^-50 (4 ulps of 1 an entry, above what a Grover
+    step's two reflections leave) is a branch of probability 0 and raises LinalgError."""
     state = np.asarray(state, dtype=np.complex128).reshape(-1)
     norm = math.sqrt(np.vdot(state, state).real)
     if abs(norm - 1.0) > 1e-9:
         raise LinalgError(f"state norm {norm:.3e} is not 1")
+    if km.predicate and max(km.predicate) >= state.size:
+        raise LinalgError(f"predicate index past the {state.size}-dim state")
     in_q = state[km.index]
     p_q = min(float(np.vdot(in_q, in_q).real), 1.0)  # p_top <= 1, so u = 1.0 keeps looping
     p_top = km.kappa * p_q
@@ -112,7 +114,7 @@ def kappa_measure(state: np.ndarray, km: KappaMeasurement, u: float) -> Measurem
     post = state.copy()
     post[km.index] *= math.sqrt(1.0 - km.kappa)
     norm = np.linalg.norm(post)
-    if norm <= math.sqrt(post.size) * 2.0**-52:
+    if norm <= math.sqrt(post.size) * 2.0**-50:
         raise LinalgError("the keep-looping branch has probability 0")
     # numpy divides a complex array by a real norm as Smith's method does, with both
     # parts times 1 / norm; this product gives those bits (zero signs aside) 5x faster.
@@ -267,7 +269,6 @@ class StatevectorRun:
     angles: list  # folded angle asin|<star|state>| after each iteration
     halted_at: int | None
     state: np.ndarray
-    plane_residuals: list
 
 
 def grover_statevector(p: GroverParams, *, force_keep_looping: bool = False) -> StatevectorRun:
@@ -296,18 +297,14 @@ def grover_statevector(p: GroverParams, *, force_keep_looping: bool = False) -> 
         return two_psi * np.vdot(psi, v) - v
 
     v = psi.copy()
-    angles, residuals = [], []
+    angles = []
     for it in range(1, p.max_iterations + 1):
         out = kappa_measure(grover_step(v), km, 1.0 if force_keep_looping else rng.random())
         v = out.post_state
         angles.append(math.pi / 2.0 if out.certified else math.asin(min(1.0, abs(v[0]))))
-        # The plane keeps v[0] and replaces every other amplitude by their mean.
-        d = v[1:]
-        d = d - d.sum() / (b - 1)
-        residuals.append(math.sqrt(np.vdot(d, d).real))
         if out.certified:
-            return StatevectorRun(angles, it, v, residuals)
-    return StatevectorRun(angles, None, v, residuals)
+            return StatevectorRun(angles, it, v)
+    return StatevectorRun(angles, None, v)
 
 
 @dataclass(frozen=True)
@@ -454,6 +451,8 @@ def _grover_epsilon(B_size: int) -> float:
 def _grover_bound(B_size: int, kappa: float | None = None) -> RuntimeBound:
     """The Grover loop's RuntimeBound: kappa defaults to B^-1/2, epsilon is
     sin 3 alpha, f is guarantee_f at B and g is robustness_g."""
+    if B_size < 1:
+        raise LinalgError("B must be >= 1")
     if B_size > sys.float_info.max:
         raise LinalgError("B_size must lie within the float range")
     return RuntimeBound(B_size ** -0.5 if kappa is None else kappa, _grover_epsilon(B_size),

@@ -17,7 +17,6 @@ from extrace.kappa import (
     grover_montecarlo,
     grover_recurrence,
     grover_runtime_bound,
-    grover_statevector,
     halting_probabilities,
     theta,
     verify_guarantee,
@@ -292,26 +291,27 @@ def test_criterion_6_qwhile():
     verdict(6, "qWhile corpus semantics", failures)
 
 
-def test_criterion_7_grover_cross_validation():
+def test_criterion_7_grover_cross_validation(watched_statevector):
     failures = []
 
     for b in (16, 64, 256):
         p = GroverParams(b, max_iterations=200)
-        run = grover_statevector(p, force_keep_looping=True)
+        run, residuals = watched_statevector(p, force_keep_looping=True)
         rec = grover_recurrence(p, 200)[1:]
         folded = np.arcsin(np.abs(np.sin(rec)))
         dev = float(np.max(np.abs(np.array(run.angles) - folded)))
         check(failures, dev < 1e-9, f"|B|={b}: trajectory deviation {dev:.3e}")
         check(
             failures,
-            max(run.plane_residuals) < 1e-9,
-            f"|B|={b}: left the Grover plane by {max(run.plane_residuals):.3e}",
+            max(residuals) < 1e-9,
+            f"|B|={b}: left the Grover plane by {max(residuals):.3e}",
         )
 
     for b, seed in ((16, 3), (64, 5), (256, 8)):
         p = GroverParams(b, seed=seed, max_iterations=5000)
-        run = grover_statevector(p)
+        run, residuals = watched_statevector(p)
         check(failures, run.halted_at is not None, f"|B|={b}: did not halt")
+        check(failures, max(residuals) < 1e-9, f"|B|={b}, seed {seed}: left the Grover plane")
         target = np.zeros(b)
         target[0] = 1.0
         overlap = abs(np.vdot(target, run.state))

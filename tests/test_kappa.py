@@ -72,8 +72,10 @@ class TestBuildE:
         km = KappaMeasurement(0.5, (3,))
         with pytest.raises(IndexError):
             build_E(km, 3)
-        with pytest.raises(IndexError):
+        with pytest.raises(LinalgError, match="predicate index past the 3-dim state"):
             kappa_measure(np.array([1.0, 0.0, 0.0]), km, 0.5)
+        with pytest.raises(LinalgError, match="predicate index past the 1-dim state"):
+            kappa_measure(np.array([1.0]), km, 0.5)
 
     def test_predicate_is_a_tuple_of_ints(self):
         km = KappaMeasurement(0.5, [np.int64(2), 0])
@@ -143,6 +145,15 @@ class TestKappaMeasure:
         # about 1e-16 an entry, so at kappa = 1 the forced keep-looping branch has
         # probability about 3.7e-32: it is renormalised noise, not a state.
         p = GroverParams(4, kappa=1.0, max_iterations=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
+                grover_statevector(p, force_keep_looping=True)
+
+    def test_keep_looping_of_rounding_residue_after_two_steps_is_an_error(self):
+        # At B = 2 the second Grover step puts the state on the target up to a
+        # damped norm of about 4.4e-16; the forced keep-looping branch is noise.
+        p = GroverParams(2, kappa=1.0, max_iterations=3)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
@@ -391,10 +402,11 @@ class TestStatevector:
         folded = np.arcsin(np.abs(np.sin(traj)))
         assert np.max(np.abs(np.array(run.angles) - folded)) < 1e-9
 
-    def test_stays_in_plane(self):
+    def test_stays_in_plane(self, watched_statevector):
         p = GroverParams(64, max_iterations=300)
-        run = grover_statevector(p, force_keep_looping=True)
-        assert max(run.plane_residuals) < 1e-9
+        run, residuals = watched_statevector(p, force_keep_looping=True)
+        assert len(residuals) == 300
+        assert max(residuals) < 1e-9
 
     def test_halting_state_is_target(self):
         p = GroverParams(16, kappa=0.5, seed=4)
@@ -609,6 +621,11 @@ class TestBounds:
             runtime_bound(rb, c)
         with pytest.raises(LinalgError, match="c must be >= 1"):
             grover_runtime_bound(100, c=c)
+
+    @pytest.mark.parametrize("b", [0, -4])
+    def test_grover_bound_rejects_B_below_one(self, b):
+        with pytest.raises(LinalgError, match="B must be >= 1"):
+            grover_runtime_bound(b)
 
     def test_epsilon_validation(self):
         with pytest.raises(LinalgError):
