@@ -88,11 +88,14 @@ def _emit(obj) -> None:
     sys.stdout.write(text + "\n")
 
 
-def _load_json(path):
+def _read(path, parse=str):
+    """The UTF-8 text of the file at ``path`` put through ``parse``.  An OSError,
+    ValueError (undecodable bytes, bad JSON, an integer past 4,300 digits, a NUL
+    in the path) or RecursionError (JSON nested too deep) is malformed input."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+        with open(path, encoding="utf-8") as fh:
+            return parse(fh.read())
+    except (OSError, ValueError, RecursionError) as e:
         raise LinalgError(f"cannot read {path}: {e}")
 
 
@@ -111,7 +114,7 @@ def _report_response(response, out) -> int:
 
 
 def _cmd_trace(args) -> int:
-    obj = _load_json(args.file)
+    obj = _read(args.file, json.loads)
     try:
         pm = PartitionedMap.from_json(obj)
         loop = obj.get("loop", "U")
@@ -140,7 +143,7 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_lsi(args) -> int:
-    obj = _load_json(args.file)
+    obj = _read(args.file, json.loads)
     try:
         kernel = FirKernel.from_json(obj)
     except _MALFORMED as e:
@@ -153,12 +156,7 @@ def _cmd_lsi(args) -> int:
 
 def _cmd_qwhile(args) -> int:
     try:
-        with open(args.file) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise LinalgError(f"cannot read {args.file}: {e}")
-    try:
-        source = parse_source(text)
+        source = parse_source(_read(args.file))  # _read's LinalgError passes through
     except QWhileError as e:
         raise LinalgError(f"{args.file}: {e}")
     if args.action == "check":

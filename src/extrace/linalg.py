@@ -202,6 +202,8 @@ class Partition:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
+        if isinstance(self.names, str):  # not split into one-letter blocks
+            raise LinalgError("partition names must be a sequence of labels, not a string")
         object.__setattr__(self, "names", tuple(self.names))
         try:
             object.__setattr__(self, "sizes", tuple(map(operator.index, self.sizes)))
@@ -235,7 +237,7 @@ class Partition:
 
     @classmethod
     def from_json(cls, obj) -> "Partition":
-        return cls(tuple(obj["names"]), tuple(obj["sizes"]))
+        return cls(obj["names"], tuple(obj["sizes"]))
 
 
 @dataclass(frozen=True)

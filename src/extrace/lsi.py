@@ -56,7 +56,10 @@ class FirKernel:
                 raise LinalgError(
                     f"tap at t={t} has shape {m.shape}, ports require {shape}"
                 )
-            fixed[int(t)] = m
+            t = int(t)
+            if not -(2**63) <= t < 2**63:  # an int64, so its phase e^{-i w t} is a float
+                raise LinalgError("tap offsets must lie in the int64 range")
+            fixed[t] = m
         object.__setattr__(self, "taps", fixed)
 
     @property
@@ -175,7 +178,7 @@ def convolve(g: FirKernel, f: FirKernel) -> FirKernel:
 
 
 def lsi_classify(r: FrequencyResponse) -> str:
-    """'lsi_contraction' when every grid sample has norm at most
+    """'lsi_contraction' when every grid sample is finite with norm at most
     1 + DEFAULT_TOL, else 'not_certified'.
 
     The l2 norm of the time-domain map is the maximum over omega of its
@@ -185,9 +188,9 @@ def lsi_classify(r: FrequencyResponse) -> str:
     t = 0 and 0.53 e^{i pi/4} at t = 1 pass at grid 4 and peak at 1.06).
     """
     limit = 1.0 + DEFAULT_TOL
-    if np.any(bracket_norms(r.samples, limit, limit) > limit):
-        return "not_certified"
-    return "lsi_contraction"
+    if np.isfinite(r.samples).all() and not np.any(bracket_norms(r.samples, limit, limit) > limit):
+        return "lsi_contraction"
+    return "not_certified"
 
 
 def lsi_ex(

@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, LinalgError, classify, direct_sum, matrix_from_literal
+from .linalg import DEFAULT_TOL, classify, direct_sum, matrix_from_literal
 from .lsi import DEFAULT_GRID, FrequencyResponse, _uniform_grid, lsi_ex
 from .trace import TraceConfig
 
@@ -35,6 +35,12 @@ __all__ = [
     "parse_source",
     "semantics",
 ]
+
+
+# Deepest nesting of forms the parser accepts.  semantics takes about two
+# Python frames a level (_eval and the port-count properties), so a program at
+# the cap needs some 400 of Python's default 1000, and its caller has the rest.
+NESTING_CAP = 200
 
 
 class QWhileError(ValueError):
@@ -172,8 +178,11 @@ class _Parser:
         except ValueError:
             raise ParseError(f"{form} wants an integer, got {tok.text!r}", tok.line, tok.col)
 
-    def parse_node(self) -> Node:
+    def parse_node(self, depth: int = 1) -> Node:
         self._expect("(")
+        if depth > NESTING_CAP:
+            at = self.tokens[self.pos - 1]
+            raise ParseError(f"forms nest deeper than {NESTING_CAP}", at.line, at.col)
         head = at = self._next("a form head")
         if head.text == "gate":
             at = self._next("a gate name")
@@ -184,11 +193,11 @@ class _Parser:
             t, at = self._integer("delay", "a delay value")
             node = Delay(t)
         elif head.text == "seq":
-            node = Seq(self.parse_node(), self.parse_node())
+            node = Seq(self.parse_node(depth + 1), self.parse_node(depth + 1))
         elif head.text == "par":
-            node = Par(self.parse_node(), self.parse_node())
+            node = Par(self.parse_node(depth + 1), self.parse_node(depth + 1))
         elif head.text == "loop":
-            body = self.parse_node()
+            body = self.parse_node(depth + 1)
             k, at = self._integer("loop", "a feedback port count")
             node = DoWhile(body, k)
         else:
@@ -226,9 +235,11 @@ def parse_source(text: str) -> SourceFile:
         m = _GATE_LINE.match(line)
         if m:
             name, literal = m.group(1), m.group(2)
+            if name in gates:
+                raise ParseError(f"gate {name!r} is declared twice", lineno, 1)
             try:
                 gates[name] = matrix_from_literal(json.loads(literal))
-            except (json.JSONDecodeError, LinalgError) as e:
+            except (ValueError, RecursionError) as e:  # bad JSON is a ValueError, as LinalgError is
                 raise ParseError(f"bad matrix literal for gate {name!r}: {e}", lineno, 1)
         elif line.strip():
             break
@@ -251,8 +262,8 @@ def _node_error(node: Node) -> str | None:
         if classify(node.matrix) != "unitary":
             return f"gate {node.name!r} matrix is not unitary at tolerance {DEFAULT_TOL:g}"
     elif isinstance(node, Delay):
-        if node.t < 0:
-            return "delay must be nonnegative"
+        if not 0 <= node.t < 2**63:  # an int64, so its phase e^{-i w t} is a float
+            return "delay must be nonnegative and below 2^63"
     elif isinstance(node, Seq):
         if node.first.out_count != node.second.in_count:
             return (f"seq mismatch (arity mismatch): first produces {node.first.out_count} "

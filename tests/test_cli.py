@@ -11,6 +11,7 @@ from extrace import cli, lsi, trace
 from extrace.cli import main
 from extrace.kappa import TRIALS_CAP, GroverParams, grover_montecarlo, grover_statevector
 from extrace.linalg import matrix_to_literal, random_contraction, swap_matrix, two_block
+from extrace.qwhile import NESTING_CAP
 from extrace.trace import KiTraceError, ex, ex_kernel_image, ex_series
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -591,7 +592,7 @@ def usage_error(capsys, argv, fragment):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert fragment in captured.err
     assert "Traceback" not in captured.err
 
@@ -671,6 +672,16 @@ def test_trace_non_integer_partition_size_is_usage_error(tmp_path, capsys, sizes
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
     usage_error(capsys, ["trace", str(path)], "partition sizes must be integers")
+
+
+def test_trace_partition_names_as_a_string_are_usage_error(tmp_path, capsys):
+    # "BU" is not split into the blocks "B" and "U".
+    payload = {**two_block(HADAMARD, 1).to_json(), "loop": "U"}
+    payload["row_partition"]["names"] = "BU"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    usage_error(capsys, ["trace", str(path)],
+                "bad trace input: partition names must be a sequence of labels, not a string")
 
 
 def test_trace_json_of_wrong_shape_is_usage_error(tmp_path, capsys):
@@ -770,6 +781,17 @@ def test_trace_beyond_the_float_range_is_a_report(tmp_path, capsys, argv, kind):
         assert (report["residual_in"], report["residual_out"]) == (0.0, 0.0)
 
 
+def test_series_blowup_at_term_zero_is_not_a_non_finite_term(tmp_path, capsys):
+    # Term 0 is 1e160: finite, though its Frobenius square overflows, so the
+    # series reports the partial sum's blow-up, not a non-finite term.
+    path = write_trace_file(tmp_path, [[0, 1e80], [1e80, 0.5]], 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(capsys, "trace", "--method", "series", path)
+    assert (code, out["error"]) == (1, "series_divergence")
+    assert out["message"].startswith("partial sum exceeded 1e+06 at term 0")
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -854,8 +876,9 @@ def test_qwhile_loop_trace_failure_is_a_report(tmp_path, capsys):
         (None, "'taps'"),
         ([1], "'list' object has no attribute 'items'"),
         ({"a": [[[1, 0]]]}, "invalid literal for int()"),
+        ({"9" * 400: matrix_to_literal(HADAMARD)}, "tap offsets must lie in the int64 range"),
     ],
-    ids=["missing", "list", "bad_offset"],
+    ids=["missing", "list", "bad_offset", "offset_past_int64"],
 )
 def test_lsi_malformed_kernel_is_usage_error(tmp_path, capsys, taps, fragment):
     usage_error(capsys, ["lsi", write_kernel(tmp_path, taps=taps)], f"bad kernel input: {fragment}")
@@ -900,3 +923,66 @@ def test_qwhile_bad_literal_entry_names_the_gate_line(tmp_path, capsys, action, 
     src.write_text(f"\ngate G = {literal_with(entry)}\n\n(gate G)\n")
     usage_error(capsys, ["qwhile", action, str(src)],
                 f"{src}: 2:1: bad matrix literal for gate 'G': matrix entries must be")
+
+
+# Input files that cannot be read, decoded or parsed as JSON: undecodable
+# bytes, a directory, a NUL in the path, JSON nested past the recursion
+# limit and an integer past Python's 4,300 digits.
+UNREADABLE = {"non_utf8": b"\xff\xfe{", "directory": "DIR", "nul_in_path": "NUL",
+              "deep": b"[" * 100000 + b"]" * 100000, "long_integer": b"1" * 5000}
+
+
+def unreadable(tmp_path, content):
+    path = tmp_path / ("in\0put" if content == "NUL" else "input")
+    if content == "DIR":
+        path.mkdir()
+    elif content != "NUL":
+        path.write_bytes(content)
+    return str(path)
+
+
+@pytest.mark.parametrize("content", UNREADABLE.values(), ids=UNREADABLE.keys())
+@pytest.mark.parametrize("command", ["trace", "lsi"])
+def test_unreadable_json_input_is_usage_error(tmp_path, capsys, command, content):
+    path = unreadable(tmp_path, content)
+    usage_error(capsys, [command, path], f"error: cannot read {path}: ")
+
+
+@pytest.mark.parametrize("content", ["non_utf8", "directory", "nul_in_path"])
+@pytest.mark.parametrize("action", ["run", "check"])
+def test_unreadable_qwhile_source_is_usage_error(tmp_path, capsys, action, content):
+    path = unreadable(tmp_path, UNREADABLE[content])
+    usage_error(capsys, ["qwhile", action, path], f"error: cannot read {path}: ")
+
+
+def nested_seqs(n):
+    """A program of n seq forms around (delay 1), nesting n + 1 deep."""
+    return "(seq " * n + "(delay 1)" + " (delay 0))" * n
+
+
+QWHILE_REFUSALS = {
+    "long_integer": ("gate G = [[[" + "1" * 5000 + ", 0]]]\n(gate G)\n",
+                     "1:1: bad matrix literal for gate 'G': Exceeds the limit (4300 digits)"),
+    "deep_literal": ("gate G = " + "[" * 100000 + "\n(gate G)\n",
+                     "1:1: bad matrix literal for gate 'G': maximum recursion depth exceeded"),
+    "gate_twice": ("gate H = [[[1,0]]]\ngate H = [[[-1,0]]]\n(gate H)\n",
+                   "2:1: gate 'H' is declared twice"),
+    "past_the_cap": (nested_seqs(NESTING_CAP), f"1:{5 * NESTING_CAP + 1}: forms nest deeper"),
+    "far_past_the_cap": (nested_seqs(5000), f"1:{5 * NESTING_CAP + 1}: forms nest deeper"),
+    "delay_past_int64": (f"(delay {10**400})", "1:8: delay must be nonnegative and below 2^63"),
+}
+
+
+@pytest.mark.parametrize("source,fragment", QWHILE_REFUSALS.values(), ids=QWHILE_REFUSALS.keys())
+@pytest.mark.parametrize("action", ["run", "check"])
+def test_qwhile_refusal_is_usage_error(tmp_path, capsys, action, source, fragment):
+    path = tmp_path / "p.qw"
+    path.write_text(source)
+    usage_error(capsys, ["qwhile", action, str(path), "--grid", "8"], f"error: {path}: {fragment}")
+
+
+def test_qwhile_check_and_run_accept_a_program_at_the_nesting_cap(tmp_path, capsys):
+    path = tmp_path / "p.qw"
+    path.write_text(nested_seqs(NESTING_CAP - 1))
+    assert run(capsys, "qwhile", "check", str(path))[0] == 0
+    assert run(capsys, "qwhile", "run", str(path), "--grid", "8")[0] == 0

@@ -70,7 +70,7 @@ class TestBuildE:
 
     def test_index_past_the_dimension_is_rejected(self):
         km = KappaMeasurement(0.5, (3,))
-        with pytest.raises(IndexError):
+        with pytest.raises(LinalgError, match="predicate index past the 3-dim state"):
             build_E(km, 3)
         with pytest.raises(LinalgError, match="predicate index past the 3-dim state"):
             kappa_measure(np.array([1.0, 0.0, 0.0]), km, 0.5)

@@ -128,6 +128,13 @@ class TestPartition:
         with pytest.raises(LinalgError):
             Partition(("B",), (1,)).span("X")
 
+    def test_names_given_as_a_string_are_rejected(self):
+        # Not split into the one-letter blocks "U" and "B".
+        with pytest.raises(LinalgError, match="not a string"):
+            Partition("UB", (1, 1))
+        with pytest.raises(LinalgError, match="not a string"):
+            Partition.from_json({"names": "UB", "sizes": [1, 1]})
+
     def test_json_round_trip(self):
         p = Partition(("A", "U"), (1, 4))
         assert Partition.from_json(json.loads(json.dumps(p.to_json()))) == p

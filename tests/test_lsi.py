@@ -132,6 +132,30 @@ def test_lsi_classify_contraction_vs_not():
     del rng
 
 
+@pytest.mark.parametrize("special", [math.inf, math.nan, complex(0, math.inf)],
+                         ids=["inf", "nan", "imaginary_inf"])
+@pytest.mark.parametrize("where", ["all", "one"])
+def test_lsi_classify_non_finite_sample_is_not_certified(special, where):
+    # A sample that is not finite has no norm within the limit.
+    samples = np.full((8, 2, 2), special) if where == "all" else np.zeros((8, 2, 2), complex)
+    samples[3, 1, 0] = special
+    r = FrequencyResponse(samples, ("a", "b"), ("c", "d"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert lsi_classify(r) == "not_certified"
+
+
+def test_tap_offsets_are_int64():
+    # At the int64 ends the transform is finite; 10**400 used to overflow its phase.
+    k = FirKernel(("o",), ("i",), {2**63 - 1: [[0.5]], -(2**63): [[0.25]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isfinite(dtft(k, 8).samples).all()
+    for offset in [2**63, -(2**63) - 1, "9" * 400]:
+        with pytest.raises(LinalgError, match="tap offsets must lie in the int64 range"):
+            FirKernel(("o",), ("i",), {offset: [[0.5]]})
+
+
 def test_lsi_ex_constant_hadamard():
     r = dtft(FirKernel(("o0", "x"), ("i0", "x"), {0: HADAMARD}), 64)
     traced = lsi_ex(r, 1)

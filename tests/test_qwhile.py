@@ -1,4 +1,7 @@
+import inspect
+import itertools
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +9,7 @@ import pytest
 
 from extrace.lsi import lsi_classify
 from extrace.qwhile import (
+    NESTING_CAP,
     Delay,
     DoWhile,
     Par,
@@ -108,6 +112,81 @@ def test_parse_source_gate_table():
 def test_parse_source_bad_literal():
     with pytest.raises(ParseError, match="bad matrix literal"):
         parse_source("gate G = [[1,2]]\n(gate G)")
+
+
+@pytest.mark.parametrize(
+    "literal,fragment",
+    [("[[[" + "1" * 5000 + ", 0]]]", "4300 digits"),
+     ("[" * 100000, "maximum recursion depth")],
+    ids=["long_integer", "deep"],
+)
+def test_parse_source_literal_json_cannot_decode(literal, fragment):
+    with pytest.raises(ParseError, match=fragment) as exc:
+        parse_source(f"\ngate G = {literal}\n(gate G)")
+    assert (exc.value.line, exc.value.col) == (2, 1)
+    assert "bad matrix literal for gate 'G'" in str(exc.value)
+
+
+def test_parse_source_refuses_a_gate_declared_twice():
+    text = "gate H = [[[1,0]]]\ngate K = [[[1,0]]]\ngate H = [[[-1,0]]]\n(gate H)"
+    with pytest.raises(ParseError, match="gate 'H' is declared twice") as exc:
+        parse_source(text)
+    assert (exc.value.line, exc.value.col) == (3, 1)
+
+
+def levels(text):
+    """The nesting level after each character of a program."""
+    return itertools.accumulate((c == "(") - (c == ")") for c in text)
+
+
+def nested(form, depth):
+    """A program whose forms nest ``depth`` deep through ``form``, a template
+    whose {} is the next form in, adding one or two levels."""
+    step = form[: form.index("{}")].count("(")
+    text = ["(delay 1)", "(seq (delay 1) (delay 0))"][(depth - 1) % step]
+    while max(levels(text)) < depth:
+        text = form.format(text)
+    return text
+
+
+NESTINGS = {"seq_first": "(seq {} (delay 0))", "seq_second": "(seq (delay 0) {})",
+            "par_left": "(par {} (delay 0))", "par_right": "(par (delay 0) {})",
+            "loop": "(loop (par {} (delay 1)) 1)"}
+
+
+@pytest.mark.parametrize("form", NESTINGS.values(), ids=NESTINGS.keys())
+def test_nesting_cap_refuses_one_level_more(form):
+    text = nested(form, NESTING_CAP + 1)
+    # The column of the first form one level past the cap, in reading order.
+    col = next(i for i, level in enumerate(levels(text), start=1) if level > NESTING_CAP)
+    with pytest.raises(ParseError, match=f"forms nest deeper than {NESTING_CAP}") as exc:
+        parse(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+
+
+@pytest.mark.parametrize("form", NESTINGS.values(), ids=NESTINGS.keys())
+def test_semantics_evaluates_every_program_at_the_nesting_cap(form):
+    # Within 500 frames of its caller: half of Python's default limit.
+    program = parse(nested(form, NESTING_CAP))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 500)
+    try:
+        response = semantics(program, 8)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert response.samples.shape == (8, program.out_count, program.in_count)
+
+
+def test_nesting_cap_stops_the_parser_before_its_own_recursion():
+    with pytest.raises(ParseError, match="forms nest deeper than"):
+        parse("(seq " * 5000 + "(delay 0)")
+
+
+def test_delay_is_an_int64():
+    # At 2^63 - 1 the phase is finite; 10**400 used to overflow it.
+    assert semantics(parse(f"(delay {2**63 - 1})"), 8).samples.shape == (8, 1, 1)
+    with pytest.raises(ParseError, match=r"delay must be nonnegative and below 2\^63"):
+        parse(f"(delay {2**63})")
 
 
 def test_check_flags_programmatic_breakage():
