@@ -1,22 +1,12 @@
 """Numerical engine for feedback traces on contractions, LSI frequency
-semantics, the qWhile toy language, and weakly-measured Grover loops."""
+semantics, the qWhile toy language, and weakly-measured Grover loops.
 
-from .kappa import (
-    GroverParams,
-    KappaMeasurement,
-    RuntimeBound,
-    build_E,
-    grover_montecarlo,
-    grover_recurrence,
-    grover_runtime_bound,
-    grover_statevector,
-    guarantee_f,
-    kappa_measure,
-    robustness_g,
-    runtime_bound,
-    theta,
-    verify_guarantee,
-)
+The Grover (``kappa``) and ``qwhile`` modules execute on first use, so a command
+that runs neither skips them; their exports resolve here all the same."""
+
+import sys as _sys
+from importlib.util import LazyLoader as _Lazy, find_spec as _find_spec, module_from_spec as _new
+
 from .linalg import (
     LinalgError,
     Partition,
@@ -37,7 +27,6 @@ from .lsi import (
     lsi_ex,
     parseval_norm,
 )
-from .qwhile import check, parse, parse_source, semantics
 from .trace import (
     KiTraceError,
     SeriesDivergence,
@@ -51,4 +40,32 @@ from .trace import (
     halmos_dilation,
 )
 
+
+def _lazy(name: str):
+    """Submodule ``name``, in sys.modules, executing on its first attribute access."""
+    spec = _find_spec(f"{__name__}.{name}")
+    spec.loader = _Lazy(spec.loader)
+    module = _sys.modules[spec.name] = _new(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+kappa, qwhile = _lazy("kappa"), _lazy("qwhile")
+_DEFERRED = {  # export -> the module that defines it
+    **dict.fromkeys(["GroverParams", "KappaMeasurement", "RuntimeBound", "build_E",
+                     "grover_montecarlo", "grover_recurrence", "grover_runtime_bound",
+                     "grover_statevector", "guarantee_f", "kappa_measure", "robustness_g",
+                     "runtime_bound", "theta", "verify_guarantee"], kappa),
+    **dict.fromkeys(["check", "parse", "parse_source", "semantics"], qwhile),
+}
+
+
+def __getattr__(name: str):  # PEP 562: a deferred export loads its module
+    if name in _DEFERRED:
+        return getattr(_DEFERRED[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+# Every public name bound above, the submodules too, and the deferred exports.
+__all__ = [n for n in globals() if not n.startswith("_")] + [*_DEFERRED]
 __version__ = "0.1.0"

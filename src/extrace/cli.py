@@ -18,18 +18,10 @@ import sys
 
 import numpy as np
 
-from . import __version__
-from .kappa import (
-    GroverParams,
-    _grover_bound,
-    grover_montecarlo,
-    grover_statevector,
-    runtime_bound,
-)
+from . import __version__, kappa, qwhile
 from .linalg import LinalgError, PartitionedMap
 from .lsi import (DEFAULT_GRID, FirKernel, dtft, lsi_classify, lsi_ex,
                   response_to_csv, write_csv)
-from .qwhile import QWhileError, parse_source, semantics
 from .trace import (
     KiTraceError,
     SeriesDivergence,
@@ -156,21 +148,21 @@ def _cmd_lsi(args) -> int:
 
 def _cmd_qwhile(args) -> int:
     try:
-        source = parse_source(_read(args.file))  # _read's LinalgError passes through
-    except QWhileError as e:
+        source = qwhile.parse_source(_read(args.file))  # _read's LinalgError passes through
+    except qwhile.QWhileError as e:
         raise LinalgError(f"{args.file}: {e}")
     if args.action == "check":
         _emit({"well_formed": True, "in_ports": source.program.in_count,
                "out_ports": source.program.out_count})
         return OK
-    response = semantics(source.program, args.grid)
+    response = qwhile.semantics(source.program, args.grid)
     return _report_response(response, args.out)
 
 
 def _cmd_grover(args) -> int:
-    params = GroverParams(args.B, args.kappa, args.seed, args.max_iter)
+    params = kappa.GroverParams(args.B, args.kappa, args.seed, args.max_iter)
     if args.mode == "statevector":
-        run = grover_statevector(params)
+        run = kappa.grover_statevector(params)
         if args.out:
             angles = np.array(run.angles)
             write_csv(args.out, "iteration,angle", "%d,%.17g",
@@ -184,7 +176,7 @@ def _cmd_grover(args) -> int:
             }
         )
         return OK
-    samples, summary = grover_montecarlo(params, args.trials)
+    samples, summary = kappa.grover_montecarlo(params, args.trials)
     if args.out:
         # The angle is a function of the halting iteration, so each distinct
         # key (iterations, censored) has one row tail, formatted once.
@@ -202,8 +194,8 @@ def _cmd_grover(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    rb = _grover_bound(args.B, args.kappa)
-    t_c = runtime_bound(rb, args.c)
+    rb = kappa._grover_bound(args.B, args.kappa)
+    t_c = kappa.runtime_bound(rb, args.c)
     _emit({"B": args.B, "kappa": rb.kappa, "epsilon": rb.epsilon, "c": args.c, "T": t_c})
     return OK
 

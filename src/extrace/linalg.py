@@ -190,6 +190,15 @@ def swap_matrix(n: int, m: int) -> np.ndarray:
     return out
 
 
+def as_labels(value, what: str) -> tuple:
+    """A list or tuple of labels as a tuple.  A string would pass as its
+    letters and a mapping as its keys, so neither is taken."""
+    if isinstance(value, (list, tuple)):
+        return tuple(value)
+    kind = "a string" if isinstance(value, str) else type(value).__name__
+    raise LinalgError(f"{what} must be a sequence of labels, not {kind}")
+
+
 @dataclass(frozen=True)
 class Partition:
     """Named split of a dimension into consecutive blocks.
@@ -202,9 +211,7 @@ class Partition:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
-        if isinstance(self.names, str):  # not split into one-letter blocks
-            raise LinalgError("partition names must be a sequence of labels, not a string")
-        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "names", as_labels(self.names, "partition names"))
         try:
             object.__setattr__(self, "sizes", tuple(map(operator.index, self.sizes)))
         except TypeError:

@@ -14,8 +14,8 @@ from itertools import chain
 
 import numpy as np
 
-from .linalg import (DEFAULT_TOL, LinalgError, as_matrix, bracket_norms, matrix_from_literal,
-                     matrix_to_literal)
+from .linalg import (DEFAULT_TOL, LinalgError, as_labels, as_matrix, bracket_norms,
+                     matrix_from_literal, matrix_to_literal)
 from .trace import SeriesDivergence, TraceConfig, _trace_core
 
 __all__ = [
@@ -46,8 +46,8 @@ class FirKernel:
     taps: dict  # int offset -> ndarray (out x in)
 
     def __post_init__(self):
-        object.__setattr__(self, "out_ports", tuple(self.out_ports))
-        object.__setattr__(self, "in_ports", tuple(self.in_ports))
+        object.__setattr__(self, "out_ports", as_labels(self.out_ports, "out_ports"))
+        object.__setattr__(self, "in_ports", as_labels(self.in_ports, "in_ports"))
         shape = (len(self.out_ports), len(self.in_ports))
         fixed = {}
         for t, m in self.taps.items():
@@ -76,8 +76,8 @@ class FirKernel:
     @classmethod
     def from_json(cls, obj) -> "FirKernel":
         return cls(
-            tuple(obj["out_ports"]),
-            tuple(obj["in_ports"]),
+            obj["out_ports"],
+            obj["in_ports"],
             {int(t): matrix_from_literal(m) for t, m in obj["taps"].items()},
         )
 

@@ -132,6 +132,7 @@ class _Token:
 
 
 _TOKEN = re.compile(r"[()]|[^\s()]+")  # \s is str.isspace on every code point
+_INTEGER = re.compile(r"-?[0-9]+")  # int() would also take "+5", "1_0" and non-ASCII digits
 
 
 def _tokenize(text: str, line0: int = 1) -> list[_Token]:
@@ -174,9 +175,11 @@ class _Parser:
     def _integer(self, form: str, what: str) -> tuple[int, _Token]:
         tok = self._next(what)
         try:
-            return int(tok.text), tok
-        except ValueError:
-            raise ParseError(f"{form} wants an integer, got {tok.text!r}", tok.line, tok.col)
+            if _INTEGER.fullmatch(tok.text):
+                return int(tok.text), tok
+        except ValueError:  # more digits than int() converts
+            pass
+        raise ParseError(f"{form} wants an integer, got {tok.text!r}", tok.line, tok.col)
 
     def parse_node(self, depth: int = 1) -> Node:
         self._expect("(")

@@ -684,6 +684,16 @@ def test_trace_partition_names_as_a_string_are_usage_error(tmp_path, capsys):
                 "bad trace input: partition names must be a sequence of labels, not a string")
 
 
+def test_trace_partition_names_as_an_object_are_usage_error(tmp_path, capsys):
+    # {"B": 0, "U": 9} does not stand for the blocks "B" and "U" by its keys.
+    payload = {**two_block(HADAMARD, 1).to_json(), "loop": "U"}
+    payload["row_partition"]["names"] = {"B": 0, "U": 9}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    usage_error(capsys, ["trace", str(path)],
+                "bad trace input: partition names must be a sequence of labels, not dict")
+
+
 def test_trace_json_of_wrong_shape_is_usage_error(tmp_path, capsys):
     path = tmp_path / "input.json"
     path.write_text("[1, 2]")
@@ -871,17 +881,22 @@ def test_qwhile_loop_trace_failure_is_a_report(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "taps,fragment",
+    "fields,fragment",
     [
-        (None, "'taps'"),
-        ([1], "'list' object has no attribute 'items'"),
-        ({"a": [[[1, 0]]]}, "invalid literal for int()"),
-        ({"9" * 400: matrix_to_literal(HADAMARD)}, "tap offsets must lie in the int64 range"),
+        ({"taps": None}, "'taps'"),
+        ({"taps": [1]}, "'list' object has no attribute 'items'"),
+        ({"taps": {"a": [[[1, 0]]]}}, "invalid literal for int()"),
+        ({"taps": {"9" * 400: matrix_to_literal(HADAMARD)}},
+         "tap offsets must lie in the int64 range"),
+        # Ports "ix" used to pass as the ports "i" and "x", and an object as its keys.
+        ({"in_ports": "ix", "out_ports": "ox"},
+         "out_ports must be a sequence of labels, not a string"),
+        ({"in_ports": {"i": 0, "x": 1}}, "in_ports must be a sequence of labels, not dict"),
     ],
-    ids=["missing", "list", "bad_offset", "offset_past_int64"],
+    ids=["missing", "list", "bad_offset", "offset_past_int64", "ports_string", "ports_object"],
 )
-def test_lsi_malformed_kernel_is_usage_error(tmp_path, capsys, taps, fragment):
-    usage_error(capsys, ["lsi", write_kernel(tmp_path, taps=taps)], f"bad kernel input: {fragment}")
+def test_lsi_malformed_kernel_is_usage_error(tmp_path, capsys, fields, fragment):
+    usage_error(capsys, ["lsi", write_kernel(tmp_path, **fields)], f"bad kernel input: {fragment}")
 
 
 def test_qwhile_contraction_gate_is_usage_error(tmp_path, capsys):

@@ -135,6 +135,15 @@ class TestPartition:
         with pytest.raises(LinalgError, match="not a string"):
             Partition.from_json({"names": "UB", "sizes": [1, 1]})
 
+    @pytest.mark.parametrize("names,kind", [({"U": 0, "B": 1}, "dict"),
+                                            (iter(["U", "B"]), "list_iterator"),
+                                            (None, "NoneType")])
+    def test_names_must_be_a_list_or_tuple(self, names, kind):
+        # A mapping would pass as its keys; only a list or tuple is a sequence of labels.
+        with pytest.raises(LinalgError, match=f"must be a sequence of labels, not {kind}"):
+            Partition(names, (1, 1))
+        assert Partition(["U", "B"], (1, 1)).names == ("U", "B")
+
     def test_json_round_trip(self):
         p = Partition(("A", "U"), (1, 4))
         assert Partition.from_json(json.loads(json.dumps(p.to_json()))) == p

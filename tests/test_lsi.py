@@ -156,6 +156,17 @@ def test_tap_offsets_are_int64():
             FirKernel(("o",), ("i",), {offset: [[0.5]]})
 
 
+@pytest.mark.parametrize("ports,kind", [("i", "a string"), ({"i": 0}, "dict")])
+def test_ports_must_be_a_list_or_tuple(ports, kind):
+    # A string would pass as its letters and a mapping as its keys.
+    with pytest.raises(LinalgError, match=f"in_ports must be a sequence of labels, not {kind}"):
+        FirKernel(("o",), ports, {0: [[0.5]]})
+    with pytest.raises(LinalgError, match=f"out_ports must be a sequence of labels, not {kind}"):
+        FirKernel.from_json({"in_ports": ["i"], "out_ports": ports, "taps": {"0": [[[0.5, 0]]]}})
+    kernel = FirKernel.from_json({"in_ports": ["i"], "out_ports": ["o"], "taps": {}})
+    assert kernel.out_ports == ("o",)
+
+
 def test_lsi_ex_constant_hadamard():
     r = dtft(FirKernel(("o0", "x"), ("i0", "x"), {0: HADAMARD}), 64)
     traced = lsi_ex(r, 1)

@@ -71,6 +71,17 @@ def test_parse_errors(text, fragment):
     assert fragment in str(exc.value)
 
 
+@pytest.mark.parametrize("text", ["(delay \u0663)", "(delay 1_0)", "(delay +5)", "(delay 0x1)",
+                                  "(delay --1)", "(loop (gate H) \u0661)", "(delay 1.0)",
+                                  "(delay " + "1" * 5000 + ")"], ids=lambda text: text[:24])
+def test_integers_are_ascii_digits(text):
+    # int() would read the Arabic-Indic digit, the underscore and the plus sign;
+    # past 4,300 digits it refuses to convert at all.
+    with pytest.raises(ParseError, match="wants an integer"):
+        parse(text, GATES)
+    assert parse("(delay 007)", GATES) == Delay(7)
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse("(seq (gate H)\n  (gate NOPE))", GATES)
