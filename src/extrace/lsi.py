@@ -91,6 +91,8 @@ class FrequencyResponse:
     in_ports: tuple[str, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "out_ports", as_labels(self.out_ports, "out_ports"))
+        object.__setattr__(self, "in_ports", as_labels(self.in_ports, "in_ports"))
         samples = np.asarray(self.samples, dtype=np.complex128)
         ports = (len(self.out_ports), len(self.in_ports))
         if samples.shape[1:] != ports:
@@ -98,8 +100,6 @@ class FrequencyResponse:
         if samples.shape[0] < 2:
             raise LinalgError("frequency grid needs at least 2 points")
         object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "out_ports", tuple(self.out_ports))
-        object.__setattr__(self, "in_ports", tuple(self.in_ports))
 
     @property
     def grid_size(self) -> int:
@@ -119,7 +119,7 @@ class Signal:
     samples: dict  # int t -> complex vector
 
     def __post_init__(self):
-        object.__setattr__(self, "ports", tuple(self.ports))
+        object.__setattr__(self, "ports", as_labels(self.ports, "ports"))
         fixed = {}
         for t, v in self.samples.items():
             v = np.asarray(v, dtype=np.complex128).reshape(-1)

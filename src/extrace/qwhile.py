@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, classify, direct_sum, matrix_from_literal
+from .linalg import DEFAULT_TOL, as_matrix, classify, direct_sum, matrix_from_literal
 from .lsi import DEFAULT_GRID, FrequencyResponse, _uniform_grid, lsi_ex
 from .trace import TraceConfig
 
@@ -226,7 +226,7 @@ def parse(text: str, gates: dict | None = None) -> Node:
     tokens = _tokenize(text)
     if not tokens:
         raise ParseError("empty program", 1, 1)
-    table = {name: np.asarray(m, dtype=np.complex128) for name, m in (gates or {}).items()}
+    table = {name: as_matrix(m) for name, m in (gates or {}).items()}
     return _Parser(tokens, table).parse_program()
 
 

@@ -29,3 +29,22 @@ def watched_statevector(monkeypatch):
         return result, list(residuals)
 
     return run
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """svd_shapes(fn) runs fn() and returns the shape of each np.linalg.svd input."""
+    svd, shapes = np.linalg.svd, []
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    def record(fn):
+        shapes.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "svd", recorded)
+            fn()
+        return list(shapes)
+
+    return record

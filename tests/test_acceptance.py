@@ -10,7 +10,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from extrace.kappa import (
     GroverParams,
@@ -42,6 +41,7 @@ from extrace.trace import (
     ex_series,
     halmos_dilation,
 )
+from reference import halting_law
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -320,29 +320,12 @@ def test_criterion_7_grover_cross_validation(watched_statevector):
     verdict(7, "statevector/recurrence cross-validation", failures)
 
 
-def grover_halting_law(b_size, kappa, horizon):
-    """Exact halting-time CDF of the weakly-measured Grover loop.
-
-    Tracks the (off-target, target) amplitudes with explicit 2x2 steps:
-    each iteration rotates by 2*alpha, certifies with probability
-    kappa * target^2, and on keep-looping damps the target amplitude by
-    sqrt(1 - kappa) and renormalises.  Returns the per-iteration certify
-    probabilities h (h[t-1] for iteration t) and the CDF F with F[0] = 0
-    and F[t] = 1 - prod_{i <= t} (1 - h_i).
-    """
-    alpha = math.asin(b_size ** -0.5)
-    c, s = math.cos(2.0 * alpha), math.sin(2.0 * alpha)
-    rotate = np.array([[c, -s], [s, c]])
-    damp = np.diag([1.0, math.sqrt(1.0 - kappa)])
-    amp = np.array([math.cos(alpha), math.sin(alpha)])
-    probs = np.empty(horizon)
-    for i in range(horizon):
-        amp = rotate @ amp
-        probs[i] = kappa * amp[1] ** 2
-        amp = damp @ amp
-        amp /= np.linalg.norm(amp)
-    cdf = np.concatenate([[0.0], 1.0 - np.cumprod(1.0 - probs)])
-    return probs, cdf
+def criterion_8_law():
+    """The exact certify probabilities h (h[t-1] for iteration t) at the
+    criterion-8 configuration and the CDF F with F[0] = 0 and
+    F[t] = 1 - prod_{i <= t} (1 - h_i)."""
+    _, probs = halting_law(10**6, 1e-3, math.ceil(50 / 1e-3))
+    return probs, np.concatenate([[0.0], 1.0 - np.cumprod(1.0 - probs)])
 
 
 def median_fits_law(m, cdf, eps):
@@ -361,7 +344,7 @@ def test_criterion_8_sampling_statistics():
     # The median is checked against the halting-time law itself, with
     # the Dvoretzky-Kiefer-Wolfowitz-Massart band at false-alarm
     # probability 1e-6.  The law is computed before the timed run.
-    law, cdf = grover_halting_law(10**6, 1e-3, math.ceil(50 / 1e-3))
+    law, cdf = criterion_8_law()
     eps = math.sqrt(math.log(2.0 / 1e-6) / (2.0 * n_trials))
     t0 = time.perf_counter()
 
@@ -443,7 +426,7 @@ def test_criterion_8_summary_reports_exact_law():
     # The Monte-Carlo summary carries the exact law next to the sample;
     # at the criterion-8 configuration it must be the test's own law.
     failures = []
-    _, cdf = grover_halting_law(10**6, 1e-3, math.ceil(50 / 1e-3))
+    _, cdf = criterion_8_law()
     t = np.arange(cdf.size)
     law_mean = float(t @ np.diff(cdf, prepend=0.0) / cdf[-1])
     _, summary = grover_montecarlo(GroverParams(10**6, kappa=1e-3, seed=1), 100)

@@ -1,9 +1,7 @@
 import json
 import math
 import tracemalloc
-import warnings
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -29,7 +27,8 @@ from extrace.kappa import (
     theta,
     verify_guarantee,
 )
-from extrace.linalg import LinalgError, adjoint, classify, operator_norm
+from extrace.linalg import LinalgError, adjoint, operator_norm
+from reference import grover_angle, halting_law
 
 
 def last(n, k):
@@ -132,32 +131,29 @@ class TestKappaMeasure:
         out = kappa_measure(state, KappaMeasurement(1.0, (0,)), 1.0)
         assert not out.certified and out.p_top <= 1.0
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_keep_looping_of_probability_zero_is_an_error(self):
         # At kappa = 1 a state inside the predicate certifies surely; the forced
         # keep-looping branch is the zero vector, which has no normalisation.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
-                kappa_measure(np.array([1.0, 0.0]), KappaMeasurement(1.0, (0,)), 1.0)
+        with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
+            kappa_measure(np.array([1.0, 0.0]), KappaMeasurement(1.0, (0,)), 1.0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_keep_looping_of_rounding_residue_is_an_error(self):
         # At B = 4 one Grover step puts the state on the target up to residue of
         # about 1e-16 an entry, so at kappa = 1 the forced keep-looping branch has
         # probability about 3.7e-32: it is renormalised noise, not a state.
         p = GroverParams(4, kappa=1.0, max_iterations=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
-                grover_statevector(p, force_keep_looping=True)
+        with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
+            grover_statevector(p, force_keep_looping=True)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_keep_looping_of_rounding_residue_after_two_steps_is_an_error(self):
         # At B = 2 the second Grover step puts the state on the target up to a
         # damped norm of about 4.4e-16; the forced keep-looping branch is noise.
         p = GroverParams(2, kappa=1.0, max_iterations=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
-                grover_statevector(p, force_keep_looping=True)
+        with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
+            grover_statevector(p, force_keep_looping=True)
 
     def test_agrees_with_the_dilation(self):
         # build_E on state (x) |bot>: the |top> branch has squared norm p_top and,
@@ -307,32 +303,6 @@ def per_step_trajectory(p, n_steps=None):
     return np.array(ref)
 
 
-def step_matrix(p, dps):
-    """The keep-looping step M = diag(1, xi) R(2 alpha) and v_0 in mpmath."""
-    with mpmath.workdps(dps):
-        a = mpmath.mpf(p.alpha)
-        xi = mpmath.sqrt(1 - mpmath.mpf(p.kappa))
-        c, s = mpmath.cos(2 * a), mpmath.sin(2 * a)
-        m = mpmath.matrix([[c, -s], [xi * s, xi * c]])
-        return m, mpmath.matrix([mpmath.cos(a), mpmath.sin(a)])
-
-
-def mp_trajectory(p, n_steps, dps=40):
-    """Per-step reference b_0..b_N in mpmath, unwrapped by accumulating the
-    signed angle between consecutive amplitude vectors."""
-    m, v = step_matrix(p, dps)
-    with mpmath.workdps(dps):
-        angle = mpmath.mpf(p.alpha)
-        out = [angle]
-        for _ in range(n_steps):
-            w = m * v
-            w /= mpmath.norm(w)
-            angle += mpmath.atan2(v[0] * w[1] - v[1] * w[0], v[0] * w[0] + v[1] * w[1])
-            out.append(angle)
-            v = w
-        return np.array([float(b) for b in out])
-
-
 ACCURACY_CASES = [(10**2, None), (10**4, None), (10**6, None), (10**8, None),
                   (10**4, 1e-3), (10**6, 1e-3)]
 
@@ -344,7 +314,7 @@ class TestTrajectoryAccuracy:
     @pytest.mark.parametrize("b, kappa", ACCURACY_CASES)
     def test_first_steps_against_per_step_reference(self, b, kappa):
         p = GroverParams(b, kappa)
-        ref = mp_trajectory(p, 2000)
+        ref = halting_law(b, p.kappa, 2000, dps=40)[0]
         vec_err = np.max(np.abs(grover_recurrence(p, 2000) - ref))
         loop_err = np.max(np.abs(per_step_trajectory(p, 2000) - ref))
         assert vec_err <= 1e-10
@@ -355,17 +325,11 @@ class TestTrajectoryAccuracy:
         p = GroverParams(b, kappa)
         n = p.max_iterations
         vec, loop = grover_recurrence(p), per_step_trajectory(p)
-        m, v0 = step_matrix(p, 40)
         for t in (n // 4, n // 2, n):
-            with mpmath.workdps(40):
-                w = m**t * v0
-                ref_angle = mpmath.atan2(w[1], w[0])
-                ref_prob = float(p.kappa * w[1] ** 2 / (w[0] ** 2 + w[1] ** 2))
-                # angle difference wrapped into [-pi, pi)
-                angles = [
-                    abs(float((mpmath.mpf(x) - ref_angle + mpmath.pi) % (2 * mpmath.pi) - mpmath.pi))
-                    for x in (vec[t], loop[t])
-                ]
+            ref_angle = grover_angle(b, p.kappa, t)
+            ref_prob = p.kappa * math.sin(ref_angle) ** 2
+            # angle difference wrapped into [-pi, pi]
+            angles = [abs(math.remainder(x - ref_angle, math.tau)) for x in (vec[t], loop[t])]
             probs = [abs(p.kappa * math.sin(x) ** 2 - ref_prob) for x in (vec[t], loop[t])]
             for vec_err, loop_err in (angles, probs):
                 assert vec_err <= 1e-10, (t, angles, probs)

@@ -8,7 +8,6 @@ from extrace.linalg import (
     LinalgError,
     Partition,
     PartitionedMap,
-    adjoint,
     as_matrix,
     classify,
     direct_sum,

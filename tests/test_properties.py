@@ -2,7 +2,6 @@
 
 import math
 
-import mpmath
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
@@ -19,6 +18,7 @@ from extrace.linalg import (
 )
 from extrace.lsi import Signal, parseval_norm
 from extrace.trace import ex, halmos_dilation
+from reference import halting_law, schur
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -126,11 +126,9 @@ def shifted_loop_contractions(draw):
 @settings(deadline=None, max_examples=40)
 def test_vanishing_leading_terms_do_not_certify(case):
     m, d = case
-    f_ba, f_bu, f_ua, f_uu = m[:1, :1], m[:1, 1:], m[1:, :1], m[1:, 1:]
-    want = f_ba + f_bu @ np.linalg.solve(np.eye(d) - f_uu, f_ua)
     got = ex(two_block(m, d), "U")
     assert got.method == "both_agree"
-    assert np.abs(got.value - want).max() <= 1e-10
+    assert np.abs(got.value - schur(m, d)).max() <= 1e-10
 
 
 @given(
@@ -149,24 +147,6 @@ def test_theta_is_two_pi_periodic(a, kappa):
     assert math.isclose(
         theta(a, kappa), theta(a + 2 * math.pi, kappa), abs_tol=1e-9
     )
-
-
-def mp_halting_probabilities(p, n_steps):
-    """Per-step certify probabilities kappa * target^2 / |amp|^2 before
-    each measurement, with the amplitudes carried at 30 digits."""
-    with mpmath.workdps(30):
-        a = mpmath.mpf(p.alpha)
-        kappa = mpmath.mpf(p.kappa)
-        xi = mpmath.sqrt(1 - kappa)
-        c, s = mpmath.cos(2 * a), mpmath.sin(2 * a)
-        x, y = mpmath.cos(a), mpmath.sin(a)
-        out = []
-        for _ in range(n_steps):
-            x, y = c * x - s * y, s * x + c * y
-            r2 = x * x + y * y
-            out.append(float(kappa * y * y / r2))
-            x, y = x / mpmath.sqrt(r2), xi * y / mpmath.sqrt(r2)
-        return np.array(out)
 
 
 @given(
@@ -188,7 +168,7 @@ def test_halting_probabilities_match_high_precision_steps(b, kappa, n):
     got = halting_probabilities(p, n)
     assert got.shape == (n,)
     assert not np.isnan(got).any()
-    assert np.max(np.abs(got - mp_halting_probabilities(p, n)), initial=0.0) <= 1e-10
+    assert np.max(np.abs(got - halting_law(b, p.kappa, n, dps=30)[1]), initial=0.0) <= 1e-10
 
 
 @given(

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from extrace.linalg import LinalgError
 from extrace.lsi import lsi_classify
 from extrace.qwhile import (
     NESTING_CAP,
@@ -111,6 +112,16 @@ def test_source_parse_error_counts_lines_from_the_program(space):
 def test_non_unitary_gate_rejected():
     with pytest.raises(ParseError, match="not unitary"):
         parse("(gate C)", {"C": 0.5 * np.eye(2)})
+
+
+@pytest.mark.parametrize("gate, fragment", [
+    ([[math.nan, 0.0], [0.0, 1.0]], "non-finite entries"),
+    ([1.0, 2.0], "expected a 2-D matrix"),
+])
+def test_parse_refuses_a_gate_that_is_not_a_finite_matrix(gate, fragment):
+    # The gate table takes the check parse_source's literals take.
+    with pytest.raises(LinalgError, match=fragment):
+        parse("(gate G)", {"G": gate})
 
 
 def test_parse_source_gate_table():

@@ -194,22 +194,6 @@ def test_failing_stack_names_bad_frequency_semantics():
         semantics(DoWhile(body, 2), 16)
 
 
-def count_svds(monkeypatch, fn):
-    """SVD calls made by fn() and the matrices they decompose: (calls, entries)."""
-    counts = [0, 0]
-    original = np.linalg.svd
-
-    def counted(a, *args, **kwargs):
-        counts[0] += 1
-        counts[1] += math.prod(np.shape(a)[:-2])
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counted)
-    fn()
-    monkeypatch.undo()
-    return tuple(counts)
-
-
 def unitary_tap_response(ports, grid, seed=0):
     """The transform of three taps, each a unitary scaled to norm 0.3: every
     sample is a strict contraction."""
@@ -219,66 +203,53 @@ def unitary_tap_response(ports, grid, seed=0):
                 grid)
 
 
-def test_decomposition_count_does_not_grow_with_grid(monkeypatch):
+def test_decomposition_count_does_not_grow_with_grid(svd_shapes):
     # A two-port loop block keeps its witness and tail-ratio SVDs.
-    small = count_svds(monkeypatch, lambda: lsi_ex(unitary_tap_response(3, 64), 2))[0]
-    large = count_svds(monkeypatch, lambda: lsi_ex(unitary_tap_response(3, 1024), 2))[0]
+    small = len(svd_shapes(lambda: lsi_ex(unitary_tap_response(3, 64), 2)))
+    large = len(svd_shapes(lambda: lsi_ex(unitary_tap_response(3, 1024), 2)))
     assert small >= 1
     assert small == large
 
 
 @pytest.mark.parametrize("name", ["hadamard_delay_loop", "nested_loop", "swap_loop"])
-def test_corpus_loops_take_no_svd(monkeypatch, name):
+def test_corpus_loops_take_no_svd(svd_shapes, name):
     # Every corpus loop feeds back one port: the witnesses and the tail ratio
     # of a 1x1 loop block take zgesdd's arithmetic in numpy, and the Gram
     # bracket settles the contraction test of a unitary sample.
     program = parse_source((CORPUS / f"{name}.qw").read_text()).program
-    assert count_svds(monkeypatch, lambda: lsi_classify(semantics(program, 4096))) == (0, 0)
+    assert svd_shapes(lambda: lsi_classify(semantics(program, 4096))) == []
 
 
-def test_strictly_contractive_fir_takes_at_most_two_svds_per_sample(monkeypatch):
+def test_strictly_contractive_fir_takes_at_most_two_svds_per_sample(svd_shapes):
     # Every sample is a strict contraction, most with ||sample||_F above 1.
     # A two-port loop's witnesses and tail ratio take SVDs, a one-port
     # loop's take none; the brackets settle the rest, the gap included.
     r = unitary_tap_response(4, 64)
     assert np.mean(np.linalg.norm(r.samples, axis=(-2, -1)) > 1) > 0.5
-    entries = count_svds(monkeypatch, lambda: (lsi_classify(r), lsi_ex(r, 2)))[1]
+    shapes = svd_shapes(lambda: (lsi_classify(r), lsi_ex(r, 2)))
+    entries = sum(math.prod(shape[:-2]) for shape in shapes)
     assert entries <= 2 * 64
-    assert count_svds(monkeypatch, lambda: (lsi_classify(r), lsi_ex(r, 1))) == (0, 0)
+    assert svd_shapes(lambda: (lsi_classify(r), lsi_ex(r, 1))) == []
     assert lsi_classify(r) == "lsi_contraction"
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.qw")), ids=lambda p: p.stem)
-def test_unitary_corpus_responses_classify_without_an_svd(monkeypatch, path):
+def test_unitary_corpus_responses_classify_without_an_svd(svd_shapes, path):
     # ||U||_F / sqrt(n) = 1 leaves the Frobenius bracket open on a unitary
     # sample; the Gram bracket shows it below 1 + DEFAULT_TOL.
     r = semantics(parse_source(path.read_text()).program, 256)
-    assert svd_sizes(monkeypatch, lambda: lsi_classify(r)) == []
+    assert svd_shapes(lambda: lsi_classify(r)) == []
     assert lsi_classify(r) == "lsi_contraction"
 
 
-def test_contractions_below_one_in_frobenius_norm_take_no_svd_of_the_stack(monkeypatch):
+def test_contractions_below_one_in_frobenius_norm_take_no_svd_of_the_stack(svd_shapes):
     rng = np.random.default_rng(5)
     taps = {t: random_contraction(4, 4, rng) / 4 for t in range(3)}
     r = dtft(FirKernel(tuple("abcd"), tuple("abcd"), taps), 64)
     assert np.all(np.linalg.norm(r.samples, axis=(-2, -1)) < 1)
     for fn in (lambda: trace._trace_core(r.samples, 2, TraceConfig()), lambda: lsi_classify(r)):
-        assert all(shape[-2:] != (4, 4) for shape in svd_sizes(monkeypatch, fn))
+        assert all(shape[-2:] != (4, 4) for shape in svd_shapes(fn))
     assert lsi_classify(r) == "lsi_contraction"
-
-
-def svd_sizes(monkeypatch, fn):
-    sizes = []
-    original = np.linalg.svd
-
-    def recorded(a, *args, **kwargs):
-        sizes.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recorded)
-    fn()
-    monkeypatch.undo()
-    return sizes
 
 
 def expansion_with_small_loop(n, rng):
@@ -293,7 +264,7 @@ def expansion_with_small_loop(n, rng):
     return two_block(z, n // 2)
 
 
-def test_series_takes_no_svd_of_an_empty_stack(monkeypatch):
+def test_series_takes_no_svd_of_an_empty_stack(svd_shapes):
     program = parse_source((CORPUS / "hadamard_delay_loop.qw").read_text()).program
     f = two_block(random_contraction(32, 32, np.random.default_rng(32)), 8)
     small = two_block(np.array([[2, 0.5], [0.5, 0.25]], dtype=complex), 1)
@@ -308,8 +279,8 @@ def test_series_takes_no_svd_of_an_empty_stack(monkeypatch):
     for fn in (lambda: ex(f, "U"), lambda: semantics(program, 64),
                lambda: ex(small, "U"), lambda: ex(big, "U"),
                lambda: ex(series_alone, "U", short), lambda: lsi_ex(fir, 2)):
-        sizes = svd_sizes(monkeypatch, fn)
-        assert all(math.prod(shape) > 0 for shape in sizes), sizes
+        shapes = svd_shapes(fn)
+        assert all(math.prod(shape) > 0 for shape in shapes), shapes
     for g in (small, big):
         result = ex(g, "U")
         assert result.method == "kernel_image" and result.terms_used == 0
