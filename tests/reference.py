@@ -3,7 +3,7 @@
 This module imports only the standard library, numpy and mpmath, never
 ``extrace``: a reference that shared the engine's code would share its
 faults.  Each quantity is taken the plain way, by steps or by a solve, at
-the precision its caller names.
+40 or 50 digits, or, for the halting law, at the digits its caller names.
 """
 
 import math
@@ -40,11 +40,12 @@ def halting_law(b_size, kappa, n, dps=None):
     return np.array(angles), np.array(probs)
 
 
-def grover_angle(b_size, kappa, t, dps=40):
+def grover_angle(b_size, kappa, t):
     """b_t modulo 2 pi, in (-pi, pi]: the angle of M^t v_0 by matrix power,
     where M = diag(1, sqrt(1 - kappa)) R(2 alpha) is one keep-looping step
-    and v_0 = (cos alpha, sin alpha).  t may run to millions of steps."""
-    with mpmath.workdps(dps):
+    and v_0 = (cos alpha, sin alpha), at 40 digits.  t may run to millions of
+    steps."""
+    with mpmath.workdps(40):
         a = mpmath.mpf(math.asin(b_size ** -0.5))
         xi, c, s = mpmath.sqrt(1 - mpmath.mpf(float(kappa))), mpmath.cos(2 * a), mpmath.sin(2 * a)
         step = mpmath.matrix([[c, -s], [xi * s, xi * c]])
@@ -52,13 +53,13 @@ def grover_angle(b_size, kappa, t, dps=40):
         return float(mpmath.atan2(w[1], w[0]))
 
 
-def schur(m, k, dps=50):
+def schur(m, k):
     """f_BA + f_BU (I - f_UU)^-1 f_UA, the loop block f_UU being the trailing
     k >= 1 rows and columns of m, as a complex128 array; None where I - f_UU
-    is singular at dps digits."""
+    is singular at 50 digits."""
     m = np.asarray(m, dtype=np.complex128)
     b, a = m.shape[0] - k, m.shape[1] - k
-    with mpmath.workdps(dps):
+    with mpmath.workdps(50):
         f = mpmath.matrix([[mpmath.mpc(z.real, z.imag) for z in row] for row in m])
         try:
             loop = mpmath.inverse(mpmath.eye(k) - f[b:, a:])

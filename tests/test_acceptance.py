@@ -10,6 +10,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from extrace.kappa import (
     GroverParams,

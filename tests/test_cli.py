@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,24 +18,13 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 HADAMARD = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
 
 
-def write_json(tmp_path, payload, name="input.json"):
+def write_trace_file(tmp_path, matrix, loop_dim, name="input.json"):
+    pm = two_block(np.asarray(matrix, dtype=complex), loop_dim)
+    payload = pm.to_json()
+    payload["loop"] = "U"
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
-
-
-def trace_payload(matrix, loop_dim):
-    return {**two_block(np.asarray(matrix, dtype=complex), loop_dim).to_json(), "loop": "U"}
-
-
-def write_trace_file(tmp_path, matrix, loop_dim, name="input.json"):
-    return write_json(tmp_path, trace_payload(matrix, loop_dim), name)
-
-
-def write_kernel(tmp_path, **fields):
-    kernel = {"in_ports": ["i", "x"], "out_ports": ["o", "x"],
-              "taps": {"0": matrix_to_literal(HADAMARD)}, **fields}
-    return write_json(tmp_path, {k: v for k, v in kernel.items() if v is not None}, "kernel.json")
 
 
 def run(capsys, *argv):
@@ -217,9 +207,16 @@ def test_axioms_subcommand(capsys):
 
 
 def test_lsi_subcommand(tmp_path, capsys):
+    kernel = {
+        "in_ports": ["i", "x"],
+        "out_ports": ["o", "x"],
+        "taps": {"0": matrix_to_literal(HADAMARD)},
+    }
+    kpath = tmp_path / "kernel.json"
+    kpath.write_text(json.dumps(kernel))
     out_csv = tmp_path / "resp.csv"
     code, out = run(
-        capsys, "lsi", write_kernel(tmp_path), "--grid", "16", "--loop", "1", "--out", str(out_csv)
+        capsys, "lsi", str(kpath), "--grid", "16", "--loop", "1", "--out", str(out_csv)
     )
     assert code == 0
     assert out["classification"] == "lsi_contraction"
@@ -230,12 +227,16 @@ def test_lsi_subcommand(tmp_path, capsys):
 
 
 def test_lsi_every_port_looped(tmp_path, capsys):
-    kpath = write_kernel(tmp_path, in_ports=["a", "b"], out_ports=["a", "b"],
-                         taps={"0": matrix_to_literal(HADAMARD / 2),
-                               "1": matrix_to_literal(HADAMARD / 3)})
+    kernel = {
+        "in_ports": ["a", "b"],
+        "out_ports": ["a", "b"],
+        "taps": {"0": matrix_to_literal(HADAMARD / 2), "1": matrix_to_literal(HADAMARD / 3)},
+    }
+    kpath = tmp_path / "kernel.json"
+    kpath.write_text(json.dumps(kernel))
     out_csv = tmp_path / "resp.csv"
     code, out = run(
-        capsys, "lsi", kpath, "--grid", "16", "--loop", "2", "--out", str(out_csv)
+        capsys, "lsi", str(kpath), "--grid", "16", "--loop", "2", "--out", str(out_csv)
     )
     assert code == 0
     assert out["in_ports"] == out["out_ports"] == []
@@ -500,11 +501,12 @@ def test_grover_statevector_beyond_the_work_cap_is_usage_error(capsys):
                 WORK_CAP)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_grover_summary_without_halts_divides_by_nothing(capsys):
     # The CDF rounds to 0 at every step, so no halting time has a mean.
-    code, out = run(capsys, "grover", "--B", "1000000", "--kappa", "1e-20",
-                    "--max-iter", "1000", "--trials", "100")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(capsys, "grover", "--B", "1000000", "--kappa", "1e-20",
+                        "--max-iter", "1000", "--trials", "100")
     assert code == 0
     assert out["censored"] == 100 and out["censored_mass"] == 1.0
     assert all(math.isnan(out[key]) for key in ("median", "mean", "exact_mean"))
@@ -551,9 +553,12 @@ def test_parser_built_once_carries_no_state_between_calls(tmp_path, capsys):
     out_csv.unlink()
     assert run(capsys, "qwhile", "run", program, "--grid", "8")[0] == 0
     assert not out_csv.exists()
-    kpath = write_kernel(tmp_path)
-    assert run(capsys, "lsi", kpath, "--grid", "8", "--loop", "1")[1]["out_ports"] == ["o"]
-    assert run(capsys, "lsi", kpath, "--grid", "8")[1]["out_ports"] == ["o", "x"]
+    kernel = {"in_ports": ["i", "x"], "out_ports": ["o", "x"],
+              "taps": {"0": matrix_to_literal(HADAMARD)}}
+    kpath = tmp_path / "kernel.json"
+    kpath.write_text(json.dumps(kernel))
+    assert run(capsys, "lsi", str(kpath), "--grid", "8", "--loop", "1")[1]["out_ports"] == ["o"]
+    assert run(capsys, "lsi", str(kpath), "--grid", "8")[1]["out_ports"] == ["o", "x"]
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
@@ -616,8 +621,11 @@ def test_bound_c_below_one_is_usage_error(capsys, c):
 
 
 def test_trace_unknown_loop_label_is_usage_error(tmp_path, capsys):
-    path = write_json(tmp_path, {**trace_payload(0.5 * np.eye(3), 1), "loop": "Q"})
-    usage_error(capsys, ["trace", path], "unknown block label 'Q'")
+    payload = two_block(0.5 * np.eye(3, dtype=complex), 1).to_json()
+    payload["loop"] = "Q"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    usage_error(capsys, ["trace", str(path)], "unknown block label 'Q'")
 
 
 @pytest.mark.parametrize("method", ["both", "series", "ki"])
@@ -627,8 +635,11 @@ def test_trace_non_square_loop_is_usage_error(tmp_path, capsys, method):
     pm = PartitionedMap(
         np.zeros((3, 3)), Partition(("B", "U"), (1, 2)), Partition(("A", "U"), (2, 1))
     )
-    path = write_json(tmp_path, {**pm.to_json(), "loop": "U"})
-    usage_error(capsys, ["trace", "--method", method, path],
+    payload = pm.to_json()
+    payload["loop"] = "U"
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    usage_error(capsys, ["trace", "--method", method, str(path)],
                 "loop block 'U' is 2x1; it must be square")
 
 
@@ -656,25 +667,30 @@ def test_bad_trace_config_is_usage_error(tmp_path, capsys, argv, fragment):
                          ids=["float", "string", "both"])
 def test_trace_non_integer_partition_size_is_usage_error(tmp_path, capsys, sizes):
     # Sizes are neither truncated nor parsed from strings.
-    payload = trace_payload(HADAMARD, 1)
+    payload = {**two_block(HADAMARD, 1).to_json(), "loop": "U"}
     payload["row_partition"]["sizes"] = sizes
-    usage_error(capsys, ["trace", write_json(tmp_path, payload)],
-                "partition sizes must be integers")
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    usage_error(capsys, ["trace", str(path)], "partition sizes must be integers")
 
 
 def test_trace_partition_names_as_a_string_are_usage_error(tmp_path, capsys):
     # "BU" is not split into the blocks "B" and "U".
-    payload = trace_payload(HADAMARD, 1)
+    payload = {**two_block(HADAMARD, 1).to_json(), "loop": "U"}
     payload["row_partition"]["names"] = "BU"
-    usage_error(capsys, ["trace", write_json(tmp_path, payload)],
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    usage_error(capsys, ["trace", str(path)],
                 "bad trace input: partition names must be a sequence of labels, not a string")
 
 
 def test_trace_partition_names_as_an_object_are_usage_error(tmp_path, capsys):
     # {"B": 0, "U": 9} does not stand for the blocks "B" and "U" by its keys.
-    payload = trace_payload(HADAMARD, 1)
+    payload = {**two_block(HADAMARD, 1).to_json(), "loop": "U"}
     payload["row_partition"]["names"] = {"B": 0, "U": 9}
-    usage_error(capsys, ["trace", write_json(tmp_path, payload)],
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    usage_error(capsys, ["trace", str(path)],
                 "bad trace input: partition names must be a sequence of labels, not dict")
 
 
@@ -684,6 +700,14 @@ def test_trace_json_of_wrong_shape_is_usage_error(tmp_path, capsys):
     usage_error(capsys, ["trace", str(path)], "bad trace input")
 
 
+def write_kernel(tmp_path, **fields):
+    kernel = {"in_ports": ["i", "x"], "out_ports": ["o", "x"],
+              "taps": {"0": matrix_to_literal(HADAMARD)}, **fields}
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps({k: v for k, v in kernel.items() if v is not None}))
+    return str(path)
+
+
 @pytest.mark.parametrize("loop", ["5", "-1"])
 def test_lsi_loop_out_of_range_is_usage_error(tmp_path, capsys, loop):
     usage_error(capsys, ["lsi", write_kernel(tmp_path), "--grid", "8", "--loop", loop],
@@ -691,7 +715,6 @@ def test_lsi_loop_out_of_range_is_usage_error(tmp_path, capsys, loop):
 
 
 @pytest.mark.parametrize("loop", [[], ["--loop", "1"]], ids=["plain", "looped"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lsi_overflowing_transform_is_usage_error(tmp_path, capsys, loop):
     # Taps of 1e308 on one entry at t = 0 and t = 1 sum past the float range
     # at omega = 0, so the response has no finite sample to report.
@@ -699,7 +722,9 @@ def test_lsi_overflowing_transform_is_usage_error(tmp_path, capsys, loop):
     out = tmp_path / "response.csv"
     argv = ["lsi", write_kernel(tmp_path, taps={"0": big, "1": big}), "--grid", "8",
             "--out", str(out), *loop]
-    usage_error(capsys, argv, "kernel transform overflows")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        usage_error(capsys, argv, "kernel transform overflows")
     assert not out.exists()
 
 
@@ -725,11 +750,12 @@ def huge_input(tmp_path, name):
     ],
     ids=["trace-both", "trace-ki", "trace-both-huge", "lsi", "lsi-looped"],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_finite_huge_inputs_print_no_runtime_warning(tmp_path, capsys, name, argv):
     # Frobenius squares and series products past the float range are inf,
     # which the norm brackets and per-term checks already handle.
-    code = main([*argv, huge_input(tmp_path, name)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*argv, huge_input(tmp_path, name)])
     captured = capsys.readouterr()
     assert code == 0
     assert captured.err == ""
@@ -748,13 +774,14 @@ BEYOND = [[1e200, 1e200], [1e200, 0.5]]  # 1-port trace 1e200 + 2e400: past the 
     ],
     ids=["trace-both", "trace-ki", "lsi-looped"],
 )
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_trace_beyond_the_float_range_is_a_report(tmp_path, capsys, argv, kind):
     # The closed form overflows; the entry fails before any norm sees it, so
     # both routes fall back to the series, which reports the non-finite term.
     path = (write_kernel(tmp_path, taps={"0": matrix_to_literal(BEYOND)}) if argv[0] == "lsi"
             else write_trace_file(tmp_path, BEYOND, 1))
-    code = main([*argv, path])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*argv, path])
     captured = capsys.readouterr()
     assert (code, captured.err) == (1, "")
     report = json.loads(captured.out)
@@ -764,12 +791,13 @@ def test_trace_beyond_the_float_range_is_a_report(tmp_path, capsys, argv, kind):
         assert (report["residual_in"], report["residual_out"]) == (0.0, 0.0)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_series_blowup_at_term_zero_is_not_a_non_finite_term(tmp_path, capsys):
     # Term 0 is 1e160: finite, though its Frobenius square overflows, so the
     # series reports the partial sum's blow-up, not a non-finite term.
     path = write_trace_file(tmp_path, [[0, 1e80], [1e80, 0.5]], 1)
-    code, out = run(capsys, "trace", "--method", "series", path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out = run(capsys, "trace", "--method", "series", path)
     assert (code, out["error"]) == (1, "series_divergence")
     assert out["message"].startswith("partial sum exceeded 1e+06 at term 0")
 
@@ -824,9 +852,10 @@ DIVERGENT = [[0.0, 1.0, 1.0], [1.0, 1.0, 0.0], [1.0, 0.0, 2.0]]
 )
 def test_lsi_loop_trace_failure_is_a_report(tmp_path, capsys, tap, loop, fragment):
     ports = ["a", "b", "c"][: len(tap)]
-    path = write_kernel(tmp_path, in_ports=ports, out_ports=ports,
-                        taps={"0": matrix_to_literal(tap)})
-    code, out = run(capsys, "lsi", path, "--grid", "2", "--loop", loop)
+    kernel = {"in_ports": ports, "out_ports": ports, "taps": {"0": matrix_to_literal(tap)}}
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(kernel))
+    code, out = run(capsys, "lsi", str(path), "--grid", "2", "--loop", loop)
     assert code == 1
     assert out["error"] == "series_divergence"
     assert out["message"].startswith("loop trace failed at omega=0.000000: ")

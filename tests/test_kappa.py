@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from extrace.kappa import (
     theta,
     verify_guarantee,
 )
-from extrace.linalg import LinalgError, adjoint, operator_norm
+from extrace.linalg import LinalgError, adjoint, classify, operator_norm
 from reference import grover_angle, halting_law
 
 
@@ -131,29 +132,32 @@ class TestKappaMeasure:
         out = kappa_measure(state, KappaMeasurement(1.0, (0,)), 1.0)
         assert not out.certified and out.p_top <= 1.0
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_keep_looping_of_probability_zero_is_an_error(self):
         # At kappa = 1 a state inside the predicate certifies surely; the forced
         # keep-looping branch is the zero vector, which has no normalisation.
-        with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
-            kappa_measure(np.array([1.0, 0.0]), KappaMeasurement(1.0, (0,)), 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
+                kappa_measure(np.array([1.0, 0.0]), KappaMeasurement(1.0, (0,)), 1.0)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_keep_looping_of_rounding_residue_is_an_error(self):
         # At B = 4 one Grover step puts the state on the target up to residue of
         # about 1e-16 an entry, so at kappa = 1 the forced keep-looping branch has
         # probability about 3.7e-32: it is renormalised noise, not a state.
         p = GroverParams(4, kappa=1.0, max_iterations=3)
-        with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
-            grover_statevector(p, force_keep_looping=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
+                grover_statevector(p, force_keep_looping=True)
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_keep_looping_of_rounding_residue_after_two_steps_is_an_error(self):
         # At B = 2 the second Grover step puts the state on the target up to a
         # damped norm of about 4.4e-16; the forced keep-looping branch is noise.
         p = GroverParams(2, kappa=1.0, max_iterations=3)
-        with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
-            grover_statevector(p, force_keep_looping=True)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(LinalgError, match="keep-looping branch has probability 0"):
+                grover_statevector(p, force_keep_looping=True)
 
     def test_agrees_with_the_dilation(self):
         # build_E on state (x) |bot>: the |top> branch has squared norm p_top and,

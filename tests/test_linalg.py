@@ -8,6 +8,7 @@ from extrace.linalg import (
     LinalgError,
     Partition,
     PartitionedMap,
+    adjoint,
     as_matrix,
     classify,
     direct_sum,

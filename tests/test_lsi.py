@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,11 +108,12 @@ def test_parseval_matches_time_domain():
         assert parseval_norm(s, 64) == pytest.approx(s.norm_squared(), abs=1e-9)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_parseval_overflow_is_inf_without_a_warning():
-    # Overflow in the square, and in the transform's own sum.
-    assert parseval_norm(Signal(("a",), {0: [1e200]}), 4) == math.inf
-    assert parseval_norm(Signal(("a",), {0: [1e308], 1: [1e308]}), 4) == math.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # Overflow in the square, and in the transform's own sum.
+        assert parseval_norm(Signal(("a",), {0: [1e200]}), 4) == math.inf
+        assert parseval_norm(Signal(("a",), {0: [1e308], 1: [1e308]}), 4) == math.inf
 
 
 def test_parseval_rejects_tiny_grid():
@@ -121,32 +123,36 @@ def test_parseval_rejects_tiny_grid():
 
 
 def test_lsi_classify_contraction_vs_not():
+    rng = np.random.default_rng(3)
     k_c = FirKernel(("o",), ("i",), {0: [[0.5]], 1: [[0.25]]})
     # norm at omega=0 is 0.75 < 1 but the kernel with taps 0.8/0.8 peaks at 1.6
     k_e = FirKernel(("o",), ("i",), {0: [[0.8]], 1: [[0.8]]})
     assert lsi_classify(dtft(k_c, 32)) == "lsi_contraction"
     assert lsi_classify(dtft(k_e, 32)) == "not_certified"
+    del rng
 
 
 @pytest.mark.parametrize("special", [math.inf, math.nan, complex(0, math.inf)],
                          ids=["inf", "nan", "imaginary_inf"])
 @pytest.mark.parametrize("where", ["all", "one"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lsi_classify_non_finite_sample_is_not_certified(special, where):
     # A sample that is not finite has no norm within the limit, and no trace.
     samples = np.full((8, 2, 2), special) if where == "all" else np.zeros((8, 2, 2), complex)
     samples[3, 1, 0] = special
     r = FrequencyResponse(samples, ("a", "x"), ("c", "x"))
-    assert lsi_classify(r) == "not_certified"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert lsi_classify(r) == "not_certified"
     with pytest.raises(LinalgError, match="^matrix contains non-finite entries$"):
         lsi_ex(r, 1)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_tap_offsets_are_int64():
     # At the int64 ends the transform is finite; 10**400 used to overflow its phase.
     k = FirKernel(("o",), ("i",), {2**63 - 1: [[0.5]], -(2**63): [[0.25]]})
-    assert np.isfinite(dtft(k, 8).samples).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert np.isfinite(dtft(k, 8).samples).all()
     for offset in [2**63, -(2**63) - 1, "9" * 400]:
         with pytest.raises(LinalgError, match="tap offsets must lie in the int64 range"):
             FirKernel(("o",), ("i",), {offset: [[0.5]]})
