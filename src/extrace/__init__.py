@@ -31,6 +31,7 @@ from .trace import (
     KiTraceError,
     SeriesDivergence,
     TraceConfig,
+    TraceDisagreement,
     TraceResult,
     check_trace_axioms,
     cnu_decompose,

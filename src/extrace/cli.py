@@ -5,8 +5,8 @@ a trace is undefined (with a machine-readable JSON report on stdout),
 2 on malformed input or usage errors.  ``main`` reports a trace failure
 from any command by its error's exact class: SeriesDivergence as
 series_divergence, KiTraceError as not_ki_traceable with its residuals,
-and a bare ArithmeticError (series and closed form disagree) as
-trace_failed.  Any other ArithmeticError propagates.
+and TraceDisagreement (series and closed form disagree) as trace_failed.
+Any other ArithmeticError propagates.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .trace import (
     KiTraceError,
     SeriesDivergence,
     TraceConfig,
+    TraceDisagreement,
     check_trace_axioms,
     ex,
     ex_kernel_image,
@@ -37,7 +38,7 @@ OK, CHECK_FAILED, BAD_INPUT = 0, 1, 2
 _TRACE_FAILURES = {
     SeriesDivergence: ("series_divergence", ()),
     KiTraceError: ("not_ki_traceable", ("residual_in", "residual_out")),
-    ArithmeticError: ("trace_failed", ()),
+    TraceDisagreement: ("trace_failed", ()),
 }
 # What from_json raises on JSON of the wrong shape (LinalgError is a ValueError).
 _MALFORMED = (KeyError, TypeError, AttributeError, ValueError)

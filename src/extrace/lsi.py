@@ -9,6 +9,7 @@ responses.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -37,6 +38,14 @@ CSV_CHUNK_ROWS = 1 << 12  # rows per write: at most about 0.3 MiB of CSV text at
 GRID_WORK_CAP = 2**26
 
 
+def _as_time(t, what: str) -> int:
+    """An integer time as a Python int; int() would truncate 1.5 to 1."""
+    try:
+        return operator.index(t)
+    except TypeError:
+        raise LinalgError(f"{what} must be integers, not {t!r}") from None
+
+
 @dataclass(frozen=True)
 class FirKernel:
     """Finitely many matrix taps, one per integer time offset."""
@@ -56,7 +65,7 @@ class FirKernel:
                 raise LinalgError(
                     f"tap at t={t} has shape {m.shape}, ports require {shape}"
                 )
-            t = int(t)
+            t = _as_time(t, "tap offsets")
             if not -(2**63) <= t < 2**63:  # an int64, so its phase e^{-i w t} is a float
                 raise LinalgError("tap offsets must lie in the int64 range")
             fixed[t] = m
@@ -125,7 +134,7 @@ class Signal:
             v = np.asarray(v, dtype=np.complex128).reshape(-1)
             if v.size != len(self.ports):
                 raise LinalgError(f"signal sample at t={t} has wrong port count")
-            fixed[int(t)] = v
+            fixed[_as_time(t, "sample times")] = v
         object.__setattr__(self, "samples", fixed)
 
     def norm_squared(self) -> float:

@@ -38,6 +38,7 @@ __all__ = [
     "KiTraceError",
     "SeriesDivergence",
     "TraceConfig",
+    "TraceDisagreement",
     "TraceResult",
     "check_trace_axioms",
     "cnu_decompose",
@@ -58,6 +59,10 @@ _KI, _BOTH, _SERIES = range(3)
 
 class SeriesDivergence(ArithmeticError):
     """The path series does not converge in norm."""
+
+
+class TraceDisagreement(ArithmeticError):
+    """The series and the closed form give values farther apart than compare_tol."""
 
 
 class KiTraceError(ArithmeticError):
@@ -214,14 +219,15 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
             stay = ~stop
             if not stay.any():
                 break
-            live, acc, bound, ratio = live[stay], acc[stay], bound[stay], ratio[stay]
-            reach, quiet, lo = reach[stay], quiet[stay], lo[stay]
-            left, f_ua, f_uu = left[stay], f_ua[stay], f_uu[stay]
+            if not stay.all():  # a copy changes the layout, by which matmul rounds
+                live, acc, bound, ratio = live[stay], acc[stay], bound[stay], ratio[stay]
+                reach, quiet, lo = reach[stay], quiet[stay], lo[stay]
+                left, f_ua, f_uu = left[stay], f_ua[stay], f_uu[stay]
         left = left @ f_uu
     return total, terms, term_norm, converged, errors
 
 
-def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, m):
+def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact):
     """Closed-form trace via witnesses i, k with f_UA = (id - f_UU) i and
     f_BU = k (id - f_UU), for every stack entry at once, from one SVD of
     id - f_UU.  Singular values below 1e-10 * sigma_max count as exact
@@ -229,10 +235,10 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, m):
     Residuals and agreement take exact norms (one SVD each) where ``exact``
     marks an entry, whose residual is reported, or a check fails, both
     residuals then; elsewhere the brackets settle them.  Residuals are
-    judged against ``scale``; a failing entry reports them against
-    max(||m||, 1) of its matrix in the stack ``m``.  An entry whose value,
-    residuals or agreement is not finite fails before any norm is taken.
-    Returns the values, witness residuals and errors by entry."""
+    judged, and a failing entry's reported, against its ``scale``.  An
+    entry whose value, residuals or agreement is not finite fails before
+    any norm is taken.  Returns the values, witness residuals and errors by
+    entry."""
     h = np.eye(f_uu.shape[-1]) - f_uu
     h_pinv = stack_pinv(h, 1e-10)
     with np.errstate(over="ignore", invalid="ignore"):  # an entry that overflows fails below
@@ -253,8 +259,7 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, m):
     fails = ~finite | (residual > cfg.ki_residual_tol) | (agree > cfg.compare_tol * scale)
     for i in np.flatnonzero(fails):
         if not finite[i] or residual[i] > cfg.ki_residual_tol:
-            s = max(operator_norm(m[i]), 1.0)
-            res_in[i], res_out[i] = (operator_norm(d[i]) / s if np.isfinite(d[i]).all()
+            res_in[i], res_out[i] = (operator_norm(d[i]) / scale[i] if np.isfinite(d[i]).all()
                                      else math.inf for d in diffs[:2])
             msg = (
                 "not ki-traceable: witness residuals "
@@ -295,7 +300,7 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False, route
     norm = bracket_norms(m, limit, math.inf)  # exact at and above the limit
     contraction = norm <= limit
     scale = np.where(contraction, 1.0, norm)  # a contraction's residuals are judged against 1
-    values, residual, errors = _kernel_image(*blocks, scale, cfg, (route == _KI) | ~contraction, m)
+    values, residual, errors = _kernel_image(*blocks, scale, cfg, (route == _KI) | ~contraction)
     if route == _BOTH:
         # A contraction must pass both routes; any other entry whose closed
         # form fails takes the series value instead.
@@ -307,7 +312,7 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False, route
         _raise_first(errors)
         return values, _ROUTES[routes], terms, residual, converged
     alone = routes[idx] == _SERIES
-    # Contiguous copies, as the reference gathers them: matmul rounds by the layout.
+    # Contiguous copies: matmul rounds by the layout, and the golden bytes were taken on these.
     s_value, s_terms, s_norm, s_converged, s_errors = _series(
         *(x.take(idx, axis=0) for x in blocks), cfg, alone
     )
@@ -329,7 +334,7 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False, route
                 f"(last increment {s_norm[j]:.3e})"
             ))
         else:
-            errors.setdefault(int(idx[j]), ArithmeticError(
+            errors.setdefault(int(idx[j]), TraceDisagreement(
                 "internal consistency failure: series and kernel-image "
                 f"values differ by {g:.3e}"
             ))

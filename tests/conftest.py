@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from extrace import kappa
+from extrace import kappa, trace
+from extrace.linalg import stack_norms
 
 
 @pytest.fixture
@@ -48,3 +51,20 @@ def svd_shapes(monkeypatch):
         return list(shapes)
 
     return record
+
+
+@pytest.fixture(scope="session")
+def brackets_off():
+    """brackets_off(fn, *args, **kwargs) calls fn on the brackets-off twin of
+    the trace core: trace.bracket_norms returns exact norms, and
+    trace.fro_norms NaN, which decides nothing, so the series takes no quiet
+    term, no blow-up bound and no finiteness screen from a Frobenius norm.
+    Every norm the brackets would settle is then taken by its exact check."""
+
+    def call(fn, *args, **kwargs):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(trace, "bracket_norms", lambda m, lo, hi, fro=None: stack_norms(m))
+            patch.setattr(trace, "fro_norms", lambda m: np.full(m.shape[:-2], math.nan))
+            return fn(*args, **kwargs)
+
+    return call

@@ -159,25 +159,38 @@ def test_axioms_trace_failure_is_a_report(capsys):
     assert all(isinstance(out[k], float) for k in ("residual_in", "residual_out"))
 
 
+def test_routes_that_disagree_are_a_trace_failed_report(tmp_path, capsys):
+    # A loose series tolerance stops the series about 1e-3 short of the
+    # closed form on a contraction: a TraceDisagreement, reported without residuals.
+    path = write_trace_file(tmp_path, [[0.2, 0.3], [0.3, 0.8]], 1)
+    code, out = run(capsys, "trace", "--method", "both", "--tol", "1e-3", path)
+    assert code == 1
+    assert out["error"] == "trace_failed"
+    assert out["message"].startswith("internal consistency failure: series and kernel-image")
+    assert list(out) == ["error", "message"]
+
+
 @pytest.mark.parametrize(
-    "target,argv",
+    "target,argv,error",
     [
-        ("ex", ["trace", "--method", "both"]),
-        ("lsi_ex", ["lsi", "--grid", "8", "--loop", "1"]),
+        ("ex", ["trace", "--method", "both"], OverflowError),
+        ("lsi_ex", ["lsi", "--grid", "8", "--loop", "1"], OverflowError),
+        ("ex", ["trace", "--method", "both"], ArithmeticError),
     ],
-    ids=["trace", "lsi_loop"],
+    ids=["trace", "lsi_loop", "trace-bare"],
 )
 def test_other_arithmetic_errors_propagate_out_of_main(tmp_path, capsys, monkeypatch,
-                                                       target, argv):
+                                                       target, argv, error):
     # Only the trace layer's three failure classes are reports; any other
-    # ArithmeticError is a fault and leaves main as it was raised.
-    def overflow(*_):
-        raise OverflowError("stray overflow")
+    # ArithmeticError, a bare one too, is a fault and leaves main as it was raised.
+    def stray(*_):
+        raise error("stray error")
 
-    monkeypatch.setattr(cli, target, overflow)
+    monkeypatch.setattr(cli, target, stray)
     path = write_trace_file(tmp_path, HADAMARD, 1) if target == "ex" else write_kernel(tmp_path)
-    with pytest.raises(OverflowError, match="stray overflow"):
+    with pytest.raises(error, match="stray error") as raised:
         main([*argv, path])
+    assert type(raised.value) is error
     assert capsys.readouterr().out == ""
 
 

@@ -1,162 +1,30 @@
-"""The trace core must give what its earlier form gave, bit for bit.
+"""The trace core's brackets must change no outcome, bit for bit.
 
-The earlier form, frozen below, took an exact SVD for every norm it
-compared and built the witnesses with ``np.linalg.pinv``.  The core now
-settles most of those norms by their Frobenius and Gram brackets and builds
-the pseudoinverse from one SVD, so values, routes, term counts, reported
-residuals, flags and error messages are compared byte for byte."""
+The core settles most of the norms it only compares with a tolerance by
+their Frobenius and Gram brackets (``linalg.bracket_norms``), and lets a
+series term whose Frobenius norm is surely quiet skip its checks.  The
+brackets-off twin (the ``brackets_off`` fixture) is the same core with every
+such norm exact and every Frobenius shortcut off.  Each input runs on both,
+and values, routes, term counts, reported residuals, flags and errors are
+compared byte for byte.  The twin follows the engine, so it pins no
+algorithm: tests/test_golden.py pins the bytes, and every value whose
+matrix has at most 8 rows is checked against reference.schur, a 50-digit
+solve."""
 
 import math
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 import pytest
+from reference import schur
 
 from extrace import trace
-from extrace.linalg import DEFAULT_TOL, random_unitary, stack_norms, stack_pinv, two_block
-from extrace.trace import KiTraceError, SeriesDivergence, TraceConfig
+from extrace.linalg import operator_norm, random_unitary, stack_norms, stack_pinv, two_block
+from extrace.trace import KiTraceError, TraceConfig
 
-# ---------------------------------------------------------------------------
-# Frozen reference: one SVD per compared norm, pinv witnesses
-
-
-def ref_tail_ratio(f_uu):
-    dim = f_uu.shape[-1]
-    probe = np.linalg.matrix_power(f_uu, dim)
-    r = stack_norms(probe) ** (1.0 / dim)
-    r2 = stack_norms(probe @ probe) ** (1.0 / (2 * dim))
-    return np.minimum(r, r2)
-
-
-def ref_series(f_ba, f_bu, f_ua, f_uu, cfg):
-    n = f_ba.shape[0]
-    total = f_ba.copy()
-    terms = np.zeros(n, dtype=np.int64)
-    term_norm = np.full(n, math.inf)
-    converged = np.zeros(n, dtype=bool)
-    errors = {}
-    live = np.arange(n)
-    ratio = ref_tail_ratio(f_uu)
-    left = f_bu
-    near = cfg.series_tol * math.sqrt(min(f_ba.shape[1:])) * (1 + 1e-9)
-    for t in range(cfg.max_terms):
-        if live.size == 0:
-            break
-        term = left @ f_ua
-        bad = ~np.isfinite(term).all(axis=(-2, -1))
-        term[bad] = 0.0
-        total[live] += term
-        terms[live] = t + 1
-        exact = (np.linalg.norm(term, axis=(-2, -1)) <= near) | (t == cfg.max_terms - 1)
-        tn = np.full(live.size, math.inf)
-        if exact.any():
-            tn[exact] = stack_norms(term[exact])
-        term_norm[live] = tn
-        acc = total[live]
-        blown = ~bad & (np.linalg.norm(acc, axis=(-2, -1)) > cfg.blowup * (1 - 1e-9))
-        if blown.any():
-            blown[blown] = stack_norms(acc[blown]) > cfg.blowup
-        for i in live[bad]:
-            errors[int(i)] = SeriesDivergence(f"non-finite entries at series term {t}")
-        for i in live[blown]:
-            errors[int(i)] = SeriesDivergence(
-                f"partial sum exceeded {cfg.blowup:g} at term {t}; "
-                "the series does not converge in norm"
-            )
-        done = ~bad & ~blown & (tn <= cfg.series_tol)
-        if done.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                tail = np.where(ratio < 1.0, tn * ratio / (1.0 - ratio), math.inf)
-            tail[tn == 0.0] = 0.0
-            done &= tail <= cfg.series_tol
-        converged[live[done]] = True
-        stay = ~(bad | blown | done)
-        if not stay.all():
-            live = live[stay]
-            ratio = ratio[stay]
-            left = left[stay]
-            f_ua = f_ua[stay]
-            f_uu = f_uu[stay]
-        left = left @ f_uu
-    return total, terms, term_norm, converged, errors
-
-
-def ref_kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg):
-    h = np.eye(f_uu.shape[-1]) - f_uu
-    h_pinv = np.linalg.pinv(h, rcond=1e-10)
-    i_wit = h_pinv @ f_ua
-    k_wit = f_bu @ h_pinv
-    res_in = stack_norms(h @ i_wit - f_ua) / scale
-    res_out = stack_norms(k_wit @ h - f_bu) / scale
-    residual = np.maximum(res_in, res_out)
-    value = f_ba + k_wit @ f_ua
-    agree = stack_norms(value - (f_ba + f_bu @ i_wit))
-    errors = {}
-    for i in np.flatnonzero((residual > cfg.ki_residual_tol) | (agree > cfg.compare_tol * scale)):
-        if residual[i] > cfg.ki_residual_tol:
-            msg = (
-                "not ki-traceable: witness residuals "
-                f"{res_in[i]:.3e} (input) / {res_out[i]:.3e} (output) exceed "
-                f"{cfg.ki_residual_tol:g}"
-            )
-        else:
-            msg = f"witness forms disagree by {agree[i]:.3e}"
-        errors[int(i)] = KiTraceError(msg, float(res_in[i]), float(res_out[i]))
-    return value, residual, errors
-
-
-def ref_trace_core(m, k, cfg):
-    m = np.asarray(m, dtype=np.complex128)
-    n = m.shape[0]
-    f_ba, f_bu, f_ua, f_uu = trace._blocks(m, k)
-    method = np.full(n, "both_agree", dtype=object)
-    terms = np.zeros(n, dtype=np.int64)
-    converged = np.ones(n, dtype=bool)
-    if k == 0:
-        return f_ba.copy(), method, terms, np.zeros(n), converged
-    norm = stack_norms(m)
-    contraction = norm <= 1.0 + DEFAULT_TOL
-    values, residual, ki_errors = ref_kernel_image(
-        f_ba, f_bu, f_ua, f_uu, np.maximum(norm, 1.0), cfg
-    )
-    errors = {i: e for i, e in ki_errors.items() if contraction[i]}
-    fallback = np.isin(np.arange(n), list(ki_errors)) & ~contraction
-    method[~contraction] = "kernel_image"
-    method[fallback] = "series"
-    idx = np.flatnonzero(contraction | fallback)
-    if idx.size == 0:
-        return values, method, terms, residual, converged
-    s_value, s_terms, s_norm, s_converged, s_errors = ref_series(
-        f_ba[idx], f_bu[idx], f_ua[idx], f_uu[idx], cfg
-    )
-    for j, e in s_errors.items():
-        errors.setdefault(int(idx[j]), e)
-    terms[idx] = s_terms
-    alone = ~contraction[idx]
-    values[idx[alone]] = s_value[alone]
-    residual[idx[alone]] = s_norm[alone]
-    converged[idx[alone]] = s_converged[alone]
-    both = np.flatnonzero(~alone)
-    gap = stack_norms(values[idx[both]] - s_value[both])
-    residual[idx[both]] = gap
-    for j, g in zip(both, gap):
-        if not s_converged[j]:
-            errors.setdefault(int(idx[j]), SeriesDivergence(
-                "series failed to converge on a contraction input "
-                f"(last increment {s_norm[j]:.3e})"
-            ))
-        elif g > cfg.compare_tol:
-            errors.setdefault(int(idx[j]), ArithmeticError(
-                "internal consistency failure: series and kernel-image "
-                f"values differ by {g:.3e}"
-            ))
-    trace._raise_first(errors)
-    return values, method, terms, residual, converged
-
-
-# ---------------------------------------------------------------------------
-# Observable outcomes
+# Values are checked against reference.schur up to this many rows (mpmath's cost).
+EXACT_MAX_DIM = 8
 
 
 def error_key(e):
@@ -195,60 +63,84 @@ def kernel_image_outcome(value, residual, errors):
     return value.tobytes(), residual.tobytes(), {i: error_key(e) for i, e in errors.items()}
 
 
-def entry_error_key(e):
-    return type(e), str(e), getattr(e, "residual_in", None), getattr(e, "residual_out", None)
-
-
 def entry_outcome(route, f, cfg):
     """What a public single-matrix entry returns or raises."""
     try:
         r = route(f, "U", cfg)
     except ArithmeticError as e:
-        return entry_error_key(e)
+        return error_key(e)
     return r.value.tobytes(), r.terms_used, np.float64(r.residual).tobytes(), r.converged
 
 
-def reference_entry(value, terms, residual, converged, errors):
-    """The same, from a reference route's outcome on a one-entry stack."""
-    if errors:
-        return entry_error_key(errors[0])
-    return value[0].tobytes(), int(terms[0]), residual[:1].tobytes(), bool(converged[0])
+@cache
+def exact_trace(data: bytes, shape: tuple, k: int):
+    """reference.schur of the matrix with these bytes, taken once for every config."""
+    return schur(np.frombuffer(data, dtype=np.complex128).reshape(shape), k)
 
 
-def assert_same(m, k, cfg):
+def assert_exact_values(m, k, outcome, cfg):
+    """Every converged value of a core outcome lies within compare_tol *
+    max(||m||, 1) of the exact trace, wherever that is defined."""
+    b, a = m.shape[1] - k, m.shape[2] - k
+    if not isinstance(outcome[0], bytes) or m.shape[1] > EXACT_MAX_DIM or k == 0 or b * a == 0:
+        return
+    values = np.frombuffer(outcome[0], dtype=np.complex128).reshape(-1, b, a)
+    for x, value, converged in zip(m, values, outcome[4]):
+        exact = exact_trace(x.tobytes(), x.shape, k) if converged else None
+        if exact is not None:
+            assert operator_norm(value - exact) <= cfg.compare_tol * max(operator_norm(x), 1.0)
+
+
+def first_time(seen: set, *key) -> bool:
+    """Whether key is new to seen, which holds it from now on."""
+    new = key not in seen
+    seen.add(key)
+    return new
+
+
+def assert_same(twin, seen, m, k, cfg):
+    """The core, its two routes and the public entries give on m what the
+    brackets-off twin gives, and the core's values are the exact trace.
+    ``seen`` records what was compared: the series reads only series_tol,
+    max_terms and blowup, and the closed form only ki_residual_tol and
+    compare_tol, so each route is compared once per setting of those."""
     m = np.asarray(m, dtype=np.complex128)
-    want = core_outcome(ref_trace_core, m, k, cfg)
-    assert core_outcome(partial(trace._trace_core, report_gap=True), m, k, cfg) == want
+    core = partial(trace._trace_core, report_gap=True)
+    want = core_outcome(partial(twin, core), m, k, cfg)
+    assert core_outcome(core, m, k, cfg) == want
     assert without_gaps(core_outcome(trace._trace_core, m, k, cfg)) == without_gaps(want)
+    data = (hash(m.tobytes()), m.shape, k)
+    if first_time(seen, "values", *data, hash(want[0]), cfg.compare_tol):
+        assert_exact_values(m, k, want, cfg)
     if k == 0:
         return
-    blocks = trace._blocks(m, k)
     # Expansions whose tail ratio does not fall below 1 run the series route
     # to max_terms; 2,000 terms reach the same last-term rule much sooner.
     s_cfg = replace(cfg, max_terms=min(cfg.max_terms, 2000))
-    ref_s = ref_series(*blocks, s_cfg)
-    assert series_outcome(*trace._series(*blocks, s_cfg)) == series_outcome(*ref_s)
-    scale = max(float(np.max(stack_norms(m))), 1.0)
-    ref_ki = ref_kernel_image(*blocks, scale, cfg)
-    # The reference reports a failing entry's residuals against scale, the
-    # norm of every matrix in this stack of 1x1 matrices [scale].
-    at_scale = np.full((m.shape[0], 1, 1), scale, dtype=np.complex128)
-    assert kernel_image_outcome(
-        *trace._kernel_image(*blocks, scale, cfg, True, at_scale)
-    ) == kernel_image_outcome(*ref_ki)
-    if m.shape[0] > 1:
+    new_series = first_time(seen, "series", *data, s_cfg.series_tol, s_cfg.max_terms, s_cfg.blowup)
+    new_ki = first_time(seen, "closed form", *data, cfg.ki_residual_tol, cfg.compare_tol)
+    if m.shape[0] == 1:  # the public entries run the routes on one matrix
+        f = two_block(m[0], k)
+        for new, route, c in ((new_series, trace.ex_series, s_cfg),
+                              (new_ki, trace.ex_kernel_image, cfg)):
+            if new:
+                assert entry_outcome(route, f, c) == entry_outcome(partial(twin, route), f, c)
         return
-    # The public entries are routes of the core; ex_kernel_image judges a
-    # contraction's residuals against 1, so its reported residual is the
-    # reference's only where ||m|| lies outside (1, 1 + DEFAULT_TOL].
-    f = two_block(m[0], k)
-    assert entry_outcome(trace.ex_series, f, s_cfg) == reference_entry(*ref_s)
-    value, residual, errors = ref_ki
-    got = entry_outcome(trace.ex_kernel_image, f, cfg)
-    want = reference_entry(value, np.zeros(1, dtype=np.int64), residual, np.ones(1, bool), errors)
-    if 1.0 < scale <= 1.0 + DEFAULT_TOL and isinstance(want[0], bytes):
-        got, want = got[:2] + got[3:], want[:2] + want[3:]
-    assert got == want
+    blocks = trace._blocks(m, k)
+    if new_series:
+        series = partial(trace._series, *blocks, s_cfg)
+        assert series_outcome(*series()) == series_outcome(*twin(series))
+    if new_ki:
+        scale = np.maximum(stack_norms(m), 1.0)
+        closed_form = partial(trace._kernel_image, *blocks, scale, cfg, True)
+        assert kernel_image_outcome(*closed_form()) == kernel_image_outcome(*twin(closed_form))
+
+
+@pytest.fixture(scope="module")
+def same(brackets_off):
+    """same(m, k, cfg) is assert_same against the twin, with one record of
+    what was compared for the whole module."""
+    return partial(assert_same, brackets_off, set())
 
 
 # ---------------------------------------------------------------------------
@@ -290,24 +182,24 @@ def unitary_loop(rng, n, k, eps):
 
 @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
 @pytest.mark.parametrize("n", SIZES)
-def test_random_contractions_and_expansions_match_the_reference(n, cfg):
+def test_random_contractions_and_expansions_match_the_reference(same, n, cfg):
     rng = np.random.default_rng(n)
     for k in loop_sizes(n):
         for scale in SCALES:
-            assert_same(with_norm(rng, n, scale)[None], k, cfg)
+            same(with_norm(rng, n, scale)[None], k, cfg)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
-def test_unitary_loop_blocks_match_the_reference(cfg):
+def test_unitary_loop_blocks_match_the_reference(same, cfg):
     rng = np.random.default_rng(7)
     for n, k in ((2, 1), (3, 2), (4, 4), (6, 3), (9, 5)):
         for eps in (0.0, 1e-13, 1e-11, 1e-9, 1e-6, 0.5):
-            assert_same(unitary_loop(rng, n, k, eps)[None], k, cfg)
+            same(unitary_loop(rng, n, k, eps)[None], k, cfg)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
 @pytest.mark.parametrize("n", (2, 4, 7))
-def test_mixed_stacks_match_the_reference(n, cfg):
+def test_mixed_stacks_match_the_reference(same, n, cfg):
     # Contractions, boundary cases, expansions and resonant loops in one
     # stack; a stack stops at its first failing entry, so each stack is
     # also run without its failing entries.
@@ -316,9 +208,9 @@ def test_mixed_stacks_match_the_reference(n, cfg):
         stack = [with_norm(rng, n, scale) for scale in rng.choice(SCALES, 40)]
         stack += [unitary_loop(rng, n, k, eps) for eps in rng.choice([0.0, 1e-12, 1e-3], 10)]
         stack = np.array(stack)[rng.permutation(50)]
-        assert_same(stack, k, cfg)
-        alone = [core_outcome(ref_trace_core, stack[i : i + 1], k, cfg) for i in range(50)]
-        assert_same(stack[[isinstance(out[0], bytes) for out in alone]], k, cfg)
+        same(stack, k, cfg)
+        alone = [core_outcome(trace._trace_core, stack[i : i + 1], k, cfg) for i in range(50)]
+        same(stack[[isinstance(out[0], bytes) for out in alone]], k, cfg)
 
 
 def test_pseudoinverse_from_one_svd_equals_numpy_pinv():
@@ -344,19 +236,19 @@ def resonant_mix(rng, n, k, theta):
 
 
 @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
-def test_divergent_non_finite_and_resonant_inputs_match_the_reference(cfg):
+def test_divergent_non_finite_and_resonant_inputs_match_the_reference(same, cfg):
     rng = np.random.default_rng(11)
     # loop block [[1, 1], [0, 1]]: no witness, the t-th term is t + 1
     jordan = np.array([[0.5, 1, 0], [1, 1, 1], [1, 0, 1]], dtype=np.complex128)
     # f_UU = diag(1e70, 0.5): the t-th term is 0.5^t until f_BU f_UU^5 overflows
     overflow = np.array([[0, 1, 1], [0, 1e70, 0], [1, 0, 0.5]], dtype=np.complex128)
-    assert_same(jordan[None], 2, cfg)
+    same(jordan[None], 2, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert_same(overflow[None], 2, cfg)
+        same(overflow[None], 2, cfg)
     if cfg.max_terms <= 7:  # the resonant series would run to max_terms
         for n, k in ((3, 2), (5, 3), (8, 4)):
             for theta in (1e-7, 1e-4):
-                assert_same(resonant_mix(rng, n, k, theta)[None], k, cfg)
+                same(resonant_mix(rng, n, k, theta)[None], k, cfg)
 
 
 def first_draw(draw, accept):
@@ -369,7 +261,7 @@ def first_draw(draw, accept):
     pytest.skip("no draw splits the Frobenius and SVD norms on this build")
 
 
-def test_bracket_margins_hold_where_rounding_splits_the_two_norms():
+def test_bracket_margins_hold_where_rounding_splits_the_two_norms(same):
     # The Frobenius and SVD norms round differently.  A rank-one sum whose
     # SVD norm lies two ulps above its Frobenius norm blows up at a bound
     # between them; a unitary term whose Frobenius norm rounds above
@@ -387,7 +279,7 @@ def test_bracket_margins_hold_where_rounding_splits_the_two_norms():
     m = np.zeros((4, 4), dtype=np.complex128)
     m[:3, 3:], m[3:, :3] = col, row
     bound = np.nextafter(np.linalg.norm(col @ row), math.inf)
-    assert_same(m[None], 1, TraceConfig(blowup=float(bound)))
+    same(m[None], 1, TraceConfig(blowup=float(bound)))
 
     def rounds_above(q):
         term = q @ np.eye(3)
@@ -396,7 +288,7 @@ def test_bracket_margins_hold_where_rounding_splits_the_two_norms():
     q = first_draw(lambda: random_unitary(3, rng), rounds_above)
     m = np.zeros((6, 6), dtype=np.complex128)
     m[:3, 3:], m[3:, :3] = q, np.eye(3)
-    assert_same(m[None], 3, TraceConfig(series_tol=float(stack_norms(q @ np.eye(3)))))
+    same(m[None], 3, TraceConfig(series_tol=float(stack_norms(q @ np.eye(3)))))
 
 
 def nilpotent_loop(rng, n, k, scale):
@@ -409,42 +301,42 @@ def nilpotent_loop(rng, n, k, scale):
 
 
 @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
-def test_runs_of_quiet_terms_end_as_the_reference_ends_them(cfg):
+def test_runs_of_quiet_terms_end_as_the_reference_ends_them(same, cfg):
     # A quiet term is one far from the certificate, with finite norms and
     # the partial-sum bound below blowup, for every live entry.  Each input
     # below ends a run of such terms at one edge of that rule.
     rng = np.random.default_rng(23)
     # One entry comes within reach of the certificate while another is quiet.
     for n, k in ((3, 1), (4, 2), (6, 3)):
-        assert_same(np.array([with_norm(rng, n, 0.2), with_norm(rng, n, 0.97)]), k, cfg)
-        assert_same(np.array([with_norm(rng, n, s) for s in (0.97, 0.05, 0.6, 0.99)]), k, cfg)
+        same(np.array([with_norm(rng, n, 0.2), with_norm(rng, n, 0.97)]), k, cfg)
+        same(np.array([with_norm(rng, n, s) for s in (0.97, 0.05, 0.6, 0.99)]), k, cfg)
     # The bound crosses blowup after quiet terms 1.5^t; with alternating
     # signs the partial sums stay below it for some terms after that.
     for loop in (1.5, -1.5, 3.0):
-        assert_same(np.array([[[0.0, 1.0], [1.0, loop]]]), 1, cfg)
+        same(np.array([[[0.0, 1.0], [1.0, loop]]]), 1, cfg)
     # f_UU = diag(1e16, 0.9): terms 0.9^t until f_BU f_UU^20 overflows.
     overflow = np.array([[0, 1, 1], [0, 1e16, 0], [1, 0, 0.9]], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert_same(overflow[None], 2, cfg)
+        same(overflow[None], 2, cfg)
     # The last term would otherwise be quiet.
     for max_terms in (1, 2, 3):
         short = replace(cfg, max_terms=max_terms)
-        assert_same(with_norm(rng, 3, 0.9)[None], 1, short)
-        assert_same(np.array([with_norm(rng, 4, 0.9), with_norm(rng, 4, 1.5)]), 2, short)
+        same(with_norm(rng, 3, 0.9)[None], 1, short)
+        same(np.array([with_norm(rng, 4, 0.9), with_norm(rng, 4, 1.5)]), 2, short)
     # A nilpotent loop block: quiet terms, then exact zeros.
     for n, k in ((3, 2), (5, 3), (7, 4)):
         for scale in (0.9, 2.0):
-            assert_same(nilpotent_loop(rng, n, k, scale)[None], k, cfg)
+            same(nilpotent_loop(rng, n, k, scale)[None], k, cfg)
 
 
 @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
-def test_terms_whose_frobenius_norm_underflows_match_the_reference(cfg):
+def test_terms_whose_frobenius_norm_underflows_match_the_reference(same, cfg):
     # The second series term, about coupling^2 * tiny, is nonzero but its
-    # Frobenius norm underflows to 0; it still certifies as the reference
-    # certifies it, not by the exactly-zero-term rule one term later.
+    # Frobenius norm underflows to 0; it still certifies by its exact norm,
+    # not by the exactly-zero-term rule one term later.
     for coupling, tiny in ((1e-3, 1e-158), (1e-3, 1e-159), (1e-2, 1e-159), (1e-2, 1e-160)):
         m = np.array([[0.5, coupling, coupling], [coupling, tiny, tiny], [coupling, 0, tiny]])
-        assert_same(m[None], 2, cfg)
+        same(m[None], 2, cfg)
 
 
 def one_port_loop(loop, body=(0.3, 0.2, 0.1)):
@@ -454,9 +346,9 @@ def one_port_loop(loop, body=(0.3, 0.2, 0.1)):
 
 
 @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
-def test_one_port_loops_match_the_reference(cfg):
+def test_one_port_loops_match_the_reference(same, cfg):
     # 1x1 loop blocks take zgesdd's arithmetic in numpy inside its window and
-    # the SVD outside it; the reference takes the SVD and np.linalg.pinv.
+    # the SVD outside it (tests/test_small_blocks.py pins both to numpy's).
     h = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
     delay_at_zero = h.copy()  # hadamard_delay_loop's body at omega = 0, imaginary parts -0.0
     delay_at_zero.imag = -0.0
@@ -464,8 +356,8 @@ def test_one_port_loops_match_the_reference(cfg):
     tame = [delay_at_zero, h, swap, one_port_loop(-0.7), one_port_loop(-1.0),
             one_port_loop(complex(-0.6, -0.0), (0.6, 0.5, 0.5))]
     for m in tame:
-        assert_same(m[None], 1, cfg)
-    assert_same(np.array(tame), 1, cfg)
+        same(m[None], 1, cfg)
+    same(np.array(tame), 1, cfg)
     # id - f_UU and f_UU^2 near zgesdd's rescaling lines and the window's edges
     edges = [one_port_loop(v) for v in (
         1e135, -1e135, 1e140, 1e-135, 1e-140, 1e135j, -1e-140j, 10**67.5, 1e70,
@@ -473,22 +365,25 @@ def test_one_port_loops_match_the_reference(cfg):
         1 - 0.999999e-130j)]
     with np.errstate(over="ignore", invalid="ignore"):
         for m in edges:
-            assert_same(m[None], 1, cfg)
+            same(m[None], 1, cfg)
         # one entry outside the window sends the whole stack to the SVD
-        assert_same(np.array(tame + edges[-4:-2]), 1, cfg)
+        same(np.array(tame + edges[-4:-2]), 1, cfg)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1 + 3e-16, 1 + 2e-11])
-def test_contraction_without_witness_reports_against_its_norm(scale):
+def test_contraction_without_witness_reports_against_its_norm(same, scale):
     # A rotation by about 1.4e-6 between the body and the first loop port,
     # beside a loop port of gain 0.5: id - f_UU has a singular value of at
-    # most 2e-11, below the pinv cutoff, so no witness exists.  The
-    # contraction test judges residuals against 1, yet the error reports
-    # them against max(||m||, 1), as the reference does.
+    # most 2e-11, below the pinv cutoff, so no witness exists.  Up to norm
+    # 1 + DEFAULT_TOL the matrix is a contraction, whose residuals are
+    # judged against a scale of 1; the error reports them against the same
+    # scale, so the larger of the two is the residual the closed form judged.
     c = 1 - 1e-12
     s = math.sqrt(1 - c * c)
     m = scale * np.array([[c, -s, 0], [s, c, 0], [0, 0, 0.5]], dtype=np.complex128)
     cfg = TraceConfig(max_terms=7)  # the series is resonant, and the closed form fails first
-    assert_same(m[None], 2, cfg)
-    with pytest.raises(KiTraceError, match="not ki-traceable"):
+    same(m[None], 2, cfg)
+    with pytest.raises(KiTraceError, match="not ki-traceable") as failure:
         trace._trace_core(m[None], 2, cfg)
+    _, judged, _ = trace._kernel_image(*trace._blocks(m[None], 2), np.ones(1), cfg, True)
+    assert max(failure.value.residual_in, failure.value.residual_out) == judged[0]

@@ -353,13 +353,6 @@ class TestTrajectoryAccuracy:
 
 
 class TestStatevector:
-    def test_conditional_matches_recurrence(self):
-        p = GroverParams(16, max_iterations=200)
-        run = grover_statevector(p, force_keep_looping=True)
-        rec = grover_recurrence(p, 200)[1:]
-        folded = np.arcsin(np.abs(np.sin(rec)))
-        assert np.max(np.abs(np.array(run.angles) - folded)) < 1e-9
-
     @pytest.mark.parametrize("b", [16, 64, 256, 4096])
     def test_conditional_matches_premeasurement_angles(self, b):
         # Iteration t + 1 measures at b_t + 2 alpha, so b_1..b_N are the

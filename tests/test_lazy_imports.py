@@ -14,17 +14,17 @@ import extrace
 
 SRC = str(Path(extrace.__file__).resolve().parent.parent)
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
-# The names `from extrace import *` bound when every module loaded eagerly.
+# The names `from extrace import *` binds, the deferred exports among them.
 STAR_NAMES = sorted([
     "FirKernel", "FrequencyResponse", "GroverParams", "KappaMeasurement", "KiTraceError",
     "LinalgError", "Partition", "PartitionedMap", "RuntimeBound", "SeriesDivergence", "Signal",
-    "TraceConfig", "TraceResult", "build_E", "check", "check_trace_axioms", "classify",
-    "cnu_decompose", "convolve", "dtft", "ex", "ex_kernel_image", "ex_series",
+    "TraceConfig", "TraceDisagreement", "TraceResult", "build_E", "check", "check_trace_axioms",
+    "classify", "cnu_decompose", "convolve", "dtft", "ex", "ex_kernel_image", "ex_series",
     "grover_montecarlo", "grover_recurrence", "grover_runtime_bound", "grover_statevector",
     "guarantee_f", "halmos_dilation", "kappa", "kappa_measure", "linalg", "lsi", "lsi_classify",
-    "lsi_ex", "matrix_from_literal", "matrix_to_literal", "operator_norm", "parse",
-    "parse_source", "parseval_norm", "qwhile", "robustness_g", "runtime_bound", "semantics",
-    "theta", "trace", "two_block", "verify_guarantee",
+    "lsi_ex", "matrix_from_literal", "matrix_to_literal", "operator_norm", "parse", "parse_source",
+    "parseval_norm", "qwhile", "robustness_g", "runtime_bound", "semantics", "theta", "trace",
+    "two_block", "verify_guarantee",
 ])
 # Runs main(argv) quietly, then prints which deferred modules are still
 # unexecuted; type() reads a module's class without triggering its load.

@@ -153,9 +153,26 @@ def test_tap_offsets_are_int64():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert np.isfinite(dtft(k, 8).samples).all()
-    for offset in [2**63, -(2**63) - 1, "9" * 400]:
+    for offset in [2**63, -(2**63) - 1]:
         with pytest.raises(LinalgError, match="tap offsets must lie in the int64 range"):
             FirKernel(("o",), ("i",), {offset: [[0.5]]})
+    # A JSON key is a string, which from_json reads with int().
+    taps = {"9" * 400: [[[0.5, 0]]]}
+    with pytest.raises(LinalgError, match="tap offsets must lie in the int64 range"):
+        FirKernel.from_json({"in_ports": ["i"], "out_ports": ["o"], "taps": taps})
+
+
+def test_times_must_be_integers():
+    # int() would truncate both times to 1, and the second tap would replace the first.
+    with pytest.raises(LinalgError, match=r"tap offsets must be integers, not 1\.2"):
+        FirKernel(("o",), ("i",), {1.2: [[0.5]], 1.7: [[0.25]]})
+    with pytest.raises(LinalgError, match=r"sample times must be integers, not 1\.5"):
+        Signal(("a",), {1.5: [1.0]})
+    with pytest.raises(LinalgError, match="tap offsets must be integers, not '3'"):
+        FirKernel(("o",), ("i",), {"3": [[0.5]]})
+    kernel = FirKernel(("o",), ("i",), {np.int64(3): [[0.5]]})
+    assert [type(t) for t in kernel.taps] == [int]
+    assert list(Signal(("a",), {np.int32(-2): [1.0]}).samples) == [-2]
 
 
 @pytest.mark.parametrize("ports,kind", [("i", "a string"), ({"i": 0}, "dict")])
