@@ -53,10 +53,10 @@ def _lazy(name: str):
 
 kappa, qwhile = _lazy("kappa"), _lazy("qwhile")
 _DEFERRED = {  # export -> the module that defines it
-    **dict.fromkeys(["GroverParams", "KappaMeasurement", "RuntimeBound", "build_E",
-                     "grover_montecarlo", "grover_recurrence", "grover_runtime_bound",
-                     "grover_statevector", "guarantee_f", "kappa_measure", "robustness_g",
-                     "runtime_bound", "theta", "verify_guarantee"], kappa),
+    **dict.fromkeys(["GroverParams", "KappaMeasurement", "RuntimeBound", "grover_montecarlo",
+                     "grover_recurrence", "grover_runtime_bound", "grover_statevector",
+                     "guarantee_f", "kappa_measure", "robustness_g", "runtime_bound", "theta",
+                     "verify_guarantee"], kappa),
     **dict.fromkeys(["check", "parse", "parse_source", "semantics"], qwhile),
 }
 

@@ -27,7 +27,6 @@ __all__ = [
     "MeasurementOutcome",
     "MonteCarloSummary",
     "RuntimeBound",
-    "build_E",
     "grover_montecarlo",
     "grover_recurrence",
     "grover_runtime_bound",
@@ -71,25 +70,6 @@ class KappaMeasurement:
         object.__setattr__(self, "index", np.array(self.predicate, dtype=np.intp))
 
 
-def _check_fits(km: KappaMeasurement, dim: int) -> None:
-    if km.predicate and max(km.predicate) >= dim:
-        raise LinalgError(f"predicate index past the {dim}-dim state")
-
-
-def build_E(km: KappaMeasurement, dim: int) -> np.ndarray:
-    """The coupling unitary on H (x) C^2, H of dimension ``dim``: identity off
-    the predicate subspace and, on it, the rotation sending |bot> to
-    sqrt(1-k)|bot> + sqrt(k)|top>.  The strength-k coupling is only fixed up
-    to Z-rotations on the probe; this representative is the proper rotation,
-    so zero strength is the identity.  A dense 2 dim x 2 dim matrix, against
-    which kappa_measure is checked."""
-    _check_fits(km, dim)
-    xi, sk = math.sqrt(1.0 - km.kappa), math.sqrt(km.kappa)
-    e = np.eye(2 * dim, dtype=np.complex128).reshape(dim, 2, dim, 2)
-    e[km.index, :, km.index, :] = [[xi, -sk], [sk, xi]]
-    return e.reshape(2 * dim, 2 * dim)
-
-
 @dataclass(frozen=True)
 class MeasurementOutcome:
     certified: bool
@@ -108,7 +88,8 @@ def kappa_measure(state: np.ndarray, km: KappaMeasurement, u: float) -> Measurem
     norm = math.sqrt(np.vdot(state, state).real)
     if abs(norm - 1.0) > 1e-9:
         raise LinalgError(f"state norm {norm:.3e} is not 1")
-    _check_fits(km, state.size)
+    if km.predicate and max(km.predicate) >= state.size:
+        raise LinalgError(f"predicate index past the {state.size}-dim state")
     in_q = state[km.index]
     p_q = min(float(np.vdot(in_q, in_q).real), 1.0)  # p_top <= 1, so u = 1.0 keeps looping
     p_top = km.kappa * p_q

@@ -60,25 +60,14 @@ def operator_norm(m: np.ndarray) -> float:
 
 
 def stack_norms(m: np.ndarray) -> np.ndarray:
-    """Operator norm of each matrix in a stack; zero for empty matrices."""
+    """Operator norm of each matrix in a stack; zero for empty matrices.  A
+    1x1 matrix's is the modulus of its entry, without an SVD: by hypot, which
+    is within an ulp where np.abs of a complex array may be two off."""
     if m.size == 0:
         return np.zeros(m.shape[:-2])
-    s = _norms_1x1(m)
-    return np.max(np.linalg.svd(m, compute_uv=False) if s is None else s, axis=-1)
-
-
-def _norms_1x1(x: np.ndarray):
-    """Singular values (..., 1) of a stack of 1x1 complex matrices with zgesdd's
-    bytes: w sqrt((|re|/w)^2 + (|im|/w)^2), w = max(|re|, |im|) (dlapy3).  None
-    for other stacks, or unless each entry is 0 or has 1e-130 < w < 1e130."""
-    if x.shape[-2:] != (1, 1) or x.dtype != np.complex128:
-        return None
-    a, b = np.abs(x.real[..., 0]), np.abs(x.imag[..., 0])
-    w = np.maximum(a, b)
-    if not (w.max(initial=0.0) < 1e130 and np.all((w > 1e-130) | (w == 0))):
-        return None
-    w[w == 0] = 1.0  # 1 * sqrt(0) = +0
-    return w * np.sqrt((a / w) ** 2 + (b / w) ** 2)
+    if m.shape[-2:] == (1, 1):
+        return np.hypot(m.real[..., 0, 0], m.imag[..., 0, 0])
+    return np.max(np.linalg.svd(m, compute_uv=False), axis=-1)
 
 
 def fro_norms(m: np.ndarray) -> np.ndarray:
@@ -86,22 +75,17 @@ def fro_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((m.conj() * m).real, axis=(-2, -1)))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a reciprocal past the float range is inf or nan
 def stack_pinv(m: np.ndarray, rcond: float) -> np.ndarray:
-    """Pseudoinverse of each matrix in a stack from one SVD, built as
-    np.linalg.pinv builds it, so the two agree bit for bit: singular values
-    at or below rcond * sigma_max count as zeros.  Where _norms_1x1 takes
-    x = conj(m), zlarfg's reflector gives the factors: u = copysign((s +
-    |re x|)/s - 1, re x) + i im(x)/s and vt = 1 (the product's sums start
-    at +0, so neither u's signed zeros nor u where s = 0 reach it)."""
-    x = m.conj()
-    s = _norms_1x1(x)
-    if s is None:
-        u, s, vt = np.linalg.svd(x, full_matrices=False)
-    else:
-        re, d = x.real[..., 0], np.where(s == 0, 1.0, s)
-        u, vt = np.empty_like(x), np.ones_like(x)
-        u.real[..., 0] = np.copysign((d + np.abs(re)) / d - 1, re)
-        u.imag[..., 0] = x.imag[..., 0] / d
+    """Pseudoinverse of each matrix in a stack: singular values at or below
+    rcond * sigma_max count as zeros.  A 1x1 matrix's is numpy's complex
+    reciprocal, 0 at 0, without an SVD.  Any other shape takes one SVD and
+    is built as np.linalg.pinv builds it, so the two agree bit for bit.  A
+    reciprocal that overflows is left for the caller's finiteness check."""
+    if m.shape[-2:] == (1, 1):
+        a = np.abs(m)
+        return np.divide(1, m, where=a > rcond * a, out=np.zeros_like(m))
+    u, s, vt = np.linalg.svd(m.conj(), full_matrices=False)
     large = s > rcond * np.max(s, axis=-1, keepdims=True)
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0

@@ -3,7 +3,8 @@
 This module imports only the standard library, numpy and mpmath, never
 ``extrace``: a reference that shared the engine's code would share its
 faults.  Each quantity is taken the plain way, by steps or by a solve, at
-40 or 50 digits, or, for the halting law, at the digits its caller names.
+40 or 50 digits, or, for the halting law, at the digits its caller names;
+the measurement's dilation is built block by block.
 """
 
 import math
@@ -68,3 +69,20 @@ def schur(m, k):
         value = f[:b, :a] + f[:b, a:] * loop * f[b:, :a]
         return np.array([[complex(value[i, j]) for j in range(a)] for i in range(b)],
                         dtype=np.complex128).reshape(b, a)
+
+
+def build_E(kappa, predicate, dim):
+    """The coupling unitary of a strength-kappa measurement on H (x) C^2, H
+    of dimension dim, as a dense 2 dim x 2 dim complex128 matrix: identity
+    off the basis states whose indices are ``predicate`` and, on each of
+    them, the rotation sending |bot> to sqrt(1 - kappa)|bot> + sqrt(kappa)|top>.
+    The coupling is only fixed up to Z-rotations on the probe; this
+    representative is the proper rotation, so zero strength is the
+    identity.  An index past dim raises IndexError."""
+    if any(not 0 <= i < dim for i in predicate):
+        raise IndexError(f"predicate index past the {dim}-dim state")
+    xi, sk = math.sqrt(1.0 - kappa), math.sqrt(kappa)
+    e = np.eye(2 * dim, dtype=np.complex128)
+    for i in predicate:
+        e[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = [[xi, -sk], [sk, xi]]
+    return e

@@ -62,6 +62,23 @@ def test_trace_overflowing_tail_probe_is_a_report(tmp_path, capsys):
     assert captured.err == ""
 
 
+@pytest.mark.parametrize("matrix, loop_dim", [
+    ([[0, 1], [1, 1 + 1e-320j]], 1),
+    ([[0, 1, 0], [1, 1 + 1e-320j, 0], [0, 0, 1 + 1e-320j]], 2),
+], ids=["one-port", "two-port"])
+def test_trace_subnormal_loop_block_is_a_quiet_report(tmp_path, capsys, matrix, loop_dim):
+    # id - f_UU = -1e-320j I: its reciprocal overflows, so the closed form is
+    # not finite, and the series runs out of terms; neither prints a warning.
+    path = write_trace_file(tmp_path, matrix, loop_dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["trace", "--max-terms", "100", path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["converged"] is False
+    assert captured.err == ""
+
+
 def test_trace_bad_file_is_usage_error(tmp_path, capsys):
     path = tmp_path / "junk.json"
     path.write_text("{not json")

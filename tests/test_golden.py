@@ -153,17 +153,17 @@ def digest(root: Path, argv: list, csv: bool) -> str:
 # numpy 2.4.6, scipy-openblas 0.3.31.188.0 with its SkylakeX kernels, x86_64 with AVX-512.
 TABLE_FINGERPRINT = "91a2a150829d5ca9"
 GOLDEN = {
-    "qwhile-hadamard_delay_loop-8": "59f59af2042b83f8",
-    "qwhile-hadamard_delay_loop-256": "79fa5922d6c8237c",
-    "qwhile-nested_loop-8": "7d56a4575b059f2b",
-    "qwhile-nested_loop-256": "1ae83a8afddf39f9",
+    "qwhile-hadamard_delay_loop-8": "1062615ad8b3a2a1",
+    "qwhile-hadamard_delay_loop-256": "51a0ad012c24f426",
+    "qwhile-nested_loop-8": "4b76037b4ace5ede",
+    "qwhile-nested_loop-256": "bc0eef6f8fa90c87",
     "qwhile-phase_chain-8": "bae7bb3656410b63",
     "qwhile-phase_chain-256": "35544e2dc3fd7427",
     "qwhile-swap_loop-8": "ae899ec75808631c",
     "qwhile-swap_loop-256": "5270e4f8ffed02ae",
-    "qwhile-hadamard_delay_loop-4096": "f01c16cacd7a6522",
+    "qwhile-hadamard_delay_loop-4096": "bee95ef40587cf15",
     "lsi-k2": "cb51f44f4b51b6f3",
-    "lsi-k2-csv": "62712e655aff06ea",
+    "lsi-k2-csv": "c1139a7dcba34487",
     "lsi-k4": "77e2874d151a6aae",
     "lsi-k4-csv": "3d8d6449efad1120",
     "lsi-k6": "b69f7a3e0c012b19",
@@ -189,7 +189,7 @@ GOLDEN = {
     "trace-huge-both": "9fed2b1dcaa6c5ca",
     "trace-huge-series": "e77bab9b4ecbeaa3",
     "trace-huge-ki": "9fed2b1dcaa6c5ca",
-    "axioms-200-seed0": "41e5b5142494a079",
+    "axioms-200-seed0": "4c8308ea5606e9e0",
     "axioms-200-seed7": "1379d8a4931d9b6e",
     "grover-4096-csv": "e77f7f8e06ac3d36",
     "grover-1e6": "a18f7b44bebb740e",

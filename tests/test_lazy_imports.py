@@ -18,11 +18,11 @@ CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 STAR_NAMES = sorted([
     "FirKernel", "FrequencyResponse", "GroverParams", "KappaMeasurement", "KiTraceError",
     "LinalgError", "Partition", "PartitionedMap", "RuntimeBound", "SeriesDivergence", "Signal",
-    "TraceConfig", "TraceDisagreement", "TraceResult", "build_E", "check", "check_trace_axioms",
-    "classify", "cnu_decompose", "convolve", "dtft", "ex", "ex_kernel_image", "ex_series",
-    "grover_montecarlo", "grover_recurrence", "grover_runtime_bound", "grover_statevector",
-    "guarantee_f", "halmos_dilation", "kappa", "kappa_measure", "linalg", "lsi", "lsi_classify",
-    "lsi_ex", "matrix_from_literal", "matrix_to_literal", "operator_norm", "parse", "parse_source",
+    "TraceConfig", "TraceDisagreement", "TraceResult", "check", "check_trace_axioms", "classify",
+    "cnu_decompose", "convolve", "dtft", "ex", "ex_kernel_image", "ex_series", "grover_montecarlo",
+    "grover_recurrence", "grover_runtime_bound", "grover_statevector", "guarantee_f",
+    "halmos_dilation", "kappa", "kappa_measure", "linalg", "lsi", "lsi_classify", "lsi_ex",
+    "matrix_from_literal", "matrix_to_literal", "operator_norm", "parse", "parse_source",
     "parseval_norm", "qwhile", "robustness_g", "runtime_bound", "semantics", "theta", "trace",
     "two_block", "verify_guarantee",
 ])

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reference import grover_angle, halting_law, schur
+from reference import build_E, grover_angle, halting_law, schur
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -36,6 +36,12 @@ def test_halting_law_in_doubles_keeps_thirty_digits_at_criterion_8():
     assert np.max(np.abs(probs - mp_probs)) <= 1e-12
     for t in (1, 1000, 2000):
         assert abs(math.remainder(mp_angles[t] - grover_angle(10**6, 1e-3, t), math.tau)) <= 1e-12
+
+
+def test_build_E_refuses_an_index_past_the_state():
+    assert build_E(0.5, (2,), 3).shape == (6, 6)
+    with pytest.raises(IndexError, match="predicate index past the 3-dim state"):
+        build_E(0.5, (3,), 3)
 
 
 def test_reference_imports_nothing_from_extrace():

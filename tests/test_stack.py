@@ -214,7 +214,7 @@ def test_decomposition_count_does_not_grow_with_grid(svd_shapes):
 @pytest.mark.parametrize("name", ["hadamard_delay_loop", "nested_loop", "swap_loop"])
 def test_corpus_loops_take_no_svd(svd_shapes, name):
     # Every corpus loop feeds back one port: the witnesses and the tail ratio
-    # of a 1x1 loop block take zgesdd's arithmetic in numpy, and the Gram
+    # of a 1x1 loop block take its reciprocal and its modulus, and the Gram
     # bracket settles the contraction test of a unitary sample.
     program = parse_source((CORPUS / f"{name}.qw").read_text()).program
     assert svd_shapes(lambda: lsi_classify(semantics(program, 4096))) == []
