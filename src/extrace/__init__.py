@@ -1,8 +1,11 @@
 """Numerical engine for feedback traces on contractions, LSI frequency
 semantics, the qWhile toy language, and weakly-measured Grover loops.
 
-The Grover (``kappa``) and ``qwhile`` modules execute on first use, so a command
-that runs neither skips them; their exports resolve here all the same."""
+Only the base layer, ``linalg``, executes on import.  The trace core
+(``trace``), the frequency semantics (``lsi``), ``qwhile`` and the Grover
+loops (``kappa``) each execute on first use, so a command skips every layer
+it does not run; their exports resolve here all the same.  Loading ``qwhile``
+still loads ``lsi`` and ``trace``: the defaults of ``semantics`` read them."""
 
 import sys as _sys
 from importlib.util import LazyLoader as _Lazy, find_spec as _find_spec, module_from_spec as _new
@@ -17,29 +20,6 @@ from .linalg import (
     operator_norm,
     two_block,
 )
-from .lsi import (
-    FirKernel,
-    FrequencyResponse,
-    Signal,
-    convolve,
-    dtft,
-    lsi_classify,
-    lsi_ex,
-    parseval_norm,
-)
-from .trace import (
-    KiTraceError,
-    SeriesDivergence,
-    TraceConfig,
-    TraceDisagreement,
-    TraceResult,
-    check_trace_axioms,
-    cnu_decompose,
-    ex,
-    ex_kernel_image,
-    ex_series,
-    halmos_dilation,
-)
 
 
 def _lazy(name: str):
@@ -51,8 +31,13 @@ def _lazy(name: str):
     return module
 
 
-kappa, qwhile = _lazy("kappa"), _lazy("qwhile")
+trace, lsi, qwhile, kappa = map(_lazy, ["trace", "lsi", "qwhile", "kappa"])
 _DEFERRED = {  # export -> the module that defines it
+    **dict.fromkeys(["KiTraceError", "SeriesDivergence", "TraceConfig", "TraceDisagreement",
+                     "TraceResult", "check_trace_axioms", "cnu_decompose", "ex",
+                     "ex_kernel_image", "ex_series", "halmos_dilation"], trace),
+    **dict.fromkeys(["FirKernel", "FrequencyResponse", "Signal", "convolve", "dtft",
+                     "lsi_classify", "lsi_ex", "parseval_norm"], lsi),
     **dict.fromkeys(["GroverParams", "KappaMeasurement", "RuntimeBound", "grover_montecarlo",
                      "grover_recurrence", "grover_runtime_bound", "grover_statevector",
                      "guarantee_f", "kappa_measure", "robustness_g", "runtime_bound", "theta",

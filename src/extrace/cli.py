@@ -7,6 +7,11 @@ from any command by its error's exact class: SeriesDivergence as
 series_divergence, KiTraceError as not_ki_traceable with its residuals,
 and TraceDisagreement (series and closed form disagree) as trace_failed.
 Any other ArithmeticError propagates.
+
+A command executes only the layers it runs: it calls trace.X, lsi.X,
+qwhile.X and kappa.X, modules the package loads on first use, and an
+option left out takes the engine's default there, so the parser and the
+--version text read no layer until they are used.
 """
 
 from __future__ import annotations
@@ -18,28 +23,10 @@ import sys
 
 import numpy as np
 
-from . import __version__, kappa, qwhile
-from .linalg import LinalgError, PartitionedMap
-from .lsi import (DEFAULT_GRID, FirKernel, dtft, lsi_classify, lsi_ex,
-                  response_to_csv, write_csv)
-from .trace import (
-    KiTraceError,
-    SeriesDivergence,
-    TraceConfig,
-    TraceDisagreement,
-    check_trace_axioms,
-    ex,
-    ex_kernel_image,
-    ex_series,
-)
+from . import __version__, kappa, lsi, qwhile, trace
+from .linalg import LinalgError, PartitionedMap, write_csv
 
 OK, CHECK_FAILED, BAD_INPUT = 0, 1, 2
-# Trace failure class: its JSON error kind and the attributes reported with it.
-_TRACE_FAILURES = {
-    SeriesDivergence: ("series_divergence", ()),
-    KiTraceError: ("not_ki_traceable", ("residual_in", "residual_out")),
-    TraceDisagreement: ("trace_failed", ()),
-}
 # What from_json raises on JSON of the wrong shape (LinalgError is a ValueError).
 _MALFORMED = (KeyError, TypeError, AttributeError, ValueError)
 
@@ -92,15 +79,20 @@ def _read(path, parse=str):
         raise LinalgError(f"cannot read {path}: {e}")
 
 
+def _given(**options) -> dict:
+    """The options given on the command line; the engine supplies the rest."""
+    return {k: v for k, v in options.items() if v is not None}
+
+
 def _report_response(response, out) -> int:
     if out:
-        response_to_csv(response, out)
+        lsi.response_to_csv(response, out)
     _emit(
         {
             "in_ports": list(response.in_ports),
             "out_ports": list(response.out_ports),
             "grid_size": response.grid_size,
-            "classification": lsi_classify(response),
+            "classification": lsi.lsi_classify(response),
         }
     )
     return OK
@@ -113,8 +105,8 @@ def _cmd_trace(args) -> int:
         loop = obj.get("loop", "U")
     except _MALFORMED as e:
         raise LinalgError(f"bad trace input: {e}")
-    cfg = TraceConfig(series_tol=args.tol, max_terms=args.max_terms)
-    route = {"series": ex_series, "ki": ex_kernel_image, "both": ex}[args.method]
+    cfg = trace.TraceConfig(**_given(series_tol=args.tol, max_terms=args.max_terms))
+    route = {"series": trace.ex_series, "ki": trace.ex_kernel_image, "both": trace.ex}[args.method]
     result = route(pm, loop, cfg)
     _emit(
         {
@@ -129,8 +121,8 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_axioms(args) -> int:
-    cfg = TraceConfig(compare_tol=args.tol)
-    report = check_trace_axioms(args.seed, args.cases, cfg)
+    cfg = trace.TraceConfig(**_given(compare_tol=args.tol))
+    report = trace.check_trace_axioms(args.seed, args.cases, cfg)
     _emit({"passed": report.passed, "checks": report.to_json()})
     return OK if report.passed else CHECK_FAILED
 
@@ -138,12 +130,12 @@ def _cmd_axioms(args) -> int:
 def _cmd_lsi(args) -> int:
     obj = _read(args.file, json.loads)
     try:
-        kernel = FirKernel.from_json(obj)
+        kernel = lsi.FirKernel.from_json(obj)
     except _MALFORMED as e:
         raise LinalgError(f"bad kernel input: {e}")
-    response = dtft(kernel, args.grid)
+    response = lsi.dtft(kernel, **_given(grid_size=args.grid))
     if args.loop:
-        response = lsi_ex(response, args.loop)
+        response = lsi.lsi_ex(response, args.loop)
     return _report_response(response, args.out)
 
 
@@ -156,7 +148,7 @@ def _cmd_qwhile(args) -> int:
         _emit({"well_formed": True, "in_ports": source.program.in_count,
                "out_ports": source.program.out_count})
         return OK
-    response = qwhile.semantics(source.program, args.grid)
+    response = qwhile.semantics(source.program, **_given(grid_size=args.grid))
     return _report_response(response, args.out)
 
 
@@ -201,35 +193,37 @@ def _cmd_bound(args) -> int:
     return OK
 
 
+class _Version(argparse._VersionAction):
+    """--version, whose text names the engine's defaults, read only when asked for."""
+
+    def __call__(self, parser, *args):
+        cfg = trace.TraceConfig()
+        self.version = (f"extrace {__version__} (grid={lsi.DEFAULT_GRID}, "
+                        f"series_tol={cfg.series_tol:g}, ki_residual_tol={cfg.ki_residual_tol:g})")
+        super().__call__(parser, *args)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="extrace")
-    parser.add_argument(
-        "--version",
-        action="version",
-        version=(
-            f"extrace {__version__} "
-            f"(grid={DEFAULT_GRID}, series_tol={TraceConfig().series_tol:g}, "
-            f"ki_residual_tol={TraceConfig().ki_residual_tol:g})"
-        ),
-    )
+    parser.add_argument("--version", action=_Version)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("trace", help="trace a partitioned map over its loop block")
     p.add_argument("file")
     p.add_argument("--method", choices=["series", "ki", "both"], default="both")
-    p.add_argument("--tol", type=float, default=TraceConfig().series_tol)
-    p.add_argument("--max-terms", type=int, default=TraceConfig().max_terms)
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-terms", type=int)
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("axioms", help="run the randomized trace-axiom suite")
     p.add_argument("--cases", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=TraceConfig().compare_tol)
+    p.add_argument("--tol", type=float)
     p.set_defaults(func=_cmd_axioms)
 
     p = sub.add_parser("lsi", help="frequency response of an FIR kernel")
     p.add_argument("file")
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p.add_argument("--grid", type=int)
     p.add_argument("--loop", type=int, default=0, help="trace this many trailing ports")
     p.add_argument("--out", help="write the response as CSV")
     p.set_defaults(func=_cmd_lsi)
@@ -237,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("qwhile", help="check or run a qWhile source file")
     p.add_argument("action", choices=["run", "check"])
     p.add_argument("file")
-    p.add_argument("--grid", type=int, default=DEFAULT_GRID)
+    p.add_argument("--grid", type=int)
     p.add_argument("--out", help="write the response as CSV")
     p.set_defaults(func=_cmd_qwhile)
 
@@ -271,9 +265,14 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return BAD_INPUT
     except ArithmeticError as e:
-        if type(e) not in _TRACE_FAILURES:
+        # A trace failure's class: its JSON error kind and the attributes reported with it.
+        kind, keys = {
+            trace.SeriesDivergence: ("series_divergence", ()),
+            trace.KiTraceError: ("not_ki_traceable", ("residual_in", "residual_out")),
+            trace.TraceDisagreement: ("trace_failed", ()),
+        }.get(type(e), (None, ()))
+        if kind is None:
             raise  # an OverflowError or the like is a fault, not a trace failure
-        kind, keys = _TRACE_FAILURES[type(e)]
         _emit({"error": kind, "message": str(e), **{k: getattr(e, k) for k in keys}})
         return CHECK_FAILED
 

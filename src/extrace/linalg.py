@@ -33,6 +33,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9  # the one contraction / isometry / unitarity tolerance of the engine
+CSV_CHUNK_ROWS = 1 << 12  # rows per write: at most about 0.3 MiB of CSV text at once
 
 
 class LinalgError(ValueError):
@@ -369,3 +370,23 @@ def matrix_from_literal(obj) -> np.ndarray:
     except OverflowError:
         raise LinalgError("matrix entries must be within the float range") from None
     return as_matrix(np.frombuffer(flat, np.complex128).reshape(len(obj), -1 if obj else 0))
+
+
+def write_csv(path, header: str, row_format: str, columns) -> None:
+    """Write a CSV file as the standard library's default dialect does
+    (comma-separated, CRLF line ends; the cells are numbers, so nothing is
+    quoted).  Row i is ``row_format`` (%-style) applied to entry i of each
+    array in ``columns``; rows are formatted and written CSV_CHUNK_ROWS at
+    a time, with one format per chunk.  A path that cannot be opened for
+    writing raises LinalgError, as an unreadable input does."""
+    n_rows = len(columns[0])
+    try:
+        fh = open(path, "w", newline="")
+    except OSError as e:
+        raise LinalgError(f"cannot write {path}: {e}")
+    with fh:
+        fh.write(header + "\r\n")
+        for start in range(0, n_rows, CSV_CHUNK_ROWS):
+            cells = zip(*[c[start : start + CSV_CHUNK_ROWS].tolist() for c in columns])
+            lines = (row_format + "\r\n") * min(CSV_CHUNK_ROWS, n_rows - start)
+            fh.write(lines % tuple(chain.from_iterable(cells)))

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .linalg import (DEFAULT_TOL, LinalgError, as_labels, as_matrix, bracket_norms,
-                     matrix_from_literal, matrix_to_literal)
+                     matrix_from_literal, matrix_to_literal, write_csv)
 from .trace import SeriesDivergence, TraceConfig, _trace_core
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
 ]
 
 DEFAULT_GRID = 256
-CSV_CHUNK_ROWS = 1 << 12  # rows per write: at most about 0.3 MiB of CSV text at once
 # Cap on grid size * rows * cols of a sampled response: 2^26 complex128 samples
 # are 1 GiB.  A grid above it is refused before anything is allocated.
 GRID_WORK_CAP = 2**26
@@ -242,26 +240,6 @@ def parseval_norm(s: Signal, grid_size: int) -> float:
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is inf
         spectrum = _transform(s.samples, _uniform_grid(grid_size, len(s.ports)), (len(s.ports),))
         return float(np.sum(np.abs(spectrum) ** 2) / grid_size)
-
-
-def write_csv(path, header: str, row_format: str, columns) -> None:
-    """Write a CSV file as the standard library's default dialect does
-    (comma-separated, CRLF line ends; the cells are numbers, so nothing is
-    quoted).  Row i is ``row_format`` (%-style) applied to entry i of each
-    array in ``columns``; rows are formatted and written CSV_CHUNK_ROWS at
-    a time, with one format per chunk.  A path that cannot be opened for
-    writing raises LinalgError, as an unreadable input does."""
-    n_rows = len(columns[0])
-    try:
-        fh = open(path, "w", newline="")
-    except OSError as e:
-        raise LinalgError(f"cannot write {path}: {e}")
-    with fh:
-        fh.write(header + "\r\n")
-        for start in range(0, n_rows, CSV_CHUNK_ROWS):
-            cells = zip(*[c[start : start + CSV_CHUNK_ROWS].tolist() for c in columns])
-            lines = (row_format + "\r\n") * min(CSV_CHUNK_ROWS, n_rows - start)
-            fh.write(lines % tuple(chain.from_iterable(cells)))
 
 
 def response_to_csv(r: FrequencyResponse, path) -> None:

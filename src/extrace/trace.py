@@ -235,10 +235,13 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact):
     Residuals and agreement take exact norms (one SVD each) where ``exact``
     marks an entry, whose residual is reported, or a check fails, both
     residuals then; elsewhere the brackets settle them.  Residuals are
-    judged, and a failing entry's reported, against its ``scale``.  An
-    entry whose value, residuals or agreement is not finite fails before
-    any norm is taken.  Returns the values, witness residuals and errors by
-    entry."""
+    judged, and a failing entry's reported, against its ``scale``.  Where
+    that is above 1 (a non-contraction, marked ``exact``), a residual above
+    ki_residual_tol is also judged against the larger of 1 and the norm of
+    the block its witness explains, f_UA or f_BU, and reported so if that
+    fails.  An entry whose value, residuals or agreement is not finite
+    fails before any norm is taken.  Returns the values, witness residuals
+    and errors by entry."""
     h = np.eye(f_uu.shape[-1]) - f_uu
     h_pinv = stack_pinv(h, 1e-10)
     with np.errstate(over="ignore", invalid="ignore"):  # an entry that overflows fails below
@@ -251,14 +254,29 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact):
     if not finite.all():
         d_in, d_out, gap = (np.where(finite[:, None, None], d, 0.0) for d in diffs)
     lo = np.where(exact, 0.0, scale)  # 0 keeps an entry's norms exact
-    res_in = bracket_norms(d_in, cfg.ki_residual_tol * lo, math.inf) / scale
-    res_out = bracket_norms(d_out, cfg.ki_residual_tol * lo, math.inf) / scale
+    norm_in, norm_out = (bracket_norms(d, cfg.ki_residual_tol * lo, math.inf)
+                         for d in (d_in, d_out))
+    res_in, res_out = norm_in / scale, norm_out / scale
     residual = np.maximum(res_in, res_out)
     agree = bracket_norms(gap, cfg.compare_tol * lo, math.inf)
     errors = {}
     fails = ~finite | (residual > cfg.ki_residual_tol) | (agree > cfg.compare_tol * scale)
+    # Against a scale above 1 one huge block can hide a missing witness, so a
+    # residual that passed there but itself exceeds ki_residual_tol is judged
+    # again against the block its witness explains, or 1 if that is larger.
+    wide = np.flatnonzero((residual <= cfg.ki_residual_tol)
+                          & (np.maximum(norm_in, norm_out) > cfg.ki_residual_tol))
+    if wide.size:
+        for res, norm, block in ((res_in, norm_in, f_ua), (res_out, norm_out, f_bu)):
+            res[wide] = norm[wide] / np.maximum(stack_norms(block[wide]), 1.0)
+        wide = wide[np.maximum(res_in[wide], res_out[wide]) > cfg.ki_residual_tol]
+        fails[wide] = True
     for i in np.flatnonzero(fails):
-        if not finite[i] or residual[i] > cfg.ki_residual_tol:
+        if i in wide:
+            msg = (f"not ki-traceable: witness residuals {res_in[i]:.3e} (input) / "
+                   f"{res_out[i]:.3e} (output) exceed {cfg.ki_residual_tol:g} against "
+                   "the blocks they explain, f_UA and f_BU")
+        elif not finite[i] or residual[i] > cfg.ki_residual_tol:
             res_in[i], res_out[i] = (operator_norm(d[i]) / scale[i] if np.isfinite(d[i]).all()
                                      else math.inf for d in diffs[:2])
             msg = (

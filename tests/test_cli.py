@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extrace import cli, lsi, trace
+from extrace import cli, linalg, lsi, trace
 from extrace.cli import main
 from extrace.kappa import TRIALS_CAP, GroverParams, grover_montecarlo, grover_statevector
 from extrace.linalg import matrix_to_literal, random_contraction, swap_matrix, two_block
@@ -190,9 +190,9 @@ def test_routes_that_disagree_are_a_trace_failed_report(tmp_path, capsys):
 @pytest.mark.parametrize(
     "target,argv,error",
     [
-        ("ex", ["trace", "--method", "both"], OverflowError),
-        ("lsi_ex", ["lsi", "--grid", "8", "--loop", "1"], OverflowError),
-        ("ex", ["trace", "--method", "both"], ArithmeticError),
+        ("extrace.trace.ex", ["trace", "--method", "both"], OverflowError),
+        ("extrace.lsi.lsi_ex", ["lsi", "--grid", "8", "--loop", "1"], OverflowError),
+        ("extrace.trace.ex", ["trace", "--method", "both"], ArithmeticError),
     ],
     ids=["trace", "lsi_loop", "trace-bare"],
 )
@@ -203,8 +203,8 @@ def test_other_arithmetic_errors_propagate_out_of_main(tmp_path, capsys, monkeyp
     def stray(*_):
         raise error("stray error")
 
-    monkeypatch.setattr(cli, target, stray)
-    path = write_trace_file(tmp_path, HADAMARD, 1) if target == "ex" else write_kernel(tmp_path)
+    monkeypatch.setattr(target, stray)
+    path = write_trace_file(tmp_path, HADAMARD, 1) if argv[0] == "trace" else write_kernel(tmp_path)
     with pytest.raises(error, match="stray error") as raised:
         main([*argv, path])
     assert type(raised.value) is error
@@ -335,7 +335,7 @@ def test_grover_recurrence_mode(tmp_path, capsys):
 
 
 def test_grover_csv_format(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(lsi, "CSV_CHUNK_ROWS", 7)  # rows cross chunk boundaries
+    monkeypatch.setattr(linalg, "CSV_CHUNK_ROWS", 7)  # rows cross chunk boundaries
     out_csv = tmp_path / "trials.csv"
     argv = ["grover", "--B", "10000", "--kappa", "0.01", "--max-iter", "60"]
     code, out = run(capsys, *argv, "--trials", "300", "--seed", "4", "--out", str(out_csv))
@@ -361,7 +361,7 @@ def test_grover_csv_format(tmp_path, capsys, monkeypatch):
 
 def test_grover_csv_bytes_at_scale(tmp_path, capsys, monkeypatch):
     # Thousands of distinct (iterations, censored) keys, some trials censored.
-    monkeypatch.setattr(lsi, "CSV_CHUNK_ROWS", 97)
+    monkeypatch.setattr(linalg, "CSV_CHUNK_ROWS", 97)
     out_csv = tmp_path / "trials.csv"
     argv = ["grover", "--B", "1000000", "--max-iter", "3000", "--trials", "20000", "--seed", "5"]
     code, out = run(capsys, *argv, "--out", str(out_csv))
@@ -374,8 +374,8 @@ def test_grover_csv_bytes_at_scale(tmp_path, capsys, monkeypatch):
     firsts = [c[first].tolist() for c in (samples.iterations, samples.censored, samples.angle)]
     tails = np.array(["%d,%d,%.17g" % row for row in zip(*firsts)], dtype=object)
     unique_csv = tmp_path / "unique.csv"
-    lsi.write_csv(str(unique_csv), "trial,iterations,censored,angle_at_halt", "%d,%s",
-                  [np.arange(inverse.size), tails[inverse]])
+    linalg.write_csv(str(unique_csv), "trial,iterations,censored,angle_at_halt", "%d,%s",
+                     [np.arange(inverse.size), tails[inverse]])
     want = tmp_path / "want.csv"
     rows = zip(range(20000), samples.iterations.tolist(), samples.censored.astype(int).tolist(),
                [format(a, ".17g") for a in samples.angle.tolist()])
@@ -560,7 +560,7 @@ def test_grover_statevector_mode(capsys):
 
 
 def test_grover_statevector_csv_bytes_equal_csv_module(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(lsi, "CSV_CHUNK_ROWS", 7)
+    monkeypatch.setattr(linalg, "CSV_CHUNK_ROWS", 7)
     out_csv = tmp_path / "angles.csv"
     code, out = run(
         capsys, "grover", "--B", "64", "--kappa", "0.3", "--seed", "1",
@@ -768,26 +768,27 @@ def huge_input(tmp_path, name):
 
 
 @pytest.mark.parametrize(
-    "name,argv",
+    "name,argv,exit_code",
     [
-        ("diag", ["trace", "--method", "both"]),
-        ("diag", ["trace", "--method", "ki"]),
-        # f_UU = diag(1e200, 1): value 0 by the closed form, whose residual
-        # scale hides the missing witness (ROADMAP item 4).
-        ("huge", ["trace", "--method", "both", "--max-terms", "1000"]),
-        ("kernel", ["lsi", "--grid", "8"]),
-        ("kernel", ["lsi", "--grid", "8", "--loop", "1"]),
+        ("diag", ["trace", "--method", "both"], 0),
+        ("diag", ["trace", "--method", "ki"], 0),
+        # f_UU = diag(1e200, 1): the closed form has no witness for f_UA, which
+        # its residual against that block shows, and the series runs to
+        # max_terms unconverged.
+        ("huge", ["trace", "--method", "both", "--max-terms", "1000"], 1),
+        ("kernel", ["lsi", "--grid", "8"], 0),
+        ("kernel", ["lsi", "--grid", "8", "--loop", "1"], 0),
     ],
     ids=["trace-both", "trace-ki", "trace-both-huge", "lsi", "lsi-looped"],
 )
-def test_finite_huge_inputs_print_no_runtime_warning(tmp_path, capsys, name, argv):
+def test_finite_huge_inputs_print_no_runtime_warning(tmp_path, capsys, name, argv, exit_code):
     # Frobenius squares and series products past the float range are inf,
     # which the norm brackets and per-term checks already handle.
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         code = main([*argv, huge_input(tmp_path, name)])
     captured = capsys.readouterr()
-    assert code == 0
+    assert code == exit_code
     assert captured.err == ""
     assert "error" not in json.loads(captured.out)
 

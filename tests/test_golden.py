@@ -186,9 +186,9 @@ GOLDEN = {
     "trace-jordan-both": "b34a3301b28cf240",
     "trace-jordan-series": "b34a3301b28cf240",
     "trace-jordan-ki": "c2dbc0cd151b9f52",
-    "trace-huge-both": "9fed2b1dcaa6c5ca",
+    "trace-huge-both": "e77bab9b4ecbeaa3",
     "trace-huge-series": "e77bab9b4ecbeaa3",
-    "trace-huge-ki": "9fed2b1dcaa6c5ca",
+    "trace-huge-ki": "faf069d16eeac43a",
     "axioms-200-seed0": "4c8308ea5606e9e0",
     "axioms-200-seed7": "1379d8a4931d9b6e",
     "grover-4096-csv": "e77f7f8e06ac3d36",

@@ -1,6 +1,7 @@
-"""A command executes only the layers it runs: the Grover (kappa) and qWhile
-modules load on first use.  Each case starts a fresh interpreter, since the
-test process has long since loaded both."""
+"""A command executes only the layers it runs: the trace core, the LSI
+semantics, qWhile and the Grover (kappa) modules load on first use, and
+only linalg loads with the package.  Each case starts a fresh interpreter,
+since the test process has long since loaded all four."""
 
 import json
 import os
@@ -26,15 +27,16 @@ STAR_NAMES = sorted([
     "parseval_norm", "qwhile", "robustness_g", "runtime_bound", "semantics", "theta", "trace",
     "two_block", "verify_guarantee",
 ])
+DEFERRED = ("kappa", "lsi", "qwhile", "trace")
 # Runs main(argv) quietly, then prints which deferred modules are still
 # unexecuted; type() reads a module's class without triggering its load.
-PROBE = """
+PROBE = f"DEFERRED = {DEFERRED!r}" + """
 import contextlib, io, json, sys
 import extrace.cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = extrace.cli.main(json.loads(sys.argv[1]))
 print(json.dumps({"code": code, "decimal": "decimal" in sys.modules,
-                  "unloaded": [n for n in ("kappa", "qwhile")
+                  "unloaded": [n for n in DEFERRED
                                if type(sys.modules["extrace." + n]).__name__ == "_LazyModule"]}))
 """
 
@@ -54,20 +56,21 @@ def inputs(tmp_path) -> dict:
     kernel.write_text(json.dumps({"in_ports": ["i", "x"], "out_ports": ["o", "x"],
                                   "taps": {"0": extrace.matrix_to_literal([[0.5, 0], [0, 0.5]])}}))
     return {"TRACE": str(trace_file), "KERNEL": str(kernel),
-            "QW": str(CORPUS / "hadamard_delay_loop.qw")}
+            "QW": str(CORPUS / "hadamard_delay_loop.qw"), "CSV": str(tmp_path / "out.csv")}
 
 
 @pytest.mark.parametrize(
     "argv,unloaded",
     [
-        (["trace", "TRACE"], ["kappa", "qwhile"]),
-        (["axioms", "--cases", "2"], ["kappa", "qwhile"]),
+        (["trace", "TRACE"], ["kappa", "lsi", "qwhile"]),
+        (["axioms", "--cases", "2"], ["kappa", "lsi", "qwhile"]),
         (["lsi", "KERNEL", "--grid", "8", "--loop", "1"], ["kappa", "qwhile"]),
-        (["bound", "--B", "100"], ["qwhile"]),
-        (["grover", "--B", "16", "--trials", "10"], ["qwhile"]),
+        (["bound", "--B", "100"], ["lsi", "qwhile", "trace"]),
+        (["grover", "--B", "16", "--trials", "10"], ["lsi", "qwhile", "trace"]),
+        (["grover", "--B", "16", "--trials", "10", "--out", "CSV"], ["lsi", "qwhile", "trace"]),
         (["qwhile", "run", "QW", "--grid", "8"], ["kappa"]),
     ],
-    ids=["trace", "axioms", "lsi", "bound", "grover", "qwhile"],
+    ids=["trace", "axioms", "lsi", "bound", "grover", "grover-out", "qwhile"],
 )
 def test_a_command_executes_only_the_layers_it_runs(tmp_path, argv, unloaded):
     files = inputs(tmp_path)
@@ -78,11 +81,16 @@ def test_a_command_executes_only_the_layers_it_runs(tmp_path, argv, unloaded):
     assert out["decimal"] is ("kappa" not in unloaded)  # only kappa imports decimal
 
 
-def test_import_of_the_cli_executes_neither_deferred_module():
+def test_import_of_the_cli_executes_no_deferred_module():
     out = fresh("-c", "import sys, extrace.cli; "
-                      "print(*[type(sys.modules[n]).__name__ for n in ('extrace.kappa', "
-                      "'extrace.qwhile')], 'decimal' in sys.modules)")
-    assert out.split() == ["_LazyModule", "_LazyModule", "False"]
+                      f"print(*[type(sys.modules['extrace.' + n]).__name__ for n in {DEFERRED!r}], "
+                      "'decimal' in sys.modules)")
+    assert out.split() == ["_LazyModule"] * len(DEFERRED) + ["False"]
+
+
+def test_version_names_the_engine_defaults():
+    out = fresh("-m", "extrace.cli", "--version")
+    assert out == "extrace 0.1.0 (grid=256, series_tol=1e-10, ki_residual_tol=1e-08)\n"
 
 
 def test_the_import_surface_is_unchanged():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extrace import lsi
+from extrace import linalg, lsi
 from extrace.linalg import LinalgError, random_contraction, random_unitary
 from extrace.lsi import (
     FirKernel,
@@ -323,7 +323,7 @@ def test_special_values_csv_bytes_equal_csv_module(tmp_path):
 
 def test_csv_chunks_split_one_frequency(tmp_path, monkeypatch):
     # 5-row chunks: fewer than one frequency's 6 entries, and 78 rows in all
-    monkeypatch.setattr(lsi, "CSV_CHUNK_ROWS", 5)
+    monkeypatch.setattr(linalg, "CSV_CHUNK_ROWS", 5)
     k = random_kernel(2, 3, 3, np.random.default_rng(5))
     assert_csv_matches_reference(dtft(k, 13), tmp_path)
 
