@@ -4,8 +4,7 @@ semantics, the qWhile toy language, and weakly-measured Grover loops.
 Only the base layer, ``linalg``, executes on import.  The trace core
 (``trace``), the frequency semantics (``lsi``), ``qwhile`` and the Grover
 loops (``kappa``) each execute on first use, so a command skips every layer
-it does not run; their exports resolve here all the same.  Loading ``qwhile``
-still loads ``lsi`` and ``trace``: the defaults of ``semantics`` read them."""
+it does not run; their exports resolve here all the same."""
 
 import sys as _sys
 from importlib.util import LazyLoader as _Lazy, find_spec as _find_spec, module_from_spec as _new

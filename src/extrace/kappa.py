@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 STATEVECTOR_CAP = 4096
-ITERATION_CAP = 10**7  # horizon cap: grover_montecarlo peaks at about 88 B a step, 0.88 GB here
-TRIALS_CAP = 10**7  # trial cap: grover_montecarlo peaks at 59-68 B a trial, under 0.7 GB
+ITERATION_CAP = 10**7  # horizon cap: grover_montecarlo peaks at 32-40 B a step, 0.4 GB here
+TRIALS_CAP = 10**7  # trial cap: grover_montecarlo peaks at 33 B a trial, grover --out at 49-51
 # grover_statevector's cap on max_iterations * max(B, 1024).  B = 1024 is the worst
 # case: 2^20 steps at 35-60 us a step on one core of a shared Xeon host, so 37-63 s.
 STATEVECTOR_WORK_CAP = 2**30
@@ -220,34 +220,49 @@ def grover_recurrence(p: GroverParams, n_steps: int | None = None) -> np.ndarray
             second = ((cos_a + kv[0] / r) / 2, (sin_a + kv[1] / r) / 2)
         v0 = (float(cos_a), float(sin_a))
         v1 = (float(second[0]), float(second[1]))
+    # Built in place, each array dropped once spent; x * y and y * x are the same bytes.
     if d > 0:
-        ca, sa = np.cos(t * w_hi), np.sin(t * w_hi)
         lo = t * w_lo
+        ca = np.cos(np.multiply(t, w_hi, out=t))  # cos(t w_hi)
+        sa = np.sin(t, out=t)  # sin(t w_hi)
         if n * abs(w_lo) < TINY_PHASE:  # cos(lo) = 1.0 and sin(lo) = lo: the same bytes
-            f, g = ca - sa * lo, sa + ca * lo
-        else:
-            cb, sb = np.cos(lo), np.sin(lo)
-            f, g = ca * cb - sa * sb, sa * cb + ca * sb
+            f = sa * lo  # f = ca - sa lo, g = sa + ca lo
+            f, g = np.subtract(ca, f, out=f), np.add(np.multiply(lo, ca, out=lo), sa, out=lo)
+        else:  # f = ca cos(lo) - sa sin(lo), g = sa cos(lo) + ca sin(lo)
+            cb, lo = np.cos(lo), np.sin(lo, out=lo)
+            f = ca * cb
+            g = np.add(np.multiply(cb, sa, out=cb), np.multiply(ca, lo, out=ca), out=cb)
+            f -= np.multiply(sa, lo, out=sa)
+        del t, lo, ca, sa
     elif d == 0:
         f, g = np.ones(n), t
     else:
-        f, g = np.exp(-2.0 * t * w), -np.expm1(-2.0 * t * w)
+        np.multiply(np.multiply(t, -2.0, out=t), w, out=t)  # -2 t w
+        f, g = np.exp(t), np.negative(np.expm1(t, out=t), out=t)
     b = np.empty(n + 1)
     b[0] = p.alpha
-    b[1:] = np.arctan2(f * v0[1] + g * v1[1], f * v0[0] + g * v1[0])
-    # np.unwrap's corrections, as whole turns
-    b[1:] -= 2.0 * math.pi * np.cumsum(np.round(np.diff(b) / (2.0 * math.pi)))
+    y = np.multiply(f, v0[1], out=b[1:])  # arctan2(f v0[1] + g v1[1], f v0[0] + g v1[0])
+    y += g * v1[1]
+    f *= v0[0]
+    np.arctan2(y, np.add(f, np.multiply(g, v1[0], out=g), out=f), out=y)
+    del f, g
+    turns = np.diff(b)  # np.unwrap's corrections: 2 pi cumsum(round(diff(b) / (2 pi)))
+    turns = np.cumsum(np.round(np.divide(turns, 2.0 * math.pi, out=turns), out=turns), out=turns)
+    b[1:] -= np.multiply(turns, 2.0 * math.pi, out=turns)
     return b
 
 
 def premeasurement_angles(p: GroverParams, n_steps: int | None = None) -> np.ndarray:
     """Angle seen by the measurement at each iteration (1-indexed)."""
-    return grover_recurrence(p, n_steps)[:-1] + 2.0 * p.alpha
+    angles = grover_recurrence(p, n_steps)[:-1]
+    angles += 2.0 * p.alpha
+    return angles
 
 
 def halting_probabilities(p: GroverParams, n_steps: int | None = None) -> np.ndarray:
     """Per-iteration certify probability kappa * sin^2(angle)."""
-    return p.kappa * np.sin(premeasurement_angles(p, n_steps)) ** 2
+    law = premeasurement_angles(p, n_steps)  # kappa * sin(angle) ** 2, in place
+    return np.multiply(np.square(np.sin(law, out=law), out=law), p.kappa, out=law)
 
 
 @dataclass
@@ -334,26 +349,26 @@ def grover_montecarlo(p: GroverParams, n_trials: int) -> tuple[GroverSamples, Mo
     if n_trials > TRIALS_CAP:
         raise LinalgError(f"n_trials must be <= {TRIALS_CAP}")
     angles = premeasurement_angles(p)
-    probs = p.kappa * np.sin(angles) ** 2
+    # One buffer, in place: kappa sin^2 -> log-survival -> survival -> CDF, same bytes.
+    cdf = np.sin(angles)
+    np.multiply(np.square(cdf, out=cdf), p.kappa, out=cdf)
     with np.errstate(divide="ignore"):
-        log_survival = np.cumsum(np.log1p(-np.minimum(probs, 1.0)))
-    survival = np.exp(log_survival)
-    cdf = 1.0 - survival  # cdf[t - 1] = F(t)
+        np.log1p(np.negative(np.minimum(cdf, 1.0, out=cdf), out=cdf), out=cdf)
+    censored_mass = float(np.exp(np.cumsum(cdf, out=cdf), out=cdf)[-1])  # 1 - F(horizon)
+    cdf = np.subtract(1.0, cdf, out=cdf)  # cdf[t - 1] = F(t)
 
     u = np.random.default_rng(np.random.SeedSequence(p.seed)).random(n_trials)
     # Sorted keys let the binary search start where the previous key ended.
     order = np.argsort(u)
-    ranked = np.searchsorted(cdf, u[order], side="right")
+    u = u[order]  # the sorted draws replace the draws
+    ranked = np.searchsorted(cdf, u, side="right")
     idx = np.empty_like(ranked)
     idx[order] = ranked
     del u, order
     censored = idx >= p.max_iterations
-    last = np.minimum(idx, p.max_iterations - 1)
-    samples = GroverSamples(np.where(censored, p.max_iterations, idx + 1), censored, angles[last])
-
-    done = ranked[ranked < p.max_iterations] + 1  # the uncensored iterations, sorted
-    median = float(np.median(done)) if done.size else math.nan
-    mean = float(np.mean(done)) if done.size else math.nan
+    angle = angles[np.minimum(idx, p.max_iterations - 1, out=idx)]
+    del angles
+    samples = GroverSamples(np.add(idx, 1, out=idx), censored, angle)  # min(idx + 1, horizon)
 
     # 24 buckets per oscillation period pi / (2 alpha) of the halting
     # probability, so its periodic peaks stay visible.
@@ -361,26 +376,30 @@ def grover_montecarlo(p: GroverParams, n_trials: int) -> tuple[GroverSamples, Mo
     # Every halt is below the horizon, so a bucket that wide already holds them
     # all; numpy cannot divide by a width past int64 (B above about 1e40).
     step = min(bucket_width, p.max_iterations)
-    counts = np.bincount((done - 1) // step)
+    n_censored = int(censored.sum())
+    done = ranked[: n_trials - n_censored]  # the uncensored halts less 1, sorted
+    counts = np.bincount(done // step)
     bucket = np.flatnonzero(counts)
     histogram = np.column_stack([bucket * step + 1, counts[bucket]])
+    done += 1
+    mid = done[(done.size - 1) // 2 : done.size // 2 + 1]  # what np.median averages
+    median, mean = (float(np.mean(mid)), float(np.mean(done))) if done.size else (math.nan,) * 2
 
-    half = int(np.searchsorted(cdf, 0.5))
-    pmf = np.empty_like(cdf)  # np.diff(cdf, prepend=0.0), without its concatenated copy
-    pmf[0] = cdf[0]
-    np.subtract(cdf[1:], cdf[:-1], out=pmf[1:])
+    half, mass = int(np.searchsorted(cdf, 0.5)), cdf[-1]
+    pmf = cdf  # becomes np.diff(cdf, prepend=0.0) in place; numpy buffers the overlap
+    np.subtract(pmf[1:], pmf[:-1], out=pmf[1:])
     # NaN, as median and mean are without halts, where F rounds to 0 at every step
-    exact_mean = float(np.dot(np.arange(1, cdf.size + 1), pmf) / cdf[-1]) if cdf[-1] else math.nan
+    exact_mean = float(np.dot(np.arange(1.0, pmf.size + 1), pmf) / mass) if mass else math.nan
     summary = MonteCarloSummary(
         median,
         mean,
         n_trials,
-        int(censored.sum()),
+        n_censored,
         bucket_width,
         histogram,
-        exact_median=half + 1 if half < cdf.size else None,
+        exact_median=half + 1 if half < pmf.size else None,
         exact_mean=exact_mean,
-        censored_mass=float(survival[-1]),
+        censored_mass=censored_mass,
     )
     return samples, summary
 

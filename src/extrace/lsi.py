@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import trace
 from .linalg import (DEFAULT_TOL, LinalgError, as_labels, as_matrix, bracket_norms,
                      matrix_from_literal, matrix_to_literal, write_csv)
-from .trace import SeriesDivergence, TraceConfig, _trace_core
 
 __all__ = [
     "FirKernel",
@@ -201,27 +201,29 @@ def lsi_classify(r: FrequencyResponse) -> str:
 
 
 def lsi_ex(
-    r: FrequencyResponse, loop_ports: int, cfg: TraceConfig = TraceConfig()
+    r: FrequencyResponse, loop_ports: int, cfg: trace.TraceConfig | None = None
 ) -> FrequencyResponse:
     """Trace out the trailing loop_ports ports at every grid frequency.  The
     first failing sample re-raises the trace core's error with its omega
     leading the message; one whose series did not converge raises
     SeriesDivergence the same way, rather than pass its partial sum off as
-    a value."""
+    a value.  cfg defaults to TraceConfig()."""
+    cfg = trace.TraceConfig() if cfg is None else cfg
     n_out, n_in = r.samples.shape[1], r.samples.shape[2]
     if loop_ports < 1 or loop_ports > min(n_out, n_in):
         raise LinalgError(f"cannot loop {loop_ports} ports on shape {(n_out, n_in)}")
     if r.out_ports[-loop_ports:] != r.in_ports[-loop_ports:]:
         raise LinalgError("trailing loop ports differ between input and output")
     try:
-        values, _, _, residual, converged = _trace_core(r.samples, loop_ports, cfg)
+        values, _, _, residual, converged = trace._trace_core(r.samples, loop_ports, cfg)
     except ArithmeticError as e:
         e.args = (f"loop trace failed at omega={r.grid[e.index]:.6f}: {e}",)
         raise
     if not converged.all():
         i = int(np.argmin(converged))
-        raise SeriesDivergence(f"loop trace failed at omega={r.grid[i]:.6f}: series did not "
-                               f"converge in {cfg.max_terms} terms (last term {residual[i]:.3e})")
+        raise trace.SeriesDivergence(
+            f"loop trace failed at omega={r.grid[i]:.6f}: series did not converge in "
+            f"{cfg.max_terms} terms (last term {residual[i]:.3e})")
     return FrequencyResponse(values, r.out_ports[:-loop_ports], r.in_ports[:-loop_ports])
 
 

@@ -16,9 +16,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import lsi, trace
 from .linalg import DEFAULT_TOL, as_matrix, classify, direct_sum, matrix_from_literal
-from .lsi import DEFAULT_GRID, FrequencyResponse, _uniform_grid, lsi_ex
-from .trace import TraceConfig
 
 __all__ = [
     "Delay",
@@ -322,14 +321,16 @@ def check(p: Node) -> WellFormedReport:
 
 
 def semantics(
-    p: Node, grid_size: int = DEFAULT_GRID, cfg: TraceConfig = TraceConfig()
-) -> FrequencyResponse:
-    """Structural recursion to per-frequency matrices on the uniform grid."""
-    grid = _uniform_grid(grid_size, _widest(p))
+    p: Node, grid_size: int | None = None, cfg: trace.TraceConfig | None = None
+) -> lsi.FrequencyResponse:
+    """Structural recursion to per-frequency matrices on the uniform grid.
+    grid_size defaults to lsi.DEFAULT_GRID and cfg to TraceConfig()."""
+    grid = lsi._uniform_grid(lsi.DEFAULT_GRID if grid_size is None else grid_size, _widest(p))
+    cfg = trace.TraceConfig() if cfg is None else cfg
     samples = _eval(p, grid, cfg)
     out_ports = tuple(f"out{i}" for i in range(p.out_count))
     in_ports = tuple(f"in{i}" for i in range(p.in_count))
-    return FrequencyResponse(samples, out_ports, in_ports)
+    return lsi.FrequencyResponse(samples, out_ports, in_ports)
 
 
 def _widest(node: Node) -> int:
@@ -338,7 +339,7 @@ def _widest(node: Node) -> int:
     return max([node.out_count * node.in_count, *(_widest(c) for _, c in _children(node))])
 
 
-def _eval(node: Node, grid: np.ndarray, cfg: TraceConfig) -> np.ndarray:
+def _eval(node: Node, grid: np.ndarray, cfg: trace.TraceConfig) -> np.ndarray:
     n = grid.size
     if isinstance(node, Unitary):
         return np.broadcast_to(node.matrix, (n, *node.matrix.shape)).copy()
@@ -352,5 +353,5 @@ def _eval(node: Node, grid: np.ndarray, cfg: TraceConfig) -> np.ndarray:
         body = _eval(node.body, grid, cfg)
         # Ports numbered from the end, so the trailing loop ports match.
         outs, ins = (tuple(range(-n, 0)) for n in body.shape[1:])
-        return lsi_ex(FrequencyResponse(body, outs, ins), node.feedback, cfg).samples
+        return lsi.lsi_ex(lsi.FrequencyResponse(body, outs, ins), node.feedback, cfg).samples
     raise QWhileError(f"cannot evaluate node {type(node).__name__}")

@@ -65,12 +65,15 @@ def inputs(tmp_path) -> dict:
         (["trace", "TRACE"], ["kappa", "lsi", "qwhile"]),
         (["axioms", "--cases", "2"], ["kappa", "lsi", "qwhile"]),
         (["lsi", "KERNEL", "--grid", "8", "--loop", "1"], ["kappa", "qwhile"]),
+        (["lsi", "KERNEL", "--grid", "8"], ["kappa", "qwhile", "trace"]),
         (["bound", "--B", "100"], ["lsi", "qwhile", "trace"]),
         (["grover", "--B", "16", "--trials", "10"], ["lsi", "qwhile", "trace"]),
         (["grover", "--B", "16", "--trials", "10", "--out", "CSV"], ["lsi", "qwhile", "trace"]),
         (["qwhile", "run", "QW", "--grid", "8"], ["kappa"]),
+        (["qwhile", "check", "QW"], ["kappa", "lsi", "trace"]),
     ],
-    ids=["trace", "axioms", "lsi", "bound", "grover", "grover-out", "qwhile"],
+    ids=["trace", "axioms", "lsi", "lsi-noloop", "bound", "grover", "grover-out", "qwhile",
+         "qwhile-check"],
 )
 def test_a_command_executes_only_the_layers_it_runs(tmp_path, argv, unloaded):
     files = inputs(tmp_path)
