@@ -145,6 +145,9 @@ class GroverParams:
             if 50.0 / kappa == math.inf:
                 raise LinalgError(f"kappa {kappa:g} is too small: ceil(50 / kappa) is not finite")
             object.__setattr__(self, "max_iterations", int(math.ceil(50.0 / kappa)))
+        for name in ("B_size", "seed", "max_iterations"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise LinalgError(f"{name} must be an integer")
         if self.max_iterations < 1:
             raise LinalgError("max_iterations must be >= 1")
 
@@ -183,13 +186,14 @@ def grover_recurrence(p: GroverParams, n_steps: int | None = None) -> np.ndarray
     K = M - (tr M / 2) I and d = det K, Cayley-Hamilton on M / sqrt(xi) (determinant
     1, tr M >= 0 as alpha <= pi/4) puts M^t v_0 along
         cos(t w) v_0 + sin(t w) K v_0 / sqrt(d),  w = atan2(sqrt(d), tr M / 2),  d > 0;
-        v_0 + t K v_0 / sqrt(xi),                                                d = 0;
         e^(-2tw) v_0 + (1 - e^(-2tw)) P v_0,      w = asinh(sqrt(-d / xi)),      d < 0,
-    P = (I + K / sqrt(-d)) / 2 the projector on the growing eigenvector.  Near d = 0
-    and near kappa = 1 the angles hang on digits that doubles lose, so d, w and the
-    two vectors are set up in 50-digit decimals, and the phase t w is carried as
-    t w_hi (exact) + t w_lo, whose cos and sin are 1 and t w_lo, and go untaken,
-    where every t w_lo is below TINY_PHASE (n^2 w < 2^25 suffices, as |w_lo| <= n w 2^-52).
+    P = (I + K / sqrt(-d)) / 2 the projector on the growing eigenvector.  d is never 0: at
+    kappa = 1 (xi = 0) d = -(cos 2 alpha)^2 / 4, and cos 2 alpha is -1.6e-16 at B = 2, as
+    the double asin(2^-1/2) is not pi / 4; xi > 0 needs a kappa on the turning point to 50
+    digits.  Near d = 0 and near kappa = 1 the angles hang on digits that doubles lose, so
+    d, w and the two vectors are set up in 50-digit decimals, and the phase t w is carried
+    as t w_hi (exact) + t w_lo, whose cos and sin are 1 and t w_lo, and go untaken, where
+    every t w_lo is below TINY_PHASE (n^2 w < 2^25 suffices, as |w_lo| <= n w 2^-52).
     Max error of kappa sin^2 against 30-digit steps over 1000 draws of up to 1500
     steps, B in [2, 1e7], kappa in [1e-6, 1], near d = 0 and kappa = 1 included:
     5.2e-13 (a per-step loop of theta in doubles: 1.9e-3)."""
@@ -212,14 +216,11 @@ def grover_recurrence(p: GroverParams, n_steps: int | None = None) -> np.ndarray
             w_hi, w_lo = _split_rate(
                 Decimal(w0) + (r * c0 - half_tr * s0) / (half_tr * c0 + r * s0), n)
             second = (kv[0] / r, kv[1] / r)
-        elif d == 0:
-            second = (kv[0] / xi.sqrt(), kv[1] / xi.sqrt())
         else:
             r = (-d).sqrt()
             w = math.asinh(float(r / xi.sqrt())) if xi > 0 else math.inf
             second = ((cos_a + kv[0] / r) / 2, (sin_a + kv[1] / r) / 2)
-        v0 = (float(cos_a), float(sin_a))
-        v1 = (float(second[0]), float(second[1]))
+        v0, v1 = (float(cos_a), float(sin_a)), (float(second[0]), float(second[1]))
     # Built in place, each array dropped once spent; x * y and y * x are the same bytes.
     if d > 0:
         lo = t * w_lo
@@ -234,8 +235,6 @@ def grover_recurrence(p: GroverParams, n_steps: int | None = None) -> np.ndarray
             g = np.add(np.multiply(cb, sa, out=cb), np.multiply(ca, lo, out=ca), out=cb)
             f -= np.multiply(sa, lo, out=sa)
         del t, lo, ca, sa
-    elif d == 0:
-        f, g = np.ones(n), t
     else:
         np.multiply(np.multiply(t, -2.0, out=t), w, out=t)  # -2 t w
         f, g = np.exp(t), np.negative(np.expm1(t, out=t), out=t)

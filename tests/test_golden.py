@@ -124,6 +124,11 @@ def commands() -> dict:
     cmds["grover-4096-csv"] = (["grover", "--B", "4096", "--trials", "2000", "--seed", "3"], True)
     cmds["grover-1e6"] = (["grover", "--B", "1000000", "--kappa", "0.001", "--trials", "1000",
                            "--seed", "1"], False)
+    # The closed form's d < 0 regime: kappa = 1 at B = 2, and kappa 1e-12 short of 1.
+    cmds["grover-2-kappa1-csv"] = (["grover", "--B", "2", "--kappa", "1", "--trials", "100",
+                                    "--seed", "0"], True)
+    cmds["grover-3-near-kappa1-csv"] = (["grover", "--B", "3", "--kappa", "0.999999999999",
+                                         "--trials", "2000", "--seed", "2"], True)
     cmds["grover-statevector-csv"] = (["grover", "--B", "64", "--kappa", "0.3", "--seed", "1",
                                        "--mode", "statevector"], True)
     cmds["bound-10000"] = (["bound", "--B", "10000", "--c", "2"], False)
@@ -193,6 +198,8 @@ GOLDEN = {
     "axioms-200-seed7": "1379d8a4931d9b6e",
     "grover-4096-csv": "e77f7f8e06ac3d36",
     "grover-1e6": "a18f7b44bebb740e",
+    "grover-2-kappa1-csv": "b5ac013b005c7e33",
+    "grover-3-near-kappa1-csv": "c162b093a9dcda0c",
     "grover-statevector-csv": "fbfea0918f91e547",
     "bound-10000": "f779d42d94fb1455",
 }

@@ -1,8 +1,6 @@
-import json
 import math
 import tracemalloc
 import warnings
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -249,6 +247,13 @@ class TestGroverParams:
         with pytest.raises(LinalgError):
             GroverParams(4, max_iterations=0)
 
+    @pytest.mark.parametrize("field, value", [("B_size", 16.5), ("seed", 1.5),
+                                              ("max_iterations", 2.5)])
+    def test_non_integer_field_is_refused(self, field, value):
+        # Unchecked, a float B runs and a float seed or horizon fails with no LinalgError.
+        with pytest.raises(LinalgError, match=f"{field} must be an integer"):
+            GroverParams(**{"B_size": 16, field: value})
+
 
 class TestRecurrence:
     def test_kappa_zero_is_standard_grover(self):
@@ -477,9 +482,11 @@ class TestMonteCarlo:
 
 
 def frozen_grover_montecarlo(p, n_trials):
-    """Reference sampler: one searchsorted over the draws in trial order,
-    np.median over trial order and an np.unique histogram.  The sorted
-    search and the bincount histogram must match it byte for byte."""
+    """Reference sampler on the engine's own trajectory, each step by its plain
+    definition: the CDF in new arrays, one searchsorted over the draws in trial
+    order, np.median over trial order and an np.unique histogram.  The engine's
+    in-place CDF, sorted search, sorted median and bincount histogram must match
+    it byte for byte."""
     angles = premeasurement_angles(p)
     probs = p.kappa * np.sin(angles) ** 2
     with np.errstate(divide="ignore"):
@@ -498,43 +505,65 @@ def frozen_grover_montecarlo(p, n_trials):
     mean = float(np.mean(done)) if done.size else math.nan
     bucket_width = max(1, int(round(math.pi / (2.0 * p.alpha) / 24.0)))
     lo, counts = np.unique((done - 1) // bucket_width * bucket_width + 1, return_counts=True)
-    histogram = np.column_stack([lo, counts]).tolist()
 
-    half = int(np.searchsorted(cdf, 0.5))
+    half, mass = int(np.searchsorted(cdf, 0.5)), cdf[-1]
     pmf = np.diff(cdf, prepend=0.0)
     summary = MonteCarloSummary(
-        median, mean, n_trials, int(censored.sum()), bucket_width, histogram,
+        median, mean, n_trials, int(censored.sum()), bucket_width, np.column_stack([lo, counts]),
         exact_median=half + 1 if half < cdf.size else None,
-        exact_mean=float(np.dot(np.arange(1, cdf.size + 1), pmf) / cdf[-1]),
+        # NaN where F rounds to 0 at every step, as median and mean are without halts
+        exact_mean=float(np.dot(np.arange(1, cdf.size + 1), pmf) / mass) if mass else math.nan,
         censored_mass=float(survival[-1]),
     )
     return samples, summary
 
 
+def same_bytes(got, want):
+    """Arrays of one dtype and shape with equal bytes; other values of one type and
+    repr, so NaN matches NaN, None matches None and 0.0 does not match -0.0."""
+    if isinstance(want, np.ndarray):
+        return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+    return type(got) is type(want) and repr(got) == repr(want)
+
+
 @st.composite
 def montecarlo_runs(draw):
-    b = draw(st.one_of(st.integers(2, 100), st.integers(2, 10**8)))
-    kappa = draw(st.one_of(st.none(), st.just(1.0), st.floats(-4.0, 0.0).map(lambda e: 10.0**e)))
-    horizon = GroverParams(b, kappa).max_iterations
-    max_iterations = draw(st.one_of(st.integers(1, 50), st.integers(1, horizon), st.just(horizon)))
+    """(params, n_trials) with horizons up to 20,000 steps."""
+    b = draw(st.one_of(st.integers(2, 100), st.integers(2, 10**10)))
+    kappa = draw(st.one_of(st.none(), st.just(1.0), st.floats(-4.0, 0.0).map(lambda e: 10.0**e),
+                           st.floats(-12.0, -2.0).map(lambda e: 1.0 - 10.0**e)))
+    horizon = min(GroverParams(b, kappa).max_iterations, 20_000)
+    max_iterations = draw(st.one_of(st.just(1), st.integers(1, 50), st.integers(1, horizon),
+                                    st.just(horizon)))
     seed = draw(st.integers(0, 2**64))
     return GroverParams(b, kappa, seed, max_iterations), draw(st.integers(1, 20_000))
 
 
-@given(montecarlo_runs())
-@example((GroverParams(10**8, 1e-6, 3, 5), 1000))  # every trial censored
-@example((GroverParams(10**4, None, 7), 10_000))  # no trial censored
-@example((GroverParams(2, 1.0, 0), 1))
-@example((GroverParams(10**6, None, 5, 3000), 20_000))  # some censored
+@given(montecarlo_runs(), st.integers(0, 20_000))
+@example((GroverParams(10**8, 1e-6, 3, 5), 1000), 1)  # every trial censored
+@example((GroverParams(10**4, None, 7), 10_000), 0)  # no trial censored
+@example((GroverParams(10**6, None, 5, 3000), 20_000), 5000)  # some censored
+@example((GroverParams(10**20, None, 0, 1), 10), 1)  # F(t) rounds to 0: no halt
+@example((GroverParams(10**8), 3000), 0)  # default kappa: 500,000 steps
+@example((GroverParams(2, 1.0), 100), 7)  # d = -h^2, a hair below 0: h = c / 2, c = -1.6e-16
+@example((GroverParams(2, 1.0, 0, 1), 1), 0)
+@example((GroverParams(3, 1.0 - 1e-12), 3000), 1)  # d < 0, kappa near 1
+@example((GroverParams(10**4, 1e-3), 1), 50_000)  # n |w_lo| just under TINY_PHASE
+@example((GroverParams(4, 1e-4), 3000), 20_000)  # n |w_lo| past TINY_PHASE
 @settings(deadline=None, max_examples=40)
-def test_montecarlo_bytes_equal_frozen_reference(run):
+def test_montecarlo_bytes_equal_frozen_reference(run, n_steps):
     p, n_trials = run
     samples, summary = grover_montecarlo(p, n_trials)
     want_samples, want_summary = frozen_grover_montecarlo(p, n_trials)
-    for got, want in zip((samples.iterations, samples.censored, samples.angle),
-                         (want_samples.iterations, want_samples.censored, want_samples.angle)):
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    assert json.dumps(summary.to_json()) == json.dumps(want_summary.to_json())
+    for name, got in vars(samples).items():
+        assert same_bytes(got, getattr(want_samples, name)), name
+    assert list(vars(summary)) == list(vars(want_summary))
+    for name, got in vars(summary).items():
+        assert same_bytes(got, getattr(want_summary, name)), name
+    for n in (None, 0, 1, n_steps):
+        angles = grover_recurrence(p, n)[:-1] + 2.0 * p.alpha
+        assert same_bytes(premeasurement_angles(p, n), angles)
+        assert same_bytes(halting_probabilities(p, n), p.kappa * np.sin(angles) ** 2)
 
 
 @pytest.mark.parametrize("d", [2, 64, 4096])
@@ -564,150 +593,6 @@ def test_tiny_phase_shortcut_keeps_every_byte(run):
     finally:
         kappa.TINY_PHASE = tiny
     assert got.tobytes() == want.tobytes()
-
-
-def out_of_place_recurrence(p, n_steps=None):
-    """grover_recurrence with one temporary per expression, as it was before its
-    arrays were built in place: the reference that build must match byte for byte."""
-    n = p.max_iterations if n_steps is None else n_steps
-    t = np.arange(1, n + 1, dtype=float)
-    with localcontext() as ctx:
-        ctx.prec = 50
-        sin_a, cos_a = kappa._sin_cos(Decimal(p.alpha))
-        xi = (1 - Decimal(p.kappa)).sqrt()
-        c, s = 1 - 2 * sin_a * sin_a, 2 * sin_a * cos_a
-        h = c * Decimal(p.kappa) / (1 + xi) / 2  # K = [[h, -s], [xi s, -h]]
-        kv = (h * cos_a - s * sin_a, xi * s * cos_a - h * sin_a)
-        d = xi * s * s - h * h
-        if d > 0:
-            r, half_tr = d.sqrt(), c * (1 + xi) / 2
-            w0 = math.atan2(float(r), float(half_tr))
-            s0, c0 = kappa._sin_cos(Decimal(w0))  # w = w0 + atan(tan(w - w0)), |w - w0| < 1e-15
-            w_hi, w_lo = kappa._split_rate(
-                Decimal(w0) + (r * c0 - half_tr * s0) / (half_tr * c0 + r * s0), n)
-            second = (kv[0] / r, kv[1] / r)
-        elif d == 0:
-            second = (kv[0] / xi.sqrt(), kv[1] / xi.sqrt())
-        else:
-            r = (-d).sqrt()
-            w = math.asinh(float(r / xi.sqrt())) if xi > 0 else math.inf
-            second = ((cos_a + kv[0] / r) / 2, (sin_a + kv[1] / r) / 2)
-        v0 = (float(cos_a), float(sin_a))
-        v1 = (float(second[0]), float(second[1]))
-    if d > 0:
-        ca, sa = np.cos(t * w_hi), np.sin(t * w_hi)
-        lo = t * w_lo
-        if n * abs(w_lo) < kappa.TINY_PHASE:  # cos(lo) = 1.0 and sin(lo) = lo: the same bytes
-            f, g = ca - sa * lo, sa + ca * lo
-        else:
-            cb, sb = np.cos(lo), np.sin(lo)
-            f, g = ca * cb - sa * sb, sa * cb + ca * sb
-    elif d == 0:
-        f, g = np.ones(n), t
-    else:
-        f, g = np.exp(-2.0 * t * w), -np.expm1(-2.0 * t * w)
-    b = np.empty(n + 1)
-    b[0] = p.alpha
-    b[1:] = np.arctan2(f * v0[1] + g * v1[1], f * v0[0] + g * v1[0])
-    # np.unwrap's corrections, as whole turns
-    b[1:] -= 2.0 * math.pi * np.cumsum(np.round(np.diff(b) / (2.0 * math.pi)))
-    return b
-
-
-def out_of_place_montecarlo(p, n_trials):
-    """grover_montecarlo with one temporary per expression, on the angles of
-    out_of_place_recurrence: the reference its in-place build must match."""
-    angles = out_of_place_recurrence(p)[:-1] + 2.0 * p.alpha
-    probs = p.kappa * np.sin(angles) ** 2
-    with np.errstate(divide="ignore"):
-        log_survival = np.cumsum(np.log1p(-np.minimum(probs, 1.0)))
-    survival = np.exp(log_survival)
-    cdf = 1.0 - survival  # cdf[t - 1] = F(t)
-
-    u = np.random.default_rng(np.random.SeedSequence(p.seed)).random(n_trials)
-    # Sorted keys let the binary search start where the previous key ended.
-    order = np.argsort(u)
-    ranked = np.searchsorted(cdf, u[order], side="right")
-    idx = np.empty_like(ranked)
-    idx[order] = ranked
-    del u, order
-    censored = idx >= p.max_iterations
-    last = np.minimum(idx, p.max_iterations - 1)
-    samples = GroverSamples(np.where(censored, p.max_iterations, idx + 1), censored, angles[last])
-
-    done = ranked[ranked < p.max_iterations] + 1  # the uncensored iterations, sorted
-    median = float(np.median(done)) if done.size else math.nan
-    mean = float(np.mean(done)) if done.size else math.nan
-
-    bucket_width = max(1, int(round(math.pi / (2.0 * p.alpha) / 24.0)))
-    step = min(bucket_width, p.max_iterations)
-    counts = np.bincount((done - 1) // step)
-    bucket = np.flatnonzero(counts)
-    histogram = np.column_stack([bucket * step + 1, counts[bucket]])
-
-    half = int(np.searchsorted(cdf, 0.5))
-    pmf = np.empty_like(cdf)  # np.diff(cdf, prepend=0.0), without its concatenated copy
-    pmf[0] = cdf[0]
-    np.subtract(cdf[1:], cdf[:-1], out=pmf[1:])
-    exact_mean = float(np.dot(np.arange(1, cdf.size + 1), pmf) / cdf[-1]) if cdf[-1] else math.nan
-    summary = MonteCarloSummary(
-        median,
-        mean,
-        n_trials,
-        int(censored.sum()),
-        bucket_width,
-        histogram,
-        exact_median=half + 1 if half < cdf.size else None,
-        exact_mean=exact_mean,
-        censored_mass=float(survival[-1]),
-    )
-    return samples, summary
-
-
-def same_bytes(got, want):
-    """Arrays of one dtype and shape with equal bytes; other values of one type and
-    repr, so NaN matches NaN, None matches None and 0.0 does not match -0.0."""
-    if isinstance(want, np.ndarray):
-        return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
-    return type(got) is type(want) and repr(got) == repr(want)
-
-
-@st.composite
-def law_runs(draw):
-    """(params, n_steps, n_trials) with horizons up to 20,000 steps."""
-    b = draw(st.one_of(st.integers(2, 100), st.integers(2, 10**10)))
-    kappa = draw(st.one_of(st.none(), st.just(1.0), st.floats(-4.0, 0.0).map(lambda e: 10.0**e),
-                           st.floats(-12.0, -2.0).map(lambda e: 1.0 - 10.0**e)))
-    horizon = min(GroverParams(b, kappa).max_iterations, 20_000)
-    max_iterations = draw(st.one_of(st.just(1), st.integers(1, horizon), st.just(horizon)))
-    n_steps = draw(st.one_of(st.none(), st.sampled_from([0, 1]), st.integers(0, horizon)))
-    p = GroverParams(b, kappa, draw(st.integers(0, 2**64)), max_iterations)
-    return p, n_steps, draw(st.integers(1, 3000))
-
-
-@given(law_runs())
-@example((GroverParams(10**10), None, 3000))  # default kappa: 5,000,000 steps
-@example((GroverParams(2, 1.0), None, 100))  # d = -h^2, a hair below 0: h is c / 2, c ~ 1e-17
-@example((GroverParams(2, 1.0, 0, 1), 0, 1))
-@example((GroverParams(3, 1.0 - 1e-12), 1, 3000))  # d < 0, kappa near 1
-@example((GroverParams(10**4, 1e-3), None, 1))  # n |w_lo| just under TINY_PHASE
-@example((GroverParams(4, 1e-4), None, 3000))  # n |w_lo| past TINY_PHASE
-@example((GroverParams(10**8, 1e-6, 3, 5), 1, 1000))  # every trial censored
-@settings(deadline=None, max_examples=25)
-def test_in_place_law_bytes_equal_out_of_place(run):
-    p, n_steps, n_trials = run
-    want = out_of_place_recurrence(p, n_steps)
-    assert same_bytes(grover_recurrence(p, n_steps), want)
-    want = want[:-1] + 2.0 * p.alpha
-    assert same_bytes(premeasurement_angles(p, n_steps), want)
-    assert same_bytes(halting_probabilities(p, n_steps), p.kappa * np.sin(want) ** 2)
-    samples, summary = grover_montecarlo(p, n_trials)
-    want_samples, want_summary = out_of_place_montecarlo(p, n_trials)
-    for name, got in vars(samples).items():
-        assert same_bytes(got, getattr(want_samples, name)), name
-    assert list(vars(summary)) == list(vars(want_summary))
-    for name, got in vars(summary).items():
-        assert same_bytes(got, getattr(want_summary, name)), name
 
 
 class TestBounds:

@@ -65,13 +65,13 @@ def test_lsi_ex_matches_scalar_trace_at_every_frequency(seed):
 
 def reference_series(m, k, cfg):
     """The per-term series, one matrix at a time, with an SVD norm of every
-    term and partial sum: (value, terms, last term norm, converged)."""
+    term and partial sum: (value, terms, last term norm, converged).  The tail
+    ratio is ||P^2||^(1/2k), P = f_UU^k, and a zero term certifies only when
+    the next k - 1 terms are exactly zero too."""
     b = m.shape[0] - k
     f_ba, f_bu, f_ua, f_uu = m[:b, :b], m[:b, b:], m[b:, :b], m[b:, b:]
     probe = np.linalg.matrix_power(f_uu, k)
-    ratio = min(
-        np.linalg.norm(probe, 2) ** (1.0 / k), np.linalg.norm(probe @ probe, 2) ** (1.0 / (2 * k))
-    )
+    ratio = np.linalg.norm(probe @ probe, 2) ** (1.0 / (2 * k))
     total, left, term_norm = f_ba.copy(), f_bu.copy(), math.inf
     for n in range(cfg.max_terms):
         term = left @ f_ua
@@ -85,13 +85,23 @@ def reference_series(m, k, cfg):
                 "the series does not converge in norm"
             )
         if term_norm <= cfg.series_tol:
-            tail = 0.0 if term_norm == 0.0 else (
-                term_norm * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-            )
+            tail = term_norm * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+            if term_norm == 0.0:
+                ahead, vanish = left, True
+                for _ in range(k - 1):
+                    ahead = ahead @ f_uu
+                    vanish &= not (ahead @ f_ua).any()
+                tail = 0.0 if vanish else math.inf
             if tail <= cfg.series_tol:
                 return total, n + 1, term_norm, True
         left = left @ f_uu
     return total, cfg.max_terms, term_norm, False
+
+
+# Nilpotent loops whose zero terms come before nonzero ones: with the 2-dim
+# loop the series is 0.225 after 3 terms, not 0.1 after the first, zero, term.
+NILPOTENT = [(np.array([[0.1, 0.5, 0], [0, 0, 0.5], [0.5, 0, 0]]), 2),
+             (np.array([[0.2, 0.5, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 0.5], [0.5, 0, 0, 0]]), 3)]
 
 
 @pytest.mark.parametrize("scale", [0.5, 1.0, 1.3, 3.0])
@@ -99,10 +109,12 @@ def test_series_matches_per_term_reference(scale):
     # Same arithmetic in the same order, so the results must be equal,
     # not close: values, term counts, last increments and flags.
     cfg = TraceConfig(max_terms=300)
+    cases = [(m * scale, k) for m, k in NILPOTENT]
     for seed in range(30):
         rng = np.random.default_rng(seed)
         dim, k = int(rng.integers(2, 7)), int(rng.integers(1, 4))
-        m = random_contraction(dim + k, dim + k, rng) * scale
+        cases.append((random_contraction(dim + k, dim + k, rng) * scale, k))
+    for m, k in cases:
         try:
             want = reference_series(m, k, cfg)
         except SeriesDivergence as e:
