@@ -172,16 +172,20 @@ def _cmd_grover(args) -> int:
     samples, summary = kappa.grover_montecarlo(params, args.trials)
     if args.out:
         # The angle is a function of the halting iteration, so each distinct
-        # key (iterations, censored) has one row tail, formatted once.
-        key = samples.iterations * 2 + samples.censored
-        seen = np.bincount(key) > 0
-        angle = np.empty(seen.size)
+        # key (iterations, censored) has one row tail, formatted once.  The
+        # keys overwrite the iterations, and the trial numbers the keys.
+        key = np.multiply(samples.iterations, 2, out=samples.iterations)
+        key += samples.censored
+        angle = np.empty(key.max() + 1)
         angle[key] = samples.angle  # any trial's angle stands for its key's
-        keys = np.flatnonzero(seen)
-        tails = np.array(["%d,%d,%.17g" % row for row in zip(
-            (keys >> 1).tolist(), (keys & 1).tolist(), angle[keys].tolist())], dtype=object)
+        keys = np.flatnonzero(np.bincount(key))
+        tails = np.empty(angle.size, dtype=object)
+        tails[keys] = ["%d,%d,%.17g" % row for row in zip(
+            (keys >> 1).tolist(), (keys & 1).tolist(), angle[keys].tolist())]
+        tails = tails[key]
+        key.fill(1)
         write_csv(args.out, "trial,iterations,censored,angle_at_halt", "%d,%s",
-                  [np.arange(key.size), tails[(np.cumsum(seen) - 1)[key]]])
+                  [np.subtract(np.cumsum(key, out=key), 1, out=key), tails])
     _emit(vars(summary))  # the fields in order, the histogram as its array
     return OK
 

@@ -227,7 +227,7 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
     return total, terms, term_norm, converged, errors
 
 
-def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact):
+def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, parts=()):
     """Closed-form trace via witnesses i, k with f_UA = (id - f_UU) i and
     f_BU = k (id - f_UU), for every stack entry at once, from one SVD of
     id - f_UU.  Singular values below 1e-10 * sigma_max count as exact
@@ -240,7 +240,8 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact):
     ki_residual_tol is also judged against the larger of 1 and the norm of
     the block its witness explains, f_UA or f_BU, and reported so if that
     fails.  An entry whose value, residuals or agreement is not finite
-    fails before any norm is taken.  Returns the values, witness residuals
+    fails before any norm is taken.  The ``parts`` of a ragged batch take
+    their values on their own shapes.  Returns the values, witness residuals
     and errors by entry."""
     h = np.eye(f_uu.shape[-1]) - f_uu
     h_pinv = stack_pinv(h, 1e-10)
@@ -248,6 +249,8 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact):
         i_wit = h_pinv @ f_ua
         k_wit = f_bu @ h_pinv
         value = f_ba + k_wit @ f_ua
+        for at, b, a, (p_ba, p_bu, p_ua, _) in parts:
+            value[at, :b, :a] = p_ba + p_bu @ h_pinv[at] @ p_ua
         diffs = (h @ i_wit - f_ua, k_wit @ h - f_bu, value - (f_ba + f_bu @ i_wit))
     finite = np.logical_and.reduce([np.isfinite(d).all(axis=(-2, -1)) for d in diffs])
     d_in, d_out, gap = diffs
@@ -290,7 +293,7 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact):
     return value, residual, errors
 
 
-def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False, route=_BOTH):
+def _trace_core(m, k: int, cfg: TraceConfig, report_gap=False, route=_BOTH, parts=()):
     """Total trace of the loop block, the trailing k rows and columns, of
     every matrix in the stack ``m`` (N, rows, cols).  On the default route,
     contractions take the closed form as the canonical value and the series
@@ -299,7 +302,11 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False, route
     _KI the closed form alone with exact residuals.  Returns the values
     (N, b, a) and, per entry, the method, series terms, residual and
     convergence flag; a contraction's residual, its series/closed-form gap,
-    is exact only if ``report_gap``.  Raises the first entry's error."""
+    is exact only if ``report_gap``.  Raises the first entry's error.  A
+    list ``m`` is a ragged batch of stacks sharing k (_trace_batch): values
+    on exact shapes, zero padding only where a number meets a tolerance."""
+    if isinstance(m, list):
+        return _trace_batch(m, k, cfg, report_gap, route)
     m = np.asarray(m, dtype=np.complex128)
     if not np.all(np.isfinite(m)):
         raise LinalgError("matrix contains non-finite entries")
@@ -318,7 +325,8 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False, route
     norm = bracket_norms(m, limit, math.inf)  # exact at and above the limit
     contraction = norm <= limit
     scale = np.where(contraction, 1.0, norm)  # a contraction's residuals are judged against 1
-    values, residual, errors = _kernel_image(*blocks, scale, cfg, (route == _KI) | ~contraction)
+    values, residual, errors = _kernel_image(*blocks, scale, cfg, (route == _KI) | ~contraction,
+                                             parts)
     if route == _BOTH:
         # A contraction must pass both routes; any other entry whose closed
         # form fails takes the series value instead.
@@ -358,6 +366,36 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False, route
             ))
     _raise_first(errors)
     return values, _ROUTES[routes], terms, residual, converged
+
+
+def _trace_batch(stacks: list, k: int, cfg: TraceConfig, report_gap, route):
+    """_trace_core on complex stacks of any shapes that share the loop size
+    k.  Closed-form values run on each stack's own shape; the series and the
+    checks that only compare a number with a tolerance run once on the
+    union, zero-padded to the largest B and A just before the loop rows and
+    columns, which in exact arithmetic moves no norm, term or certificate.
+    Returns the values by stack, the rest flat.  If the union fails, each
+    stack runs alone, and the first error is raised with its flat index."""
+    ends = np.cumsum([len(s) for s in stacks]).tolist()
+    b, a = (max(s.shape[i] for s in stacks) - k for i in (1, 2))
+    union = np.zeros((ends[-1], b + k, a + k), dtype=np.complex128)
+    parts = [(slice(end - len(s), end), s.shape[1] - k, s.shape[2] - k, _blocks(s, k))
+             for s, end in zip(stacks, ends)]
+    for at, sb, sa, blocks in parts:
+        union[at, :sb, :sa], union[at, :sb, a:], union[at, b:, :sa], union[at, b:, a:] = blocks
+    try:
+        values, *rest = _trace_core(union, k, cfg, report_gap, route, parts)
+    except ArithmeticError:
+        alone = []
+        for s, (at, *_) in zip(stacks, parts):
+            try:
+                alone.append(_trace_core(s, k, cfg, report_gap, route))
+            except ArithmeticError as e:
+                e.index += at.start
+                raise
+        values, *rest = zip(*alone)  # the union failed where no stack does alone
+        return list(values), *map(np.concatenate, rest)
+    return [values[at, :sb, :sa] for at, sb, sa, _ in parts], *rest
 
 
 def _trace_one(f: PartitionedMap, loop_label: str, cfg: TraceConfig, route) -> TraceResult:
@@ -575,30 +613,33 @@ def _draw_case(case: int, rng: np.random.Generator, draws: list):
 
 
 def _trace_grouped(jobs: dict, cfg: TraceConfig) -> dict:
-    """Trace every (matrix, loop size) in ``jobs``, keyed (ctx, name), with
-    one _trace_core call per distinct matrix shape and loop size.  A
-    failing trace's error is raised with its ctx and name in the message."""
-    groups = {}
-    for key, (m, k) in jobs.items():
-        groups.setdefault((m.shape, k), []).append(key)
-    values = {}
-    for (_, k), keys in groups.items():
+    """Trace every (matrix, loop size) in ``jobs``, keyed (ctx, name), by one
+    _trace_core call per loop size on its matrices in trace order: values on
+    exact shapes, zero padding only where a number is compared with a
+    tolerance.  The first failing trace in trace order raises as it does
+    alone, with its ctx and name in the message."""
+    values, errors = {}, {}
+    for k in dict.fromkeys(k for _, k in jobs.values()):
+        keys = [key for key, (_, j) in jobs.items() if j == k]
         try:
-            out = _trace_core(np.stack([jobs[key][0] for key in keys]), k, cfg)[0]
+            out = _trace_core([jobs[key][0][None] for key in keys], k, cfg)[0]
+            values.update(zip(keys, (v[0] for v in out)))
         except ArithmeticError as e:
             e.args = (f"{', '.join(keys[e.index])}: {e}",)
-            raise
-        values.update(zip(keys, out))
+            errors[list(jobs).index(keys[e.index])] = e
+    _raise_first(errors)
     return values
 
 
 def check_trace_axioms(seed: int, n_cases: int, cfg: TraceConfig = TraceConfig()) -> AxiomReport:
     """Sample random contraction instances per axiom and assert the
     Kleene-equality form at cfg.compare_tol.  Every case is drawn first and
-    its contractions rescaled by one SVD per shape; the traces then run
-    batched by matrix shape and loop size, and the law deviations take one
-    SVD per shape.  Law failures go into the report; the first failing trace
-    in trace order raises, naming its case and trace."""
+    its contractions rescaled by one SVD per shape.  Each of the two trace
+    passes makes one trace-core call per loop size, with values on exact
+    shapes and zero padding only where a number is compared with a
+    tolerance; the law deviations take one SVD per shape.  Law failures go
+    into the report; the first failing trace in trace order raises as it
+    does traced alone, naming its case and trace."""
     if seed < 0:
         raise LinalgError("seed must be >= 0")
     if n_cases < 0:
@@ -610,7 +651,7 @@ def check_trace_axioms(seed: int, n_cases: int, cfg: TraceConfig = TraceConfig()
     jobs = {(ctx, name): job for ctx, _, traces, _ in cases for name, job in traces().items()}
     inner = {key: job for key, job in jobs.items() if key[1] == "vanishing_ii (inner)"}
     rest = {key: job for key, job in jobs.items() if key not in inner}
-    # Inner traces first, so each nested one joins its case's ex(f) stack.
+    # Inner traces first, so each nested one joins the batch of its loop size.
     t = _trace_grouped(inner, cfg)
     nested = {(c, "vanishing_ii"): (t[c, "vanishing_ii (inner)"], u) for c, u, _, _ in cases}
     t.update(_trace_grouped({**rest, **nested}, cfg))

@@ -213,6 +213,148 @@ def test_mixed_stacks_match_the_reference(same, n, cfg):
         same(stack[[isinstance(out[0], bytes) for out in alone]], k, cfg)
 
 
+def gaussian(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def witnessless_loop(rng, b, a, k, diverge):
+    """A non-contraction whose loop block is diag(1, 0, ..., 0), with f_UA
+    feeding its first coordinate: no witness exists, so the closed form
+    fails and the series is taken.  f_BU reads that coordinate only if
+    ``diverge``, with gain 1e5, and the series then diverges; otherwise
+    every term after the first is zero."""
+    m = np.zeros((b + k, a + k), dtype=np.complex128)
+    m[:b, :a], m[b:, :a] = 2 * gaussian(rng, b, a), gaussian(rng, k, a)
+    m[:b, a + 1 - diverge :] = (1 + 99999 * diverge) * gaussian(rng, b, k - 1 + diverge)
+    m[b, a] = 1.0
+    return m
+
+
+def unwitnessed_contraction(rng, b, k):
+    """A contraction whose first body and first loop coordinates turn by
+    about 1.4e-6, beside loop ports of gain 0.5 and a body block of norm 0.3
+    that nothing else reaches, with random unitaries on the body's rows and
+    columns: for k >= 2, id - f_UU has a singular value of 1e-12, below the
+    pinv cutoff, so no witness exists."""
+    c = 1 - 1e-12
+    m = np.zeros((b + k, b + k), dtype=np.complex128)
+    m[1:b, 1:b] = with_norm(rng, b - 1, 0.3) if b > 1 else 0
+    m[np.ix_([0, b], [0, b])] = [[c, -math.sqrt(1 - c * c)], [math.sqrt(1 - c * c), c]]
+    m[b + 1 :, b + 1 :] = 0.5 * np.eye(k - 1)
+    m[:b] = random_unitary(b, rng) @ m[:b]
+    m[:, :b] = m[:, :b] @ random_unitary(b, rng)
+    return m
+
+
+def ragged_stacks(rng, k):
+    """Stacks of different shapes with loop size k, some with no B or no A
+    block: contractions, boundary cases and expansions, resonant loops, and
+    non-contractions that take the series, one of which diverges."""
+    stacks = []
+    for b, a in ((0, 2), (1, 1), (2, 3), (3, 0), (3, 3)):
+        z = gaussian(rng, 5, b + k, a + k)
+        stacks.append(z * (rng.choice(SCALES, 5) / np.linalg.norm(z, 2, axis=(1, 2)))[:, None, None])
+    for n in (k, k + 1, k + 3):
+        eps = rng.choice([0.0, 1e-12, 1e-3], 3)
+        stacks.append(np.array([unitary_loop(rng, n, k, e) for e in eps]))
+    for b, a in ((1, 2), (2, 1), (3, 3)):
+        stacks.append(np.array([witnessless_loop(rng, b, a, k, d) for d in (0, 0, b == 2)]))
+    return [stacks[i] for i in rng.permutation(len(stacks))]
+
+
+def batch_outcome(core, stacks, k, cfg):
+    """What a call on a ragged batch returns or raises, its values by stack
+    and the rest flat; an error's flat index as (stack, entry)."""
+    try:
+        values, method, terms, residual, converged = core(stacks, k, cfg)
+    except ArithmeticError as e:
+        starts = np.cumsum([0] + [len(s) for s in stacks])
+        j = int(np.searchsorted(starts, e.index, side="right")) - 1
+        return error_key(e)[:2] + ((j, int(e.index - starts[j])),) + error_key(e)[3:]
+    return ([v.tobytes() for v in values], list(method), terms.tolist(), residual.tobytes(),
+            converged.tolist())
+
+
+def alone_outcome(stacks, k, cfg):
+    """batch_outcome from one exact-shape call per stack."""
+    alone = []
+    for j, s in enumerate(stacks):
+        try:
+            alone.append(trace._trace_core(s, k, cfg))
+        except ArithmeticError as e:
+            return error_key(e)[:2] + ((j, e.index),) + error_key(e)[3:]
+    values, method, terms, residual, converged = zip(*alone)
+    return ([v.tobytes() for v in values], list(np.concatenate(method)),
+            np.concatenate(terms).tolist(), np.concatenate(residual).tobytes(),
+            np.concatenate(converged).tolist())
+
+
+def assert_batch_is_per_stack(twin, batch, k, cfg):
+    """A call on the ragged batch gives what one exact-shape call per stack
+    gives: the same error, or the same routes, terms and flags, and values
+    byte for byte except the series', taken on the padded union, which lie
+    within compare_tol of theirs.  The brackets-off twin gives the same."""
+    gaps = partial(trace._trace_core, report_gap=True)
+    assert batch_outcome(partial(twin, gaps), batch, k, cfg) == batch_outcome(gaps, batch, k, cfg)
+    got, want = batch_outcome(trace._trace_core, batch, k, cfg), alone_outcome(batch, k, cfg)
+    if not isinstance(want[0], list):
+        assert got == want
+        return
+    assert (got[1], got[2], got[4]) == (want[1], want[2], want[4])  # the residuals differ
+    methods = iter(got[1])
+    for s, value, exact in zip(batch, got[0], want[0]):
+        shape = (len(s), s.shape[1] - k, s.shape[2] - k)
+        value, exact = (np.frombuffer(v, np.complex128).reshape(shape) for v in (value, exact))
+        for x, v, w in zip(s, value, exact):
+            if next(methods) == "series":
+                assert operator_norm(v - w) <= cfg.compare_tol * max(operator_norm(x), 1.0)
+            else:
+                assert v.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
+def test_ragged_batch_equals_one_call_per_stack(brackets_off, cfg):
+    # A batch fails where its first failing stack does, so each batch is also
+    # run without the entries that fail alone.
+    rng = np.random.default_rng(31)
+    for k in (1, 2, 3):
+        stacks = ragged_stacks(rng, k)
+        assert_batch_is_per_stack(brackets_off, stacks, k, cfg)
+        passing = [s[[isinstance(core_outcome(trace._trace_core, x[None], k, cfg)[0], bytes)
+                      for x in s]] for s in stacks]
+        passing = [s for s in passing if len(s)]
+        assert_batch_is_per_stack(brackets_off, passing, k, cfg)
+        # Witness residuals at roundoff fail, and print, their last bits.
+        assert_batch_is_per_stack(brackets_off, passing, k, replace(cfg, ki_residual_tol=1e-30))
+        if k > 1 and cfg.max_terms <= 7:  # the resonant series would run to max_terms
+            unwitnessed = [np.array([unwitnessed_contraction(rng, b, k) for _ in range(3)])
+                           for b in (1, 2, 3)]
+            assert_batch_is_per_stack(brackets_off, passing[:2] + unwitnessed, k, cfg)
+
+
+def test_batch_returns_each_stack_alone_where_only_the_union_fails(monkeypatch):
+    # A padded series can round its gap an ulp above the exact-shape one.
+    # With compare_tol at the latter, the union fails where no stack does
+    # alone, and the batch returns what each stack gives alone.
+    core, calls = trace._trace_core, []
+    monkeypatch.setattr(trace, "_trace_core", lambda m, *a, **kw: calls.append(m) or core(m, *a, **kw))
+    rng = np.random.default_rng(5)
+
+    def draw():
+        small, big = with_norm(rng, 3, 0.9)[None], with_norm(rng, 5, 0.9)[None]
+        gap = core(small, 2, TraceConfig(), report_gap=True)[3][0]
+        return [small, big], TraceConfig(compare_tol=float(gap))
+
+    def only_the_union_fails(case):
+        calls.clear()
+        batch_outcome(trace._trace_core, case[0], 2, case[1])
+        union_failed = len(calls) > 2  # the batch, its union, then each stack alone
+        return union_failed and isinstance(alone_outcome(case[0], 2, case[1])[0], list)
+
+    batch, cfg = first_draw(draw, only_the_union_fails)
+    assert batch_outcome(trace._trace_core, batch, 2, cfg) == alone_outcome(batch, 2, cfg)
+
+
 def test_pseudoinverse_from_one_svd_equals_numpy_pinv():
     rng = np.random.default_rng(3)
     for k in (1, 2, 5, 40):

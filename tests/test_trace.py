@@ -12,6 +12,7 @@ from extrace.linalg import (
     operator_norm,
     random_contraction,
     random_unitary,
+    rescale_draws,
     swap_matrix,
     two_block,
 )
@@ -432,19 +433,29 @@ def reference_axioms(seed, n_cases, cfg=TraceConfig(), max_dim=4):
 
 
 def traced_shapes(monkeypatch, fn):
-    """Run fn and return the (stack size, matrix shape, loop size) of every
-    _trace_core call it makes."""
+    """Run fn and return the loop size and the stacks' (stack size, matrix
+    shape) of every _trace_core call it makes, a lone stack as a batch of
+    one.  A ragged batch's call on the padded union of its stacks follows it."""
     calls = []
     original = trace._trace_core
 
-    def counted(m, k, cfg, **kwargs):
-        calls.append((m.shape[0], m.shape[1:], k))
-        return original(m, k, cfg, **kwargs)
+    def counted(m, k, *args, **kwargs):
+        calls.append((k, [(len(s), s.shape[1:]) for s in (m if isinstance(m, list) else [m])]))
+        return original(m, k, *args, **kwargs)
 
     monkeypatch.setattr(trace, "_trace_core", counted)
     fn()
     monkeypatch.undo()
     return calls
+
+
+def by_loop_size(calls):
+    """The stacks of these calls as one batch per distinct loop size, in the
+    order the sizes first occur, each batch's stacks in call order."""
+    batches = {}
+    for k, stacks in calls:
+        batches.setdefault(k, []).extend(stacks)
+    return list(batches.items())
 
 
 # Seeds 0-9 at 16 cases: the size of `axioms 16` in the trace_scalar bench mix.
@@ -453,23 +464,63 @@ def test_batched_axioms_equal_per_case_reference(monkeypatch, seed, n_cases):
     reports = []
     want = traced_shapes(monkeypatch, lambda: reports.append(reference_axioms(seed, n_cases)))
     assert len(want) == 13 * n_cases
-    # The reference's 10th ex call of each case is vanishing II's inner one,
-    # its 11th the nested one, which has the shape and loop of the 1st, ex(f).
+    # The reference's ex calls 0, 2 and 6 of each case trace ex(f), which the
+    # checker traces once; call 9 is vanishing II's inner trace, and call 10
+    # the nested one, which the checker traces after every other trace.
     per_case = [want[13 * i : 13 * i + 13] for i in range(n_cases)]
-    assert all(calls[10][1:] == calls[0][1:] for calls in per_case)
-    inner = {calls[9][1:] for calls in per_case}
-    rest = {call[1:] for calls in per_case for j, call in enumerate(calls) if j != 9}
+    rest = [calls[j] for calls in per_case for j in (0, 1, 3, 4, 5, 7, 8, 11, 12)]
     got = traced_shapes(monkeypatch, lambda: reports.append(check_trace_axioms(seed, n_cases)))
     assert reports[1].to_json() == reports[0].to_json()
-    # One call per distinct (shape, loop) group of the inner traces, then one
-    # per group of the rest, where each nested trace joins its case's ex(f);
-    # ex(f), which three laws use, is traced once per case.
-    assert sorted(call[1:] for call in got[: len(inner)]) == sorted(inner)
-    assert sorted(call[1:] for call in got[len(inner) :]) == sorted(rest)
-    assert sum(n for n, _, _ in got) == 11 * n_cases
-    # Fewer calls than a nested pass of its own would make.
-    first = {call[1:] for calls in per_case for j, call in enumerate(calls) if j != 10}
-    assert len(got) < len(first) + len({calls[10][1:] for calls in per_case})
+    # One call per distinct loop size in each pass, with its traces in trace
+    # order, then the call on its union, padded to the largest B and A.
+    batches, unions = got[0::2], got[1::2]
+    assert batches == (by_loop_size(calls[9] for calls in per_case)
+                       + by_loop_size(rest + [calls[10] for calls in per_case]))
+    for (k, stacks), union in zip(batches, unions):
+        size = tuple(max(shape[i] - k for _, shape in stacks) + k for i in (0, 1))
+        assert union == (k, [(len(stacks), size)])
+    assert sum(n for _, stacks in batches for n, _ in stacks) == 11 * n_cases
+    assert len(batches) <= 4 + 9  # vanishing II's inner loop sizes 1-4, the rest's 0-8
+
+
+def first_failure_alone(seed, n_cases, cfg):
+    """The error check_trace_axioms(seed, n_cases, cfg) must raise: that of
+    its first failing trace in trace order, traced alone, with the trace
+    named in the message.  The order is vanishing II's inner traces, every
+    other trace case by case, then the nested traces."""
+    draws, streams = [], np.random.SeedSequence(seed).spawn(n_cases)
+    cases = [trace._draw_case(i, np.random.default_rng(ss), draws) for i, ss in enumerate(streams)]
+    rescale_draws(draws)
+    jobs = [((ctx, name), job) for ctx, _, traces, _ in cases for name, job in traces().items()]
+    inner = [job for job in jobs if job[0][1] == "vanishing_ii (inner)"]
+    rest = [job for job in jobs if job[0][1] != "vanishing_ii (inner)"]
+    values = {}
+
+    def alone(key, m, k):
+        try:
+            values[key] = trace._trace_core(m[None], k, cfg)[0][0]
+        except ArithmeticError as e:
+            e.args = (f"{', '.join(key)}: {e}",)
+            raise
+
+    for key, job in inner + rest:
+        alone(key, *job)
+    for ctx, u, _, _ in cases:
+        alone((ctx, "vanishing_ii"), values[ctx, "vanishing_ii (inner)"], u)
+
+
+def failure_key(e):
+    return type(e), str(e), getattr(e, "residual_in", None), getattr(e, "residual_out", None)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_failing_checker_raises_the_first_failing_trace_as_traced_alone(seed):
+    cfg = TraceConfig(max_terms=1, compare_tol=1e-30, ki_residual_tol=1e-30)
+    with pytest.raises(ArithmeticError) as want:
+        first_failure_alone(seed, 16, cfg)
+    with pytest.raises(ArithmeticError) as got:
+        check_trace_axioms(seed, 16, cfg)
+    assert failure_key(got.value) == failure_key(want.value)
 
 
 def test_failing_axiom_trace_names_case_and_law():
