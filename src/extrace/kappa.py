@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import LinalgError
+from .linalg import LinalgError, require_ints
 
 __all__ = [
     "GroverParams",
@@ -41,7 +41,7 @@ __all__ = [
 
 STATEVECTOR_CAP = 4096
 ITERATION_CAP = 10**7  # horizon cap: grover_montecarlo peaks at 32-40 B a step, 0.4 GB here
-TRIALS_CAP = 10**7  # trial cap: grover_montecarlo peaks at 33 B a trial, grover --out at 49-51
+TRIALS_CAP = 10**7  # trial cap: grover_montecarlo, and grover --out with it, peaks at 33 B a trial
 # grover_statevector's cap on max_iterations * max(B, 1024).  B = 1024 is the worst
 # case: 2^20 steps at 35-60 us a step on one core of a shared Xeon host, so 37-63 s.
 STATEVECTOR_WORK_CAP = 2**30
@@ -145,9 +145,7 @@ class GroverParams:
             if 50.0 / kappa == math.inf:
                 raise LinalgError(f"kappa {kappa:g} is too small: ceil(50 / kappa) is not finite")
             object.__setattr__(self, "max_iterations", int(math.ceil(50.0 / kappa)))
-        for name in ("B_size", "seed", "max_iterations"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise LinalgError(f"{name} must be an integer")
+        require_ints(B_size=self.B_size, seed=self.seed, max_iterations=self.max_iterations)
         if self.max_iterations < 1:
             raise LinalgError("max_iterations must be >= 1")
 

@@ -41,6 +41,13 @@ class LinalgError(ValueError):
     checks: the malformed-input error, which the CLI maps to exit 2."""
 
 
+def require_ints(**values) -> None:
+    """Refuse each named value that is not an integer; bool and np.integer pass."""
+    for name, value in values.items():
+        if not isinstance(value, (int, np.integer)):
+            raise LinalgError(f"{name} must be an integer")
+
+
 def as_matrix(data) -> np.ndarray:
     """Coerce to a 2-D complex matrix, rejecting other ranks and NaN/Inf entries."""
     m = np.asarray(data, dtype=np.complex128)

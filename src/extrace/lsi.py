@@ -16,7 +16,7 @@ import numpy as np
 
 from . import trace
 from .linalg import (DEFAULT_TOL, LinalgError, as_labels, as_matrix, bracket_norms,
-                     matrix_from_literal, matrix_to_literal, write_csv)
+                     matrix_from_literal, matrix_to_literal, require_ints, write_csv)
 
 __all__ = [
     "FirKernel",
@@ -209,6 +209,7 @@ def lsi_ex(
     SeriesDivergence the same way, rather than pass its partial sum off as
     a value.  cfg defaults to TraceConfig()."""
     cfg = trace.TraceConfig() if cfg is None else cfg
+    require_ints(loop_ports=loop_ports)
     n_out, n_in = r.samples.shape[1], r.samples.shape[2]
     if loop_ports < 1 or loop_ports > min(n_out, n_in):
         raise LinalgError(f"cannot loop {loop_ports} ports on shape {(n_out, n_in)}")

@@ -26,6 +26,7 @@ from .linalg import (
     fro_norms,
     grouped_norms,
     operator_norm,
+    require_ints,
     rescale_draws,
     stack_norms,
     stack_pinv,
@@ -51,6 +52,7 @@ __all__ = [
 CNU_TOL = 1e-8  # cnu_decompose: contraction test and unitary subspace 1 - s^2 <= CNU_TOL
 CNU_CHECK_TOL = 1e-7  # cnu_decompose: off-diagonal mass and unitarity of the split
 AXIOM_MAX_DIM = 4  # check_trace_axioms draws every block dimension from 1..AXIOM_MAX_DIM
+AXIOM_BLOCK = 256  # check_trace_axioms draws, traces and checks this many cases at a time
 # Trace routes, kept as indices into this table until a result is returned: a
 # contraction flag as an integer is _KI or _BOTH, and nonzero ones take the series.
 _ROUTES = np.array(["kernel_image", "both_agree", "series"], dtype=object)
@@ -86,6 +88,7 @@ class TraceConfig:
         if not all(0 < t < math.inf for t in (self.series_tol, self.ki_residual_tol,
                                                self.compare_tol, self.blowup)):
             raise LinalgError("tolerances must be positive and finite, and so must blowup")
+        require_ints(max_terms=self.max_terms)
         if self.max_terms < 1:
             raise LinalgError("max_terms must be >= 1")
 
@@ -108,11 +111,10 @@ class CnuDecomposition:
 
 
 def _blocks(m: np.ndarray, k: int):
-    """f_BA, f_BU, f_UA, f_UU of every matrix in the stack m, the loop
-    block being the trailing k rows and columns."""
-    b = m.shape[1] - k
-    a = m.shape[2] - k
-    return m[:, :b, :a], m[:, :b, a:], m[:, b:, :a], m[:, b:, a:]
+    """f_BA, f_BU, f_UA, f_UU of the matrix, or of every matrix in the
+    stack, m, the loop block being the trailing k rows and columns."""
+    b, a = m.shape[-2] - k, m.shape[-1] - k
+    return m[..., :b, :a], m[..., :b, a:], m[..., b:, :a], m[..., b:, a:]
 
 
 def _raise_first(errors: dict):
@@ -240,17 +242,17 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, parts=
     ki_residual_tol is also judged against the larger of 1 and the norm of
     the block its witness explains, f_UA or f_BU, and reported so if that
     fails.  An entry whose value, residuals or agreement is not finite
-    fails before any norm is taken.  The ``parts`` of a ragged batch take
-    their values on their own shapes.  Returns the values, witness residuals
-    and errors by entry."""
+    fails before any norm is taken.  Each part (entry, b, a) of a padded
+    stack takes its value on that entry's own b x a views (_trace_grouped).
+    Returns the values, witness residuals and errors by entry."""
     h = np.eye(f_uu.shape[-1]) - f_uu
     h_pinv = stack_pinv(h, 1e-10)
     with np.errstate(over="ignore", invalid="ignore"):  # an entry that overflows fails below
         i_wit = h_pinv @ f_ua
         k_wit = f_bu @ h_pinv
         value = f_ba + k_wit @ f_ua
-        for at, b, a, (p_ba, p_bu, p_ua, _) in parts:
-            value[at, :b, :a] = p_ba + p_bu @ h_pinv[at] @ p_ua
+        for i, b, a in parts:
+            value[i, :b, :a] = f_ba[i, :b, :a] + f_bu[i, :b] @ h_pinv[i] @ f_ua[i, :, :a]
         diffs = (h @ i_wit - f_ua, k_wit @ h - f_bu, value - (f_ba + f_bu @ i_wit))
     finite = np.logical_and.reduce([np.isfinite(d).all(axis=(-2, -1)) for d in diffs])
     d_in, d_out, gap = diffs
@@ -293,7 +295,7 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, parts=
     return value, residual, errors
 
 
-def _trace_core(m, k: int, cfg: TraceConfig, report_gap=False, route=_BOTH, parts=()):
+def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False, route=_BOTH, parts=()):
     """Total trace of the loop block, the trailing k rows and columns, of
     every matrix in the stack ``m`` (N, rows, cols).  On the default route,
     contractions take the closed form as the canonical value and the series
@@ -302,11 +304,8 @@ def _trace_core(m, k: int, cfg: TraceConfig, report_gap=False, route=_BOTH, part
     _KI the closed form alone with exact residuals.  Returns the values
     (N, b, a) and, per entry, the method, series terms, residual and
     convergence flag; a contraction's residual, its series/closed-form gap,
-    is exact only if ``report_gap``.  Raises the first entry's error.  A
-    list ``m`` is a ragged batch of stacks sharing k (_trace_batch): values
-    on exact shapes, zero padding only where a number meets a tolerance."""
-    if isinstance(m, list):
-        return _trace_batch(m, k, cfg, report_gap, route)
+    is exact only if ``report_gap``.  Raises the first entry's error.  On
+    a padded union, ``parts`` has each entry's value taken on its own shape."""
     m = np.asarray(m, dtype=np.complex128)
     if not np.all(np.isfinite(m)):
         raise LinalgError("matrix contains non-finite entries")
@@ -366,36 +365,6 @@ def _trace_core(m, k: int, cfg: TraceConfig, report_gap=False, route=_BOTH, part
             ))
     _raise_first(errors)
     return values, _ROUTES[routes], terms, residual, converged
-
-
-def _trace_batch(stacks: list, k: int, cfg: TraceConfig, report_gap, route):
-    """_trace_core on complex stacks of any shapes that share the loop size
-    k.  Closed-form values run on each stack's own shape; the series and the
-    checks that only compare a number with a tolerance run once on the
-    union, zero-padded to the largest B and A just before the loop rows and
-    columns, which in exact arithmetic moves no norm, term or certificate.
-    Returns the values by stack, the rest flat.  If the union fails, each
-    stack runs alone, and the first error is raised with its flat index."""
-    ends = np.cumsum([len(s) for s in stacks]).tolist()
-    b, a = (max(s.shape[i] for s in stacks) - k for i in (1, 2))
-    union = np.zeros((ends[-1], b + k, a + k), dtype=np.complex128)
-    parts = [(slice(end - len(s), end), s.shape[1] - k, s.shape[2] - k, _blocks(s, k))
-             for s, end in zip(stacks, ends)]
-    for at, sb, sa, blocks in parts:
-        union[at, :sb, :sa], union[at, :sb, a:], union[at, b:, :sa], union[at, b:, a:] = blocks
-    try:
-        values, *rest = _trace_core(union, k, cfg, report_gap, route, parts)
-    except ArithmeticError:
-        alone = []
-        for s, (at, *_) in zip(stacks, parts):
-            try:
-                alone.append(_trace_core(s, k, cfg, report_gap, route))
-            except ArithmeticError as e:
-                e.index += at.start
-                raise
-        values, *rest = zip(*alone)  # the union failed where no stack does alone
-        return list(values), *map(np.concatenate, rest)
-    return [values[at, :sb, :sa] for at, sb, sa, _ in parts], *rest
 
 
 def _trace_one(f: PartitionedMap, loop_label: str, cfg: TraceConfig, route) -> TraceResult:
@@ -614,55 +583,71 @@ def _draw_case(case: int, rng: np.random.Generator, draws: list):
 
 def _trace_grouped(jobs: dict, cfg: TraceConfig) -> dict:
     """Trace every (matrix, loop size) in ``jobs``, keyed (ctx, name), by one
-    _trace_core call per loop size on its matrices in trace order: values on
-    exact shapes, zero padding only where a number is compared with a
-    tolerance.  The first failing trace in trace order raises as it does
-    alone, with its ctx and name in the message."""
-    values, errors = {}, {}
-    for k in dict.fromkeys(k for _, k in jobs.values()):
-        keys = [key for key, (_, j) in jobs.items() if j == k]
-        try:
-            out = _trace_core([jobs[key][0][None] for key in keys], k, cfg)[0]
-            values.update(zip(keys, (v[0] for v in out)))
-        except ArithmeticError as e:
-            e.args = (f"{', '.join(keys[e.index])}: {e}",)
-            errors[list(jobs).index(keys[e.index])] = e
-    _raise_first(errors)
+    _trace_core call per loop size on the union of its matrices in trace
+    order, zero-padded to their largest B and A just before the loop rows
+    and columns.  Padding moves no norm, term or certificate in exact
+    arithmetic, and the series and checks only compare numbers with
+    tolerances; each closed-form value is taken on its own shape.  If any
+    call raises, the jobs are traced alone in trace order, and the first to
+    fail raises as it does alone, its ctx and name leading the message."""
+    values = {}
+    try:
+        for k in dict.fromkeys(k for _, k in jobs.values()):
+            keys = [key for key, (_, j) in jobs.items() if j == k]
+            mats = [jobs[key][0] for key in keys]
+            parts = [(i, m.shape[0] - k, m.shape[1] - k) for i, m in enumerate(mats)]
+            b, a = (max(part[j] for part in parts) for j in (1, 2))
+            union = np.zeros((len(mats), b + k, a + k), dtype=np.complex128)
+            for m, (i, mb, ma) in zip(mats, parts):
+                blocks = _blocks(m, k)
+                union[i, :mb, :ma], union[i, :mb, a:], union[i, b:, :ma], union[i, b:, a:] = blocks
+            out = _trace_core(union, k, cfg, parts=parts)[0]
+            values.update((key, out[i, :mb, :ma]) for key, (i, mb, ma) in zip(keys, parts))
+    except ArithmeticError:
+        for key, (m, k) in jobs.items():
+            try:
+                values[key] = _trace_core(m[None], k, cfg)[0][0]
+            except ArithmeticError as e:
+                e.args = (f"{', '.join(key)}: {e}",)
+                raise
     return values
 
 
 def check_trace_axioms(seed: int, n_cases: int, cfg: TraceConfig = TraceConfig()) -> AxiomReport:
     """Sample random contraction instances per axiom and assert the
-    Kleene-equality form at cfg.compare_tol.  Every case is drawn first and
-    its contractions rescaled by one SVD per shape.  Each of the two trace
-    passes makes one trace-core call per loop size, with values on exact
-    shapes and zero padding only where a number is compared with a
-    tolerance; the law deviations take one SVD per shape.  Law failures go
-    into the report; the first failing trace in trace order raises as it
-    does traced alone, naming its case and trace."""
+    Kleene-equality form at cfg.compare_tol, AXIOM_BLOCK cases at a time
+    so that memory stays bounded: a block's contractions are drawn, then
+    rescaled by one SVD per shape; each of its two trace passes makes one
+    _trace_grouped call, and its law deviations take one SVD per shape.
+    Each case draws from its own child of SeedSequence(seed), so no byte
+    depends on the block size.  Law failures go into the report; the first
+    failing trace of the first failing block raises as it does alone."""
+    require_ints(seed=seed, n_cases=n_cases)
     if seed < 0:
         raise LinalgError("seed must be >= 0")
     if n_cases < 0:
         raise LinalgError("n_cases must be >= 0")
-    streams = np.random.SeedSequence(seed).spawn(n_cases)
-    draws = []
-    cases = [_draw_case(i, np.random.default_rng(ss), draws) for i, ss in enumerate(streams)]
-    rescale_draws(draws)
-    jobs = {(ctx, name): job for ctx, _, traces, _ in cases for name, job in traces().items()}
-    inner = {key: job for key, job in jobs.items() if key[1] == "vanishing_ii (inner)"}
-    rest = {key: job for key, job in jobs.items() if key not in inner}
-    # Inner traces first, so each nested one joins the batch of its loop size.
-    t = _trace_grouped(inner, cfg)
-    nested = {(c, "vanishing_ii"): (t[c, "vanishing_ii (inner)"], u) for c, u, _, _ in cases}
-    t.update(_trace_grouped({**rest, **nested}, cfg))
-    laws = [(ctx, name, diff) for ctx, _, _, differences in cases
-            for name, diff in differences(t).items()]
     checks = {name: AxiomCheck(name) for name in _AXIOMS}
-    for (ctx, name, _), deviation in zip(laws, grouped_norms([diff for _, _, diff in laws])):
-        check = checks[name]
-        check.cases += 1
-        check.worst_deviation = max(check.worst_deviation, deviation)
-        if deviation > cfg.compare_tol:
-            check.failures += 1
-            check.notes.append(f"{ctx}: deviation {deviation:.3e}")
+    seeds = np.random.SeedSequence(seed)
+    for start in range(0, n_cases, AXIOM_BLOCK):
+        draws, streams = [], seeds.spawn(min(AXIOM_BLOCK, n_cases - start))
+        cases = [_draw_case(start + i, np.random.default_rng(ss), draws)
+                 for i, ss in enumerate(streams)]
+        rescale_draws(draws)
+        jobs = {(ctx, name): job for ctx, _, traces, _ in cases for name, job in traces().items()}
+        inner = {key: job for key, job in jobs.items() if key[1] == "vanishing_ii (inner)"}
+        rest = {key: job for key, job in jobs.items() if key not in inner}
+        # Inner traces first, so each nested one joins the batch of its loop size.
+        t = _trace_grouped(inner, cfg)
+        nested = {(c, "vanishing_ii"): (t[c, "vanishing_ii (inner)"], u) for c, u, _, _ in cases}
+        t.update(_trace_grouped({**rest, **nested}, cfg))
+        laws = [(ctx, name, diff) for ctx, _, _, differences in cases
+                for name, diff in differences(t).items()]
+        for (ctx, name, _), deviation in zip(laws, grouped_norms([diff for _, _, diff in laws])):
+            check = checks[name]
+            check.cases += 1
+            check.worst_deviation = max(check.worst_deviation, deviation)
+            if deviation > cfg.compare_tol:
+                check.failures += 1
+                check.notes.append(f"{ctx}: deviation {deviation:.3e}")
     return AxiomReport(checks)

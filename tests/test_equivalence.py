@@ -262,97 +262,103 @@ def ragged_stacks(rng, k):
     return [stacks[i] for i in rng.permutation(len(stacks))]
 
 
-def batch_outcome(core, stacks, k, cfg):
-    """What a call on a ragged batch returns or raises, its values by stack
-    and the rest flat; an error's flat index as (stack, entry)."""
+def stack_jobs(stacks, k):
+    """One _trace_grouped job per entry of each stack, in stack order."""
+    return {(f"stack {j}", f"entry {i}"): (x, k) for j, s in enumerate(stacks) for i, x in enumerate(s)}
+
+
+def grouped_outcome(jobs, cfg):
+    """What _trace_grouped returns or raises: the values' bytes by key, or the error."""
     try:
-        values, method, terms, residual, converged = core(stacks, k, cfg)
+        return {key: v.tobytes() for key, v in trace._trace_grouped(jobs, cfg).items()}
     except ArithmeticError as e:
-        starts = np.cumsum([0] + [len(s) for s in stacks])
-        j = int(np.searchsorted(starts, e.index, side="right")) - 1
-        return error_key(e)[:2] + ((j, int(e.index - starts[j])),) + error_key(e)[3:]
-    return ([v.tobytes() for v in values], list(method), terms.tolist(), residual.tobytes(),
-            converged.tolist())
+        return error_key(e)
 
 
-def alone_outcome(stacks, k, cfg):
-    """batch_outcome from one exact-shape call per stack."""
-    alone = []
-    for j, s in enumerate(stacks):
+def alone_outcome(jobs, cfg):
+    """grouped_outcome from one one-entry _trace_core call per job in trace
+    order, and each value's route (None on an error)."""
+    values, methods = {}, {}
+    for key, (m, k) in jobs.items():
         try:
-            alone.append(trace._trace_core(s, k, cfg))
+            value, method, *_ = trace._trace_core(m[None], k, cfg)
         except ArithmeticError as e:
-            return error_key(e)[:2] + ((j, e.index),) + error_key(e)[3:]
-    values, method, terms, residual, converged = zip(*alone)
-    return ([v.tobytes() for v in values], list(np.concatenate(method)),
-            np.concatenate(terms).tolist(), np.concatenate(residual).tobytes(),
-            np.concatenate(converged).tolist())
+            e.args = (f"{', '.join(key)}: {e}",)
+            return error_key(e), None
+        values[key], methods[key] = value[0].tobytes(), method[0]
+    return values, methods
 
 
-def assert_batch_is_per_stack(twin, batch, k, cfg):
-    """A call on the ragged batch gives what one exact-shape call per stack
-    gives: the same error, or the same routes, terms and flags, and values
-    byte for byte except the series', taken on the padded union, which lie
-    within compare_tol of theirs.  The brackets-off twin gives the same."""
-    gaps = partial(trace._trace_core, report_gap=True)
-    assert batch_outcome(partial(twin, gaps), batch, k, cfg) == batch_outcome(gaps, batch, k, cfg)
-    got, want = batch_outcome(trace._trace_core, batch, k, cfg), alone_outcome(batch, k, cfg)
-    if not isinstance(want[0], list):
+def assert_grouped_is_alone(twin, stacks, k, cfg):
+    """_trace_grouped on every entry of the stacks gives what tracing each
+    alone gives: the first failing job's error, or the values byte for byte
+    except the series', taken on the padded union, which lie within
+    compare_tol of theirs.  The brackets-off twin gives the same."""
+    jobs = stack_jobs(stacks, k)
+    got = grouped_outcome(jobs, cfg)
+    assert twin(grouped_outcome, jobs, cfg) == got
+    want, methods = alone_outcome(jobs, cfg)
+    if methods is None:
         assert got == want
         return
-    assert (got[1], got[2], got[4]) == (want[1], want[2], want[4])  # the residuals differ
-    methods = iter(got[1])
-    for s, value, exact in zip(batch, got[0], want[0]):
-        shape = (len(s), s.shape[1] - k, s.shape[2] - k)
-        value, exact = (np.frombuffer(v, np.complex128).reshape(shape) for v in (value, exact))
-        for x, v, w in zip(s, value, exact):
-            if next(methods) == "series":
-                assert operator_norm(v - w) <= cfg.compare_tol * max(operator_norm(x), 1.0)
-            else:
-                assert v.tobytes() == w.tobytes()
+    assert got.keys() == want.keys()
+    for key, (x, _) in jobs.items():
+        if methods[key] == "series":
+            shape = (x.shape[0] - k, x.shape[1] - k)
+            v, w = (np.frombuffer(out[key], np.complex128).reshape(shape) for out in (got, want))
+            assert operator_norm(v - w) <= cfg.compare_tol * max(operator_norm(x), 1.0)
+        else:
+            assert got[key] == want[key]
 
 
 @pytest.mark.parametrize("cfg", CONFIGS.values(), ids=CONFIGS.keys())
 def test_ragged_batch_equals_one_call_per_stack(brackets_off, cfg):
-    # A batch fails where its first failing stack does, so each batch is also
+    # A batch fails where its first failing job does, so each batch is also
     # run without the entries that fail alone.
     rng = np.random.default_rng(31)
     for k in (1, 2, 3):
         stacks = ragged_stacks(rng, k)
-        assert_batch_is_per_stack(brackets_off, stacks, k, cfg)
+        assert_grouped_is_alone(brackets_off, stacks, k, cfg)
         passing = [s[[isinstance(core_outcome(trace._trace_core, x[None], k, cfg)[0], bytes)
                       for x in s]] for s in stacks]
         passing = [s for s in passing if len(s)]
-        assert_batch_is_per_stack(brackets_off, passing, k, cfg)
+        assert_grouped_is_alone(brackets_off, passing, k, cfg)
         # Witness residuals at roundoff fail, and print, their last bits.
-        assert_batch_is_per_stack(brackets_off, passing, k, replace(cfg, ki_residual_tol=1e-30))
+        assert_grouped_is_alone(brackets_off, passing, k, replace(cfg, ki_residual_tol=1e-30))
         if k > 1 and cfg.max_terms <= 7:  # the resonant series would run to max_terms
             unwitnessed = [np.array([unwitnessed_contraction(rng, b, k) for _ in range(3)])
                            for b in (1, 2, 3)]
-            assert_batch_is_per_stack(brackets_off, passing[:2] + unwitnessed, k, cfg)
+            assert_grouped_is_alone(brackets_off, passing[:2] + unwitnessed, k, cfg)
 
 
 def test_batch_returns_each_stack_alone_where_only_the_union_fails(monkeypatch):
     # A padded series can round its gap an ulp above the exact-shape one.
-    # With compare_tol at the latter, the union fails where no stack does
-    # alone, and the batch returns what each stack gives alone.
-    core, calls = trace._trace_core, []
-    monkeypatch.setattr(trace, "_trace_core", lambda m, *a, **kw: calls.append(m) or core(m, *a, **kw))
+    # With compare_tol at the latter, the union fails where no job does
+    # alone, and _trace_grouped returns what each job gives alone.
+    core, failed = trace._trace_core, []
+
+    def watched(m, *args, **kwargs):
+        try:
+            return core(m, *args, **kwargs)
+        except ArithmeticError:
+            failed.append(len(m))
+            raise
+
+    monkeypatch.setattr(trace, "_trace_core", watched)
     rng = np.random.default_rng(5)
 
     def draw():
-        small, big = with_norm(rng, 3, 0.9)[None], with_norm(rng, 5, 0.9)[None]
-        gap = core(small, 2, TraceConfig(), report_gap=True)[3][0]
-        return [small, big], TraceConfig(compare_tol=float(gap))
+        small, big = with_norm(rng, 3, 0.9), with_norm(rng, 5, 0.9)
+        gap = core(small[None], 2, TraceConfig(), report_gap=True)[3][0]
+        return stack_jobs([small[None], big[None]], 2), TraceConfig(compare_tol=float(gap))
 
     def only_the_union_fails(case):
-        calls.clear()
-        batch_outcome(trace._trace_core, case[0], 2, case[1])
-        union_failed = len(calls) > 2  # the batch, its union, then each stack alone
-        return union_failed and isinstance(alone_outcome(case[0], 2, case[1])[0], list)
+        failed.clear()
+        grouped_outcome(*case)
+        return failed == [2] and alone_outcome(*case)[1] is not None
 
-    batch, cfg = first_draw(draw, only_the_union_fails)
-    assert batch_outcome(trace._trace_core, batch, 2, cfg) == alone_outcome(batch, 2, cfg)
+    jobs, cfg = first_draw(draw, only_the_union_fails)
+    assert grouped_outcome(jobs, cfg) == alone_outcome(jobs, cfg)[0]
 
 
 def test_pseudoinverse_from_one_svd_equals_numpy_pinv():

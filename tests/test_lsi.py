@@ -222,6 +222,14 @@ def test_lsi_ex_port_validation():
         lsi_ex(r, 1)
 
 
+def test_lsi_ex_refuses_a_non_integer_port_count():
+    # Unchecked, 1.0 failed with a bare TypeError from a slice.
+    r = dtft(FirKernel(("o", "x"), ("i", "x"), {0: HADAMARD}), 8)
+    with pytest.raises(LinalgError, match="^loop_ports must be an integer$"):
+        lsi_ex(r, 1.0)
+    assert np.allclose(lsi_ex(r, np.int64(1)).samples, 1.0, atol=1e-10)
+
+
 def test_lsi_ex_failure_keeps_the_trace_core_error():
     # A witness tolerance below roundoff fails every sample of a contraction
     # kernel; the first frequency's KiTraceError arrives with its residuals.

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -433,54 +434,81 @@ def reference_axioms(seed, n_cases, cfg=TraceConfig(), max_dim=4):
 
 
 def traced_shapes(monkeypatch, fn):
-    """Run fn and return the loop size and the stacks' (stack size, matrix
-    shape) of every _trace_core call it makes, a lone stack as a batch of
-    one.  A ragged batch's call on the padded union of its stacks follows it."""
+    """Run fn and return, for every _trace_core call it makes, the loop size,
+    the traced matrices' shapes and the shape of the stack: a padded
+    union's matrices are its parts, with their own shapes."""
     calls = []
     original = trace._trace_core
 
-    def counted(m, k, *args, **kwargs):
-        calls.append((k, [(len(s), s.shape[1:]) for s in (m if isinstance(m, list) else [m])]))
-        return original(m, k, *args, **kwargs)
+    def counted(m, k, *args, parts=(), **kwargs):
+        assert [i for i, _, _ in parts] == list(range(len(parts)))
+        shapes = [(b + k, a + k) for _, b, a in parts] or [m.shape[1:]] * len(m)
+        calls.append((k, shapes, m.shape))
+        return original(m, k, *args, parts=parts, **kwargs)
 
-    monkeypatch.setattr(trace, "_trace_core", counted)
-    fn()
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(trace, "_trace_core", counted)
+        fn()
     return calls
 
 
 def by_loop_size(calls):
-    """The stacks of these calls as one batch per distinct loop size, in the
-    order the sizes first occur, each batch's stacks in call order."""
+    """The matrices of these calls as one batch per distinct loop size, in
+    the order the sizes first occur, each batch's matrices in call order."""
     batches = {}
-    for k, stacks in calls:
-        batches.setdefault(k, []).extend(stacks)
+    for k, shapes, _ in calls:
+        batches.setdefault(k, []).extend(shapes)
     return list(batches.items())
 
 
 # Seeds 0-9 at 16 cases: the size of `axioms 16` in the trace_scalar bench mix.
 @pytest.mark.parametrize("seed,n_cases", [(seed, 16) for seed in range(10)] + [(3, 40), (123, 40)])
 def test_batched_axioms_equal_per_case_reference(monkeypatch, seed, n_cases):
+    if n_cases > 16:  # three blocks: 16, 16 and 8 cases
+        monkeypatch.setattr(trace, "AXIOM_BLOCK", 16)
     reports = []
     want = traced_shapes(monkeypatch, lambda: reports.append(reference_axioms(seed, n_cases)))
     assert len(want) == 13 * n_cases
     # The reference's ex calls 0, 2 and 6 of each case trace ex(f), which the
     # checker traces once; call 9 is vanishing II's inner trace, and call 10
-    # the nested one, which the checker traces after every other trace.
+    # the nested one, which the checker traces after every other trace of
+    # its block.
     per_case = [want[13 * i : 13 * i + 13] for i in range(n_cases)]
-    rest = [calls[j] for calls in per_case for j in (0, 1, 3, 4, 5, 7, 8, 11, 12)]
+    expected = []
+    for start in range(0, n_cases, trace.AXIOM_BLOCK):
+        block = per_case[start : start + trace.AXIOM_BLOCK]
+        rest = [calls[j] for calls in block for j in (0, 1, 3, 4, 5, 7, 8, 11, 12)]
+        expected += (by_loop_size(calls[9] for calls in block)
+                     + by_loop_size(rest + [calls[10] for calls in block]))
     got = traced_shapes(monkeypatch, lambda: reports.append(check_trace_axioms(seed, n_cases)))
     assert reports[1].to_json() == reports[0].to_json()
-    # One call per distinct loop size in each pass, with its traces in trace
-    # order, then the call on its union, padded to the largest B and A.
-    batches, unions = got[0::2], got[1::2]
-    assert batches == (by_loop_size(calls[9] for calls in per_case)
-                       + by_loop_size(rest + [calls[10] for calls in per_case]))
-    for (k, stacks), union in zip(batches, unions):
-        size = tuple(max(shape[i] - k for _, shape in stacks) + k for i in (0, 1))
-        assert union == (k, [(len(stacks), size)])
-    assert sum(n for _, stacks in batches for n, _ in stacks) == 11 * n_cases
-    assert len(batches) <= 4 + 9  # vanishing II's inner loop sizes 1-4, the rest's 0-8
+    # One call per distinct loop size in each pass of each block, with its
+    # traces in trace order, on their union padded to the largest B and A.
+    assert [(k, shapes) for k, shapes, _ in got] == expected
+    for k, shapes, union in got:
+        assert union == (len(shapes),) + tuple(max(s[i] - k for s in shapes) + k for i in (0, 1))
+
+
+@pytest.mark.parametrize("block", (1, 5, 16))
+def test_block_size_moves_no_byte(monkeypatch, block):
+    want = {(seed, n): check_trace_axioms(seed, n).to_json() for seed in (0, 1) for n in (16, 40)}
+    monkeypatch.setattr(trace, "AXIOM_BLOCK", block)
+    assert {key: check_trace_axioms(*key).to_json() for key in want} == want
+
+
+def test_checker_memory_does_not_grow_with_the_case_count(monkeypatch):
+    # Drawn and traced all at once, seeds 0-3 peaked 6.7-11.3 times higher at 128 cases than at 16.
+    monkeypatch.setattr(trace, "AXIOM_BLOCK", 16)
+    check_trace_axioms(0, 16)  # first-use imports and caches stay out of the peaks
+    peaks = []
+    for n_cases in (16, 128):
+        tracemalloc.start()
+        try:
+            check_trace_axioms(0, n_cases)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 2 * peaks[0]
 
 
 def first_failure_alone(seed, n_cases, cfg):
@@ -528,6 +556,21 @@ def test_failing_axiom_trace_names_case_and_law():
     with pytest.raises(SeriesDivergence,
                        match=r"^case 0 \(a=\d, b=\d, u=\d\), vanishing_ii \(inner\): "):
         check_trace_axioms(0, 2, TraceConfig(max_terms=1))
+
+
+@pytest.mark.parametrize("seed, n_cases, name", [(0, 2.0, "n_cases"), (0.5, 2, "seed")])
+def test_checker_refuses_a_non_integer_seed_or_case_count(seed, n_cases, name):
+    # Unchecked, either failed with a bare TypeError.
+    with pytest.raises(LinalgError, match=f"^{name} must be an integer$"):
+        check_trace_axioms(seed, n_cases)
+    assert check_trace_axioms(np.int64(0), True).checks["yanking"].cases == 1
+
+
+def test_trace_config_refuses_a_non_integer_max_terms():
+    # Unchecked, 2.5 was accepted, and ex then failed with a bare TypeError from range.
+    with pytest.raises(LinalgError, match="^max_terms must be an integer$"):
+        TraceConfig(max_terms=2.5)
+    assert ex(two_block(THREE, 1), "U", TraceConfig(max_terms=np.int64(500))).converged
 
 
 @pytest.mark.parametrize("field", ["series_tol", "ki_residual_tol", "compare_tol", "blowup"])
