@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import LinalgError, require_ints
+from .linalg import LinalgError, as_int
 
 __all__ = [
     "GroverParams",
@@ -63,10 +63,10 @@ class KappaMeasurement:
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
             raise LinalgError("kappa must lie in [0, 1]")
-        q = tuple(self.predicate)
-        if not all(isinstance(i, (int, np.integer)) and i >= 0 for i in q) or len(set(q)) < len(q):
+        q = tuple(as_int(i, "predicate", 0) for i in self.predicate)
+        if len(set(q)) < len(q):
             raise LinalgError("predicate must be distinct nonnegative integer indices")
-        object.__setattr__(self, "predicate", tuple(map(int, q)))
+        object.__setattr__(self, "predicate", q)
         object.__setattr__(self, "index", np.array(self.predicate, dtype=np.intp))
 
 
@@ -131,12 +131,10 @@ class GroverParams:
     max_iterations: int | None = None
 
     def __post_init__(self):
-        if self.B_size < 2:
-            raise LinalgError("B_size must be >= 2")
+        as_int(self.B_size, "B_size", 2)
         if self.B_size > sys.float_info.max:  # B^-1/2 is taken in floats
             raise LinalgError("B_size must lie within the float range")
-        if self.seed < 0:
-            raise LinalgError("seed must be >= 0")
+        as_int(self.seed, "seed", 0)
         kappa = self.kappa if self.kappa is not None else self.B_size ** -0.5
         if not 0.0 < kappa <= 1.0:
             raise LinalgError("kappa must lie in (0, 1]")
@@ -145,9 +143,7 @@ class GroverParams:
             if 50.0 / kappa == math.inf:
                 raise LinalgError(f"kappa {kappa:g} is too small: ceil(50 / kappa) is not finite")
             object.__setattr__(self, "max_iterations", int(math.ceil(50.0 / kappa)))
-        require_ints(B_size=self.B_size, seed=self.seed, max_iterations=self.max_iterations)
-        if self.max_iterations < 1:
-            raise LinalgError("max_iterations must be >= 1")
+        as_int(self.max_iterations, "max_iterations", 1)
 
     @property
     def alpha(self) -> float:
@@ -195,7 +191,7 @@ def grover_recurrence(p: GroverParams, n_steps: int | None = None) -> np.ndarray
     Max error of kappa sin^2 against 30-digit steps over 1000 draws of up to 1500
     steps, B in [2, 1e7], kappa in [1e-6, 1], near d = 0 and kappa = 1 included:
     5.2e-13 (a per-step loop of theta in doubles: 1.9e-3)."""
-    n = p.max_iterations if n_steps is None else n_steps
+    n = as_int(p.max_iterations if n_steps is None else n_steps, "n_steps", 0)
     if n > ITERATION_CAP:
         raise LinalgError(f"max_iterations must be <= {ITERATION_CAP} (default ceil(50 / kappa))")
     t = np.arange(1, n + 1, dtype=float)
@@ -341,8 +337,7 @@ def grover_montecarlo(p: GroverParams, n_trials: int) -> tuple[GroverSamples, Mo
     PCG64.advance(i) reaches directly: runs are reproducible and a
     shorter run is a prefix of a longer one.
     """
-    if n_trials < 1:
-        raise LinalgError("n_trials must be >= 1")
+    n_trials = as_int(n_trials, "n_trials", 1)
     if n_trials > TRIALS_CAP:
         raise LinalgError(f"n_trials must be <= {TRIALS_CAP}")
     angles = premeasurement_angles(p)
@@ -453,8 +448,7 @@ def _grover_epsilon(B_size: int) -> float:
 def _grover_bound(B_size: int, kappa: float | None = None) -> RuntimeBound:
     """The Grover loop's RuntimeBound: kappa defaults to B^-1/2, epsilon is
     sin 3 alpha, f is guarantee_f at B and g is robustness_g."""
-    if B_size < 1:
-        raise LinalgError("B must be >= 1")
+    B_size = as_int(B_size, "B", 1)
     if B_size > sys.float_info.max:
         raise LinalgError("B_size must lie within the float range")
     return RuntimeBound(B_size ** -0.5 if kappa is None else kappa, _grover_epsilon(B_size),
@@ -485,6 +479,7 @@ def verify_guarantee(p: GroverParams, n_max: int = 50) -> GuaranteeReport:
     """Exhaustively check the active-iteration guarantee on the
     unmeasured evolution and the robustness witness against the measured
     keep-looping recurrence."""
+    n_max = as_int(n_max, "n_max", 1)
     report = GuaranteeReport(p.B_size, n_max)
     alpha = p.alpha
     horizon = guarantee_f(n_max, p.B_size)

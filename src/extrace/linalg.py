@@ -8,7 +8,7 @@ only stateful object is the caller-supplied RNG seed.
 from __future__ import annotations
 
 import math
-import operator
+import re
 from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -20,6 +20,7 @@ __all__ = [
     "Partition",
     "PartitionedMap",
     "adjoint",
+    "as_int",
     "as_matrix",
     "classify",
     "direct_sum",
@@ -41,11 +42,23 @@ class LinalgError(ValueError):
     checks: the malformed-input error, which the CLI maps to exit 2."""
 
 
-def require_ints(**values) -> None:
-    """Refuse each named value that is not an integer; bool and np.integer pass."""
-    for name, value in values.items():
-        if not isinstance(value, (int, np.integer)):
-            raise LinalgError(f"{name} must be an integer")
+def as_int(value, what: str, low: int | None = None) -> int:
+    """An integer as a Python int, at least ``low`` if given; bool and
+    np.integer pass.  int() would truncate 1.5 and read "3", so neither
+    passes here: the one integer check of the engine."""
+    if not isinstance(value, (int, np.integer)):
+        raise LinalgError(f"{what} must be an integer, not {value!r}")
+    if low is not None and value < low:
+        raise LinalgError(f"{what} must be >= {low}")
+    return int(value)
+
+
+def int_from_text(text: str, what: str) -> int:
+    """An integer written as text, ASCII -?[0-9]+: int() would also take "+5",
+    "1_0", " 7 " and non-ASCII digits.  Past 4,300 digits int() raises ValueError."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise LinalgError(f"{what} must be an integer, not {text!r}")
+    return int(text)
 
 
 def as_matrix(data) -> np.ndarray:
@@ -176,6 +189,7 @@ def direct_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def swap_matrix(n: int, m: int) -> np.ndarray:
     """The braiding C^n (+) C^m -> C^m (+) C^n."""
+    n, m = as_int(n, "swap size", 0), as_int(m, "swap size", 0)
     out = np.zeros((n + m, n + m), dtype=np.complex128)
     out[:m, n:] = np.eye(m)
     out[m:, :n] = np.eye(n)
@@ -204,16 +218,11 @@ class Partition:
 
     def __post_init__(self):
         object.__setattr__(self, "names", as_labels(self.names, "partition names"))
-        try:
-            object.__setattr__(self, "sizes", tuple(map(operator.index, self.sizes)))
-        except TypeError:
-            raise LinalgError("partition sizes must be integers") from None
+        object.__setattr__(self, "sizes", tuple(as_int(s, "partition size", 0) for s in self.sizes))
         if len(self.names) != len(self.sizes):
             raise LinalgError("partition names and sizes differ in length")
         if len(set(self.names)) != len(self.names):
             raise LinalgError("partition names must be distinct")
-        if any(s < 0 for s in self.sizes):
-            raise LinalgError("partition sizes must be nonnegative")
 
     @property
     def total(self) -> int:
@@ -283,7 +292,7 @@ def two_block(matrix, loop_dim: int) -> PartitionedMap:
     rows and columns."""
     m = as_matrix(matrix)
     rows, cols = m.shape
-    if loop_dim < 0 or loop_dim > min(rows, cols):
+    if not 0 <= as_int(loop_dim, "loop dimension") <= min(rows, cols):
         raise LinalgError(f"loop dimension {loop_dim} does not fit shape {m.shape}")
     return PartitionedMap(
         m,
@@ -294,8 +303,7 @@ def two_block(matrix, loop_dim: int) -> PartitionedMap:
 
 def random_unitary(n: int, seed) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Gaussian matrix."""
-    if n < 1:
-        raise LinalgError("dimension must be >= 1")
+    n = as_int(n, "dimension", 1)
     rng = _rng(seed)
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     q, r = np.linalg.qr(z)
@@ -304,7 +312,7 @@ def random_unitary(n: int, seed) -> np.ndarray:
 
 
 def random_isometry(rows: int, cols: int, seed) -> np.ndarray:
-    if rows < cols:
+    if as_int(rows, "dimension", 1) < as_int(cols, "dimension", 0):
         raise LinalgError("an isometry needs rows >= cols")
     return random_unitary(rows, seed)[:, :cols]
 
@@ -320,8 +328,7 @@ def random_contraction(rows: int, cols: int, seed) -> np.ndarray:
 def draw_contraction(rows: int, cols: int, seed, draws: list) -> np.ndarray:
     """random_contraction's Gaussian matrix, drawn in its order and put on
     ``draws`` with its target norm, for rescale_draws to rescale in place."""
-    if rows < 1 or cols < 1:
-        raise LinalgError("dimensions must be >= 1")
+    rows, cols = as_int(rows, "dimensions", 1), as_int(cols, "dimensions", 1)
     rng = _rng(seed)
     z = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     draws.append((z, rng.uniform(0.0, 1.0)))

@@ -9,14 +9,13 @@ responses.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import trace
-from .linalg import (DEFAULT_TOL, LinalgError, as_labels, as_matrix, bracket_norms,
-                     matrix_from_literal, matrix_to_literal, require_ints, write_csv)
+from .linalg import (DEFAULT_TOL, LinalgError, as_int, as_labels, as_matrix, bracket_norms,
+                     int_from_text, matrix_from_literal, matrix_to_literal, write_csv)
 
 __all__ = [
     "FirKernel",
@@ -34,14 +33,6 @@ DEFAULT_GRID = 256
 # Cap on grid size * rows * cols of a sampled response: 2^26 complex128 samples
 # are 1 GiB.  A grid above it is refused before anything is allocated.
 GRID_WORK_CAP = 2**26
-
-
-def _as_time(t, what: str) -> int:
-    """An integer time as a Python int; int() would truncate 1.5 to 1."""
-    try:
-        return operator.index(t)
-    except TypeError:
-        raise LinalgError(f"{what} must be integers, not {t!r}") from None
 
 
 @dataclass(frozen=True)
@@ -63,7 +54,7 @@ class FirKernel:
                 raise LinalgError(
                     f"tap at t={t} has shape {m.shape}, ports require {shape}"
                 )
-            t = _as_time(t, "tap offsets")
+            t = as_int(t, "tap offset")
             if not -(2**63) <= t < 2**63:  # an int64, so its phase e^{-i w t} is a float
                 raise LinalgError("tap offsets must lie in the int64 range")
             fixed[t] = m
@@ -82,11 +73,9 @@ class FirKernel:
 
     @classmethod
     def from_json(cls, obj) -> "FirKernel":
-        return cls(
-            obj["out_ports"],
-            obj["in_ports"],
-            {int(t): matrix_from_literal(m) for t, m in obj["taps"].items()},
-        )
+        return cls(obj["out_ports"], obj["in_ports"],
+                   {int_from_text(t, "tap offset"): matrix_from_literal(m)
+                    for t, m in obj["taps"].items()})
 
 
 @dataclass(frozen=True)
@@ -114,8 +103,8 @@ class FrequencyResponse:
 
     @property
     def grid(self) -> np.ndarray:
-        """The frequency 2*pi*j/N of each sample j: _uniform_grid's formula."""
-        return 2.0 * np.pi * np.arange(self.grid_size) / self.grid_size
+        """The frequency 2*pi*j/N of each sample j: the grid dtft and semantics sample on."""
+        return _uniform_grid(self.grid_size, self.samples[0].size)
 
 
 @dataclass(frozen=True)
@@ -132,7 +121,7 @@ class Signal:
             v = np.asarray(v, dtype=np.complex128).reshape(-1)
             if v.size != len(self.ports):
                 raise LinalgError(f"signal sample at t={t} has wrong port count")
-            fixed[_as_time(t, "sample times")] = v
+            fixed[as_int(t, "sample time")] = v
         object.__setattr__(self, "samples", fixed)
 
     def norm_squared(self) -> float:
@@ -141,8 +130,7 @@ class Signal:
 
 def _uniform_grid(n: int, entries: int) -> np.ndarray:
     """The grid 2*pi*j/n for samples of ``entries`` matrix entries each."""
-    if n < 2:
-        raise LinalgError("grid size must be >= 2")
+    n = as_int(n, "grid size", 2)
     if n * max(entries, 1) > GRID_WORK_CAP:
         raise LinalgError(f"grid size {n} * {entries} entries exceeds the cap {GRID_WORK_CAP}")
     return 2.0 * np.pi * np.arange(n) / n
@@ -209,7 +197,7 @@ def lsi_ex(
     SeriesDivergence the same way, rather than pass its partial sum off as
     a value.  cfg defaults to TraceConfig()."""
     cfg = trace.TraceConfig() if cfg is None else cfg
-    require_ints(loop_ports=loop_ports)
+    loop_ports = as_int(loop_ports, "loop_ports")
     n_out, n_in = r.samples.shape[1], r.samples.shape[2]
     if loop_ports < 1 or loop_ports > min(n_out, n_in):
         raise LinalgError(f"cannot loop {loop_ports} ports on shape {(n_out, n_in)}")
@@ -234,15 +222,13 @@ def parseval_norm(s: Signal, grid_size: int) -> float:
     Exact (to roundoff) once the grid exceeds the support width, since
     the transform is a trigonometric polynomial.
     """
-    lo, hi = (min(s.samples), max(s.samples)) if s.samples else (0, 0)
-    width = hi - lo + 1
-    if grid_size < max(2, width + 1):
-        raise LinalgError(
-            f"grid size {grid_size} too small for support width {width}"
-        )
+    grid = _uniform_grid(grid_size, len(s.ports))
+    width = max(s.samples) - min(s.samples) + 1 if s.samples else 1
+    if grid.size <= width:
+        raise LinalgError(f"grid size {grid.size} too small for support width {width}")
     with np.errstate(over="ignore", invalid="ignore"):  # a norm past the float range is inf
-        spectrum = _transform(s.samples, _uniform_grid(grid_size, len(s.ports)), (len(s.ports),))
-        return float(np.sum(np.abs(spectrum) ** 2) / grid_size)
+        spectrum = _transform(s.samples, grid, (len(s.ports),))
+        return float(np.sum(np.abs(spectrum) ** 2) / grid.size)
 
 
 def response_to_csv(r: FrequencyResponse, path) -> None:

@@ -17,7 +17,8 @@ from typing import ClassVar
 import numpy as np
 
 from . import lsi, trace
-from .linalg import DEFAULT_TOL, as_matrix, classify, direct_sum, matrix_from_literal
+from .linalg import (DEFAULT_TOL, LinalgError, as_int, as_matrix, classify, direct_sum,
+                     int_from_text, matrix_from_literal)
 
 __all__ = [
     "Delay",
@@ -131,7 +132,6 @@ class _Token:
 
 
 _TOKEN = re.compile(r"[()]|[^\s()]+")  # \s is str.isspace on every code point
-_INTEGER = re.compile(r"-?[0-9]+")  # int() would also take "+5", "1_0" and non-ASCII digits
 
 
 def _tokenize(text: str, line0: int = 1) -> list[_Token]:
@@ -174,11 +174,10 @@ class _Parser:
     def _integer(self, form: str, what: str) -> tuple[int, _Token]:
         tok = self._next(what)
         try:
-            if _INTEGER.fullmatch(tok.text):
-                return int(tok.text), tok
-        except ValueError:  # more digits than int() converts
-            pass
-        raise ParseError(f"{form} wants an integer, got {tok.text!r}", tok.line, tok.col)
+            return int_from_text(tok.text, what), tok
+        except ValueError:  # LinalgError, or more digits than int() converts
+            raise ParseError(f"{form} wants an integer, got {tok.text!r}", tok.line,
+                             tok.col) from None
 
     def parse_node(self, depth: int = 1) -> Node:
         self._expect("(")
@@ -258,27 +257,28 @@ def parse_source(text: str) -> SourceFile:
 def _node_error(node: Node) -> str | None:
     """The first static rule that node itself breaks, or None.  Only the
     node is judged; its children count by their port counts alone."""
-    if isinstance(node, Unitary):
-        if node.matrix.shape[0] != node.matrix.shape[1]:
-            return f"gate {node.name!r} matrix is not square"
-        if classify(node.matrix) != "unitary":
-            return f"gate {node.name!r} matrix is not unitary at tolerance {DEFAULT_TOL:g}"
-    elif isinstance(node, Delay):
-        if not 0 <= node.t < 2**63:  # an int64, so its phase e^{-i w t} is a float
-            return "delay must be nonnegative and below 2^63"
-    elif isinstance(node, Seq):
-        if node.first.out_count != node.second.in_count:
-            return (f"seq mismatch (arity mismatch): first produces {node.first.out_count} "
-                    f"ports, second consumes {node.second.in_count}")
-    elif isinstance(node, DoWhile):
-        k, body = node.feedback, node.body
-        if k < 1:
-            return "loop feedback count must be >= 1"
-        if k > min(body.in_count, body.out_count):
-            return (f"loop feedback count {k} exceeds body ports "
-                    f"({body.in_count} in / {body.out_count} out)")
-    elif not isinstance(node, Par):
-        return f"unknown node {type(node).__name__}"
+    try:  # as_int refuses a delay or feedback count that is not an integer, or below 1
+        if isinstance(node, Unitary):
+            if node.matrix.shape[0] != node.matrix.shape[1]:
+                return f"gate {node.name!r} matrix is not square"
+            if classify(node.matrix) != "unitary":
+                return f"gate {node.name!r} matrix is not unitary at tolerance {DEFAULT_TOL:g}"
+        elif isinstance(node, Delay):
+            if not 0 <= as_int(node.t, "delay") < 2**63:  # an int64: e^{-i w t} is a float
+                return "delay must be nonnegative and below 2^63"
+        elif isinstance(node, Seq):
+            if node.first.out_count != node.second.in_count:
+                return (f"seq mismatch (arity mismatch): first produces {node.first.out_count} "
+                        f"ports, second consumes {node.second.in_count}")
+        elif isinstance(node, DoWhile):
+            k, body = as_int(node.feedback, "loop feedback count", 1), node.body
+            if k > min(body.in_count, body.out_count):
+                return (f"loop feedback count {k} exceeds body ports "
+                        f"({body.in_count} in / {body.out_count} out)")
+        elif not isinstance(node, Par):
+            return f"unknown node {type(node).__name__}"
+    except LinalgError as e:
+        return str(e)
     return None
 
 
@@ -344,7 +344,7 @@ def _eval(node: Node, grid: np.ndarray, cfg: trace.TraceConfig) -> np.ndarray:
     if isinstance(node, Unitary):
         return np.broadcast_to(node.matrix, (n, *node.matrix.shape)).copy()
     if isinstance(node, Delay):
-        return np.exp(-1j * grid * node.t).reshape(n, 1, 1)
+        return np.exp(-1j * grid * as_int(node.t, "delay")).reshape(n, 1, 1)
     if isinstance(node, Seq):
         return _eval(node.second, grid, cfg) @ _eval(node.first, grid, cfg)
     if isinstance(node, Par):

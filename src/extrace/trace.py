@@ -19,6 +19,7 @@ from .linalg import (
     LinalgError,
     PartitionedMap,
     adjoint,
+    as_int,
     bracket_norms,
     classify,
     direct_sum,
@@ -26,7 +27,6 @@ from .linalg import (
     fro_norms,
     grouped_norms,
     operator_norm,
-    require_ints,
     rescale_draws,
     stack_norms,
     stack_pinv,
@@ -88,9 +88,7 @@ class TraceConfig:
         if not all(0 < t < math.inf for t in (self.series_tol, self.ki_residual_tol,
                                                self.compare_tol, self.blowup)):
             raise LinalgError("tolerances must be positive and finite, and so must blowup")
-        require_ints(max_terms=self.max_terms)
-        if self.max_terms < 1:
-            raise LinalgError("max_terms must be >= 1")
+        as_int(self.max_terms, "max_terms", 1)
 
 
 @dataclass(frozen=True)
@@ -622,11 +620,7 @@ def check_trace_axioms(seed: int, n_cases: int, cfg: TraceConfig = TraceConfig()
     Each case draws from its own child of SeedSequence(seed), so no byte
     depends on the block size.  Law failures go into the report; the first
     failing trace of the first failing block raises as it does alone."""
-    require_ints(seed=seed, n_cases=n_cases)
-    if seed < 0:
-        raise LinalgError("seed must be >= 0")
-    if n_cases < 0:
-        raise LinalgError("n_cases must be >= 0")
+    seed, n_cases = as_int(seed, "seed", 0), as_int(n_cases, "n_cases", 0)
     checks = {name: AxiomCheck(name) for name in _AXIOMS}
     seeds = np.random.SeedSequence(seed)
     for start in range(0, n_cases, AXIOM_BLOCK):

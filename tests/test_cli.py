@@ -701,7 +701,7 @@ def test_trace_non_integer_partition_size_is_usage_error(tmp_path, capsys, sizes
     payload["row_partition"]["sizes"] = sizes
     path = tmp_path / "input.json"
     path.write_text(json.dumps(payload))
-    usage_error(capsys, ["trace", str(path)], "partition sizes must be integers")
+    usage_error(capsys, ["trace", str(path)], "partition size must be an integer, not ")
 
 
 def test_trace_partition_names_as_a_string_are_usage_error(tmp_path, capsys):
@@ -916,7 +916,10 @@ def test_qwhile_loop_trace_failure_is_a_report(tmp_path, capsys):
     [
         ({"taps": None}, "'taps'"),
         ({"taps": [1]}, "'list' object has no attribute 'items'"),
-        ({"taps": {"a": [[[1, 0]]]}}, "invalid literal for int()"),
+        ({"taps": {"a": [[[1, 0]]]}}, "tap offset must be an integer, not 'a'"),
+        # Keys that int() reads as 10, 3, 5 and 7: a tap key is ASCII digits, as a qWhile delay is.
+        *[({"taps": {key: matrix_to_literal(HADAMARD)}},
+           f"tap offset must be an integer, not {key!r}") for key in ["1_0", "\u0663", "+5", " 7 "]],
         ({"taps": {"9" * 400: matrix_to_literal(HADAMARD)}},
          "tap offsets must lie in the int64 range"),
         # Ports "ix" used to pass as the ports "i" and "x", and an object as its keys.
@@ -924,7 +927,8 @@ def test_qwhile_loop_trace_failure_is_a_report(tmp_path, capsys):
          "out_ports must be a sequence of labels, not a string"),
         ({"in_ports": {"i": 0, "x": 1}}, "in_ports must be a sequence of labels, not dict"),
     ],
-    ids=["missing", "list", "bad_offset", "offset_past_int64", "ports_string", "ports_object"],
+    ids=["missing", "list", "bad_offset", "underscore_offset", "arabic_indic_offset",
+         "plus_offset", "spaced_offset", "offset_past_int64", "ports_string", "ports_object"],
 )
 def test_lsi_malformed_kernel_is_usage_error(tmp_path, capsys, fields, fragment):
     usage_error(capsys, ["lsi", write_kernel(tmp_path, **fields)], f"bad kernel input: {fragment}")

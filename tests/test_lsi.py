@@ -156,7 +156,7 @@ def test_tap_offsets_are_int64():
     for offset in [2**63, -(2**63) - 1]:
         with pytest.raises(LinalgError, match="tap offsets must lie in the int64 range"):
             FirKernel(("o",), ("i",), {offset: [[0.5]]})
-    # A JSON key is a string, which from_json reads with int().
+    # A JSON key is a string, which from_json reads as ASCII digits.
     taps = {"9" * 400: [[[0.5, 0]]]}
     with pytest.raises(LinalgError, match="tap offsets must lie in the int64 range"):
         FirKernel.from_json({"in_ports": ["i"], "out_ports": ["o"], "taps": taps})
@@ -164,11 +164,11 @@ def test_tap_offsets_are_int64():
 
 def test_times_must_be_integers():
     # int() would truncate both times to 1, and the second tap would replace the first.
-    with pytest.raises(LinalgError, match=r"tap offsets must be integers, not 1\.2"):
+    with pytest.raises(LinalgError, match=r"tap offset must be an integer, not 1\.2"):
         FirKernel(("o",), ("i",), {1.2: [[0.5]], 1.7: [[0.25]]})
-    with pytest.raises(LinalgError, match=r"sample times must be integers, not 1\.5"):
+    with pytest.raises(LinalgError, match=r"sample time must be an integer, not 1\.5"):
         Signal(("a",), {1.5: [1.0]})
-    with pytest.raises(LinalgError, match="tap offsets must be integers, not '3'"):
+    with pytest.raises(LinalgError, match="tap offset must be an integer, not '3'"):
         FirKernel(("o",), ("i",), {"3": [[0.5]]})
     kernel = FirKernel(("o",), ("i",), {np.int64(3): [[0.5]]})
     assert [type(t) for t in kernel.taps] == [int]
@@ -220,14 +220,6 @@ def test_lsi_ex_port_validation():
     r = dtft(FirKernel(("o", "x"), ("i", "y"), {0: np.eye(2)}), 8)
     with pytest.raises(LinalgError):
         lsi_ex(r, 1)
-
-
-def test_lsi_ex_refuses_a_non_integer_port_count():
-    # Unchecked, 1.0 failed with a bare TypeError from a slice.
-    r = dtft(FirKernel(("o", "x"), ("i", "x"), {0: HADAMARD}), 8)
-    with pytest.raises(LinalgError, match="^loop_ports must be an integer$"):
-        lsi_ex(r, 1.0)
-    assert np.allclose(lsi_ex(r, np.int64(1)).samples, 1.0, atol=1e-10)
 
 
 def test_lsi_ex_failure_keeps_the_trace_core_error():
