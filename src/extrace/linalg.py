@@ -96,18 +96,17 @@ def fro_norms(m: np.ndarray) -> np.ndarray:
     return np.sqrt(np.add.reduce((m.conj() * m).real, axis=(-2, -1)))
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a reciprocal past the float range is inf or nan
+@np.errstate(over="ignore", invalid="ignore")  # a divisor near the float range may overflow
 def stack_pinv(m: np.ndarray, rcond: float) -> np.ndarray:
     """Pseudoinverse of each matrix in a stack: singular values at or below
-    rcond * sigma_max count as zeros.  A 1x1 matrix's is numpy's complex
-    reciprocal, 0 at 0, without an SVD.  Any other shape takes one SVD and
-    is built as np.linalg.pinv builds it, so the two agree bit for bit.  A
-    reciprocal that overflows is left for the caller's finiteness check."""
+    rcond count as zeros, in every shape.  A 1x1 matrix's is numpy's complex
+    reciprocal where np.abs is above rcond and 0 elsewhere, without an SVD.
+    Any other shape takes one SVD and is built as np.linalg.pinv builds it,
+    so the two agree bit for bit at numpy's relative rcond, rcond / sigma_max."""
     if m.shape[-2:] == (1, 1):
-        a = np.abs(m)
-        return np.divide(1, m, where=a > rcond * a, out=np.zeros_like(m))
+        return np.divide(1, m, where=np.abs(m) > rcond, out=np.zeros_like(m))
     u, s, vt = np.linalg.svd(m.conj(), full_matrices=False)
-    large = s > rcond * np.max(s, axis=-1, keepdims=True)
+    large = s > rcond
     s = np.divide(1, s, where=large, out=s)
     s[~large] = 0
     return np.matmul(np.swapaxes(vt, -1, -2), s[..., None] * np.swapaxes(u, -1, -2))

@@ -110,11 +110,11 @@ class DoWhile:
 
     @property
     def in_count(self) -> int:
-        return self.body.in_count - self.feedback
+        return self.body.in_count - as_int(self.feedback, "loop feedback count")
 
     @property
     def out_count(self) -> int:
-        return self.body.out_count - self.feedback
+        return self.body.out_count - as_int(self.feedback, "loop feedback count")
 
 
 Node = Unitary | Delay | Seq | Par | DoWhile
@@ -256,7 +256,9 @@ def parse_source(text: str) -> SourceFile:
 
 def _node_error(node: Node) -> str | None:
     """The first static rule that node itself breaks, or None.  Only the
-    node is judged; its children count by their port counts alone."""
+    node is judged; its children count by their port counts alone.  A rule
+    on a child's count that stands on a feedback count that is not an
+    integer is not judged: that loop reports it at its own path."""
     try:  # as_int refuses a delay or feedback count that is not an integer, or below 1
         if isinstance(node, Unitary):
             if node.matrix.shape[0] != node.matrix.shape[1]:
@@ -266,19 +268,21 @@ def _node_error(node: Node) -> str | None:
         elif isinstance(node, Delay):
             if not 0 <= as_int(node.t, "delay") < 2**63:  # an int64: e^{-i w t} is a float
                 return "delay must be nonnegative and below 2^63"
-        elif isinstance(node, Seq):
-            if node.first.out_count != node.second.in_count:
-                return (f"seq mismatch (arity mismatch): first produces {node.first.out_count} "
-                        f"ports, second consumes {node.second.in_count}")
         elif isinstance(node, DoWhile):
-            k, body = as_int(node.feedback, "loop feedback count", 1), node.body
-            if k > min(body.in_count, body.out_count):
-                return (f"loop feedback count {k} exceeds body ports "
-                        f"({body.in_count} in / {body.out_count} out)")
-        elif not isinstance(node, Par):
+            k = as_int(node.feedback, "loop feedback count", 1)
+        elif not isinstance(node, (Seq, Par)):
             return f"unknown node {type(node).__name__}"
     except LinalgError as e:
         return str(e)
+    try:  # a child's count raises here if it stands on a feedback count that is not an integer
+        if isinstance(node, Seq) and node.first.out_count != node.second.in_count:
+            return (f"seq mismatch (arity mismatch): first produces {node.first.out_count} "
+                    f"ports, second consumes {node.second.in_count}")
+        if isinstance(node, DoWhile) and k > min(node.body.in_count, node.body.out_count):
+            return (f"loop feedback count {k} exceeds body ports "
+                    f"({node.body.in_count} in / {node.body.out_count} out)")
+    except LinalgError:
+        pass
     return None
 
 

@@ -230,19 +230,19 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
 def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, parts=()):
     """Closed-form trace via witnesses i, k with f_UA = (id - f_UU) i and
     f_BU = k (id - f_UU), for every stack entry at once, from one SVD of
-    id - f_UU.  Singular values below 1e-10 * sigma_max count as exact
-    zeros, which keeps unitary loop blocks (id - f_UU singular) traceable.
-    Residuals and agreement take exact norms (one SVD each) where ``exact``
-    marks an entry, whose residual is reported, or a check fails, both
-    residuals then; elsewhere the brackets settle them.  Residuals are
-    judged, and a failing entry's reported, against its ``scale``.  Where
-    that is above 1 (a non-contraction, marked ``exact``), a residual above
-    ki_residual_tol is also judged against the larger of 1 and the norm of
-    the block its witness explains, f_UA or f_BU, and reported so if that
-    fails.  An entry whose value, residuals or agreement is not finite
-    fails before any norm is taken.  Each part (entry, b, a) of a padded
-    stack takes its value on that entry's own b x a views (_trace_grouped).
-    Returns the values, witness residuals and errors by entry."""
+    id - f_UU.  Singular values at or below 1e-10 count as exact zeros in
+    every loop shape, which keeps unitary loop blocks (id - f_UU singular)
+    traceable.  Residuals and agreement take exact norms (one SVD each)
+    where ``exact`` marks an entry, whose residual is reported, or a check
+    fails, both residuals then; elsewhere the brackets settle them.  Each
+    witness is judged once, and its residual reported so: a contraction's
+    (``scale`` 1) against 1, a non-contraction's (``scale`` its norm,
+    marked ``exact``) against the larger of 1 and the norm of the block it
+    explains, f_UA or f_BU; agreement against ``scale``.  An entry whose
+    value, residuals or agreement is not finite fails before any norm is
+    taken.  Each part (entry, b, a) of a padded stack takes its value on
+    that entry's own b x a views (_trace_grouped).  Returns the values,
+    witness residuals and errors by entry."""
     h = np.eye(f_uu.shape[-1]) - f_uu
     h_pinv = stack_pinv(h, 1e-10)
     with np.errstate(over="ignore", invalid="ignore"):  # an entry that overflows fails below
@@ -256,32 +256,22 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, parts=
     d_in, d_out, gap = diffs
     if not finite.all():
         d_in, d_out, gap = (np.where(finite[:, None, None], d, 0.0) for d in diffs)
-    lo = np.where(exact, 0.0, scale)  # 0 keeps an entry's norms exact
-    norm_in, norm_out = (bracket_norms(d, cfg.ki_residual_tol * lo, math.inf)
-                         for d in (d_in, d_out))
-    res_in, res_out = norm_in / scale, norm_out / scale
+    lo = np.where(exact, 0.0, 1.0)  # 0 keeps an entry's norms exact; the rest are contractions
+    judged = np.ones((2, scale.size))  # what the input and output residuals are judged against
+    expansions = np.flatnonzero(scale > 1.0)
+    if expansions.size:
+        judged[:, expansions] = np.maximum(
+            [stack_norms(f_ua[expansions]), stack_norms(f_bu[expansions])], 1.0)
+    res_in, res_out = (bracket_norms(d, cfg.ki_residual_tol * lo, math.inf) / s
+                       for d, s in zip((d_in, d_out), judged))
     residual = np.maximum(res_in, res_out)
     agree = bracket_norms(gap, cfg.compare_tol * lo, math.inf)
     errors = {}
     fails = ~finite | (residual > cfg.ki_residual_tol) | (agree > cfg.compare_tol * scale)
-    # Against a scale above 1 one huge block can hide a missing witness, so a
-    # residual that passed there but itself exceeds ki_residual_tol is judged
-    # again against the block its witness explains, or 1 if that is larger.
-    wide = np.flatnonzero((residual <= cfg.ki_residual_tol)
-                          & (np.maximum(norm_in, norm_out) > cfg.ki_residual_tol))
-    if wide.size:
-        for res, norm, block in ((res_in, norm_in, f_ua), (res_out, norm_out, f_bu)):
-            res[wide] = norm[wide] / np.maximum(stack_norms(block[wide]), 1.0)
-        wide = wide[np.maximum(res_in[wide], res_out[wide]) > cfg.ki_residual_tol]
-        fails[wide] = True
     for i in np.flatnonzero(fails):
-        if i in wide:
-            msg = (f"not ki-traceable: witness residuals {res_in[i]:.3e} (input) / "
-                   f"{res_out[i]:.3e} (output) exceed {cfg.ki_residual_tol:g} against "
-                   "the blocks they explain, f_UA and f_BU")
-        elif not finite[i] or residual[i] > cfg.ki_residual_tol:
-            res_in[i], res_out[i] = (operator_norm(d[i]) / scale[i] if np.isfinite(d[i]).all()
-                                     else math.inf for d in diffs[:2])
+        if not finite[i] or residual[i] > cfg.ki_residual_tol:
+            res_in[i], res_out[i] = (operator_norm(d[i]) / s[i] if np.isfinite(d[i]).all()
+                                     else math.inf for d, s in zip(diffs[:2], judged))
             msg = (
                 "not ki-traceable: witness residuals "
                 f"{res_in[i]:.3e} (input) / {res_out[i]:.3e} (output) exceed "

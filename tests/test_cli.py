@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import warnings
@@ -67,8 +68,8 @@ def test_trace_overflowing_tail_probe_is_a_report(tmp_path, capsys):
     ([[0, 1, 0], [1, 1 + 1e-320j, 0], [0, 0, 1 + 1e-320j]], 2),
 ], ids=["one-port", "two-port"])
 def test_trace_subnormal_loop_block_is_a_quiet_report(tmp_path, capsys, matrix, loop_dim):
-    # id - f_UU = -1e-320j I: its reciprocal overflows, so the closed form is
-    # not finite, and the series runs out of terms; neither prints a warning.
+    # id - f_UU = -1e-320j I: at or below the pinv cutoff it counts as 0, so no
+    # witness exists, and the series runs out of terms; neither prints a warning.
     path = write_trace_file(tmp_path, matrix, loop_dim)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -891,6 +892,29 @@ def test_lsi_loop_trace_failure_is_a_report(tmp_path, capsys, tap, loop, fragmen
     assert out["error"] == "series_divergence"
     assert out["message"].startswith("loop trace failed at omega=0.000000: ")
     assert fragment in out["message"]
+
+
+@pytest.mark.parametrize("order", itertools.permutations((0.2, 0.7, 0.1)), ids=str)
+def test_lsi_loop_within_rounding_of_resonance_fails_in_every_tap_order(tmp_path, capsys, order):
+    # The loop port's taps sum to 1 only up to rounding, so at omega = 0
+    # id - f_UU is rounding residue in every summation order: at or below the
+    # absolute cutoff, it has no witness, and the series does not converge.
+    # A cutoff relative to the block's own sigma_max printed 2^53 in two orders.
+    taps = {str(t): [[[0, 0], [0, 0]], [[0, 0], [gain, 0]]] for t, gain in enumerate(order)}
+    taps["0"][0][1] = taps["0"][1][0] = [1, 0]
+    code, out = run(capsys, "lsi", write_kernel(tmp_path, taps=taps), "--grid", "4", "--loop", "1")
+    assert (code, out["error"]) == (1, "series_divergence")
+
+
+@pytest.mark.parametrize("method", ["both", "ki"])
+@pytest.mark.parametrize("big", [1e16, 1e70])
+def test_trace_keeps_a_witness_beside_a_huge_loop_port(tmp_path, capsys, big, method):
+    # id - f_UU = diag(1 - big, 0.5): the witness i = (0, 2) runs through the
+    # singular value 0.5, far above the absolute cutoff, so the trace is 2.
+    # A cutoff of 1e-10 sigma_max dropped 0.5, and both methods exited 1.
+    path = write_trace_file(tmp_path, [[0, 1, 1], [0, big, 0], [1, 0, 0.5]], 2)
+    code, out = run(capsys, "trace", "--method", method, path)
+    assert (code, out["value"]) == (0, [[[2.0, 0.0]]])
 
 
 def test_qwhile_loop_trace_failure_is_a_report(tmp_path, capsys):

@@ -368,8 +368,13 @@ def test_pseudoinverse_from_one_svd_equals_numpy_pinv():
         hs = [np.eye(k) - unitary_loop(rng, k, k, eps) for eps in (0.0, 1e-11, 1e-9, 0.1)]
         hs += [np.eye(k) - with_norm(rng, k, scale) for scale in (0.5, 1.0, 2.0)]
         hs += [np.zeros((k, k)), np.eye(k)]
+        # The cutoff is absolute: below 1e-10 a whole block counts as 0, and
+        # beside a sigma_max of 1e-3 a singular value of 5e-11 does too.
+        hs += [5e-11 * np.eye(k), 1e-3 * np.eye(k) - unitary_loop(rng, k, k, 5e-8) * 1e-3]
         h = np.array(hs, dtype=np.complex128)
-        got, want = stack_pinv(h, 1e-10), np.linalg.pinv(h, rcond=1e-10)
+        sigma_max = np.linalg.svd(h, compute_uv=False).max(axis=-1)
+        rcond = np.divide(1e-10, sigma_max, out=np.ones_like(sigma_max), where=sigma_max > 0)
+        got, want = stack_pinv(h, 1e-10), np.linalg.pinv(h, rcond=rcond)
         if k > 1:
             assert got.tobytes() == want.tobytes()
         else:  # a 1x1 block's is its reciprocal, taken without an SVD

@@ -182,18 +182,18 @@ GOLDEN = {
     "trace-c48-both": "54d35bd729b74e65",
     "trace-c48-series": "605bc16fa3bf8c1c",
     "trace-c48-ki": "c48b4c777b155116",
-    "trace-e8-both": "448a73760599256a",
+    "trace-e8-both": "02cb9f8f6007a815",
     "trace-e8-series": "4f96f2882050e10e",
-    "trace-e8-ki": "448a73760599256a",
-    "trace-e32-both": "dd0c494865b5514a",
+    "trace-e8-ki": "02cb9f8f6007a815",
+    "trace-e32-both": "babc74b0df5a75da",
     "trace-e32-series": "bf6040234dd91739",
-    "trace-e32-ki": "dd0c494865b5514a",
+    "trace-e32-ki": "babc74b0df5a75da",
     "trace-jordan-both": "b34a3301b28cf240",
     "trace-jordan-series": "b34a3301b28cf240",
-    "trace-jordan-ki": "c2dbc0cd151b9f52",
+    "trace-jordan-ki": "f0f7393d9153576b",
     "trace-huge-both": "e77bab9b4ecbeaa3",
     "trace-huge-series": "e77bab9b4ecbeaa3",
-    "trace-huge-ki": "faf069d16eeac43a",
+    "trace-huge-ki": "f0f7393d9153576b",
     "axioms-200-seed0": "4c8308ea5606e9e0",
     "axioms-200-seed7": "1379d8a4931d9b6e",
     "grover-4096-csv": "e77f7f8e06ac3d36",

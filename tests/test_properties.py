@@ -17,7 +17,7 @@ from extrace.linalg import (
     two_block,
 )
 from extrace.lsi import Signal, parseval_norm
-from extrace.trace import ex, halmos_dilation
+from extrace.trace import KiTraceError, ex, ex_kernel_image, halmos_dilation
 from reference import halting_law, schur
 
 finite = st.floats(
@@ -129,6 +129,62 @@ def test_vanishing_leading_terms_do_not_certify(case):
     got = ex(two_block(m, d), "U")
     assert got.method == "both_agree"
     assert np.abs(got.value - schur(m, d)).max() <= 1e-10
+
+
+@st.composite
+def planted_partial_traces(draw):
+    """A matrix of up to 6x6 with a loop of k = 1..4 wires whose
+    id - f_UU = L = P diag(s) Q^H has rank r = 0..k (P, Q isometries, s in
+    [0.5, 2]), and the loop's inner wire count v (0 for a 1-wire loop).
+    Where witnesses are planted, f_UA = L X and f_BU = Y L, and the exact
+    ki-trace is f_BA + Y L X; else the ports are Gaussian, and the trace is
+    defined only where L is invertible.  Returns (m, k, v, exact or None)."""
+    k = draw(st.integers(1, 4))
+    b, a = draw(st.integers(1, 6 - k)), draw(st.integers(1, 6 - k))
+    r, planted = draw(st.integers(0, k)), draw(st.booleans())
+    v = draw(st.integers(1, k - 1)) if k > 1 else 0
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, q = random_isometry(k, r, rng), random_isometry(k, r, rng)
+    loop = (p * rng.uniform(0.5, 2.0, r)) @ adjoint(q)
+    f_ba, x, y, f_bu, f_ua = (rng.standard_normal(s) + 1j * rng.standard_normal(s)
+                              for s in ((b, a), (k, a), (b, k), (b, k), (k, a)))
+    if planted:
+        f_bu, f_ua = y @ loop, loop @ x
+    m = np.block([[f_ba, f_bu], [f_ua, np.eye(k) - loop]])
+    if planted:
+        return m, k, v, f_ba + y @ loop @ x
+    return m, k, v, None if r < k else schur(m, k)
+
+
+def ki_trace(m, k):
+    """The ki-trace of m over its trailing k wires, or None where no witness exists."""
+    try:
+        return ex_kernel_image(two_block(m, k), "U").value
+    except KiTraceError:
+        return None
+
+
+@given(planted_partial_traces())
+@settings(deadline=None, max_examples=200)
+def test_the_ki_trace_is_a_partial_trace(case):
+    # The ki-trace is defined exactly where both witnesses exist, and there
+    # it is the exact value.  Vanishing II holds in Kleene form: the flat
+    # trace over U + V is defined iff tracing V and then U is, and then the
+    # two agree.  Where the rank of L is at most that of its inner block,
+    # the outer loop block is 0 in exact arithmetic and rounding residue in
+    # floats, which the cutoff must count as 0 in every loop shape.
+    m, k, v, exact = case
+    scale = max(1.0, operator_norm(m))
+    flat = ki_trace(m, k)
+    assert (flat is None) == (exact is None)
+    if exact is not None:
+        assert np.abs(flat - exact).max() <= 1e-8 * scale
+    if v:
+        inner = ki_trace(m, v)
+        nested = None if inner is None else ki_trace(inner, k - v)
+        assert (flat is None) == (nested is None)
+        if flat is not None:
+            assert np.abs(flat - nested).max() <= 1e-8 * scale
 
 
 @given(

@@ -131,6 +131,12 @@ ROWS = [
         ["$: loop feedback count must be >= 1"]),
     row("check_nested_delay", lambda: check(Seq(Delay(0), Delay(2.5))).errors,
         ["$.seq[1]: delay must be an integer, not 2.5"]),
+    # A parent's rule reads a loop's port counts; one that stands on a text
+    # feedback count is left to that loop, which reports it at its own path.
+    row("check_feedback_text_in_seq", lambda: check(Seq(DoWhile(LOOP.body, "1"), Delay(0))).errors,
+        ["$.seq[0]: loop feedback count must be an integer, not '1'"]),
+    row("check_feedback_text_in_loop", lambda: check(DoWhile(DoWhile(LOOP.body, "1"), 1)).errors,
+        ["$.loop: loop feedback count must be an integer, not '1'"]),
 ]
 
 

@@ -1,10 +1,11 @@
 """The 1x1 path of stack_norms and stack_pinv against 50-digit arithmetic.
 
 One-port loop blocks are 1x1.  There stack_norms is the modulus of the
-entry and stack_pinv its reciprocal, 0 at 0, at every magnitude and with no
-SVD.  The values are checked on stacks drawn at magnitudes from 5e-324 to
-past 1e300, with signed zeros in either part, real-only and imaginary-only
-entries, and the loop blocks of a delay loop; the absence of an SVD on a
+entry and stack_pinv its reciprocal, 0 at or below the absolute cutoff
+1e-10, at every magnitude and with no SVD.  The values are checked on
+stacks drawn at magnitudes from 5e-324 to past 1e300, with signed zeros
+in either part, real-only and imaginary-only entries, and the loop blocks
+of a delay loop; the absence of an SVD on a
 fixed grid of every power of ten in the float range.  A complex reciprocal is judged by the ulp of its
 modulus: Smith's division may round a part far below the modulus (an
 imaginary part that underflows into the subnormals, say) by many ulps of
@@ -55,7 +56,8 @@ def edge_stacks(test):
     for m in ([[[0j]], [[complex(-0.0, 0.0)]], [[complex(0.0, -0.0)]], [[complex(-0.0, -0.0)]]],
               [[[-3.0 + 0j]], [[complex(3.0, -0.0)]], [[complex(-0.0, 3.0)]], [[-3j]]],
               [[[5e-324 + 0j]], [[complex(1, 1e-320)]], [[1e300j]], [[1e-300 + 1e-300j]]],
-              [[[1e-10 + 1e-320j]], [[2.0**-1022 * (1 + 1j)]], [[complex(-1e300, 1e150)]]]):
+              [[[1e-10 + 1e-320j]], [[2.0**-1022 * (1 + 1j)]], [[complex(-1e300, 1e150)]]],
+              [[[1e-10 + 0j]], [[complex(0.0, -1e-10)]], [[complex(np.nextafter(1e-10, 1), 0.0)]]]):
         test = example(m=np.array(m))(test)
     return example(m=np.zeros((0, 1, 1), dtype=np.complex128))(test)
 
@@ -80,9 +82,8 @@ def test_one_by_one_stacks_are_the_modulus_and_the_reciprocal(m):
         for x, norm, inv in zip(m[:, 0, 0], stack_norms(m), stack_pinv(m, 1e-10)[:, 0, 0]):
             z = mpmath.mpc(x.real, x.imag)
             assert abs(norm - abs(z)) <= math.ulp(float(abs(z)))
-            if z == 0:
+            if np.abs(x) <= 1e-10:  # the cutoff is absolute: 0 at or below it, 0 itself included
                 assert inv == 0
                 continue
             exact = 1 / z
-            if float(abs(exact)) < math.inf:  # else the reciprocal is past the float range
-                assert abs(mpmath.mpc(inv.real, inv.imag) - exact) <= 4 * math.ulp(float(abs(exact)))
+            assert abs(mpmath.mpc(inv.real, inv.imag) - exact) <= 4 * math.ulp(float(abs(exact)))

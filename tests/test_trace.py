@@ -24,6 +24,7 @@ from extrace.trace import (
     KiTraceError,
     SeriesDivergence,
     TraceConfig,
+    TraceDisagreement,
     check_trace_axioms,
     cnu_decompose,
     ex,
@@ -170,6 +171,17 @@ class TestKernelImage:
         r = ex_kernel_image(two_block(m, 1), "U")
         assert np.allclose(r.value, [[0.25]])
 
+    @pytest.mark.parametrize("loop", [1, 2])
+    def test_witness_through_a_singular_value_near_1e_9_keeps_its_value(self, loop):
+        # id - f_UU = diag(1e-9, 0.5) up to rounding: 1e-9 is above the
+        # absolute cutoff 1e-10, so both witnesses exist and the trace is the
+        # exact value, about 1e9 (a cutoff of 1e-6 would refuse it).
+        m = np.zeros((loop + 1, loop + 1))
+        m[0, 0], m[0, 1:], m[1:, 0] = 0.3, 1.0, 1.0
+        m[1:, 1:] = np.diag([1 - 1e-9, 0.5][:loop])
+        want = schur(m, loop)[0, 0]
+        assert abs(scalar(ex_kernel_image(two_block(m, loop), "U")) - want) <= 1e-8 * abs(want)
+
     def test_reports_residuals_on_failure(self):
         # A genuinely untraceable loop: id - f_UU maps the feedback input
         # outside its range, so no witness pair exists.
@@ -187,6 +199,16 @@ class TestTotalTrace:
         r = ex(two_block(random_contraction(4, 4, 1), 2), "U")
         assert r.method == "both_agree"
         assert r.converged
+
+    def test_routes_ten_compare_tols_apart_disagree(self):
+        # A contraction with f_UU = 0.5 whose series stops on a series_tol of
+        # 1e-7: its truncation error, the last term 0.36 / 2^22 = 8.6e-8, is
+        # about ten times compare_tol, so the two routes must disagree.
+        m, cfg = np.array([[0.0, 0.6], [0.6, 0.5]]), TraceConfig(series_tol=1e-7)
+        gap = abs(scalar(ex_series(two_block(m, 1), "U", cfg)) - 0.72)
+        assert 5 * cfg.compare_tol < gap < 10 * cfg.compare_tol
+        with pytest.raises(TraceDisagreement, match="values differ by 8.58"):
+            ex(two_block(m, 1), "U", cfg)
 
     def test_trace_of_unitary_is_unitary(self):
         for seed in range(25):
