@@ -53,6 +53,7 @@ CNU_TOL = 1e-8  # cnu_decompose: contraction test and unitary subspace 1 - s^2 <
 CNU_CHECK_TOL = 1e-7  # cnu_decompose: off-diagonal mass and unitarity of the split
 AXIOM_MAX_DIM = 4  # check_trace_axioms draws every block dimension from 1..AXIOM_MAX_DIM
 AXIOM_BLOCK = 256  # check_trace_axioms draws, traces and checks this many cases at a time
+SERIES_BLOCK = 1 << 14  # a one-port series block holds at most this many live entries x terms
 # Trace routes, kept as indices into this table until a result is returned: a
 # contraction flag as an integer is _KI or _BOTH, and nonzero ones take the series.
 _ROUTES = np.array(["kernel_image", "both_agree", "series"], dtype=object)
@@ -139,6 +140,101 @@ def _tail_ratio(f_uu: np.ndarray) -> np.ndarray:
     return np.where(finite, stack_norms(probe) ** (1.0 / (2 * dim)), math.inf)
 
 
+def _vector_norms(v: np.ndarray) -> np.ndarray:
+    """2-norm of each row or column vector in a stack: its Frobenius norm,
+    or its SVD norm where the squares may leave the float range."""
+    norm = np.sqrt(np.add.reduce((v.conj() * v).real, axis=(-2, -1)))
+    odd = np.flatnonzero(~((norm > 1e-150) & (norm < 1e150)))
+    odd = odd[v[odd].any(axis=(-2, -1))]
+    norm[odd] = stack_norms(v[odd])
+    return norm
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # the event checks catch these
+def _one_port_series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig):
+    """_series on 1x1 loop blocks u, a block of terms per array call.  Term
+    t is u^t C with C = f_BU f_UA of rank one, so its norm is exactly
+    |u^t| ||f_BU|| ||f_UA||.  np.cumprod takes the powers u^t in term order
+    and np.cumsum the coefficients g_t = sum_{m<=t} u^m of the partial sums
+    f_BA + g_t C.  Each entry stops at its first event in a block, by
+    _series' per-term rule: a term that certifies or is zero (a 1x1 block
+    needs no further zero terms), a partial sum whose exact norm exceeds
+    blowup, looked for from the term where the bound ||f_BA||_F + sum of the
+    term norms reaches the cap on, a non-finite term, or the last term.
+    Stopped entries leave between blocks.  A block runs to the term where
+    its slowest entry's norms, falling by the tail ratio, are predicted to
+    meet the certificate's bar, and holds at most SERIES_BLOCK live entries
+    x terms, or one term."""
+    n = f_ba.shape[0]
+    total = f_ba.copy()
+    terms = np.zeros(n, dtype=np.int64)
+    term_norm = np.full(n, math.inf)
+    converged = np.zeros(n, dtype=bool)
+    errors = {}
+    u, c, ratio = f_uu[:, 0, 0], f_bu @ f_ua, _tail_ratio(f_uu)
+    c_norm = _vector_norms(f_bu) * _vector_norms(f_ua)
+    cap, tol = cfg.blowup * (1 - 1e-9), cfg.series_tol
+    reach = tol * np.minimum(1.0, (1.0 - ratio) / ratio)  # _series' reach, where ratio < 1
+    need = np.where(ratio < 1.0, np.log(reach / c_norm) / np.log(ratio), math.inf)
+    need = np.fmin(np.fmax(need, 0.0), cfg.max_terms)  # NaN where u and ||C|| are 0: no term
+    live = np.arange(n)
+    # Each live entry's power u^t of its next term t, its g_(t-1) and its bound.
+    power, coef, bound = np.ones(n, dtype=complex), np.zeros(n, dtype=complex), fro_norms(f_ba)
+    t = 0
+    while live.size:
+        size = min(cfg.max_terms - t, max(1, SERIES_BLOCK // live.size),
+                   max(2, int(need[live].max()) + 2 - t))
+        # Term j of the block, term t + j of the series, is row j; each live entry a
+        # column.  np.cumprod multiplies in term order as a Python complex product
+        # does, but over two rows it takes numpy's array product, which rounds
+        # otherwise: a one-term block takes a power it does not judge.
+        w = np.empty((max(size, 2) + 1, live.size), dtype=complex)
+        w[0], w[1:] = power, u[live]
+        np.cumprod(w, axis=0, out=w)  # w[j] = u^(t + j)
+        g = np.empty((size + 1, live.size), dtype=complex)
+        g[0], g[1:] = coef, w[:size]
+        np.cumsum(g, axis=0, out=g)  # g[j + 1] = g_(t + j)
+        tn = np.abs(w[:size]) * c_norm[live]
+        r = ratio[live]
+        cert = (tn <= tol) & (((tn * r / (1.0 - r) <= tol) & (r < 1.0)) | (tn == 0.0))
+        certified = cert.any(axis=0)
+        end = np.where(certified, cert.argmax(axis=0), size - (t + size == cfg.max_terms))
+        # Terms from the bound's first at the cap up to the entry's end are confirmed in
+        # turn, a non-finite term first; the bound is nondecreasing.
+        at, kind = end.copy(), np.zeros(live.size, dtype=np.int8)  # kind 1 bad, 2 blown
+        last_bound = bound + tn.sum(axis=0)
+        walk = np.flatnonzero(~(last_bound < cap))
+        cross = (np.cumsum(tn[:, walk], axis=0) + bound[walk] < cap).sum(axis=0)
+        on = cross <= np.minimum(end[walk], size - 1)
+        walk, col = walk[on], cross[on]
+        while walk.size:
+            cs = c[live[walk]]
+            bad = ~np.isfinite(w[col, walk][:, None, None] * cs).all(axis=(-2, -1))
+            partial = f_ba[live[walk]] + g[col + 1, walk][:, None, None] * cs
+            finite = np.isfinite(partial).all(axis=(-2, -1))
+            norm = np.full(walk.size, math.inf)
+            norm[finite] = bracket_norms(partial[finite], cfg.blowup, cfg.blowup)
+            hit = bad | (norm > cfg.blowup)
+            at[walk[hit]], kind[walk[hit]] = col[hit], np.where(bad[hit], 1, 2)
+            on = ~hit & (col < np.minimum(end[walk], size - 1))
+            walk, col = walk[on], col[on] + 1
+        stop = np.flatnonzero(at < size)
+        j, out = at[stop], live[stop]
+        total[out] = f_ba[out] + g[j + (kind[stop] != 1), stop][:, None, None] * c[out]
+        terms[out], term_norm[out] = t + j + 1, tn[j, stop]
+        converged[out] = certified[stop] & (kind[stop] == 0)
+        for i in np.flatnonzero(kind):
+            errors[int(live[i])] = SeriesDivergence(
+                f"non-finite entries at series term {t + at[i]}" if kind[i] == 1 else
+                f"partial sum exceeded {cfg.blowup:g} at term {t + at[i]}; "
+                "the series does not converge in norm"
+            )
+        keep = at == size
+        live, power, coef, bound = live[keep], w[size, keep], g[size, keep], last_bound[keep]
+        t += size
+    return total, terms, term_norm, converged, errors
+
+
 @np.errstate(over="ignore", invalid="ignore")  # the per-term checks catch a non-finite term
 def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
     """Partial sums of f_BA + sum_n f_BU f_UU^n f_UA for every stack entry
@@ -152,7 +248,10 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
     bracket_norms leaves the certificate or the blow-up open, but an entry
     ``exact`` does not mark, whose last term norm goes unreported, takes an
     upper bound as its norm where that alone certifies.  Returns the sums,
-    terms, last term norms, convergence flags and errors by entry."""
+    terms, last term norms, convergence flags and errors by entry.  A 1x1
+    loop block takes _one_port_series, by the same rule."""
+    if f_uu.shape[-1] == 1:
+        return _one_port_series(f_ba, f_bu, f_ua, f_uu, cfg)
     n = f_ba.shape[0]
     total = f_ba.copy()
     terms = np.zeros(n, dtype=np.int64)

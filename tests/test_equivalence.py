@@ -357,7 +357,8 @@ def test_batch_returns_each_stack_alone_where_only_the_union_fails(monkeypatch):
         grouped_outcome(*case)
         return failed == [2] and alone_outcome(*case)[1] is not None
 
-    jobs, cfg = first_draw(draw, only_the_union_fails)
+    jobs, cfg = first_draw(draw, only_the_union_fails,
+                           "a padded union that fails where each job alone passes")
     assert grouped_outcome(jobs, cfg) == alone_outcome(jobs, cfg)[0]
 
 
@@ -408,14 +409,15 @@ def test_divergent_non_finite_and_resonant_inputs_match_the_reference(same, cfg)
                 same(resonant_mix(rng, n, k, theta)[None], k, cfg)
 
 
-def first_draw(draw, accept):
+def first_draw(draw, accept, needs):
     """The first of up to 10,000 draws that ``accept`` takes; the test is
-    skipped on a build whose rounding never produces one."""
+    skipped, naming what it ``needs``, on a build whose rounding never
+    produces one."""
     for _ in range(10_000):
         x = draw()
         if accept(x):
             return x
-    pytest.skip("no draw splits the Frobenius and SVD norms on this build")
+    pytest.skip(f"no draw gives {needs} on this build")
 
 
 def test_bracket_margins_hold_where_rounding_splits_the_two_norms(same):
@@ -432,7 +434,8 @@ def test_bracket_margins_hold_where_rounding_splits_the_two_norms(same):
     def split(x):
         return float(stack_norms(x)) > np.nextafter(np.linalg.norm(x), math.inf)
 
-    col, row = first_draw(rank_one, lambda cr: split(cr[0] @ cr[1]))
+    col, row = first_draw(rank_one, lambda cr: split(cr[0] @ cr[1]),
+                          "a rank-one matrix whose SVD norm lies two ulps above its Frobenius norm")
     m = np.zeros((4, 4), dtype=np.complex128)
     m[:3, 3:], m[3:, :3] = col, row
     bound = np.nextafter(np.linalg.norm(col @ row), math.inf)
@@ -442,7 +445,8 @@ def test_bracket_margins_hold_where_rounding_splits_the_two_norms(same):
         term = q @ np.eye(3)
         return np.linalg.norm(term) > float(stack_norms(term)) * math.sqrt(3)
 
-    q = first_draw(lambda: random_unitary(3, rng), rounds_above)
+    q = first_draw(lambda: random_unitary(3, rng), rounds_above,
+                   "a unitary whose Frobenius norm rounds above sqrt(3) times its SVD norm")
     m = np.zeros((6, 6), dtype=np.complex128)
     m[:3, 3:], m[3:, :3] = q, np.eye(3)
     same(m[None], 3, TraceConfig(series_tol=float(stack_norms(q @ np.eye(3)))))

@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from extrace.linalg import LinalgError
+from extrace import trace
+from extrace.linalg import LinalgError, random_unitary, two_block
 from extrace.lsi import lsi_classify
 from extrace.qwhile import (
     NESTING_CAP,
@@ -22,7 +23,8 @@ from extrace.qwhile import (
     parse_source,
     semantics,
 )
-from extrace.trace import SeriesDivergence, TraceConfig
+from extrace.trace import SeriesDivergence, TraceConfig, ex
+from reference import schur
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
@@ -307,6 +309,27 @@ class TestSemantics:
         with pytest.raises(SeriesDivergence, match=r"^loop trace failed at omega=0\.000000: "
                            r"series failed to converge on a contraction input"):
             semantics(p, 64)
+
+    def test_two_port_loop_matches_exact_trace(self, monkeypatch):
+        # Delays 0, 1 and 2 then a 3x3 unitary G, two ports fed back: the body
+        # sample is G diag(e^{-i w t}), and each loop sample is its exact trace
+        # over the last two ports.  Every sample takes both routes; the loop
+        # block is 2x2, so the one-port block series is not used, while the
+        # same body with one port fed back uses it.
+        g = random_unitary(3, 0)
+        body = "(seq (par (delay 0) (par (delay 1) (delay 2))) (gate G))"
+        r = semantics(parse(f"(loop {body} 2)", {"G": g}), 32)
+        assert r.samples.shape == (32, 1, 1)
+        for omega, sample in zip(r.grid, r.samples):
+            m = g @ np.diag(np.exp(-1j * omega * np.arange(3)))
+            assert ex(two_block(m, 2), "U").method == "both_agree"
+            assert abs(sample[0, 0] - schur(m, 2)[0, 0]) <= 1e-12
+        calls = []
+        one_port = trace._one_port_series
+        monkeypatch.setattr(trace, "_one_port_series", lambda *a: calls.append(1) or one_port(*a))
+        for k in (2, 1):
+            semantics(parse(f"(loop {body} {k})", {"G": g}), 32)
+            assert len(calls) == 2 - k
 
     def test_delay_zero_needs_matching_arity(self):
         # (delay 0) is a single-wire primitive; it cannot be wedged after

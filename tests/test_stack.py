@@ -67,18 +67,28 @@ def reference_series(m, k, cfg):
     """The per-term series, one matrix at a time, with an SVD norm of every
     term and partial sum: (value, terms, last term norm, converged).  The tail
     ratio is ||P^2||^(1/2k), P = f_UU^k, and a zero term certifies only when
-    the next k - 1 terms are exactly zero too."""
+    the next k - 1 terms are exactly zero too.  A one-port term is u^n C, of
+    rank one: the power by a product in term order, the norm |u^n| ||f_BU||
+    ||f_UA||, and the partial sum f_BA + g_n C with g_n = sum_{m<=n} u^m, in
+    the engine's operations and order."""
     b = m.shape[0] - k
     f_ba, f_bu, f_ua, f_uu = m[:b, :b], m[:b, b:], m[b:, :b], m[b:, b:]
     probe = np.linalg.matrix_power(f_uu, k)
     ratio = np.linalg.norm(probe @ probe, 2) ** (1.0 / (2 * k))
     total, left, term_norm = f_ba.copy(), f_bu.copy(), math.inf
+    if k == 1:  # term n is u^n C, C = f_BU f_UA of rank one, summed as f_BA + g_n C
+        u, c, power, coef = complex(f_uu[0, 0]), f_bu @ f_ua, 1 + 0j, 0j
+        c_norm = np.linalg.norm(f_bu, axis=(0, 1)) * np.linalg.norm(f_ua, axis=(0, 1))
     for n in range(cfg.max_terms):
-        term = left @ f_ua
+        term = power * c if k == 1 else left @ f_ua
         if not np.all(np.isfinite(term)):
             raise SeriesDivergence(f"non-finite entries at series term {n}")
-        total += term
-        term_norm = np.linalg.norm(term, 2)
+        if k == 1:
+            coef += power
+            total, term_norm, power = f_ba + coef * c, np.abs([power])[0] * c_norm, power * u
+        else:
+            total += term
+            term_norm = np.linalg.norm(term, 2)
         if np.linalg.norm(total, 2) > cfg.blowup:
             raise SeriesDivergence(
                 f"partial sum exceeded {cfg.blowup:g} at term {n}; "
@@ -104,8 +114,7 @@ NILPOTENT = [(np.array([[0.1, 0.5, 0], [0, 0, 0.5], [0.5, 0, 0]]), 2),
              (np.array([[0.2, 0.5, 0, 0], [0, 0, 0.5, 0], [0, 0, 0, 0.5], [0.5, 0, 0, 0]]), 3)]
 
 
-@pytest.mark.parametrize("scale", [0.5, 1.0, 1.3, 3.0])
-def test_series_matches_per_term_reference(scale):
+def assert_series_matches_per_term_reference(scale):
     # Same arithmetic in the same order, so the results must be equal,
     # not close: values, term counts, last increments and flags.
     cfg = TraceConfig(max_terms=300)
@@ -126,6 +135,18 @@ def test_series_matches_per_term_reference(scale):
         assert (got.terms_used, got.residual, got.converged) == want[1:]
 
 
+@pytest.mark.parametrize("scale", [0.5, 1.0, 1.3, 3.0])
+def test_series_matches_per_term_reference(scale):
+    assert_series_matches_per_term_reference(scale)
+
+
+def test_one_term_blocks_match_the_per_term_reference(monkeypatch):
+    # A cap of one live entry x term makes every one-port block one term long.
+    monkeypatch.setattr(trace, "SERIES_BLOCK", 1)
+    for scale in (0.5, 1.0, 1.3, 3.0):
+        assert_series_matches_per_term_reference(scale)
+
+
 def test_series_stack_gives_each_entry_what_it_gets_alone():
     # Entries retire on their own rule, so in a stack each entry must get
     # exactly what a one-entry stack gives it: sum, terms, last increment,
@@ -140,6 +161,43 @@ def test_series_stack_gives_each_entry_what_it_gets_alone():
     blocks = trace._blocks(m, 2)
     got = trace._series(*blocks, cfg)
     assert got[4] and not all(got[3]) and any(got[3])
+    for i in range(len(m)):
+        want = trace._series(*(b[i : i + 1] for b in blocks), cfg)
+        assert np.array_equal(got[0][i], want[0][0])
+        assert (got[1][i], got[2][i], got[3][i]) == (want[1][0], want[2][0], want[3][0])
+        assert str(got[4].get(i)) == str(want[4].get(0))
+
+
+def one_port(loop, coupling, body=0.3):
+    """A 3x3 matrix whose 1x1 loop block is ``loop``, fed by and feeding
+    port 0 with gain ``coupling``, beside a body block ``body`` * id."""
+    m = np.diag([body, body, loop]).astype(np.complex128)
+    m[0, 2] = m[2, 0] = coupling
+    return m
+
+
+@pytest.mark.parametrize("block", [trace.SERIES_BLOCK, 7])
+def test_one_port_stack_gives_each_entry_what_it_gets_alone(monkeypatch, block):
+    # A one-port stack sums a block of terms per array call, so an entry's
+    # block edges move with the stack around it and with the cap on a
+    # block; its sum, terms, last increment, flag and error must not.  The
+    # stack mixes contractions and expansions, a zero loop, loops that blow
+    # up or overflow, unimodular loops whose bound passes the cap while
+    # their partial sums stay below blowup, a body whose Frobenius norm
+    # starts above the cap, and entries that run out of terms.
+    monkeypatch.setattr(trace, "SERIES_BLOCK", block)
+    cfg = TraceConfig(max_terms=300, blowup=50)
+    rng = np.random.default_rng(11)
+    m = [random_contraction(3, 3, rng) * s for s in rng.uniform(0.3, 3.0, 24)]
+    m += [one_port(0, 0.5), one_port(0.999, 0.5), one_port(1.5, 0.5), one_port(1e140, 0.5),
+          one_port(1e200, 1e-150), one_port(-1.0, 0.2**0.5), one_port(1j, 0.5),
+          one_port(0.5, 0.1, body=40)]
+    m = np.array(m)[rng.permutation(len(m))]
+    blocks = trace._blocks(m, 1)
+    got = trace._series(*blocks, cfg)
+    errors = sorted(str(e).split(" at ")[0] for e in got[4].values())
+    assert errors[0] == "non-finite entries" and errors[-1] == "partial sum exceeded 50"
+    assert not all(got[3]) and any(got[3]) and 300 in got[1]
     for i in range(len(m)):
         want = trace._series(*(b[i : i + 1] for b in blocks), cfg)
         assert np.array_equal(got[0][i], want[0][0])

@@ -126,6 +126,34 @@ class TestSeries:
         assert r.converged
 
 
+def reflection(eps):
+    """The reflection [[-c, s], [s, c]], c = 1 - eps, s = sqrt(1 - c^2), with
+    its last port looped: f_UU = c lies within eps of resonance."""
+    c = 1 - eps
+    s = math.sqrt(1 - c * c)
+    return np.array([[-c, s], [s, c]])
+
+
+@pytest.mark.parametrize("k", range(2, 15))
+def test_one_port_reflection_near_resonance(k):
+    # Term n is c^n s^2 with tail ratio c, so the certificate takes about
+    # 23.7 / eps terms: within 30,000 for eps = 1e-2 and 1e-3, with the
+    # exact trace 1.  Up to 1e-10 the series runs out of terms; from 1e-11
+    # on, id - f_UU = eps is at or below the pinv cutoff and the closed form
+    # fails first.
+    m, cfg = reflection(10.0**-k), TraceConfig(max_terms=30000)
+    if k <= 3:
+        r = ex(two_block(m, 1), "U", cfg)
+        assert (r.method, r.terms_used) == ("both_agree", {2: 2360, 3: 23707}[k])
+        assert operator_norm(r.value - schur(m, 1)) <= cfg.compare_tol
+    elif k <= 10:
+        with pytest.raises(SeriesDivergence, match="^series failed to converge on a contraction"):
+            ex(two_block(m, 1), "U", cfg)
+    else:
+        with pytest.raises(KiTraceError, match="^not ki-traceable"):
+            ex(two_block(m, 1), "U", cfg)
+
+
 # f_BU f_UA = 0 on both, so the first series term is exactly zero while
 # later ones are not.  NILPOTENT is a contraction (norm 0.9) whose loop
 # block is nilpotent; JORDAN's loop block [[1, 1], [0, 1]] has no witness
