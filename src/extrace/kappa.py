@@ -403,14 +403,14 @@ def grover_montecarlo(p: GroverParams, n_trials: int) -> tuple[GroverSamples, Mo
 def guarantee_f(n: int, B_size: int) -> int:
     """f(n) = 2n + floor(pi sqrt(B) / 4): at least n active iterations
     occur within the first f(n) unmeasured steps."""
-    k = math.floor(math.pi * math.sqrt(B_size) / 4.0)
-    return 2 * n + k
+    k = math.floor(math.pi * math.sqrt(as_int(B_size, "B_size", 1)) / 4.0)
+    return 2 * as_int(n, "n", 0) + k
 
 
 def robustness_g(n: int) -> int:
     """g(n) = 2n: the measured evolution lags the unmeasured one by at
     most a factor of two."""
-    return 2 * n
+    return 2 * as_int(n, "n", 0)
 
 
 @dataclass(frozen=True)

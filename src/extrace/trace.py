@@ -150,31 +150,39 @@ def _vector_norms(v: np.ndarray) -> np.ndarray:
     return norm
 
 
+def _stop(record, out, sums, last, norms, done, kind, cfg: TraceConfig):
+    """Retire the entries ``out`` of a series record (sums, term counts,
+    last term norms, convergence flags and errors by entry) at their last
+    term, ``last`` for all or one each: an entry of ``kind`` 1 on a
+    non-finite term, of kind 2 on a partial sum above blowup, of kind 0
+    converged where ``done``."""
+    total, terms, term_norm, converged, errors = record
+    total[out], terms[out], term_norm[out], converged[out] = sums, last + 1, norms, done
+    for i in kind.nonzero()[0]:
+        at = last[i] if isinstance(last, np.ndarray) else last
+        errors[int(out[i])] = SeriesDivergence(
+            f"non-finite entries at series term {at}" if kind[i] == 1 else
+            f"partial sum exceeded {cfg.blowup:g} at term {at}; "
+            "the series does not converge in norm"
+        )
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # the event checks catch these
-def _one_port_series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig):
-    """_series on 1x1 loop blocks u, a block of terms per array call.  Term
-    t is u^t C with C = f_BU f_UA of rank one, so its norm is exactly
-    |u^t| ||f_BU|| ||f_UA||.  np.cumprod takes the powers u^t in term order
-    and np.cumsum the coefficients g_t = sum_{m<=t} u^m of the partial sums
-    f_BA + g_t C.  Each entry stops at its first event in a block, by
-    _series' per-term rule: a term that certifies or is zero (a 1x1 block
-    needs no further zero terms), a partial sum whose exact norm exceeds
-    blowup, looked for from the term where the bound ||f_BA||_F + sum of the
-    term norms reaches the cap on, a non-finite term, or the last term.
-    Stopped entries leave between blocks.  A block runs to the term where
-    its slowest entry's norms, falling by the tail ratio, are predicted to
-    meet the certificate's bar, and holds at most SERIES_BLOCK live entries
-    x terms, or one term."""
-    n = f_ba.shape[0]
-    total = f_ba.copy()
-    terms = np.zeros(n, dtype=np.int64)
-    term_norm = np.full(n, math.inf)
-    converged = np.zeros(n, dtype=bool)
-    errors = {}
-    u, c, ratio = f_uu[:, 0, 0], f_bu @ f_ua, _tail_ratio(f_uu)
+def _one_port_series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, record, ratio, reach, cap):
+    """_series on 1x1 loop blocks u, a block of terms per array call, into
+    its record.  Term t is u^t C with C = f_BU f_UA of rank one, so its norm
+    is exactly |u^t| ||f_BU|| ||f_UA||.  np.cumprod takes the powers u^t in
+    term order and np.cumsum the coefficients g_t = sum_{m<=t} u^m of the
+    partial sums f_BA + g_t C.  Each entry stops at its first event in a
+    block, by _series' rule (a zero term certifies alone), the blow-up
+    looked for from the term where the bound reaches the cap on.  Stopped
+    entries leave between blocks.  A block runs to the term where its
+    slowest entry's norms, falling by the tail ratio, are predicted to meet
+    the certificate's bar, and holds at most SERIES_BLOCK live entries x
+    terms, or one term."""
+    n, tol = f_ba.shape[0], cfg.series_tol
+    u, c = f_uu[:, 0, 0], f_bu @ f_ua
     c_norm = _vector_norms(f_bu) * _vector_norms(f_ua)
-    cap, tol = cfg.blowup * (1 - 1e-9), cfg.series_tol
-    reach = tol * np.minimum(1.0, (1.0 - ratio) / ratio)  # _series' reach, where ratio < 1
     need = np.where(ratio < 1.0, np.log(reach / c_norm) / np.log(ratio), math.inf)
     need = np.fmin(np.fmax(need, 0.0), cfg.max_terms)  # NaN where u and ||C|| are 0: no term
     live = np.arange(n)
@@ -219,56 +227,48 @@ def _one_port_series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig):
             on = ~hit & (col < np.minimum(end[walk], size - 1))
             walk, col = walk[on], col[on] + 1
         stop = np.flatnonzero(at < size)
-        j, out = at[stop], live[stop]
-        total[out] = f_ba[out] + g[j + (kind[stop] != 1), stop][:, None, None] * c[out]
-        terms[out], term_norm[out] = t + j + 1, tn[j, stop]
-        converged[out] = certified[stop] & (kind[stop] == 0)
-        for i in np.flatnonzero(kind):
-            errors[int(live[i])] = SeriesDivergence(
-                f"non-finite entries at series term {t + at[i]}" if kind[i] == 1 else
-                f"partial sum exceeded {cfg.blowup:g} at term {t + at[i]}; "
-                "the series does not converge in norm"
-            )
+        j, out, kind = at[stop], live[stop], kind[stop]
+        _stop(record, out, f_ba[out] + g[j + (kind != 1), stop][:, None, None] * c[out], t + j,
+              tn[j, stop], certified[stop] & (kind == 0), kind, cfg)
         keep = at == size
         live, power, coef, bound = live[keep], w[size, keep], g[size, keep], last_bound[keep]
         t += size
-    return total, terms, term_norm, converged, errors
 
 
 @np.errstate(over="ignore", invalid="ignore")  # the per-term checks catch a non-finite term
 def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
     """Partial sums of f_BA + sum_n f_BU f_UU^n f_UA for every stack entry
-    at once.  An entry retires on its own stopping rule (a term below
-    series_tol with a geometric tail certificate), on blow-up or on a
-    non-finite term; the rest run on, up to max_terms.  A term is quiet when
-    it is not the last and every live entry's ||term||_F is finite, above
-    reach * sqrt(rank) * (1 + 1e-9) and keeps the bound ||f_BA||_F + sum of
-    the terms' ||.||_F below blowup * (1 - 1e-9): it can neither certify nor
-    blow up, so it only adds to the sums.  Other terms take SVD norms where
-    bracket_norms leaves the certificate or the blow-up open, but an entry
-    ``exact`` does not mark, whose last term norm goes unreported, takes an
-    upper bound as its norm where that alone certifies.  Returns the sums,
-    terms, last term norms, convergence flags and errors by entry.  A 1x1
-    loop block takes _one_port_series, by the same rule."""
-    if f_uu.shape[-1] == 1:
-        return _one_port_series(f_ba, f_bu, f_ua, f_uu, cfg)
+    at once.  An entry stops at its first event, for both loop widths: a
+    term below series_tol with a geometric tail certificate, or zero with
+    every later term; a partial sum above blowup; a non-finite term; or the
+    max_terms-th term.  Each stop goes through _stop.  A 1x1 loop block
+    takes _one_port_series, a block of terms per array call.  A wider one
+    takes a term per matmul, and a term is quiet when it is not the last
+    and every live entry's ||term||_F is finite, above reach * sqrt(rank) *
+    (1 + 1e-9) and keeps the bound ||f_BA||_F + sum of the terms' ||.||_F
+    below blowup * (1 - 1e-9): it can neither certify nor blow up, so it
+    only adds to the sums.  Other terms take SVD norms where bracket_norms
+    leaves the certificate or the blow-up open, but an entry ``exact`` does
+    not mark, whose last term norm goes unreported, takes an upper bound as
+    its norm where that alone certifies.  Returns the sums, terms, last term
+    norms, convergence flags and errors by entry."""
     n = f_ba.shape[0]
-    total = f_ba.copy()
-    terms = np.zeros(n, dtype=np.int64)
-    term_norm = np.full(n, math.inf)
-    converged = np.zeros(n, dtype=bool)
-    errors = {}
-    live = np.arange(n)  # entries still summing; acc holds their sums
-    acc = f_ba.copy()
-    bound = fro_norms(f_ba)
+    record = (f_ba.copy(), np.zeros(n, dtype=np.int64), np.full(n, math.inf),
+              np.zeros(n, dtype=bool), {})
     ratio = _tail_ratio(f_uu)
     # A term can pass the certificate only if its norm is at most this:
     # series_tol * min(1, (1 - ratio) / ratio), 0 where ratio >= 1.
     reach = cfg.series_tol * np.divide(1.0 - ratio, ratio, out=(ratio <= 0.5) * 1.0,
                                        where=(ratio > 0.5) & (ratio < 1.0))
+    cap = cfg.blowup * (1 - 1e-9)
+    if f_uu.shape[-1] == 1:
+        _one_port_series(f_ba, f_bu, f_ua, f_uu, cfg, record, ratio, reach, cap)
+        return record
+    live = np.arange(n)  # entries still summing; acc holds their sums
+    acc = f_ba.copy()
+    bound = fro_norms(f_ba)
     quiet = reach * math.sqrt(min(f_ba.shape[1:])) * (1 + 1e-9)  # above it, surely out of reach
     lo = np.where(exact, 0.0, reach)  # 0 keeps an entry's term norms exact
-    cap = cfg.blowup * (1 - 1e-9)
     left = f_bu  # f_BU f_UU^t on the live entries
     for t in range(cfg.max_terms):
         term = left @ f_ua
@@ -304,17 +304,9 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
                     vanish &= ~(ahead @ z_ua).any(axis=(-2, -1))
                 tail[zero] = np.where(vanish, 0.0, math.inf)
             done &= tail <= cfg.series_tol
-            for i in live[bad]:
-                errors[int(i)] = SeriesDivergence(f"non-finite entries at series term {t}")
-            for i in live[blown]:
-                errors[int(i)] = SeriesDivergence(
-                    f"partial sum exceeded {cfg.blowup:g} at term {t}; "
-                    "the series does not converge in norm"
-                )
-            converged[live[done]] = True
             stop = bad | blown | done | last
-            out = live[stop]
-            total[out], terms[out], term_norm[out] = acc[stop], t + 1, tn[stop]
+            _stop(record, live[stop], acc[stop], t, tn[stop], done[stop], (bad + 2 * blown)[stop],
+                  cfg)
             stay = ~stop
             if not stay.any():
                 break
@@ -323,7 +315,7 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
                 reach, quiet, lo = reach[stay], quiet[stay], lo[stay]
                 left, f_ua, f_uu = left[stay], f_ua[stay], f_uu[stay]
         left = left @ f_uu
-    return total, terms, term_norm, converged, errors
+    return record
 
 
 def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, parts=()):

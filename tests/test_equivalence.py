@@ -525,11 +525,18 @@ def test_one_port_loops_match_the_reference(same, cfg):
         1e135, -1e135, 1e140, 1e-135, 1e-140, 1e135j, -1e-140j, 10**67.5, 1e70,
         -(10**-67.5) * 1j, 1e-70, 1 + 1e-135j, 1 - 1e-140j, 1 + 1.000001e-130j,
         1 - 0.999999e-130j)]
+    # The loops within 1e-130 of one never certify, so they end by the same rule
+    # at any budget; the twin confirms each of their terms by an exact norm.
+    # 5,000 terms keep every route, flag and error (under blowup=50 they blow
+    # up near term 2,500); one of them runs the full budget once.
+    short = replace(cfg, max_terms=min(cfg.max_terms, 5_000))
     with np.errstate(over="ignore", invalid="ignore"):
         for m in edges:
-            same(m[None], 1, cfg)
+            same(m[None], 1, short)
+        if cfg == TraceConfig():
+            same(edges[-4][None], 1, cfg)
         # tame entries and extreme ones in one stack
-        same(np.array(tame + edges[-4:-2]), 1, cfg)
+        same(np.array(tame + edges[-4:-2]), 1, short)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1 + 3e-16, 1 + 2e-11])

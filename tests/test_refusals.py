@@ -18,8 +18,8 @@ import numpy as np
 import pytest
 
 from extrace.kappa import (GroverParams, KappaMeasurement, grover_montecarlo, grover_recurrence,
-                           grover_runtime_bound, halting_probabilities, premeasurement_angles,
-                           theta, verify_guarantee)
+                           grover_runtime_bound, guarantee_f, halting_probabilities,
+                           premeasurement_angles, robustness_g, theta, verify_guarantee)
 from extrace.linalg import (LinalgError, Partition, PartitionedMap, as_int, classify,
                             random_contraction, random_isometry, random_unitary, swap_matrix,
                             two_block)
@@ -114,6 +114,8 @@ ROWS = [
     row("n_max_zero", lambda: verify_guarantee(P, 0), "n_max must be >= 1"),
     row("bound_B_float", lambda: grover_runtime_bound(2.5), "B must be an integer, not 2.5"),
     row("bound_B_zero", lambda: grover_runtime_bound(0), "B must be >= 1"),
+    row("guarantee_f_float", lambda: guarantee_f(2.5, 16), "n must be an integer, not 2.5"),
+    row("robustness_g_float", lambda: robustness_g(1.5), "n must be an integer, not 1.5"),
     row("predicate_float", lambda: KappaMeasurement(0.5, (0.5,)),
         "predicate must be an integer, not 0.5"),
     row("predicate_negative", lambda: KappaMeasurement(0.5, (-1,)), "predicate must be >= 0"),

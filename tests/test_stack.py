@@ -205,6 +205,43 @@ def test_one_port_stack_gives_each_entry_what_it_gets_alone(monkeypatch, block):
         assert str(got[4].get(i)) == str(want[4].get(0))
 
 
+def traced(route, m, k, cfg):
+    """What ``route`` returns on m looped over k ports, or the class and
+    message of what it raises."""
+    try:
+        r = route(two_block(m, k), "U", cfg)
+    except ArithmeticError as e:
+        return type(e), str(e)
+    return r.method, r.terms_used, r.converged, r.value
+
+
+@pytest.mark.parametrize("m", [
+    *([[0.5, 0.5], [0.5, u]] for u in (0.9, -0.7, 0.5j, 0.999, 0)),
+    [[0.1, 1], [1, 2]],  # blows up at term 19
+    [[0.5, 1], [1, 1]],  # unconverged at max_terms
+    [[0, 1e200], [1e200, 0.5]],  # non-finite at term 0
+    [[0, 1], [1, 1e200]],  # blows up at term 1
+    pytest.param([[0, 1e-160], [1e-160, 2]], marks=pytest.mark.xfail(strict=True, reason=(
+        "the one-port series overflows u^t before it multiplies by f_BU f_UA: non-finite "
+        "at term 1024, where the term is about 1.8e-12; the two-port one blows up at 1082"))),
+], ids=lambda m: "_".join(map(str, np.ravel(m))))
+def test_one_and_two_port_series_apply_one_rule(m):
+    # [[a, b], [c, u]] over its one loop port and [[a, b, 0], [c, u, 0], [0, 0, 0]]
+    # over two have the same terms b u^t c, one summed a block of terms per
+    # array call and the other a term per matmul: both must stop by one rule.
+    cfg = TraceConfig(max_terms=30_000)
+    m = np.array(m, dtype=np.complex128)
+    wide = np.zeros((3, 3), dtype=np.complex128)
+    wide[:2, :2] = m
+    for route in (ex_series, ex):
+        one, two = traced(route, m, 1, cfg), traced(route, wide, 2, cfg)
+        if len(one) == 2:  # an error's class and message
+            assert one == two
+        else:
+            assert one[:3] == two[:3]
+            assert np.max(np.abs(one[3] - two[3])) <= 1e-12 * max(1.0, np.max(np.abs(m)))
+
+
 def response(samples):
     samples = np.asarray(samples, dtype=np.complex128)
     names = tuple(f"p{i}" for i in range(samples.shape[1]))
