@@ -76,18 +76,24 @@ def adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value; zero for an empty matrix."""
+    """Largest singular value; zero for an empty matrix, inf for one with an inf or NaN entry."""
     return float(stack_norms(m))
 
 
 def stack_norms(m: np.ndarray) -> np.ndarray:
-    """Operator norm of each matrix in a stack; zero for empty matrices.  A
-    1x1 matrix's is the modulus of its entry, without an SVD: by hypot, which
-    is within an ulp where np.abs of a complex array may be two off."""
+    """Operator norm of each matrix in a stack; zero for empty matrices, and
+    inf without an SVD for one with an inf or NaN entry.  A 1x1 matrix's is
+    the modulus of its entry, without an SVD: by hypot, which is within an
+    ulp where np.abs of a complex array may be two off."""
     if m.size == 0:
         return np.zeros(m.shape[:-2])
+    finite = np.isfinite(m).all(axis=(-2, -1))
     if m.shape[-2:] == (1, 1):
-        return np.hypot(m.real[..., 0, 0], m.imag[..., 0, 0])
+        return np.where(finite, np.hypot(m.real[..., 0, 0], m.imag[..., 0, 0]), math.inf)
+    if not finite.all():  # numpy's SVD of such a matrix gives NaN or raises
+        norm = np.full(finite.shape, math.inf)
+        norm[finite] = stack_norms(m[finite])
+        return norm
     return np.max(np.linalg.svd(m, compute_uv=False), axis=-1)
 
 

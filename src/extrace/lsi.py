@@ -183,7 +183,7 @@ def lsi_classify(r: FrequencyResponse) -> str:
     t = 0 and 0.53 e^{i pi/4} at t = 1 pass at grid 4 and peak at 1.06).
     """
     limit = 1.0 + DEFAULT_TOL
-    if np.isfinite(r.samples).all() and not np.any(bracket_norms(r.samples, limit, limit) > limit):
+    if not np.any(bracket_norms(r.samples, limit, limit) > limit):
         return "lsi_contraction"
     return "not_certified"
 

@@ -130,14 +130,12 @@ def _tail_ratio(f_uu: np.ndarray) -> np.ndarray:
     decay geometrically only after the completely-nonunitary mixing length,
     so a one-step estimate would be too pessimistic.  The probe P itself is
     not needed: ||P^2||^(1/2dim) <= ||P||^(1/dim) always.  An entry whose
-    probe overflows gets ratio inf, which certifies nothing."""
+    probe overflows has norm inf, so ratio inf, which certifies nothing."""
     dim = f_uu.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         probe = np.linalg.matrix_power(f_uu, dim)
         probe = probe @ probe
-    finite = np.isfinite(probe).all(axis=(-2, -1))
-    probe[~finite] = 0.0
-    return np.where(finite, stack_norms(probe) ** (1.0 / (2 * dim)), math.inf)
+    return stack_norms(probe) ** (1.0 / (2 * dim))
 
 
 def _vector_norms(v: np.ndarray) -> np.ndarray:
@@ -219,10 +217,7 @@ def _one_port_series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, record, ratio, re
             cs = c[live[walk]]
             bad = ~np.isfinite(w[col, walk][:, None, None] * cs).all(axis=(-2, -1))
             partial = f_ba[live[walk]] + g[col + 1, walk][:, None, None] * cs
-            finite = np.isfinite(partial).all(axis=(-2, -1))
-            norm = np.full(walk.size, math.inf)
-            norm[finite] = bracket_norms(partial[finite], cfg.blowup, cfg.blowup)
-            hit = bad | (norm > cfg.blowup)
+            hit = bad | (bracket_norms(partial, cfg.blowup, cfg.blowup) > cfg.blowup)
             at[walk[hit]], kind[walk[hit]] = col[hit], np.where(bad[hit], 1, 2)
             on = ~hit & (col < np.minimum(end[walk], size - 1))
             walk, col = walk[on], col[on] + 1
@@ -329,11 +324,12 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, parts=
     witness is judged once, and its residual reported so: a contraction's
     (``scale`` 1) against 1, a non-contraction's (``scale`` its norm,
     marked ``exact``) against the larger of 1 and the norm of the block it
-    explains, f_UA or f_BU; agreement against ``scale``.  An entry whose
-    value, residuals or agreement is not finite fails before any norm is
-    taken.  Each part (entry, b, a) of a padded stack takes its value on
-    that entry's own b x a views (_trace_grouped).  Returns the values,
-    witness residuals and errors by entry."""
+    explains, f_UA or f_BU; agreement against ``scale``.  A non-finite
+    residual or agreement has norm inf, and an entry whose closed form is
+    not finite fails even where ``scale`` is inf.  Each part (entry, b, a)
+    of a padded stack takes its value on that entry's own b x a views
+    (_trace_grouped).  Returns the values, witness residuals and errors by
+    entry."""
     h = np.eye(f_uu.shape[-1]) - f_uu
     h_pinv = stack_pinv(h, 1e-10)
     with np.errstate(over="ignore", invalid="ignore"):  # an entry that overflows fails below
@@ -344,9 +340,6 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, parts=
             value[i, :b, :a] = f_ba[i, :b, :a] + f_bu[i, :b] @ h_pinv[i] @ f_ua[i, :, :a]
         diffs = (h @ i_wit - f_ua, k_wit @ h - f_bu, value - (f_ba + f_bu @ i_wit))
     finite = np.logical_and.reduce([np.isfinite(d).all(axis=(-2, -1)) for d in diffs])
-    d_in, d_out, gap = diffs
-    if not finite.all():
-        d_in, d_out, gap = (np.where(finite[:, None, None], d, 0.0) for d in diffs)
     lo = np.where(exact, 0.0, 1.0)  # 0 keeps an entry's norms exact; the rest are contractions
     judged = np.ones((2, scale.size))  # what the input and output residuals are judged against
     expansions = np.flatnonzero(scale > 1.0)
@@ -354,15 +347,14 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, parts=
         judged[:, expansions] = np.maximum(
             [stack_norms(f_ua[expansions]), stack_norms(f_bu[expansions])], 1.0)
     res_in, res_out = (bracket_norms(d, cfg.ki_residual_tol * lo, math.inf) / s
-                       for d, s in zip((d_in, d_out), judged))
+                       for d, s in zip(diffs[:2], judged))
     residual = np.maximum(res_in, res_out)
-    agree = bracket_norms(gap, cfg.compare_tol * lo, math.inf)
+    agree = bracket_norms(diffs[2], cfg.compare_tol * lo, math.inf)
     errors = {}
     fails = ~finite | (residual > cfg.ki_residual_tol) | (agree > cfg.compare_tol * scale)
     for i in np.flatnonzero(fails):
         if not finite[i] or residual[i] > cfg.ki_residual_tol:
-            res_in[i], res_out[i] = (operator_norm(d[i]) / s[i] if np.isfinite(d[i]).all()
-                                     else math.inf for d, s in zip(diffs[:2], judged))
+            res_in[i], res_out[i] = (operator_norm(d[i]) / s[i] for d, s in zip(diffs[:2], judged))
             msg = (
                 "not ki-traceable: witness residuals "
                 f"{res_in[i]:.3e} (input) / {res_out[i]:.3e} (output) exceed "

@@ -807,8 +807,8 @@ BEYOND = [[1e200, 1e200], [1e200, 0.5]]  # 1-port trace 1e200 + 2e400: past the 
     ids=["trace-both", "trace-ki", "lsi-looped"],
 )
 def test_trace_beyond_the_float_range_is_a_report(tmp_path, capsys, argv, kind):
-    # The closed form overflows; the entry fails before any norm sees it, so
-    # both routes fall back to the series, which reports the non-finite term.
+    # The closed form overflows; the entry fails whatever its norms, so both
+    # routes fall back to the series, which reports the non-finite term.
     path = (write_kernel(tmp_path, taps={"0": matrix_to_literal(BEYOND)}) if argv[0] == "lsi"
             else write_trace_file(tmp_path, BEYOND, 1))
     with warnings.catch_warnings():
@@ -832,6 +832,49 @@ def test_series_blowup_at_term_zero_is_not_a_non_finite_term(tmp_path, capsys):
         code, out = run(capsys, "trace", "--method", "series", path)
     assert (code, out["error"]) == (1, "series_divergence")
     assert out["message"].startswith("partial sum exceeded 1e+06 at term 0")
+
+
+# Looped over its two trailing ports, term 0 is 1e308, finite, but the partial
+# sum 1.5e308 + 1e308 of the 2x2 body overflows, and the blow-up check's norm
+# takes the SVD route: the series stops at term 0, as the one-port twin
+# [[1.5e308, 0, 1e308], [0, 0, 0], [1, 0, 0]] does.  The closed form overflows.
+OVERFLOWING_SUM = [[1.5e308, 0, 1e308, 0], [0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "argv,kind",
+    [
+        (["trace", "--method", "series"], "series_divergence"),
+        (["trace", "--method", "both"], "series_divergence"),
+        (["trace", "--method", "ki"], "not_ki_traceable"),
+        (["lsi", "--grid", "4", "--loop", "2"], "series_divergence"),
+    ],
+    ids=["trace-series", "trace-both", "trace-ki", "lsi-looped"],
+)
+def test_overflowing_two_port_partial_sum_is_a_report(tmp_path, capsys, argv, kind):
+    csv_out = tmp_path / "response.csv"
+    if argv[0] == "lsi":
+        ports = ["a", "b", "x", "y"]
+        kernel = tmp_path / "kernel.json"
+        kernel.write_text(json.dumps({"in_ports": ports, "out_ports": ports,
+                                      "taps": {"0": matrix_to_literal(OVERFLOWING_SUM)}}))
+        argv = [*argv, "--out", str(csv_out), str(kernel)]
+    else:
+        argv = [*argv, write_trace_file(tmp_path, OVERFLOWING_SUM, 2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    assert "Infinity" not in captured.out and "inf" not in captured.out
+    report = json.loads(captured.out)
+    assert report["error"] == kind
+    if kind == "not_ki_traceable":
+        assert report["message"] == "not ki-traceable: the closed form is not finite"
+        assert (report["residual_in"], report["residual_out"]) == (0.0, 0.0)
+    else:
+        assert "partial sum exceeded 1e+06 at term 0" in report["message"]
+    assert not csv_out.exists()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from extrace.linalg import (
     random_contraction,
     random_isometry,
     random_unitary,
+    stack_norms,
     swap_matrix,
     two_block,
 )
@@ -47,6 +49,26 @@ def test_operator_norm_power_iteration_path():
     rng = np.random.default_rng(11)
     m = rng.standard_normal((80, 80)) + 1j * rng.standard_normal((80, 80))
     assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-9)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 3)])
+def test_a_non_finite_matrix_has_norm_inf(svd_shapes, shape):
+    # inf, -inf j or NaN in one entry: norm inf, and no SVD takes that matrix.
+    # The finite matrices keep their own norms, bit for bit.
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((6, *shape)) + 1j * rng.standard_normal((6, *shape))
+    m[1, 0, -1], m[3, -1, 0], m[4, 0, 0] = math.inf, complex(0, -math.inf), math.nan
+    bad = np.isin(np.arange(6), [1, 3, 4])
+    norms = []
+    shapes = svd_shapes(lambda: norms.append(stack_norms(m)))
+    finite, want = m[~bad], np.full(6, math.inf)
+    want[~bad] = (np.hypot(finite.real, finite.imag)[:, 0, 0] if shape == (1, 1)
+                  else np.linalg.svd(finite, compute_uv=False).max(axis=-1))
+    assert np.array_equal(norms[0], want)
+    assert shapes == ([] if shape == (1, 1) else [(3, *shape)])
+    assert svd_shapes(lambda: norms.append(stack_norms(m[bad]))) == []
+    assert np.array_equal(norms[1], [math.inf] * 3)
+    assert operator_norm(m[4]) == math.inf
 
 
 def test_classify_known_matrices():

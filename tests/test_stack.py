@@ -224,15 +224,24 @@ def traced(route, m, k, cfg):
     pytest.param([[0, 1e-160], [1e-160, 2]], marks=pytest.mark.xfail(strict=True, reason=(
         "the one-port series overflows u^t before it multiplies by f_BU f_UA: non-finite "
         "at term 1024, where the term is about 1.8e-12; the two-port one blows up at 1082"))),
+    pytest.param([[0.5, 1e-165], [1e-165, 1e10]], marks=pytest.mark.xfail(strict=True, reason=(
+        "f_BU f_UA = 1e-330 underflows to an exact zero, and a zero term of a 1x1 loop "
+        "certifies alone: the one-port series converges at term 0 to 0.5; the two-port "
+        "one looks a term ahead and blows up at term 34"))),
+    # A 2x2 body: the two-port blow-up check takes the SVD route.
+    [[1.5e308, 0, 1e308], [0, 0, 0], [1, 0, 0]],  # the partial sum overflows at term 0
+    [[0.1, 0, 1], [0, 0.1, 1], [1, 1, 2]],  # blows up at term 18
+    [[0.5, 0.2, 0.5], [0.1, 0.5, 0.5], [0.5, 0.5, 0.9]],  # certifies in 234 terms
 ], ids=lambda m: "_".join(map(str, np.ravel(m))))
 def test_one_and_two_port_series_apply_one_rule(m):
-    # [[a, b], [c, u]] over its one loop port and [[a, b, 0], [c, u, 0], [0, 0, 0]]
-    # over two have the same terms b u^t c, one summed a block of terms per
-    # array call and the other a term per matmul: both must stop by one rule.
+    # An n x n [[A, B], [C, u]] over its one loop port and [[A, B, 0], [C, u, 0],
+    # [0, 0, 0]] over two have the same terms B u^t C, one summed a block of terms
+    # per array call and the other a term per matmul: both must stop by one rule.
     cfg = TraceConfig(max_terms=30_000)
     m = np.array(m, dtype=np.complex128)
-    wide = np.zeros((3, 3), dtype=np.complex128)
-    wide[:2, :2] = m
+    n = m.shape[0]
+    wide = np.zeros((n + 1, n + 1), dtype=np.complex128)
+    wide[:n, :n] = m
     for route in (ex_series, ex):
         one, two = traced(route, m, 1, cfg), traced(route, wide, 2, cfg)
         if len(one) == 2:  # an error's class and message

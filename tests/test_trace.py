@@ -154,6 +154,24 @@ def test_one_port_reflection_near_resonance(k):
             ex(two_block(m, 1), "U", cfg)
 
 
+# One port, couplings near 1e9 and |1 - u| = 0.65: the trace, near 1e18, has
+# witnesses, and the two witness forms agree up to the rounding of its size.
+LARGE_COUPLINGS = np.array([
+    [0.3 + 0.1j, -0.2, 1.3e9 + 0.7e9j],
+    [0.5j, 0.4, -0.6e9 + 1.1e9j],
+    [0.9e9 - 0.4e9j, 1.2e9 + 0.3e9j, 0.8 * np.exp(0.7j)],
+])
+
+
+@pytest.mark.xfail(strict=True, raises=SeriesDivergence, reason=(
+    "the witness forms' gap, 4.4e2, is judged against compare_tol * ||m||, 19, not "
+    "against the size of the trace, so the closed form is refused and the series blows up"))
+def test_large_couplings_take_the_closed_form():
+    want = schur(LARGE_COUPLINGS, 1)
+    r = ex(two_block(LARGE_COUPLINGS, 1), "U")
+    assert np.max(np.abs(r.value - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # f_BU f_UA = 0 on both, so the first series term is exactly zero while
 # later ones are not.  NILPOTENT is a contraction (norm 0.9) whose loop
 # block is nilpotent; JORDAN's loop block [[1, 1], [0, 1]] has no witness
