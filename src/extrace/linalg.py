@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9  # the one contraction / isometry / unitarity tolerance of the engine
+PINV_CUTOFF = 1e-10  # the absolute cutoff of stack_pinv: singular values at or below it are zeros
 CSV_CHUNK_ROWS = 1 << 12  # rows per write: at most about 0.3 MiB of CSV text at once
 
 
@@ -103,48 +104,46 @@ def fro_norms(m: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a divisor near the float range may overflow
-def stack_pinv(m: np.ndarray, rcond: float) -> np.ndarray:
+def stack_pinv(m: np.ndarray) -> np.ndarray:
     """Pseudoinverse of each matrix in a stack: singular values at or below
-    rcond count as zeros, in every shape.  A 1x1 matrix's is numpy's complex
-    reciprocal where np.abs is above rcond and 0 elsewhere, without an SVD.
-    Any other shape takes one SVD and is built as np.linalg.pinv builds it,
-    so the two agree bit for bit at numpy's relative rcond, rcond / sigma_max."""
+    PINV_CUTOFF count as zeros, in every shape.  A 1x1 matrix's is numpy's
+    complex reciprocal where np.abs is above it and 0 elsewhere, without an
+    SVD.  Any other shape takes one SVD and is built as np.linalg.pinv builds
+    it, so the two agree bit for bit at numpy's rcond PINV_CUTOFF / sigma_max."""
     if m.shape[-2:] == (1, 1):
-        return np.divide(1, m, where=np.abs(m) > rcond, out=np.zeros_like(m))
+        return np.divide(1, m, where=np.abs(m) > PINV_CUTOFF, out=np.zeros_like(m))
     u, s, vt = np.linalg.svd(m.conj(), full_matrices=False)
-    large = s > rcond
-    s = np.divide(1, s, where=large, out=s)
-    s[~large] = 0
+    s = np.divide(1, s, where=s > PINV_CUTOFF, out=np.zeros_like(s))
     return np.matmul(np.swapaxes(vt, -1, -2), s[..., None] * np.swapaxes(u, -1, -2))
 
 
 def bracket_norms(m: np.ndarray, lo, hi, fro=None) -> np.ndarray:
-    """Operator norms of a stack for tests against a tolerance, with an SVD
-    only where it is needed.  Two brackets show a norm surely below ``lo``
-    (an upper bound of it stands in) or surely above ``hi`` (inf stands in):
-    ||m||_F / sqrt(rank) <= ||m|| <= ||m||_F with 1e-9 margins and, where
-    that leaves it open, ||G||_F <= ||y|| <= sqrt(max row sum of |G|) for
-    y = m / ||m||_F and G its smaller Gram matrix (exact for rank one;
-    Gershgorin).  Every other entry takes its exact norm.  ``lo`` = 0 or
-    ``hi`` = inf keeps that side exact.  ``fro`` passes Frobenius norms
-    already taken."""
+    """Operator norms of a stack for tests against a tolerance, each matrix
+    judged alone, by an SVD only where needed.  Two brackets show a norm
+    surely below ``lo`` (an upper bound of it stands in) or surely above
+    ``hi`` (inf stands in): ||m||_F / sqrt(rank) <= ||m|| <= ||m||_F with
+    1e-9 margins and, where that leaves it open, ||G||_F <= ||y|| <=
+    sqrt(max row sum of |G|) for y = m / ||m||_F and G its smaller Gram
+    matrix (exact for rank one; Gershgorin), but neither on a nonzero m
+    whose squares may have left the float range, ||m||_F NaN, inf or at most
+    1e-150.  Every other entry takes its exact norm.  ``lo`` 0 or ``hi`` inf
+    keeps that side exact.  ``fro`` passes Frobenius norms already taken."""
     if fro is None:
         with np.errstate(over="ignore", invalid="ignore"):  # a square past the float range is inf
             fro = fro_norms(m)
     root = math.sqrt(min(m.shape[-2:]))
-    finite = np.isfinite(fro)
-    above = finite & (fro > hi * root * (1 + 1e-9))
-    exact = ~(above | (fro < lo * (1 - 1e-9)))
+    above = fro > hi * root * (1 + 1e-9)
+    odd = ~((fro > 1e-150) & (fro < math.inf))  # squares may have left the float range
+    if odd.any():
+        odd &= m.any(axis=(-2, -1))
+    exact = odd | ~(above | (fro < lo * (1 - 1e-9)))
     norm = np.where(above, math.inf, fro)
-    if fro.min(initial=math.inf) <= 1e-150:  # squares underflow: ||m||_F may be 0 on a nonzero m
-        tiny = np.flatnonzero((fro <= 1e-150) & m.any(axis=(-2, -1)))
-        norm[tiny], exact[tiny] = stack_norms(m[tiny]), False
     if not exact.any():
         return norm
     # Within the first bracket, the Gram one decides only where ||m||_F / sqrt(rank) < lo
     # or ||m||_F > hi; its margin keeps a unitary of up to 256 dims below 1 + DEFAULT_TOL.
     eps = 8 * sum(m.shape[-2:]) ** 2 * 2.0**-53
-    gram = np.flatnonzero(exact & finite & ((fro < lo * root * (1 - eps)) | (fro > hi * (1 + eps))))
+    gram = np.flatnonzero(exact & ~odd & ((fro < lo * root * (1 - eps)) | (fro > hi * (1 + eps))))
     if gram.size:
         lo, hi, f = (v[gram] if np.ndim(v) else v for v in (lo, hi, fro))
         y = (m[gram] if gram.size < fro.size else m) / f[:, None, None]  # ||y||_F = 1

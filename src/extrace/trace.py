@@ -316,7 +316,7 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
 def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, parts=()):
     """Closed-form trace via witnesses i, k with f_UA = (id - f_UU) i and
     f_BU = k (id - f_UU), for every stack entry at once, from one SVD of
-    id - f_UU.  Singular values at or below 1e-10 count as exact zeros in
+    id - f_UU.  Singular values at or below PINV_CUTOFF count as zeros in
     every loop shape, which keeps unitary loop blocks (id - f_UU singular)
     traceable.  Residuals and agreement take exact norms (one SVD each)
     where ``exact`` marks an entry, whose residual is reported, or a check
@@ -331,7 +331,7 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, parts=
     (_trace_grouped).  Returns the values, witness residuals and errors by
     entry."""
     h = np.eye(f_uu.shape[-1]) - f_uu
-    h_pinv = stack_pinv(h, 1e-10)
+    h_pinv = stack_pinv(h)
     with np.errstate(over="ignore", invalid="ignore"):  # an entry that overflows fails below
         i_wit = h_pinv @ f_ua
         k_wit = f_bu @ h_pinv

@@ -11,9 +11,10 @@ every other entry is the exact norm, byte for byte."""
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from extrace.linalg import DEFAULT_TOL, bracket_norms, random_unitary, stack_norms
+from extrace.linalg import DEFAULT_TOL, bracket_norms, random_unitary, stack_norms, two_block
+from extrace.trace import TraceConfig, ex_series
 
 # (lo, hi) as the engine passes them: lsi_classify and the trace core's
 # contraction test, both (1 + DEFAULT_TOL, 1 + DEFAULT_TOL); series terms,
@@ -87,3 +88,51 @@ def test_unitaries_settle_below_the_classify_limit_without_an_svd(svd_shapes):
         u = random_unitary(n, np.random.default_rng(n))[None]
         assert svd_shapes(lambda: bracket_norms(u, limit, limit)) == []
         assert 1 <= bracket_norms(u, limit, limit)[0] < limit
+
+
+@st.composite
+def with_neighbour(draw):
+    """A stack from ``stacks`` with one matrix of its shape inserted whose
+    Frobenius norm is NaN, inf, or past either end of the float range for
+    finite entries: an inf or NaN entry, or a unit-norm matrix times 1e-170
+    or 1e200."""
+    m, lo, hi = draw(stacks())
+    rows, cols = m.shape[1:]
+    extra = np.zeros((rows, cols), dtype=np.complex128)
+    if rows * cols:
+        extra = entry(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), "gaussian", rows,
+                      cols, 1.0)
+        kind = draw(st.sampled_from([math.nan, math.inf, 1e-170, 1e200]))
+        if kind in (1e-170, 1e200):
+            extra *= kind
+        else:
+            extra[draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))] = kind
+    return np.insert(m, draw(st.integers(0, len(m))), extra, axis=0), lo, hi
+
+
+@given(with_neighbour())
+@settings(deadline=None, max_examples=300)
+@example(case=(np.array([[[math.nan, 0], [0, 0]], [[1e-170, 0], [0, 0]]], dtype=np.complex128),
+               1e-10, math.inf))
+def test_each_matrix_is_judged_alone(case):
+    # A NaN Frobenius norm once hid every underflowed one beside it: the
+    # 1e-170 matrix read 0 next to the NaN one and 1e-170 alone.
+    m, lo, hi = case
+    got = bracket_norms(m, lo, hi)
+    for i, g in enumerate(got):
+        assert g.tobytes() == bracket_norms(m[i : i + 1], lo, hi).tobytes(), i
+
+
+def test_an_overflowed_frobenius_norm_takes_the_svd_norm():
+    # Squares of entries above about 1.3e154 overflow, so an inf ||m||_F
+    # shows only ||m|| > about 1e154 / sqrt(rank): the SVD decides, below
+    # ``hi`` as well as above it.
+    for x, lo, hi in ((1e200, 1e6, 1e6), (1e200, 1e-10, math.inf), (1e160, 1e200, 1e200)):
+        m = np.full((1, 2, 2), x, dtype=np.complex128)
+        norm = bracket_norms(m, lo, hi)[0]
+        assert norm == stack_norms(m)[0] and math.isclose(norm, 2 * x, rel_tol=1e-15)
+    # So a partial sum of 2e160 stays below a blowup of 1e200 over both loop widths.
+    m = np.zeros((4, 4), dtype=np.complex128)
+    m[:3, :3] = [[1e160, 0, 0.5], [0, 0, 0], [0.5, 0, 0.5]]
+    for k in (1, 2):
+        assert ex_series(two_block(m[: 2 + k, : 2 + k], k), "U", TraceConfig(blowup=1e200)).converged

@@ -20,7 +20,8 @@ import pytest
 from reference import schur
 
 from extrace import trace
-from extrace.linalg import operator_norm, random_unitary, stack_norms, stack_pinv, two_block
+from extrace.linalg import (PINV_CUTOFF, operator_norm, random_unitary, stack_norms, stack_pinv,
+                            two_block)
 from extrace.trace import KiTraceError, TraceConfig
 
 # Values are checked against reference.schur up to this many rows (mpmath's cost).
@@ -374,8 +375,8 @@ def test_pseudoinverse_from_one_svd_equals_numpy_pinv():
         hs += [5e-11 * np.eye(k), 1e-3 * np.eye(k) - unitary_loop(rng, k, k, 5e-8) * 1e-3]
         h = np.array(hs, dtype=np.complex128)
         sigma_max = np.linalg.svd(h, compute_uv=False).max(axis=-1)
-        rcond = np.divide(1e-10, sigma_max, out=np.ones_like(sigma_max), where=sigma_max > 0)
-        got, want = stack_pinv(h, 1e-10), np.linalg.pinv(h, rcond=rcond)
+        rcond = np.divide(PINV_CUTOFF, sigma_max, out=np.ones_like(sigma_max), where=sigma_max > 0)
+        got, want = stack_pinv(h), np.linalg.pinv(h, rcond=rcond)
         if k > 1:
             assert got.tobytes() == want.tobytes()
         else:  # a 1x1 block's is its reciprocal, taken without an SVD

@@ -71,7 +71,7 @@ def test_one_by_one_stacks_take_no_svd_at_any_magnitude(svd_shapes):
     entries = np.concatenate([np.outer(mags, phases).ravel(), mags + 0j, zeros])
     stacks = [entries.reshape(-1, 1, 1)] + [np.array([[[x]]]) for x in entries[::7]]
     for m in stacks:
-        assert svd_shapes(lambda: (stack_norms(m), stack_pinv(m, 1e-10))) == [], m
+        assert svd_shapes(lambda: (stack_norms(m), stack_pinv(m))) == [], m
 
 
 @given(m=STACKS)
@@ -79,7 +79,7 @@ def test_one_by_one_stacks_take_no_svd_at_any_magnitude(svd_shapes):
 @edge_stacks
 def test_one_by_one_stacks_are_the_modulus_and_the_reciprocal(m):
     with mpmath.workdps(50):
-        for x, norm, inv in zip(m[:, 0, 0], stack_norms(m), stack_pinv(m, 1e-10)[:, 0, 0]):
+        for x, norm, inv in zip(m[:, 0, 0], stack_norms(m), stack_pinv(m)[:, 0, 0]):
             z = mpmath.mpc(x.real, x.imag)
             assert abs(norm - abs(z)) <= math.ulp(float(abs(z)))
             if np.abs(x) <= 1e-10:  # the cutoff is absolute: 0 at or below it, 0 itself included

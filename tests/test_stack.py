@@ -251,6 +251,28 @@ def test_one_and_two_port_series_apply_one_rule(m):
             assert np.max(np.abs(one[3] - two[3])) <= 1e-12 * max(1.0, np.max(np.abs(m)))
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "f_BU f_UA = 1e-330 underflows to an exact zero, and so does the two-port look-ahead "
+    "term f_BU f_UU f_UA, so a zero term certifies the sum 0.5 at term 0 in both widths; "
+    "the true series never converges, since |u| >= 1 and the coupling is nonzero. The "
+    "resonance boundary (ROADMAP item 4) and one verdict per map (item 25): the 1e10 row "
+    "of test_one_and_two_port_series_apply_one_rule is the same family"))
+@pytest.mark.parametrize("u", [2, 1, -1])
+@pytest.mark.parametrize("ports", [1, 2])
+def test_an_underflowed_term_certifies_no_divergent_series(ports, u):
+    # [[0.5, c], [c, u]] with c = 1e-165 and |u| >= 1: every term c^2 u^t is nonzero
+    # and none falls, so no term may certify; over two ports it is padded with a zero
+    # row and column.
+    m = np.zeros((3, 3), dtype=np.complex128)
+    m[:2, :2] = [[0.5, 1e-165], [1e-165, u]]
+    f = two_block(m[:ports + 1, :ports + 1], ports)
+    try:
+        r = ex_series(f, "U", TraceConfig(max_terms=2_000))
+    except SeriesDivergence:
+        return
+    assert r.converged is False, (r.terms_used, r.value)
+
+
 def response(samples):
     samples = np.asarray(samples, dtype=np.complex128)
     names = tuple(f"p{i}" for i in range(samples.shape[1]))
