@@ -313,23 +313,21 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
     return record
 
 
-def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, parts=()):
+def _kernel_image(f_ba, f_bu, f_ua, f_uu, contraction, cfg: TraceConfig, exact, parts=()):
     """Closed-form trace via witnesses i, k with f_UA = (id - f_UU) i and
     f_BU = k (id - f_UU), for every stack entry at once, from one SVD of
     id - f_UU.  Singular values at or below PINV_CUTOFF count as zeros in
     every loop shape, which keeps unitary loop blocks (id - f_UU singular)
-    traceable.  Residuals and agreement take exact norms (one SVD each)
-    where ``exact`` marks an entry, whose residual is reported, or a check
-    fails, both residuals then; elsewhere the brackets settle them.  Each
-    witness is judged once, and its residual reported so: a contraction's
-    (``scale`` 1) against 1, a non-contraction's (``scale`` its norm,
-    marked ``exact``) against the larger of 1 and the norm of the block it
-    explains, f_UA or f_BU; agreement against ``scale``.  A non-finite
-    residual or agreement has norm inf, and an entry whose closed form is
-    not finite fails even where ``scale`` is inf.  Each part (entry, b, a)
-    of a padded stack takes its value on that entry's own b x a views
-    (_trace_grouped).  Returns the values, witness residuals and errors by
-    entry."""
+    traceable.  Its three checks, the input and output witness residuals
+    and the agreement of the two witness forms, are each judged once: a
+    ``contraction``'s against 1, any other entry's against the larger of 1
+    and the exact norm of what the check explains, f_UA, f_BU or the value.
+    A residual is exact where ``exact`` marks its entry, which reports it,
+    or where it fails; the brackets settle the rest.  A failing agreement is
+    exact.  A non-finite check has norm inf, and an entry whose closed form
+    is not finite fails whatever those norms.  Each part (entry, b, a) of a
+    padded stack takes its value on that entry's own b x a views
+    (_trace_grouped).  Returns the values, residuals and errors by entry."""
     h = np.eye(f_uu.shape[-1]) - f_uu
     h_pinv = stack_pinv(h)
     with np.errstate(over="ignore", invalid="ignore"):  # an entry that overflows fails below
@@ -340,21 +338,21 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, parts=
             value[i, :b, :a] = f_ba[i, :b, :a] + f_bu[i, :b] @ h_pinv[i] @ f_ua[i, :, :a]
         diffs = (h @ i_wit - f_ua, k_wit @ h - f_bu, value - (f_ba + f_bu @ i_wit))
     finite = np.logical_and.reduce([np.isfinite(d).all(axis=(-2, -1)) for d in diffs])
-    lo = np.where(exact, 0.0, 1.0)  # 0 keeps an entry's norms exact; the rest are contractions
-    judged = np.ones((2, scale.size))  # what the input and output residuals are judged against
-    expansions = np.flatnonzero(scale > 1.0)
+    lo = np.where(exact, 0.0, 1.0)  # 0 keeps an entry's residuals exact; the rest are contractions
+    judged = np.ones((3, contraction.size))  # the bar of each check: input, output, agreement
+    expansions = np.flatnonzero(~contraction)
     if expansions.size:
         judged[:, expansions] = np.maximum(
-            [stack_norms(f_ua[expansions]), stack_norms(f_bu[expansions])], 1.0)
+            [stack_norms(x[expansions]) for x in (f_ua, f_bu, value)], 1.0)
     res_in, res_out = (bracket_norms(d, cfg.ki_residual_tol * lo, math.inf) / s
                        for d, s in zip(diffs[:2], judged))
     residual = np.maximum(res_in, res_out)
-    agree = bracket_norms(diffs[2], cfg.compare_tol * lo, math.inf)
+    agree = bracket_norms(diffs[2], cfg.compare_tol, math.inf)
+    bad = ~finite | (residual > cfg.ki_residual_tol)
+    res_in[bad], res_out[bad] = (stack_norms(d[bad]) / s[bad] for d, s in zip(diffs[:2], judged))
     errors = {}
-    fails = ~finite | (residual > cfg.ki_residual_tol) | (agree > cfg.compare_tol * scale)
-    for i in np.flatnonzero(fails):
-        if not finite[i] or residual[i] > cfg.ki_residual_tol:
-            res_in[i], res_out[i] = (operator_norm(d[i]) / s[i] for d, s in zip(diffs[:2], judged))
+    for i in np.flatnonzero(bad | (agree > cfg.compare_tol * judged[2])):
+        if bad[i]:
             msg = (
                 "not ki-traceable: witness residuals "
                 f"{res_in[i]:.3e} (input) / {res_out[i]:.3e} (output) exceed "
@@ -368,15 +366,19 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, scale, cfg: TraceConfig, exact, parts=
 
 def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False, route=_BOTH, parts=()):
     """Total trace of the loop block, the trailing k rows and columns, of
-    every matrix in the stack ``m`` (N, rows, cols).  On the default route,
-    contractions take the closed form as the canonical value and the series
-    as the cross-check; the rest take the closed form or, failing that, the
-    series.  Route _SERIES runs the series alone with exact term norms,
-    _KI the closed form alone with exact residuals.  Returns the values
-    (N, b, a) and, per entry, the method, series terms, residual and
-    convergence flag; a contraction's residual, its series/closed-form gap,
-    is exact only if ``report_gap``.  Raises the first entry's error.  On
-    a padded union, ``parts`` has each entry's value taken on its own shape."""
+    every matrix in the stack ``m`` (N, rows, cols).  The contraction test
+    is yes or no, ||m|| <= 1 + DEFAULT_TOL, settled by the brackets.  On the
+    default route, contractions take the closed form as the canonical value
+    and the series as the cross-check; the rest take the closed form or,
+    failing that, the series.  The closed form judges a contraction's checks
+    against 1, any other entry's against the larger of 1 and the exact norm
+    of f_UA, f_BU or the value, and fails a non-finite closed form anyway.
+    Route _SERIES runs the series alone with exact term norms, _KI the
+    closed form alone with exact residuals.  Returns the values (N, b, a)
+    and, per entry, the method, series terms, residual and convergence
+    flag; a contraction's residual, its series/closed-form gap, is exact
+    only if ``report_gap``.  Raises the first entry's error.  On a padded
+    union, ``parts`` has each entry's value taken on its own shape."""
     m = np.asarray(m, dtype=np.complex128)
     if not np.all(np.isfinite(m)):
         raise LinalgError("matrix contains non-finite entries")
@@ -392,11 +394,9 @@ def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False, route
         _raise_first(errors)
         return values, _ROUTES[routes], terms, residual, converged
     limit = 1.0 + DEFAULT_TOL
-    norm = bracket_norms(m, limit, math.inf)  # exact at and above the limit
-    contraction = norm <= limit
-    scale = np.where(contraction, 1.0, norm)  # a contraction's residuals are judged against 1
-    values, residual, errors = _kernel_image(*blocks, scale, cfg, (route == _KI) | ~contraction,
-                                             parts)
+    contraction = bracket_norms(m, limit, limit) <= limit
+    values, residual, errors = _kernel_image(*blocks, contraction, cfg,
+                                             (route == _KI) | ~contraction, parts)
     if route == _BOTH:
         # A contraction must pass both routes; any other entry whose closed
         # form fails takes the series value instead.

@@ -132,8 +132,8 @@ def assert_same(twin, seen, m, k, cfg):
         series = partial(trace._series, *blocks, s_cfg)
         assert series_outcome(*series()) == series_outcome(*twin(series))
     if new_ki:
-        scale = np.maximum(stack_norms(m), 1.0)
-        closed_form = partial(trace._kernel_image, *blocks, scale, cfg, True)
+        contraction = stack_norms(m) <= 1.0
+        closed_form = partial(trace._kernel_image, *blocks, contraction, cfg, True)
         assert kernel_image_outcome(*closed_form()) == kernel_image_outcome(*twin(closed_form))
 
 
@@ -555,5 +555,5 @@ def test_contraction_without_witness_reports_against_its_norm(same, scale):
     same(m[None], 2, cfg)
     with pytest.raises(KiTraceError, match="not ki-traceable") as failure:
         trace._trace_core(m[None], 2, cfg)
-    _, judged, _ = trace._kernel_image(*trace._blocks(m[None], 2), np.ones(1), cfg, True)
+    _, judged, _ = trace._kernel_image(*trace._blocks(m[None], 2), np.ones(1, bool), cfg, True)
     assert max(failure.value.residual_in, failure.value.residual_out) == judged[0]

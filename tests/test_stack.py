@@ -423,3 +423,11 @@ def test_series_takes_no_svd_of_an_empty_stack(svd_shapes):
         result = ex(g, "U")
         assert result.method == "kernel_image" and result.terms_used == 0
     assert ex(series_alone, "U", short).method == "series"
+
+
+def test_expansion_takes_no_svd_of_the_whole_matrix(svd_shapes):
+    # The contraction test is yes or no, and the brackets show ||m|| = 2
+    # above 1; the closed form's checks take the norms of the 8 x 8 blocks.
+    shapes = svd_shapes(lambda: ex(expansion_with_small_loop(16, np.random.default_rng(16)), "U"))
+    assert (1, 16, 16) not in shapes
+    assert len(shapes) <= 6

@@ -163,13 +163,50 @@ LARGE_COUPLINGS = np.array([
 ])
 
 
-@pytest.mark.xfail(strict=True, raises=SeriesDivergence, reason=(
-    "the witness forms' gap, 4.4e2, is judged against compare_tol * ||m||, 19, not "
-    "against the size of the trace, so the closed form is refused and the series blows up"))
 def test_large_couplings_take_the_closed_form():
+    # The witness forms' gap, 4.4e2, must be judged against the size of the
+    # trace, near 1e18: against compare_tol * ||m||, 19, the closed form
+    # fails and the series blows up.
     want = schur(LARGE_COUPLINGS, 1)
     r = ex(two_block(LARGE_COUPLINGS, 1), "U")
+    assert r.method == "kernel_image"
     assert np.max(np.abs(r.value - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def large_coupling(rng):
+    """A non-contraction with 1-2 ports a side and 1-3 loop wires: a loop
+    block of spectral radius 0.5, with f_BU and f_UA scaled by 10^U(5, 12)."""
+    b, a, k = (int(x) for x in rng.integers(1, [3, 3, 4]))
+    m = rng.standard_normal((b + k, a + k)) + 1j * rng.standard_normal((b + k, a + k))
+    m[b:, a:] *= 0.5 / np.max(np.abs(np.linalg.eigvals(m[b:, a:])))
+    gain = 10 ** rng.uniform(5, 12)
+    m[:b, a:] *= gain
+    m[b:, :a] *= gain
+    return m, k
+
+
+def test_large_couplings_keep_the_closed_form_under_trivial_changes():
+    # A zero loop wire appended, a zero port prepended and the loop wires
+    # reversed leave the trace as it is, the second with a zero row and
+    # column leading, so none may move the verdict or the value.
+    rng, cfg = np.random.default_rng(11), TraceConfig()
+    for _ in range(100):
+        m, k = large_coupling(rng)
+        want = schur(m, k)
+        r, c = m.shape
+        grown, padded = np.zeros((r + 1, c + 1), complex), np.zeros((r + 1, c + 1), complex)
+        grown[:r, :c], padded[1:, 1:] = m, m
+        rows, cols = np.r_[: r - k, r - 1 : r - k - 1 : -1], np.r_[: c - k, c - 1 : c - k - 1 : -1]
+        variants = ((grown, k + 1, np.s_[:, :]), (padded, k, np.s_[1:, 1:]),
+                    (m[np.ix_(rows, cols)], k, np.s_[:, :]))
+        for route in (ex, ex_kernel_image):
+            value = route(two_block(m, k), "U").value
+            assert np.max(np.abs(value - want)) <= 1e-12 * max(1, np.max(np.abs(want)))
+            bar = cfg.compare_tol * max(1, operator_norm(value))
+            for changed, loop, view in variants:
+                t = route(two_block(changed, loop), "U")
+                assert t.method == "kernel_image"
+                assert operator_norm(t.value[view] - value) <= bar
 
 
 # f_BU f_UA = 0 on both, so the first series term is exactly zero while
