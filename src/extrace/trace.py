@@ -316,18 +316,17 @@ def _series(f_ba, f_bu, f_ua, f_uu, cfg: TraceConfig, exact=True):
 def _kernel_image(f_ba, f_bu, f_ua, f_uu, contraction, cfg: TraceConfig, exact, parts=()):
     """Closed-form trace via witnesses i, k with f_UA = (id - f_UU) i and
     f_BU = k (id - f_UU), for every stack entry at once, from one SVD of
-    id - f_UU.  Singular values at or below PINV_CUTOFF count as zeros in
-    every loop shape, which keeps unitary loop blocks (id - f_UU singular)
-    traceable.  Its three checks, the input and output witness residuals
-    and the agreement of the two witness forms, are each judged once: a
-    ``contraction``'s against 1, any other entry's against the larger of 1
-    and the exact norm of what the check explains, f_UA, f_BU or the value.
-    A residual is exact where ``exact`` marks its entry, which reports it,
-    or where it fails; the brackets settle the rest.  A failing agreement is
-    exact.  A non-finite check has norm inf, and an entry whose closed form
-    is not finite fails whatever those norms.  Each part (entry, b, a) of a
-    padded stack takes its value on that entry's own b x a views
-    (_trace_grouped).  Returns the values, residuals and errors by entry."""
+    h = id - f_UU, whose singular values at or below PINV_CUTOFF count as
+    zeros in every loop shape, so unitary loop blocks stay traceable.  The
+    input and output residuals and the agreement of the two forms, two
+    roundings of f_BU P f_UA with P = h^+, are judged once: on a
+    ``contraction`` against 1, elsewhere against the larger of 1 and
+    ||f_UA||, ||f_BU|| or ||f_BA|| + ||f_BU|| ||P||_F ||f_UA||.  Residuals
+    are exact where ``exact`` marks an entry or where they fail, as is a
+    failing agreement.  A non-finite check has norm inf; a non-finite closed
+    form fails whatever those norms.  Each part (entry, b, a) of a padded
+    stack takes its value on its own b x a views (_trace_grouped).  Returns
+    values, residuals and errors."""
     h = np.eye(f_uu.shape[-1]) - f_uu
     h_pinv = stack_pinv(h)
     with np.errstate(over="ignore", invalid="ignore"):  # an entry that overflows fails below
@@ -338,26 +337,28 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, contraction, cfg: TraceConfig, exact, 
             value[i, :b, :a] = f_ba[i, :b, :a] + f_bu[i, :b] @ h_pinv[i] @ f_ua[i, :, :a]
         diffs = (h @ i_wit - f_ua, k_wit @ h - f_bu, value - (f_ba + f_bu @ i_wit))
     finite = np.logical_and.reduce([np.isfinite(d).all(axis=(-2, -1)) for d in diffs])
-    lo = np.where(exact, 0.0, 1.0)  # 0 keeps an entry's residuals exact; the rest are contractions
     judged = np.ones((3, contraction.size))  # the bar of each check: input, output, agreement
     expansions = np.flatnonzero(~contraction)
     if expansions.size:
-        judged[:, expansions] = np.maximum(
-            [stack_norms(x[expansions]) for x in (f_ua, f_bu, value)], 1.0)
-    res_in, res_out = (bracket_norms(d, cfg.ki_residual_tol * lo, math.inf) / s
+        n_ua, n_bu, n_ba = (stack_norms(x[expansions]) for x in (f_ua, f_bu, f_ba))
+        with np.errstate(over="ignore"):  # the forms' gap is rounding of these summands
+            summands = n_ba + n_bu * fro_norms(h_pinv[expansions]) * n_ua
+        judged[:, expansions] = np.maximum([n_ua, n_bu, summands], 1.0)
+    res_in, res_out = (bracket_norms(d, np.where(exact, 0.0, cfg.ki_residual_tol), math.inf) / s
                        for d, s in zip(diffs[:2], judged))
     residual = np.maximum(res_in, res_out)
-    agree = bracket_norms(diffs[2], cfg.compare_tol, math.inf)
+    agree = bracket_norms(diffs[2], cfg.compare_tol * judged[2], math.inf)
     bad = ~finite | (residual > cfg.ki_residual_tol)
-    res_in[bad], res_out[bad] = (stack_norms(d[bad]) / s[bad] for d, s in zip(diffs[:2], judged))
+    if bad.any():
+        res_in[bad], res_out[bad] = (stack_norms(d[bad]) / s[bad]
+                                     for d, s in zip(diffs[:2], judged))
     errors = {}
     for i in np.flatnonzero(bad | (agree > cfg.compare_tol * judged[2])):
-        if bad[i]:
-            msg = (
-                "not ki-traceable: witness residuals "
-                f"{res_in[i]:.3e} (input) / {res_out[i]:.3e} (output) exceed "
-                f"{cfg.ki_residual_tol:g}"
-            ) if finite[i] else "not ki-traceable: the closed form is not finite"
+        if not finite[i]:
+            msg = "not ki-traceable: the closed form is not finite"
+        elif bad[i]:
+            msg = (f"not ki-traceable: witness residuals {res_in[i]:.3e} (input) / "
+                   f"{res_out[i]:.3e} (output) exceed {cfg.ki_residual_tol:g}")
         else:
             msg = f"witness forms disagree by {agree[i]:.3e}"
         errors[int(i)] = KiTraceError(msg, float(res_in[i]), float(res_out[i]))
@@ -367,18 +368,17 @@ def _kernel_image(f_ba, f_bu, f_ua, f_uu, contraction, cfg: TraceConfig, exact, 
 def _trace_core(m: np.ndarray, k: int, cfg: TraceConfig, report_gap=False, route=_BOTH, parts=()):
     """Total trace of the loop block, the trailing k rows and columns, of
     every matrix in the stack ``m`` (N, rows, cols).  The contraction test
-    is yes or no, ||m|| <= 1 + DEFAULT_TOL, settled by the brackets.  On the
-    default route, contractions take the closed form as the canonical value
-    and the series as the cross-check; the rest take the closed form or,
-    failing that, the series.  The closed form judges a contraction's checks
-    against 1, any other entry's against the larger of 1 and the exact norm
-    of f_UA, f_BU or the value, and fails a non-finite closed form anyway.
-    Route _SERIES runs the series alone with exact term norms, _KI the
-    closed form alone with exact residuals.  Returns the values (N, b, a)
-    and, per entry, the method, series terms, residual and convergence
-    flag; a contraction's residual, its series/closed-form gap, is exact
-    only if ``report_gap``.  Raises the first entry's error.  On a padded
-    union, ``parts`` has each entry's value taken on its own shape."""
+    is yes or no, ||m|| <= 1 + DEFAULT_TOL.  On the default route,
+    contractions take the closed form as the canonical value and the series
+    as the cross-check; the rest the closed form or, failing that, the
+    series.  The closed form judges a contraction's checks against 1, any
+    other's against the larger of 1 and the size of what each explains, and
+    fails if not finite.  Route _SERIES runs the series alone with exact
+    term norms, _KI the closed form alone with exact residuals.  Returns the
+    values (N, b, a) and, per entry, the method, series terms, residual and
+    convergence flag; a contraction's residual, its series/closed-form gap,
+    is exact only if ``report_gap``.  Raises the first entry's error.
+    ``parts`` gives a padded union's entries their own shapes."""
     m = np.asarray(m, dtype=np.complex128)
     if not np.all(np.isfinite(m)):
         raise LinalgError("matrix contains non-finite entries")

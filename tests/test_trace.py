@@ -173,6 +173,31 @@ def test_large_couplings_take_the_closed_form():
     assert np.max(np.abs(r.value - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def cancelling_summands(u, f_ua, large_f_ba):
+    """One port, two loop wires, f_BU = [1, 1]: f_BU (id - f_UU)^-1 f_UA is
+    near 1 where f_UA nearly cancels, or near 1e9 where f_BA cancels it."""
+    f_uu, f_bu, f_ua = np.array(u), np.array([[1.0, 1.0]]), np.array(f_ua)[:, None]
+    f_ba = 1 - f_bu @ np.linalg.solve(np.eye(2) - f_uu, f_ua) if large_f_ba else np.zeros((1, 1))
+    return np.block([[f_ba, f_bu], [f_ua, f_uu]]).astype(complex)
+
+
+@pytest.mark.parametrize("m", [
+    cancelling_summands(0.3 * np.eye(2), [1e9, -1e9 + 1], False),
+    cancelling_summands(1.7 * np.eye(2), [1e9, -1e9 + 1], False),
+    cancelling_summands([[0.3, 0.1], [-0.2, 0.4]], [1.3e9, -0.4e9], True),
+    cancelling_summands([[1.7, 0.1], [-0.2, 1.6]], [1.3e9, -0.4e9], True),
+], ids=["f_ua", "f_ua-divergent", "f_ba", "f_ba-divergent"])
+def test_cancelling_summands_take_the_closed_form(m):
+    # The value is near 1 and the witness forms' gap near 1e-7, the rounding
+    # of summands near 1e9: it must be judged against their size, not the
+    # value's.  With f_UU = 1.7 the series diverges, so the closed form is all.
+    want = schur(m, 2)
+    for route in (ex, ex_kernel_image):
+        r = route(two_block(m, 2), "U")
+        assert r.method == "kernel_image"
+        assert np.max(np.abs(r.value - want)) <= 1e-6
+
+
 def large_coupling(rng):
     """A non-contraction with 1-2 ports a side and 1-3 loop wires: a loop
     block of spectral radius 0.5, with f_BU and f_UA scaled by 10^U(5, 12)."""
